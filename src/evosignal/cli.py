@@ -15,12 +15,11 @@ import csv
 import json
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from . import metrics as met
-from .control import ControllerSpec, drive
+from .control import ControllerSpec, drive, run_episodes
 from .dsl import event_whitelist, sandbox_check
 from .evolution import EvolutionConfig, generation_records, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
@@ -177,19 +176,6 @@ _EVAL_HEADER = ["scenario", "method", "seed", "avg_delay", "avg_queue", "through
                 "emergency_delay", "bus_person_delay"]
 
 
-def _run_task(task):
-    spec, scenario, seed = task
-    result = drive(spec, scenario, seed=seed)
-    return result.metrics
-
-
-def _run_many(tasks, jobs: int):
-    if jobs <= 1:
-        return [_run_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, tasks))
-
-
 def _summary_rows(scenario_name: str, label: str, seeds, all_metrics) -> list[list]:
     rows = [
         _episode_metrics_row(scenario_name, label, seed, metrics)
@@ -210,6 +196,19 @@ def _summary_rows(scenario_name: str, label: str, seeds, all_metrics) -> list[li
             "",
         ])
     return rows
+
+
+def _run_over_seeds(args, command: str, label: str, spec: ControllerSpec) -> int:
+    """One controller on one scenario over every seed: a per-seed CSV
+    with a mean±std row, its manifest, and the optional episode log."""
+    scenario = _build_scenario(args.scenario, args)
+    seeds = _parse_seeds(args.seeds)
+    results = run_episodes([(spec, scenario, seed) for seed in seeds], args.jobs)
+    rows = _summary_rows(scenario.name, label, seeds, [metrics for metrics, _ in results])
+    _write_csv(args.out, _EVAL_HEADER, rows)
+    _write_file_manifest(args.out, command, args)
+    _write_episode_log(args.episode_log, spec, scenario, seeds[0])
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -233,29 +232,11 @@ def cmd_evaluate(args) -> int:
         print(f"error: skill failed validation at stage={report.stage}: {report.message}",
               file=sys.stderr)
         return 1
-    scenario = _build_scenario(args.scenario, args)
-    seeds = _parse_seeds(args.seeds)
-    spec = ControllerSpec("skill", skill=skill)
-    tasks = [(spec, scenario, seed) for seed in seeds]
-    all_metrics = _run_many(tasks, args.jobs)
-    rows = _summary_rows(scenario.name, skill.id, seeds, all_metrics)
-    _write_csv(args.out, _EVAL_HEADER, rows)
-    _write_file_manifest(args.out, "evaluate", args)
-    _write_episode_log(args.episode_log, spec, scenario, seeds[0])
-    return 0
+    return _run_over_seeds(args, "evaluate", skill.id, ControllerSpec("skill", skill=skill))
 
 
 def cmd_baseline(args) -> int:
-    scenario = _build_scenario(args.scenario, args)
-    seeds = _parse_seeds(args.seeds)
-    spec = ControllerSpec(args.method)
-    tasks = [(spec, scenario, seed) for seed in seeds]
-    all_metrics = _run_many(tasks, args.jobs)
-    rows = _summary_rows(scenario.name, args.method, seeds, all_metrics)
-    _write_csv(args.out, _EVAL_HEADER, rows)
-    _write_file_manifest(args.out, "baseline", args)
-    _write_episode_log(args.episode_log, spec, scenario, seeds[0])
-    return 0
+    return _run_over_seeds(args, "baseline", args.method, ControllerSpec(args.method))
 
 
 def _method_spec(name: str) -> tuple[str, ControllerSpec]:
@@ -286,7 +267,7 @@ def cmd_compare(args) -> int:
         samples: dict[str, dict[str, list[float]]] = {}
         for label, spec in methods:
             tasks = [(spec, scenario, seed) for seed in seeds]
-            results = _run_many(tasks, args.jobs)
+            results = [metrics for metrics, _ in run_episodes(tasks, args.jobs)]
             per_metric: dict[str, list[float]] = {}
             for column in METRIC_COLUMNS:
                 values = [getattr(m, column) for m in results]
@@ -456,11 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="statistical comparison of methods")
     p.add_argument("--methods", required=True,
                    help="comma list: baselines, seed, library:NAME, skill:FILE")
-    p.add_argument("--scenarios", required=True)
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--duration", type=int, default=3600)
-    p.add_argument("--demand-scale", type=float, default=1.0)
+    _add_scenario_args(p, many=True)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -491,7 +468,7 @@ def main(argv=None) -> int:
     except GeneratorUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError, NotImplementedError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,12 +16,20 @@ phases were evaluated in.
 
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
 
 from . import events as ev
 from .dsl import EvalError, compile_body, parse
 from .dsl.whitelist import EVENT_VARIABLES
-from .sim.engine import EpisodeResult, LaneObservation, PhaseDecision, StepContext, run_episode
+from .sim.engine import (
+    EpisodeResult,
+    LaneObservation,
+    PhaseDecision,
+    SimulationMetrics,
+    StepContext,
+    run_episode,
+)
 from .sim.scenario import ScenarioConfig
 from .skills import Skill
 
@@ -229,30 +237,17 @@ class DispatcherController:
         return PhaseDecision(scores.chosen)
 
 
-# Temporal granularities the engine recognizes. Only per-step phase
-# selection is implemented; the other two are named so configs and
-# stores can carry them forward.
-CONTROL_MODES = ("phase_selection", "phase_extension", "cycle_planning")
-
-
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Declarative controller choice; picklable, so compare/evaluate can
-    fan episodes out to worker processes."""
+    """Declarative controller choice; picklable, so episodes can fan out
+    to worker processes."""
 
     kind: str  # skill | fixed_time | max_pressure | handcrafted_preemption | dispatcher
     skill: Skill | None = None
     plan: FixedTimePlan | None = None
     bank_skills: dict[str, Skill] | None = None
-    control_mode: str = "phase_selection"
 
     def build(self):
-        if self.control_mode not in CONTROL_MODES:
-            raise ValueError(f"unknown control mode {self.control_mode!r}")
-        if self.control_mode != "phase_selection":
-            raise NotImplementedError(
-                f"control mode {self.control_mode!r} is declared but not implemented"
-            )
         if self.kind == "skill":
             if self.skill is None:
                 raise ValueError("skill controller needs a skill")
@@ -279,3 +274,21 @@ def drive(
     """Run one episode under a freshly built controller."""
     controller = spec.build()
     return run_episode(scenario, controller, seed, collect_step_log=collect_step_log)
+
+
+def _episode_metrics(task: tuple[ControllerSpec, ScenarioConfig, int]) -> tuple[SimulationMetrics, int]:
+    result = drive(*task)
+    return result.metrics, result.controller_faults
+
+
+def run_episodes(
+    tasks: list[tuple[ControllerSpec, ScenarioConfig, int]], jobs: int = 1
+) -> list[tuple[SimulationMetrics, int]]:
+    """Run ``(spec, scenario, seed)`` episodes and return each one's
+    metrics and controller-fault count, in task order for any ``jobs``.
+    With ``jobs > 1`` the episodes fan out over worker processes; only
+    the metrics come back, never the vehicle log."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_episode_metrics(task) for task in tasks]
+    with futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(_episode_metrics, tasks))

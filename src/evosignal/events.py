@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dsl.interpreter import EvalContext
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import Episode, JAM_SPACING
 from .sim.network import phase_of
@@ -199,20 +198,6 @@ def event_bindings(event: TrafficEvent | None) -> dict[str, float]:
     if event is not None:
         bindings.update(event.context)
     return bindings
-
-
-def inject_context(event: TrafficEvent | None, base: EvalContext) -> EvalContext:
-    """Extend a lane-variable context with event-context bindings.
-
-    Lane bindings are never overwritten: event variables are a disjoint
-    namespace, enforced at TrafficEvent construction.
-    """
-    merged = dict(base.bindings)
-    for name, value in event_bindings(event).items():
-        if name in merged and name not in EVENT_VARIABLES:
-            continue
-        merged[name] = value
-    return EvalContext(bindings=merged, value=list(base.value))
 
 
 def active_event(events, kind: str) -> TrafficEvent | None:

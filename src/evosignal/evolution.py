@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 from . import events as ev
 from . import generator as gen
 from . import metrics as met
-from .control import ControllerSpec, drive
+from .control import ControllerSpec, run_episodes
 from .dsl import event_whitelist, routine_whitelist
+from .sim.engine import SimulationMetrics
 from .sim.scenario import ScenarioConfig
 from .skills import SEED_SKILL, Skill
 from .store import Checkpoint, RunStore
@@ -272,25 +273,24 @@ def _candidate_spec(cfg: EvolutionConfig, candidate: Skill, bank: ev.SkillBank |
     return ControllerSpec("dispatcher", bank_skills=bank.replaced(cfg.mode, candidate).skills)
 
 
-def _run_candidate_episode(task) -> EpisodeOutcome:
-    cfg, candidate, bank, s_index = task
-    scenario = cfg.scenarios[s_index]
-    episode_seed = mix_seed(cfg.seed, s_index)
-    result = drive(_candidate_spec(cfg, candidate, bank), scenario, seed=episode_seed)
-    if result.controller_faults > 0:
+def _outcome(
+    cfg: EvolutionConfig, scenario: ScenarioConfig, seed: int, metrics: SimulationMetrics, faults: int
+) -> EpisodeOutcome:
+    """Score one episode; any controller fault voids it with -inf."""
+    if faults > 0:
         fitness = NEG_INFINITY
     elif cfg.mode == "routine":
-        fitness = met.routine_fitness(result.metrics, _fitness_cfg(cfg, scenario))
+        fitness = met.routine_fitness(metrics, _fitness_cfg(cfg, scenario))
     else:
-        fitness = met.event_fitness(result.metrics, cfg.mode, _fitness_cfg(cfg, scenario))
+        fitness = met.event_fitness(metrics, cfg.mode, _fitness_cfg(cfg, scenario))
     return EpisodeOutcome(
         scenario_name=scenario.name,
-        seed=episode_seed,
+        seed=seed,
         fitness=fitness,
-        faults=result.controller_faults,
-        avg_delay=result.metrics.avg_delay,
-        avg_queue=result.metrics.avg_queue,
-        throughput=float(result.metrics.throughput),
+        faults=faults,
+        avg_delay=metrics.avg_delay,
+        avg_queue=metrics.avg_queue,
+        throughput=float(metrics.throughput),
     )
 
 
@@ -307,45 +307,27 @@ def _summarize(outcomes: list[EpisodeOutcome]) -> tuple[float, dict[str, float]]
     return mean_fitness, summary
 
 
-def evaluate_candidate(
-    cfg: EvolutionConfig,
-    candidate: Skill,
-    bank: ev.SkillBank | None,
-    on_episode=None,
-) -> tuple[float, dict[str, float]]:
-    """Mean fitness (and mean headline metrics) across the config's
-    scenarios; any controller fault voids the candidate with -inf."""
-    outcomes = []
-    for s_index in range(len(cfg.scenarios)):
-        outcome = _run_candidate_episode((cfg, candidate, bank, s_index))
-        if on_episode:
-            on_episode(outcome)
-        outcomes.append(outcome)
-    return _summarize(outcomes)
-
-
 def evaluate_generation(
     cfg: EvolutionConfig,
     candidates: list[Skill],
     bank: ev.SkillBank | None,
     jobs: int = 1,
 ) -> list[tuple[float, dict[str, float], list[EpisodeOutcome]]]:
-    """Evaluate a whole generation's candidates, optionally fanning the
-    episode grid out over worker processes. Results come back in
+    """Mean fitness, mean headline metrics and per-episode outcomes of
+    each candidate across the config's scenarios. Episodes may run in
+    worker processes; fitness is computed here, and results come back in
     candidate order regardless of jobs, so the audit trail is identical
     either way."""
+    seeds = [mix_seed(cfg.seed, s_index) for s_index in range(len(cfg.scenarios))]
     tasks = [
-        (cfg, candidate, bank, s_index)
+        (_candidate_spec(cfg, candidate, bank), scenario, seed)
         for candidate in candidates
-        for s_index in range(len(cfg.scenarios))
+        for scenario, seed in zip(cfg.scenarios, seeds)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
-        outcomes = [_run_candidate_episode(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_candidate_episode, tasks))
+    outcomes = [
+        _outcome(cfg, scenario, seed, metrics, faults)
+        for (_, scenario, seed), (metrics, faults) in zip(tasks, run_episodes(tasks, jobs))
+    ]
     per_candidate = []
     n = len(cfg.scenarios)
     for i in range(len(candidates)):
@@ -372,8 +354,7 @@ def dispatcher_context_evaluate(
         seed=seed,
         fitness_constant=fitness_constant,
     )
-    fitness, _ = evaluate_candidate(cfg, candidate, bank)
-    return fitness
+    return evaluate_generation(cfg, [candidate], bank)[0][0]
 
 
 def run_evolution(

@@ -98,15 +98,8 @@ def welch_and_cohen(a, b) -> StatResult:
     var_a = sum((v - mean_a) ** 2 for v in xs) / (na - 1)
     var_b = sum((v - mean_b) ** 2 for v in ys) / (nb - 1)
 
-    if var_a == 0.0 and var_b == 0.0:
-        dof = float(na + nb - 2)
-        if mean_a == mean_b:
-            return StatResult(t=0.0, p=1.0, d=0.0, dof=dof)
-        sign = 1.0 if mean_a > mean_b else -1.0
-        return StatResult(t=sign * math.inf, p=0.0, d=sign * math.inf, dof=dof)
-
     se_sq = var_a / na + var_b / nb
-    if se_sq == 0.0:  # total underflow: indistinguishable from zero variance
+    if se_sq == 0.0:  # constant samples, or variances that underflow to zero
         dof = float(na + nb - 2)
         if mean_a == mean_b:
             return StatResult(t=0.0, p=1.0, d=0.0, dof=dof)

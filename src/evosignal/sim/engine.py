@@ -232,9 +232,7 @@ class StepContext:
 
     t: int
     intersection_id: str
-    current_phase: int
     observations: list[list[tuple[LaneObservation, LaneObservation]]]
-    lane_links: list[list[tuple[str, str]]]  # (approach side, movement) per phase
     episode: "Episode"
 
     def log(self, record: dict) -> None:
@@ -250,9 +248,6 @@ class StepContext:
                 "message": message,
             }
         )
-
-    def queue_history(self) -> list[int]:
-        return self.episode.queue_history[self.intersection_id]
 
 
 class Episode:
@@ -379,9 +374,6 @@ class Episode:
 
     # ------------------------------------------------------------------
     # observation
-
-    def phase_lane_links(self, intersection_id: str) -> list[list[tuple[str, str]]]:
-        return [list(SORTED_PHASE_TABLE[k]) for k in range(NUM_PHASES)]
 
     def observe(self, intersection_id: str) -> list[list[tuple[LaneObservation, LaneObservation]]]:
         """Per-phase, per-lane-link (inlane, outlane) observations."""
@@ -633,15 +625,12 @@ def run_episode(
     for _ in range(scenario.duration):
         decisions: dict[str, PhaseDecision | None] = {}
         for node_id in episode.network.intersection_ids:
-            signal = episode.signals[node_id]
-            if signal.in_transition:
+            if episode.signals[node_id].in_transition:
                 continue
             ctx = StepContext(
                 t=episode.t,
                 intersection_id=node_id,
-                current_phase=signal.active,
                 observations=episode.observe(node_id),
-                lane_links=episode.phase_lane_links(node_id),
                 episode=episode,
             )
             decisions[node_id] = controller.decide(ctx)

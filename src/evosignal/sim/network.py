@@ -44,7 +44,6 @@ _PHASE_OF = {
 }
 
 DEFAULT_LINK_LENGTH = 300.0  # m
-FREE_FLOW_SPEED = 13.9  # m/s
 
 
 def opposite(direction: str) -> str:
@@ -86,8 +85,6 @@ class Link:
     dst: str
     direction: str
     length: float
-    lanes: int
-    v_free: float
     kind: str  # interior | entry | exit
 
     @property
@@ -119,10 +116,6 @@ class Network:
     def intersection_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.intersections))
 
-    def downstream_intersection(self, link_id: str) -> str | None:
-        dst = self.links[link_id].dst
-        return dst if dst in self.intersections else None
-
 
 def _node_id(row: int, col: int) -> str:
     return f"x{row}_{col}"
@@ -143,7 +136,9 @@ def build_network(
     entry_links: list[str] = []
     exit_links: list[str] = []
 
-    def add_link(link: Link) -> str:
+    def add_link(src: str, dst: str, direction: str, kind: str) -> str:
+        link = Link(id=f"{src}>{dst}", src=src, dst=dst, direction=direction,
+                    length=link_length, kind=kind)
         links[link.id] = link
         return link.id
 
@@ -158,60 +153,14 @@ def build_network(
                 inbound_dir = opposite(side)  # travel heading of the approach from `side`
                 if 0 <= nr < rows and 0 <= nc < cols:
                     neighbor = _node_id(nr, nc)
-                    approaches[side] = add_link(
-                        Link(
-                            id=f"{neighbor}>{node}",
-                            src=neighbor,
-                            dst=node,
-                            direction=inbound_dir,
-                            length=link_length,
-                            lanes=len(MOVEMENTS),
-                            v_free=FREE_FLOW_SPEED,
-                            kind="interior",
-                        )
-                    )
-                    exits[side] = add_link(
-                        Link(
-                            id=f"{node}>{neighbor}",
-                            src=node,
-                            dst=neighbor,
-                            direction=side,
-                            length=link_length,
-                            lanes=len(MOVEMENTS),
-                            v_free=FREE_FLOW_SPEED,
-                            kind="interior",
-                        )
-                    )
+                    approaches[side] = add_link(neighbor, node, inbound_dir, "interior")
+                    exits[side] = add_link(node, neighbor, side, "interior")
                 else:
                     terminal = f"t{side}_{row}_{col}"
-                    entry = add_link(
-                        Link(
-                            id=f"{terminal}>{node}",
-                            src=terminal,
-                            dst=node,
-                            direction=inbound_dir,
-                            length=link_length,
-                            lanes=len(MOVEMENTS),
-                            v_free=FREE_FLOW_SPEED,
-                            kind="entry",
-                        )
-                    )
-                    approaches[side] = entry
-                    entry_links.append(entry)
-                    exit_ = add_link(
-                        Link(
-                            id=f"{node}>{terminal}",
-                            src=node,
-                            dst=terminal,
-                            direction=side,
-                            length=link_length,
-                            lanes=len(MOVEMENTS),
-                            v_free=FREE_FLOW_SPEED,
-                            kind="exit",
-                        )
-                    )
-                    exits[side] = exit_
-                    exit_links.append(exit_)
+                    approaches[side] = add_link(terminal, node, inbound_dir, "entry")
+                    exits[side] = add_link(node, terminal, side, "exit")
+                    entry_links.append(approaches[side])
+                    exit_links.append(exits[side])
             intersections[node] = Intersection(
                 id=node, row=row, col=col, approaches=approaches, exits=exits
             )

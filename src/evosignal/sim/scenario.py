@@ -15,7 +15,7 @@ meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -24,7 +24,6 @@ from .network import ConfigError, Network, build_network
 FAMILIES = ("T1", "T2", "T3", "V1", "V2", "V3", "E1", "E2", "B1", "B2", "I1", "M1")
 
 DEFAULT_DURATION = 3600
-STEP_SECONDS = 1.0
 
 # Base per-source arrival rates (veh/s), before per-family shaping.
 ROUTINE_BASE_RATE = 0.085
@@ -316,7 +315,3 @@ def load_scenario(path: str) -> ScenarioConfig:
         seed=int(raw.get("seed", 0)),
         family=None,
     )
-
-
-def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(config, seed=seed)

@@ -221,7 +221,3 @@ DEFAULT_BANK_SKILLS = {
     "incident": "incident-diversion",
     "congestion": "saturation-response",
 }
-
-
-def library_skill(name: str) -> Skill:
-    return LIBRARY[name]

@@ -107,13 +107,18 @@ class TestCompareAndBaseline:
         assert delay_rows
         float(delay_rows[0][8])  # t parses as a number
 
-    def test_parallel_jobs_match_serial_output(self, tmp_path):
+    @pytest.mark.parametrize("command", ["evaluate", "baseline", "compare"])
+    def test_parallel_jobs_match_serial_output(self, tmp_path, command):
         skill_path = tmp_path / "skill.json"
         skill_path.write_text(LIBRARY["ratio-saturation"].to_json())
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        base = ["evaluate", "--skill", str(skill_path), "--scenario", "T1", *DESK,
-                "--seeds", "4,5,6"]
+        method = {
+            "evaluate": ["--skill", str(skill_path), "--scenario", "T1"],
+            "baseline": ["--method", "dispatcher", "--scenario", "T1"],
+            "compare": ["--methods", f"skill:{skill_path},max_pressure", "--scenarios", "T1"],
+        }[command]
+        base = [command, *method, *DESK, "--seeds", "4,5,6"]
         assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
         assert main(base + ["--jobs", "3", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()

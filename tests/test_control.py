@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,13 +210,6 @@ class TestDrive:
         result = drive(ControllerSpec("skill", skill=bad), scenario, seed=1)
         assert result.controller_faults > 0
         assert result.metrics.avg_delay == 0.0  # episode still completes
-
-    def test_other_control_modes_are_hooks_only(self):
-        spec = ControllerSpec("max_pressure", control_mode="phase_extension")
-        with pytest.raises(NotImplementedError):
-            spec.build()
-        with pytest.raises(ValueError):
-            ControllerSpec("max_pressure", control_mode="per-nanosecond").build()
 
     def test_handcrafted_preempts_immediately(self):
         scenario = make_scenario("E2", rows=2, cols=2, duration=400, demand_scale=0.8, seed=2)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosignal.dsl.interpreter import EvalContext
 from evosignal.events import (
     BANK_KINDS,
     DetectorConfig,
@@ -19,7 +18,6 @@ from evosignal.events import (
     detect,
     dispatch,
     event_bindings,
-    inject_context,
 )
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import Episode, Vehicle
@@ -197,19 +195,18 @@ class TestInjectContext:
         event = TrafficEvent(
             "emergency", "x0_0", {"emergency_distance": 150.0, "emergency_phase": 2.0}
         )
-        base = EvalContext(bindings={"num_vehicle": 3.0})
-        merged = inject_context(event, base)
-        assert merged.bindings["emergency_distance"] == 150.0
-        assert merged.bindings["emergency_phase"] == 2.0
-        assert merged.bindings["bus_count"] == 0.0
+        merged = event_bindings(event)
+        assert merged["emergency_distance"] == 150.0
+        assert merged["emergency_phase"] == 2.0
+        assert merged["bus_count"] == 0.0
 
     def test_no_event_gives_all_zeros(self):
-        merged = inject_context(None, EvalContext(bindings={}))
-        assert sorted(merged.bindings) == sorted(
+        merged = event_bindings(None)
+        assert sorted(merged) == sorted(
             ["emergency_distance", "emergency_phase", "bus_count", "bus_delay",
              "incident_blocked", "congestion_level"]
         )
-        assert all(v == 0.0 for v in merged.bindings.values())
+        assert all(v == 0.0 for v in merged.values())
 
     def test_transit_sets_two_others_zero(self):
         event = TrafficEvent("transit", "x0_0", {"bus_count": 2.0, "bus_delay": 37.0})
@@ -219,11 +216,10 @@ class TestInjectContext:
         assert merged["emergency_distance"] == 0.0
         assert merged["incident_blocked"] == 0.0
 
-    def test_lane_bindings_never_overwritten(self):
-        base = EvalContext(bindings={"num_vehicle": 9.0, "vehicle_dist": 3.0})
-        merged = inject_context(None, base)
-        assert merged.bindings["num_vehicle"] == 9.0
-        assert merged.bindings["vehicle_dist"] == 3.0
+    def test_event_context_rejects_lane_variables(self):
+        # event context is its own namespace, disjoint from lane variables
+        with pytest.raises(ValueError):
+            TrafficEvent("transit", "x0_0", {"num_vehicle": 9.0})
 
 
 class TestDetectorInEpisode:

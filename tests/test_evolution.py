@@ -255,6 +255,18 @@ class TestRunEvolution:
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
 
+    def test_parallel_event_mode_does_not_change_a_byte(self, tmp_path):
+        # event candidates reach the workers inside a dispatcher spec
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5, seed=3)
+        cfg = EvolutionConfig(scenarios=(scenario,), population=3, generations=2,
+                              mode="transit", seed=3)
+        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        for jobs, run_dir in ((1, serial_dir), (2, parallel_dir)):
+            backend = ScriptedBackend(seed=3, event_kind="transit")
+            run_evolution(cfg, backend, RunStore(run_dir, run_id="r"), jobs=jobs)
+        for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
+            assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
+
 
 class TestDispatcherContext:
     def test_substitution_identity(self):
