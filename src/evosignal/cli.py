@@ -86,15 +86,12 @@ def _write_file_manifest(out_path: str | None, command: str, args: argparse.Name
         json.dump(_manifest_dict(command, args), handle, indent=1, sort_keys=True)
 
 
-def _write_episode_log(path: str | None, spec: ControllerSpec, scenario, seed: int) -> None:
+def _write_episode_log(path: str, step_log) -> None:
     """One JSONL record per step per intersection (time, phase, queue),
     plus detector events and activations when the controller is
     event-aware."""
-    if not path:
-        return
-    result = drive(spec, scenario, seed=seed, collect_step_log=True)
     with open(path, "w", encoding="utf-8") as handle:
-        for record in result.step_log:
+        for record in step_log:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -203,11 +200,17 @@ def _run_over_seeds(args, command: str, label: str, spec: ControllerSpec) -> int
     with a mean±std row, its manifest, and the optional episode log."""
     scenario = _build_scenario(args.scenario, args)
     seeds = _parse_seeds(args.seeds)
-    results = run_episodes([(spec, scenario, seed) for seed in seeds], args.jobs)
+    tasks = [(spec, scenario, seed) for seed in seeds]
+    if args.episode_log:
+        # The first seed runs here and collects its step log on the way.
+        first = drive(spec, scenario, seed=seeds[0], collect_step_log=True)
+        _write_episode_log(args.episode_log, first.step_log)
+        results = [(first.metrics, first.controller_faults)] + run_episodes(tasks[1:], args.jobs)
+    else:
+        results = run_episodes(tasks, args.jobs)
     rows = _summary_rows(scenario.name, label, seeds, [metrics for metrics, _ in results])
     _write_csv(args.out, _EVAL_HEADER, rows)
     _write_file_manifest(args.out, command, args)
-    _write_episode_log(args.episode_log, spec, scenario, seeds[0])
     return 0
 
 
@@ -264,10 +267,12 @@ def cmd_compare(args) -> int:
     rows: list[list] = []
     for name in args.scenarios.split(","):
         scenario = _build_scenario(name.strip(), args)
+        # One batch per scenario: every method x seed shares one pool.
+        tasks = [(spec, scenario, seed) for _, spec in methods for seed in seeds]
+        all_metrics = [metrics for metrics, _ in run_episodes(tasks, args.jobs)]
         samples: dict[str, dict[str, list[float]]] = {}
-        for label, spec in methods:
-            tasks = [(spec, scenario, seed) for seed in seeds]
-            results = [metrics for metrics, _ in run_episodes(tasks, args.jobs)]
+        for i, (label, _) in enumerate(methods):
+            results = all_metrics[i * len(seeds):(i + 1) * len(seeds)]
             per_metric: dict[str, list[float]] = {}
             for column in METRIC_COLUMNS:
                 values = [getattr(m, column) for m in results]

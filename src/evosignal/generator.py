@@ -24,6 +24,7 @@ from .util import mix_seed
 
 MAX_VALIDATION_RETRIES = 3
 TRANSPORT_RETRIES = 3
+RETRYABLE_4XX = (408, 429)  # timeout and rate limit; any other 4xx fails at once
 REQUEST_TIMEOUT = 60.0
 
 ENV_API_BASE = "EVOSIGNAL_API_BASE"
@@ -506,7 +507,8 @@ class EliteCopyBackend:
 
 class RemoteBackend:
     """OpenAI-compatible chat-completions transport. One POST per draft;
-    bounded exponential backoff, then GeneratorUnavailable."""
+    bounded exponential backoff between attempts, then
+    GeneratorUnavailable. A 4xx other than 408 and 429 is not retried."""
 
     kind = "remote"
 
@@ -553,7 +555,10 @@ class RemoteBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         delay = 1.0
         last_error: Exception | None = None
-        for _ in range(TRANSPORT_RETRIES):
+        for attempt in range(TRANSPORT_RETRIES):
+            if attempt:
+                time.sleep(delay)
+                delay *= 2
             try:
                 response = self._session.post(
                     f"{self.api_base}/chat/completions",
@@ -561,13 +566,17 @@ class RemoteBackend:
                     headers=headers,
                     timeout=self.timeout,
                 )
-                response.raise_for_status()
-                payload = response.json()
-                return payload["choices"][0]["message"]["content"]
-            except Exception as exc:  # transport or shape failure
+            except Exception as exc:  # transport failure
                 last_error = exc
-                time.sleep(delay)
-                delay *= 2
+                continue
+            status = getattr(response, "status_code", None)
+            if status is not None and 400 <= status < 500 and status not in RETRYABLE_4XX:
+                raise GeneratorUnavailable(f"remote generator refused the request: HTTP {status}")
+            try:
+                response.raise_for_status()
+                return response.json()["choices"][0]["message"]["content"]
+            except Exception as exc:  # server error or malformed reply
+                last_error = exc
         raise GeneratorUnavailable(f"remote generator unreachable: {last_error}")
 
 

@@ -15,7 +15,8 @@ spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,10 +159,12 @@ class Vehicle:
 
 
 class LinkState:
-    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos")
+    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos", "empty")
 
     def __init__(self, link: Link):
         self.link = link
+        # The observation of an empty lane or link, shared by all of them.
+        self.empty = LaneObservation(0, 0, mean_gap(0, math.inf, -math.inf, link.length))
         self.running: list[Vehicle] = []
         self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
         self.credit: dict[str, float] = {m: 0.0 for m in MOVEMENTS}
@@ -185,30 +188,54 @@ class LinkState:
     def vehicle_count(self) -> int:
         return len(self.running) + sum(len(q) for q in self.queues.values())
 
-    def distances(self, movement: str | None = None) -> list[float]:
-        """Distances to the stop line for this link's vehicles, either
-        for one movement's lane or (movement=None) the whole link."""
-        out: list[float] = []
+    def observe(self) -> tuple[dict[str, LaneObservation], LaneObservation]:
+        """Each movement's lane and the whole link, from one pass over
+        the queues and the running vehicles. A queued vehicle stands
+        ``anchor + i * JAM_SPACING`` from the stop line, a running one
+        ``length - pos``; the gap needs only the nearest and farthest."""
         length = self.link.length
-        movements = MOVEMENTS if movement is None else (movement,)
-        for m in movements:
-            anchor = self.queue_anchor(m)
-            for i, _ in enumerate(self.queues[m]):
-                out.append(anchor + i * JAM_SPACING)
+        # movement -> [vehicles, waiting, nearest, farthest], occupied lanes only
+        figures: dict[str | None, list] = {}
+        for movement, queue in self.queues.items():
+            n = len(queue)
+            if n:
+                anchor = self.queue_anchor(movement)
+                figures[movement] = [n, n, anchor, anchor + (n - 1) * JAM_SPACING]
         for vehicle in self.running:
-            if movement is None or vehicle.movement == movement:
-                out.append(length - vehicle.pos)
-        return out
+            dist = length - vehicle.pos
+            fig = figures.get(vehicle.movement)
+            if fig is None:
+                figures[vehicle.movement] = [1, int(vehicle.frozen), dist, dist]
+                continue
+            fig[0] += 1
+            if vehicle.frozen:
+                fig[1] += 1
+            if dist < fig[2]:
+                fig[2] = dist
+            if dist > fig[3]:
+                fig[3] = dist
+        lanes = dict.fromkeys(MOVEMENTS, self.empty)
+        if not figures:
+            return lanes, self.empty
+        total = waiting = 0
+        lo, hi = math.inf, -math.inf
+        for movement, (n, w, near, far) in figures.items():
+            if movement is not None:
+                lanes[movement] = LaneObservation(n, w, mean_gap(n, near, far, length))
+            total += n
+            waiting += w
+            lo = min(lo, near)
+            hi = max(hi, far)
+        return lanes, LaneObservation(total, waiting, mean_gap(total, lo, hi, length))
 
 
-def mean_gap(distances: list[float], link_length: float) -> float:
-    """Mean inter-vehicle gap; for <=1 vehicle, length/(n+1) keeps the
+def mean_gap(n: int, lo: float, hi: float, link_length: float) -> float:
+    """Mean inter-vehicle gap of ``n`` vehicles whose distances to the
+    stop line span ``[lo, hi]``; for <=1 vehicle, length/(n+1) keeps the
     figure bounded and monotone in occupancy."""
-    n = len(distances)
     if n <= 1:
         return link_length / (n + 1)
-    ordered = sorted(distances)
-    return (ordered[-1] - ordered[0]) / (n - 1)
+    return (hi - lo) / (n - 1)
 
 
 class SignalState:
@@ -225,15 +252,24 @@ class SignalState:
         return self.yellow > 0
 
 
-@dataclass
 class StepContext:
     """Everything a controller may look at when deciding one
-    intersection's phase for one step."""
+    intersection's phase for one step. The observations are taken on
+    first read, so a controller that reads none pays for none."""
 
-    t: int
-    intersection_id: str
-    observations: list[list[tuple[LaneObservation, LaneObservation]]]
-    episode: "Episode"
+    __slots__ = ("t", "intersection_id", "episode", "_observations")
+
+    def __init__(self, t: int, intersection_id: str, episode: "Episode"):
+        self.t = t
+        self.intersection_id = intersection_id
+        self.episode = episode
+        self._observations: list[list[tuple[LaneObservation, LaneObservation]]] | None = None
+
+    @property
+    def observations(self) -> list[list[tuple[LaneObservation, LaneObservation]]]:
+        if self._observations is None:
+            self._observations = self.episode.observe(self.intersection_id)
+        return self._observations
 
     def log(self, record: dict) -> None:
         self.episode.log_record(record)
@@ -286,6 +322,20 @@ class Episode:
         self._window_wait = 0.0
         self._window_vehicles: set[int] = set()
         self._reachable_cache: dict[str, tuple[str, ...]] = {}
+        # Per intersection and phase: (approach link, movement, exit link)
+        # of each lane-link, in evaluation order.
+        self._lane_table = {
+            node_id: tuple(
+                tuple(
+                    (node.approaches[side], movement, node.exits[heading_after(opposite(side), movement)])
+                    for side, movement in SORTED_PHASE_TABLE[k]
+                )
+                for k in range(NUM_PHASES)
+            )
+            for node_id, node in self.network.intersections.items()
+        }
+        # LinkState.observe() results of this step, by link id.
+        self._link_obs: dict[str, tuple[dict[str, LaneObservation], LaneObservation]] = {}
 
     # ------------------------------------------------------------------
     # spawning
@@ -376,31 +426,22 @@ class Episode:
     # observation
 
     def observe(self, intersection_id: str) -> list[list[tuple[LaneObservation, LaneObservation]]]:
-        """Per-phase, per-lane-link (inlane, outlane) observations."""
-        node = self.network.intersections[intersection_id]
+        """Per-phase, per-lane-link (inlane, outlane) observations. Each
+        link is observed once per step and shared by every intersection
+        that reads it as an approach or an exit."""
+        cache = self._link_obs
+        links = self.links
         out: list[list[tuple[LaneObservation, LaneObservation]]] = []
-        for k in range(NUM_PHASES):
+        for lane_links in self._lane_table[intersection_id]:
             phase_obs: list[tuple[LaneObservation, LaneObservation]] = []
-            for side, movement in SORTED_PHASE_TABLE[k]:
-                in_state = self.links[node.approaches[side]]
-                in_dists = in_state.distances(movement)
-                in_wait = len(in_state.queues[movement]) + sum(
-                    1 for v in in_state.running if v.frozen and v.movement == movement
-                )
-                inlane = LaneObservation(
-                    num_vehicle=len(in_dists),
-                    num_waiting_vehicle=in_wait,
-                    vehicle_dist=mean_gap(in_dists, in_state.link.length),
-                )
-                heading = heading_after(opposite(side), movement)
-                out_state = self.links[node.exits[heading]]
-                out_dists = out_state.distances(None)
-                outlane = LaneObservation(
-                    num_vehicle=len(out_dists),
-                    num_waiting_vehicle=out_state.waiting_count(),
-                    vehicle_dist=mean_gap(out_dists, out_state.link.length),
-                )
-                phase_obs.append((inlane, outlane))
+            for approach, movement, exit_link in lane_links:
+                inlane = cache.get(approach)
+                if inlane is None:
+                    inlane = cache[approach] = links[approach].observe()
+                outlane = cache.get(exit_link)
+                if outlane is None:
+                    outlane = cache[exit_link] = links[exit_link].observe()
+                phase_obs.append((inlane[0][movement], outlane[1]))
             out.append(phase_obs)
         return out
 
@@ -410,6 +451,7 @@ class Episode:
     def step(self, decisions: dict[str, PhaseDecision | None]) -> None:
         """Advance one second. ``decisions`` maps intersection id to the
         requested phase (None or current phase holds)."""
+        self._link_obs.clear()
         self._spawn_arrivals()
         self._spawn_scheduled()
         self._update_incident()
@@ -627,12 +669,6 @@ def run_episode(
         for node_id in episode.network.intersection_ids:
             if episode.signals[node_id].in_transition:
                 continue
-            ctx = StepContext(
-                t=episode.t,
-                intersection_id=node_id,
-                observations=episode.observe(node_id),
-                episode=episode,
-            )
-            decisions[node_id] = controller.decide(ctx)
+            decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode))
         episode.step(decisions)
     return episode.finish()

@@ -2,8 +2,10 @@
 
 These are deliberately separate implementations from the package:
 a tree-walking evaluator for skill code (the package compiles to CPython
-bytecode instead), a node counter, and a brute-force percentile. They
-exist so the main implementations have something to disagree with.
+bytecode instead), a node counter, a brute-force percentile, and
+observations built from sorted distance lists (the package keeps only
+counts and extremes, once per link per step). They exist so the main
+implementations have something to disagree with.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from evosignal.dsl import nodes
 from evosignal.dsl.interpreter import EvalError, dsl_range
 from evosignal.dsl.whitelist import canonical_binding
+from evosignal.sim.engine import JAM_SPACING, LaneObservation
+from evosignal.sim.network import NUM_PHASES, PHASE_TABLE, heading_after, opposite
 
 
 def _apply_binop(op: str, left, right):
@@ -151,3 +155,59 @@ def brute_force_percentile(values, q: float) -> float:
         return float(data[int(rank)])
     frac = rank - low
     return float(data[low] * (1 - frac) + data[high] * frac)
+
+
+def _stopline_distances(link_state, movement=None) -> list[float]:
+    """Every vehicle's distance to the stop line, for one movement's
+    lane or (movement=None) the whole link. Queues start behind an
+    active blockage and stack at jam spacing."""
+    length = link_state.link.length
+    out: list[float] = []
+    for m, queue in link_state.queues.items():
+        if movement is not None and m != movement:
+            continue
+        head = link_state.blocked_head_pos.get(m)
+        anchor = 0.0 if head is None else (length - head) + JAM_SPACING
+        for i in range(len(queue)):
+            out.append(anchor + i * JAM_SPACING)
+    for vehicle in link_state.running:
+        if movement is None or vehicle.movement == movement:
+            out.append(length - vehicle.pos)
+    return out
+
+
+def _sorted_lane(distances: list[float], waiting: int, length: float) -> LaneObservation:
+    n = len(distances)
+    if n <= 1:
+        gap = length / (n + 1)
+    else:
+        ordered = sorted(distances)
+        gap = (ordered[-1] - ordered[0]) / (n - 1)
+    return LaneObservation(num_vehicle=n, num_waiting_vehicle=waiting, vehicle_dist=gap)
+
+
+def reference_observe(episode, intersection_id: str):
+    """Per-phase (inlane, outlane) observations of one intersection,
+    from full distance lists sorted per lane-link."""
+    node = episode.network.intersections[intersection_id]
+    out = []
+    for k in range(NUM_PHASES):
+        phase_obs = []
+        for side, movement in sorted(PHASE_TABLE[k]):
+            in_state = episode.links[node.approaches[side]]
+            in_waiting = len(in_state.queues[movement]) + sum(
+                1 for v in in_state.running if v.frozen and v.movement == movement
+            )
+            inlane = _sorted_lane(
+                _stopline_distances(in_state, movement), in_waiting, in_state.link.length
+            )
+            out_state = episode.links[node.exits[heading_after(opposite(side), movement)]]
+            out_waiting = sum(len(q) for q in out_state.queues.values()) + sum(
+                1 for v in out_state.running if v.frozen
+            )
+            outlane = _sorted_lane(
+                _stopline_distances(out_state), out_waiting, out_state.link.length
+            )
+            phase_obs.append((inlane, outlane))
+        out.append(phase_obs)
+    return out

@@ -156,6 +156,48 @@ class TestCompareAndBaseline:
         assert any(r["kind"] == "activation" for r in records)
 
 
+    def test_episode_log_runs_each_seed_once(self, tmp_path, monkeypatch):
+        from evosignal import control
+
+        seeds_run = []
+        real_run_episode = control.run_episode
+
+        def counting(scenario, controller, seed=None, **kwargs):
+            seeds_run.append(seed)
+            return real_run_episode(scenario, controller, seed, **kwargs)
+
+        monkeypatch.setattr(control, "run_episode", counting)
+        base = ["baseline", "--method", "max_pressure", "--scenario", "T1", *DESK,
+                "--seeds", "3,4,5"]
+        with_log = tmp_path / "with.csv"
+        log_path = tmp_path / "episode.jsonl"
+        assert main(base + ["--out", str(with_log), "--episode-log", str(log_path)]) == 0
+        assert sorted(seeds_run) == [3, 4, 5]
+        seeds_run.clear()
+        without_log = tmp_path / "without.csv"
+        assert main(base + ["--out", str(without_log)]) == 0
+        assert sorted(seeds_run) == [3, 4, 5]
+        assert with_log.read_bytes() == without_log.read_bytes()
+        first = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert {r["time"] for r in first if r["kind"] == "step"} == set(range(150))
+
+    def test_compare_runs_one_batch_per_scenario(self, tmp_path, monkeypatch):
+        import evosignal.cli as cli
+
+        batches = []
+        real_run_episodes = cli.run_episodes
+
+        def counting(tasks, jobs=1):
+            batches.append(len(tasks))
+            return real_run_episodes(tasks, jobs)
+
+        monkeypatch.setattr(cli, "run_episodes", counting)
+        assert main(["compare", "--methods", "max_pressure,fixed_time,seed",
+                     "--scenarios", "T1,T2", *DESK, "--seeds", "1,2",
+                     "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert batches == [6, 6]  # 3 methods x 2 seeds, once per scenario
+
+
 class TestInspectReplayExport:
     @pytest.fixture()
     def run_dir(self, tmp_path):

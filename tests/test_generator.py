@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -234,6 +235,51 @@ class TestBackends:
         finally:
             _time.sleep = real_sleep
         assert session.calls == 3
+
+
+    @staticmethod
+    def status_session(status):
+        class StatusResponse:
+            status_code = status
+
+            def raise_for_status(self):
+                raise RuntimeError(f"HTTP {status}")
+
+            def json(self):
+                return {}
+
+        class StatusSession:
+            def __init__(self):
+                self.calls = 0
+
+            def post(self, *args, **kwargs):
+                self.calls += 1
+                return StatusResponse()
+
+        return StatusSession()
+
+    def test_remote_backend_fails_fast_on_client_error(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = self.status_session(400)
+        backend = RemoteBackend(api_base="http://example/v1", model="m", session=session)
+        request = GenerationRequest(prompts=PromptBundle("sys", "user"), elite=SEED_SKILL)
+        with pytest.raises(GeneratorUnavailable, match="HTTP 400"):
+            backend.propose(request)
+        assert session.calls == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_remote_backend_retries_transient_status(self, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = self.status_session(status)
+        backend = RemoteBackend(api_base="http://example/v1", model="m", session=session)
+        request = GenerationRequest(prompts=PromptBundle("sys", "user"), elite=SEED_SKILL)
+        with pytest.raises(GeneratorUnavailable, match="unreachable"):
+            backend.propose(request)
+        assert session.calls == 3
+        assert sleeps == [1.0, 2.0]  # none after the final attempt
 
 
 class TestRemoteLoopback:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from evosignal.control import FixedTimeController, MaxPressureController
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import (
     Episode,
     JAM_SPACING,
+    LinkState,
     PhaseDecision,
+    StepContext,
     Vehicle,
     mean_gap,
     run_episode,
@@ -24,6 +28,8 @@ from evosignal.sim.network import (
     reachable_exits,
 )
 from evosignal.sim.scenario import load_scenario, scheduled_emergencies
+
+from ._reference import reference_observe
 
 
 class HoldController:
@@ -315,6 +321,123 @@ class TestEngine:
         assert result.metrics.bus_person_delay == pytest.approx(expected, rel=1e-12)
 
     def test_mean_gap_conventions(self):
-        assert mean_gap([], 300.0) == 300.0
-        assert mean_gap([40.0], 300.0) == 150.0
-        assert mean_gap([0.0, 7.5, 15.0], 300.0) == 7.5
+        # (n, nearest, farthest, link length)
+        assert mean_gap(0, math.inf, -math.inf, 300.0) == 300.0
+        assert mean_gap(1, 40.0, 40.0, 300.0) == 150.0
+        assert mean_gap(3, 0.0, 15.0, 300.0) == 7.5
+
+
+def assert_same_observations(got, want):
+    assert len(got) == len(want) == NUM_PHASES
+    for phase_got, phase_want in zip(got, want):
+        assert len(phase_got) == len(phase_want)
+        for pair_got, pair_want in zip(phase_got, phase_want):
+            for lane_got, lane_want in zip(pair_got, pair_want):
+                assert lane_got.num_vehicle == lane_want.num_vehicle
+                assert lane_got.num_waiting_vehicle == lane_want.num_waiting_vehicle
+                assert lane_got.vehicle_dist == lane_want.vehicle_dist
+
+
+def overtaken(link_state) -> bool:
+    """True when running order (entry order) differs from position
+    order, as it does once a faster vehicle passes a slower one."""
+    positions = [v.pos for v in link_state.running]
+    return positions != sorted(positions, reverse=True)
+
+
+class TestObservationOracle:
+    """Episode.observe against sorted distance lists, at every
+    intersection, every 5 s of max-pressure episodes and at every step
+    with a queue behind a blockage or an overtaken vehicle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("family", ["T1", "I1", "E2", "B2"])
+    def test_observe_matches_sorted_distances(self, family, size, seed):
+        # I1's blockage runs from 600 s to 900 s; check during and after it.
+        duration = 1000 if family == "I1" else 400
+        scenario = make_scenario(family, rows=size, cols=size, duration=duration, seed=seed)
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        seen = set()
+        for _ in range(duration):
+            notable = set()
+            for state in episode.links.values():
+                if any(state.queues[m] for m in state.blocked_head_pos):
+                    notable.add("queue behind blockage")
+                if overtaken(state):
+                    notable.add("overtaken")
+            if notable or episode.t % 5 == 0:
+                for node_id in episode.network.intersection_ids:
+                    assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
+            seen |= notable
+            episode.step({
+                node_id: controller.decide(StepContext(episode.t, node_id, episode))
+                for node_id in episode.network.intersection_ids
+                if not episode.signals[node_id].in_transition
+            })
+        if family == "I1":
+            assert "queue behind blockage" in seen
+        if family == "E2":
+            assert "overtaken" in seen
+
+
+class DecisionLog:
+    """Wraps a controller and records which (t, intersection) decided."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decided = []
+
+    def decide(self, ctx):
+        self.decided.append((ctx.t, ctx.intersection_id))
+        return self.inner.decide(ctx)
+
+
+class TestLazyObservation:
+    @pytest.fixture()
+    def observed(self, monkeypatch):
+        """Record Episode.observe calls as (t, intersection), and
+        LinkState.observe calls as link ids with a None at each step."""
+        calls = {"episode": [], "link": []}
+        episode_observe, link_observe, step = Episode.observe, LinkState.observe, Episode.step
+
+        def count_episode(episode, node_id):
+            calls["episode"].append((episode.t, node_id))
+            return episode_observe(episode, node_id)
+
+        def count_link(state):
+            calls["link"].append(state.link.id)
+            return link_observe(state)
+
+        def mark_step(episode, decisions):
+            calls["link"].append(None)
+            return step(episode, decisions)
+
+        monkeypatch.setattr(Episode, "observe", count_episode)
+        monkeypatch.setattr(LinkState, "observe", count_link)
+        monkeypatch.setattr(Episode, "step", mark_step)
+        return calls
+
+    def scenario(self):
+        return make_scenario("T1", rows=2, cols=2, duration=300, seed=4)
+
+    def test_fixed_time_never_observes(self, observed):
+        controller = DecisionLog(FixedTimeController())
+        run_episode(self.scenario(), controller)
+        assert controller.decided
+        assert observed["episode"] == []
+        assert all(link_id is None for link_id in observed["link"])
+
+    def test_max_pressure_observes_once_per_decision(self, observed):
+        controller = DecisionLog(MaxPressureController())
+        run_episode(self.scenario(), controller)
+        assert observed["episode"] == controller.decided
+        # each link is observed at most once between two steps
+        per_step: list[str] = []
+        for link_id in observed["link"] + [None]:
+            if link_id is None:
+                assert len(per_step) == len(set(per_step))
+                per_step = []
+            else:
+                per_step.append(link_id)
