@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import events as ev
 from .dsl import EvalError, compile_body, parse
+from .dsl.interpreter import finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
     EpisodeResult,
@@ -61,36 +62,43 @@ class CompiledSkill:
         self.outlane = compile_body(parse(skill.outlane_code))
 
 
-_ZERO_EVENT_CONTEXT = {name: 0.0 for name in EVENT_VARIABLES}
-
-
 def score_phases(
     skill: Skill | CompiledSkill,
     observations: PhaseObservations,
     ctx_extra: dict[str, float] | None = None,
 ) -> PhaseScores:
     """Score every phase with a skill; raises EvalError if any lane-link
-    evaluation faults (callers hold the current phase and record it)."""
+    evaluation faults (callers hold the current phase and record it).
+    Each lane-link adds its inlane result, checked, then its outlane
+    result, so the first fault in that order is the one reported."""
     compiled = skill if isinstance(skill, CompiledSkill) else CompiledSkill(skill)
-    extra = dict(_ZERO_EVENT_CONTEXT)
-    if ctx_extra:
-        extra.update(ctx_extra)
+    extra = ctx_extra or {}
+    e0, e1, e2, e3, e4, e5 = (extra.get(name, 0.0) for name in EVENT_VARIABLES)
+    fin, fout = compiled.inlane.function, compiled.outlane.function
     scores = []
-    for k, lane_links in enumerate(observations):
-        total = 0.0
-        index = float(k)
-        for inlane, outlane in lane_links:
-            bindings = dict(extra)
-            bindings["index"] = index
-            bindings["num_vehicle"] = float(inlane.num_vehicle)
-            bindings["num_waiting_vehicle"] = float(inlane.num_waiting_vehicle)
-            bindings["vehicle_dist"] = float(inlane.vehicle_dist)
-            total += compiled.inlane.run(bindings)
-            bindings["num_vehicle"] = float(outlane.num_vehicle)
-            bindings["num_waiting_vehicle"] = float(outlane.num_waiting_vehicle)
-            bindings["vehicle_dist"] = float(outlane.vehicle_dist)
-            total += compiled.outlane.run(bindings)
-        scores.append(total)
+    try:
+        for k, lane_links in enumerate(observations):
+            total = 0.0
+            index = float(k)
+            for inlane, outlane in lane_links:
+                result = fin(
+                    float(inlane.num_vehicle), float(inlane.num_waiting_vehicle),
+                    float(inlane.vehicle_dist), index, e0, e1, e2, e3, e4, e5,
+                )
+                # r - r is 0.0 exactly for a finite float
+                if type(result) is not float or result - result != 0.0:
+                    result = finite_result(result)
+                total += result
+                result = fout(
+                    float(outlane.num_vehicle), float(outlane.num_waiting_vehicle),
+                    float(outlane.vehicle_dist), index, e0, e1, e2, e3, e4, e5,
+                )
+                if type(result) is not float or result - result != 0.0:
+                    result = finite_result(result)
+                total += result
+            scores.append(total)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise EvalError(str(exc)) from exc
     return PhaseScores(tuple(scores), _argmax_lowest(scores))
 
 

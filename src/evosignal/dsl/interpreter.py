@@ -1,15 +1,21 @@
 """Evaluation of validated skill code.
 
-The main interpreter lowers a SkillAst back to a CPython code object
-(grammar and whitelist have already fenced it in) and executes it in a
-closed namespace: no builtins beyond the whitelisted six, fresh locals
-per call, bindings copied in by name. That keeps per-call cost at
-microseconds, which matters because an episode evaluates skill bodies
-tens of thousands of times.
+The main interpreter lowers a SkillAst once to a real Python function
+(grammar and whitelist have already fenced it in) whose positional
+parameters are the ten canonical bindings: the three lane features,
+the phase ``index`` and the six event-context variables. A prologue
+assigns any lane-index aliases the body uses and sets up the ``value``
+accumulator; the function returns ``value[0]``. Its globals hold the
+whitelisted builtins and nothing else, so a call costs about as much as
+the arithmetic in it, which matters because an episode evaluates skill
+bodies hundreds of thousands of times.
 
 Semantics are plain double precision: all literals are floats, ``//`` is
 floor division, ``%`` takes the sign of the divisor, ``**`` is real
-exponentiation. Division or modulo by zero, overflow, and non-finite or
+exponentiation. ``sum(range(x))`` and ``len(range(x))`` (the only places
+the validator admits ``range``) are computed in closed form from
+``t = max(0, floor(x))``, as floats, so no body iterates or leaves the
+float domain. Division or modulo by zero, overflow, and non-finite or
 non-real results raise EvalError; callers treat the candidate as invalid
 for that evaluation.
 """
@@ -41,32 +47,52 @@ from .validator import STAGE_PARSE, STAGE_SANDBOX, ValidationReport, validate
 
 MAX_RANGE_LENGTH = 1_000_000
 
+# Positional parameters of every lowered body, in call order.
+BODY_PARAMETERS = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist", wl.PHASE_INDEX, *wl.EVENT_VARIABLES)
+
 
 class EvalError(Exception):
     """Raised when skill code faults at run time (zero division,
     overflow, non-finite or non-real result)."""
 
 
-def dsl_range(n) -> range:
-    """``range`` as the sandbox defines it: the argument is floored to an
-    integer, negatives give an empty sequence, and absurd lengths are
-    refused rather than iterated."""
+def _range_length(n) -> int:
+    """The length of ``range(n)`` as the sandbox defines it: the argument
+    is floored to an integer, negatives give an empty sequence, and
+    absurd lengths are refused."""
     count = int(math.floor(n))
     if count > MAX_RANGE_LENGTH:
         raise EvalError(f"range({n!r}) exceeds the sandbox bound")
-    return range(max(0, count))
+    return max(0, count)
 
 
-SANDBOX_BUILTINS = {
+def _range_sum(n) -> float:
+    """``sum(range(n))`` in closed form; exact, as the bound keeps it
+    below 2**53."""
+    t = _range_length(n)
+    return float(t * (t - 1) // 2)
+
+
+def _range_len(n) -> float:
+    return float(_range_length(n))
+
+
+def _unbound(name: str):
+    raise EvalError(f"variable '{name}' is unbound in this context")
+
+
+_EXEC_GLOBALS = {
+    "__builtins__": {},
     "min": min,
     "max": max,
     "abs": abs,
-    "sum": sum,
-    "len": len,
-    "range": dsl_range,
+    "_range_sum": _range_sum,
+    "_range_len": _range_len,
+    "_unbound": _unbound,
 }
 
-_EXEC_GLOBALS = {"__builtins__": {}, **SANDBOX_BUILTINS}
+# sum(range(x)) and len(range(x)) lower to these closed forms.
+_RANGE_FORMS = {"sum": "_range_sum", "len": "_range_len"}
 
 _PY_BINOPS = {
     "+": pyast.Add,
@@ -119,11 +145,16 @@ def _lower_expr(node: Expr) -> pyast.expr:
             [_lower_expr(operand) for operand in node.operands[1:]],
         )
     if isinstance(node, Call):
-        return pyast.Call(
-            pyast.Name(node.func, pyast.Load()),
-            [_lower_expr(a) for a in node.args],
-            [],
-        )
+        func, args = node.func, node.args
+        inner = args[0] if len(args) == 1 else None
+        if (
+            func in _RANGE_FORMS
+            and isinstance(inner, Call)
+            and inner.func == "range"
+            and len(inner.args) == 1
+        ):
+            func, args = _RANGE_FORMS[func], inner.args
+        return pyast.Call(pyast.Name(func, pyast.Load()), [_lower_expr(a) for a in args], [])
     raise TypeError(f"unknown expression node {node!r}")
 
 
@@ -146,37 +177,71 @@ def _lower_stmt(node: Stmt) -> pyast.stmt:
     raise TypeError(f"unknown statement node {node!r}")
 
 
-class CompiledBody:
-    """A skill code body lowered to a CPython code object, ready to run
-    against canonical bindings. Immutable after construction; safe to
-    share across threads (each run builds a fresh namespace)."""
+def _name(name: str, ctx=None) -> pyast.Name:
+    return pyast.Name(name, ctx or pyast.Load())
 
-    __slots__ = ("code", "name_map")
+
+def _lower_function(ast: SkillAst) -> pyast.Module:
+    """``def skill(<BODY_PARAMETERS>)``: alias prologue, accumulator,
+    the body, ``return value[0]``. A name that no canonical binding can
+    supply raises EvalError before the body runs."""
+    prologue: list[pyast.stmt] = []
+    for name in sorted(free_names(ast)):
+        canonical = wl.canonical_binding(name)
+        if canonical not in BODY_PARAMETERS:
+            prologue.append(pyast.Expr(pyast.Call(_name("_unbound"), [pyast.Constant(name)], [])))
+        elif name != canonical:
+            prologue.append(pyast.Assign([_name(name, pyast.Store())], _name(canonical)))
+    body = [
+        *prologue,
+        pyast.Assign([_name("value", pyast.Store())], pyast.List([pyast.Constant(0.0)], pyast.Load())),
+        *(_lower_stmt(s) for s in ast.statements),
+        pyast.Return(pyast.Subscript(_name("value"), pyast.Constant(0), pyast.Load())),
+    ]
+    params = pyast.arguments(
+        posonlyargs=[], args=[pyast.arg(p) for p in BODY_PARAMETERS],
+        kwonlyargs=[], kw_defaults=[], defaults=[],
+    )
+    function = pyast.FunctionDef("skill", params, body, [], None, None)
+    return pyast.fix_missing_locations(pyast.Module([function], []))
+
+
+def finite_result(result) -> float:
+    """A body's return value as a float; a non-real or non-finite result
+    is a fault."""
+    if isinstance(result, complex) or not isinstance(result, (int, float)):
+        raise EvalError(f"skill produced a non-real result: {result!r}")
+    result = float(result)
+    if not math.isfinite(result):
+        raise EvalError(f"skill produced a non-finite result: {result!r}")
+    return result
+
+
+class CompiledBody:
+    """A skill code body lowered to a Python function of the
+    ``BODY_PARAMETERS``. ``function`` returns the raw accumulator and
+    may raise ArithmeticError, TypeError or ValueError; callers map
+    those to EvalError and check the result with ``finite_result``, as
+    ``run`` does. Immutable after construction; safe to share across
+    threads (each call has its own locals)."""
+
+    __slots__ = ("function", "name_map")
 
     def __init__(self, ast: SkillAst):
-        module = pyast.Module(body=[_lower_stmt(s) for s in ast.statements], type_ignores=[])
-        pyast.fix_missing_locations(module)
-        self.code = compile(module, "<skill>", "exec")
+        namespace: dict[str, object] = {}
+        exec(compile(_lower_function(ast), "<skill>", "exec"), _EXEC_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
+        self.function = namespace["skill"]
         self.name_map = tuple((name, wl.canonical_binding(name)) for name in sorted(free_names(ast)))
 
     def run(self, bindings: Mapping[str, float]) -> float:
-        ns: dict[str, object] = {"value": [0.0]}
         for src, canonical in self.name_map:
-            try:
-                ns[src] = bindings[canonical]
-            except KeyError:
-                raise EvalError(f"variable '{src}' is unbound in this context") from None
+            if canonical not in bindings:
+                raise EvalError(f"variable '{src}' is unbound in this context")
         try:
-            exec(self.code, _EXEC_GLOBALS, ns)  # noqa: S102 - grammar+whitelist fenced
+            result = self.function(*[bindings.get(name) for name in BODY_PARAMETERS])
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise EvalError(str(exc)) from exc
-        result = ns["value"][0]  # type: ignore[index]
-        if isinstance(result, complex) or not isinstance(result, (int, float)):
-            raise EvalError(f"skill produced a non-real result: {result!r}")
-        result = float(result)
-        if not math.isfinite(result):
-            raise EvalError(f"skill produced a non-finite result: {result!r}")
-        return result
+        return finite_result(result)
 
 
 _COMPILE_CACHE: dict[SkillAst, CompiledBody] = {}

@@ -1,4 +1,4 @@
-"""Event detection, the priority dispatcher, and context injection.
+"""Event detection, the priority dispatcher, and event bindings.
 
 Four detectors watch each intersection's approaches: emergency vehicles
 inside a 200 m radius, buses anywhere upstream, non-signal stops longer
@@ -6,7 +6,8 @@ than 120 s (incidents), and queues above the rolling 90th percentile
 (congestion). A hardcoded priority chain - emergency before incident
 before transit before congestion before normal - picks which skill in
 the bank handles the step; the ordering is a safety constraint, not a
-tunable.
+tunable. The active event's context becomes the six event variables a
+skill body sees (``event_bindings``); every other name stays zero.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import Episode, JAM_SPACING
-from .sim.network import phase_of
+from .sim.network import MOVEMENTS, phase_of
 from .skills import DEFAULT_BANK_SKILLS, LIBRARY, Skill
-from .util import percentile
+from .util import percentile_of_sorted
 
 PRIORITY = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
 PRIORITY_CHAIN = ("emergency", "incident", "transit", "congestion")
 BANK_KINDS = ("normal",) + PRIORITY_CHAIN
+_MOVEMENT_ORDER = tuple(sorted(MOVEMENTS))
 
 
 @dataclass(frozen=True)
@@ -83,51 +85,55 @@ def default_bank() -> SkillBank:
     return SkillBank({kind: LIBRARY[name] for kind, name in DEFAULT_BANK_SKILLS.items()})
 
 
-def _approach_vehicles(episode: Episode, intersection_id: str):
-    """Yield (vehicle, approach_side, movement, distance_to_stopline)
-    for every vehicle on the intersection's four approach links."""
-    node = episode.network.intersections[intersection_id]
-    for side in sorted(node.approaches):
-        state = episode.links[node.approaches[side]]
-        length = state.link.length
-        for movement, queue in sorted(state.queues.items()):
-            anchor = state.queue_anchor(movement)
-            for i, vehicle in enumerate(queue):
-                yield vehicle, side, movement, anchor + i * JAM_SPACING
-        for vehicle in state.running:
-            yield vehicle, side, vehicle.movement or "s", length - vehicle.pos
-
-
 def detect(
     episode: Episode,
     intersection_id: str,
     queue_history: list[int] | None = None,
     config: DetectorConfig = DetectorConfig(),
 ) -> list[TrafficEvent]:
-    """All currently active events at one intersection."""
+    """All currently active events at one intersection. The congestion
+    check reads the episode's queue history through its rolling sorted
+    window; an explicit ``queue_history`` is sorted here instead."""
     events: list[TrafficEvent] = []
     signal = episode.signals[intersection_id]
-    history = (
-        queue_history
-        if queue_history is not None
-        else episode.queue_history[intersection_id]
-    )
+    t = episode.t
+    stop_threshold = config.incident_stop_threshold
+
+    # The vehicles that can raise an event - emergency vehicles, buses
+    # and long stops - as (vehicle, side, movement, distance to the stop
+    # line), by side, then each movement's queue, then running vehicles.
+    notable = []
+    for side, state in episode.approach_states[intersection_id]:
+        for movement in _MOVEMENT_ORDER:
+            queue = state.queues[movement]
+            if not queue:
+                continue
+            anchor = state.queue_anchor(movement)
+            for i, vehicle in enumerate(queue):
+                since = vehicle.stopped_since
+                if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):
+                    notable.append((vehicle, side, movement, anchor + i * JAM_SPACING))
+        length = state.link.length
+        for vehicle in state.running:
+            since = vehicle.stopped_since
+            if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):
+                notable.append((vehicle, side, vehicle.movement or "s", length - vehicle.pos))
 
     emergency_best: tuple[float, int] | None = None
     bus_count = 0
     bus_delay = 0.0
     blocked_lanes: set[tuple[str, str]] = set()
 
-    for vehicle, side, movement, distance in _approach_vehicles(episode, intersection_id):
+    for vehicle, side, movement, distance in notable:
         if vehicle.vclass == "emergency" and distance <= config.emergency_radius:
             if emergency_best is None or distance < emergency_best[0]:
                 emergency_best = (distance, phase_of(side, movement))
         if vehicle.vclass == "bus":
             bus_count += 1
-            bus_delay += vehicle.cumulative_wait
+            bus_delay += episode.delay_of(vehicle)
         if vehicle.stopped_since is not None:
-            stopped_for = episode.t - vehicle.stopped_since
-            if stopped_for > config.incident_stop_threshold:
+            stopped_for = t - vehicle.stopped_since
+            if stopped_for > stop_threshold:
                 red = signal.in_transition or phase_of(side, movement) != signal.active
                 if not (distance <= config.signal_stop_radius and red):
                     blocked_lanes.add((side, movement))
@@ -159,12 +165,16 @@ def detect(
         )
 
     window = config.congestion_window
+    history = queue_history if queue_history is not None else episode.queue_history[intersection_id]
     if len(history) >= window:
-        trailing = history[-window:]
-        current = trailing[-1]
-        threshold = percentile(trailing, config.congestion_percentile)
+        if queue_history is None:
+            trailing = episode.sorted_history(intersection_id, window)
+        else:
+            trailing = sorted(history[-window:])
+        current = history[-1]
+        threshold = percentile_of_sorted(trailing, config.congestion_percentile)
         if current > threshold:
-            top = max(trailing)
+            top = trailing[-1]
             band = (top - threshold) / 4.0
             if band > 0:
                 level = min(3, int((current - threshold) / band))

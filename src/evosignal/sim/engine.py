@@ -16,6 +16,7 @@ spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,11 @@ class EpisodeResult:
 
 
 class Vehicle:
+    """One vehicle. ``cumulative_wait`` holds the seconds of its finished
+    waits; while it waits (queued, or frozen as an incident blocker)
+    ``stopped_since`` is the time the open wait began, and
+    ``Episode.delay_of`` adds that open interval."""
+
     __slots__ = (
         "id",
         "vclass",
@@ -147,16 +153,6 @@ class Vehicle:
     def waiting(self) -> bool:
         return self.queued or self.frozen
 
-    def record(self) -> VehicleRecord:
-        return VehicleRecord(
-            id=self.id,
-            vclass=self.vclass,
-            occupancy=self.occupancy,
-            entry_time=self.entry_time,
-            exit_time=self.exit_time,
-            delay=self.cumulative_wait,
-        )
-
 
 class LinkState:
     __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos", "empty")
@@ -179,11 +175,6 @@ class LinkState:
         if head is None:
             return 0.0
         return (self.link.length - head) + JAM_SPACING
-
-    def waiting_count(self) -> int:
-        queued = sum(len(q) for q in self.queues.values())
-        frozen = sum(1 for v in self.running if v.frozen)
-        return queued + frozen
 
     def vehicle_count(self) -> int:
         return len(self.running) + sum(len(q) for q in self.queues.values())
@@ -320,7 +311,6 @@ class Episode:
             (line, list(scheduled_bus_departures(scenario, line))) for line in scenario.bus_lines
         ]
         self._window_wait = 0.0
-        self._window_vehicles: set[int] = set()
         self._reachable_cache: dict[str, tuple[str, ...]] = {}
         # Per intersection and phase: (approach link, movement, exit link)
         # of each lane-link, in evaluation order.
@@ -336,6 +326,19 @@ class Episode:
         }
         # LinkState.observe() results of this step, by link id.
         self._link_obs: dict[str, tuple[dict[str, LaneObservation], LaneObservation]] = {}
+        # Per intersection: (side, approach LinkState), sides in sorted order.
+        self.approach_states: dict[str, tuple[tuple[str, LinkState], ...]] = {}
+        for node_id in self.network.intersection_ids:
+            approaches = self.network.intersections[node_id].approaches
+            self.approach_states[node_id] = tuple(
+                (side, self.links[approaches[side]]) for side in sorted(approaches)
+            )
+        # The intersection the incident link (an approach) leads into.
+        self._incident_node = (
+            self.network.links[scenario.incident.link].dst if scenario.incident else None
+        )
+        # (node, window) -> [ascending trailing window, history length consumed]
+        self._sorted_windows: dict[tuple[str, int], list] = {}
 
     # ------------------------------------------------------------------
     # spawning
@@ -418,6 +421,7 @@ class Episode:
             link_state.blocked_head_pos.pop(incident.movement, None)
             vehicle = self._incident_vehicle
             vehicle.frozen = False
+            vehicle.cumulative_wait += self.t - vehicle.stopped_since
             vehicle.stopped_since = None
             self._incident_vehicle = None
             self.log_record({"kind": "incident_end", "time": self.t, "link": incident.link})
@@ -514,6 +518,7 @@ class Episode:
 
     def _release(self, vehicle: Vehicle) -> None:
         vehicle.queued = False
+        vehicle.cumulative_wait += self.t - vehicle.stopped_since
         vehicle.stopped_since = None
         vehicle.leg += 1
         vehicle.pos = 0.0
@@ -555,32 +560,25 @@ class Episode:
             link_state.running = still_running
 
     def _accrue(self) -> None:
-        incident = self.scenario.incident
-        in_window = incident is not None and incident.start <= self.t <= incident.end + INCIDENT_TAIL
-        total_waiting = 0
+        # A link's waiting vehicles are its queues plus, on the incident
+        # link while the blocker is frozen, the blocker itself (only
+        # _update_incident freezes a vehicle).
         per_node_waiting: dict[str, int] = {}
-        for node_id in self.network.intersection_ids:
-            node = self.network.intersections[node_id]
-            count = sum(self.links[node.approaches[side]].waiting_count() for side in node.approaches)
+        for node_id, approaches in self.approach_states.items():
+            count = 0
+            for _, link_state in approaches:
+                for queue in link_state.queues.values():
+                    count += len(queue)
             per_node_waiting[node_id] = count
+        if self._incident_vehicle is not None:
+            per_node_waiting[self._incident_node] += 1
+        total_waiting = 0
+        for node_id, count in per_node_waiting.items():
             self.queue_history[node_id].append(count)
             total_waiting += count
-        for link_state in self.links.values():
-            for queue in link_state.queues.values():
-                for vehicle in queue:
-                    vehicle.cumulative_wait += 1.0
-            for vehicle in link_state.running:
-                if vehicle.frozen:
-                    vehicle.cumulative_wait += 1.0
-                if in_window:
-                    self._window_vehicles.add(vehicle.id)
-                    if vehicle.frozen:
-                        self._window_wait += 1.0
-            if in_window:
-                for queue in link_state.queues.values():
-                    for vehicle in queue:
-                        self._window_vehicles.add(vehicle.id)
-                        self._window_wait += 1.0
+        incident = self.scenario.incident
+        if incident is not None and incident.start <= self.t <= incident.end + INCIDENT_TAIL:
+            self._window_wait += total_waiting
         self._total_wait += total_waiting
         n_nodes = len(self.network.intersections)
         self._per_step_queues.append(total_waiting / n_nodes)
@@ -607,23 +605,62 @@ class Episode:
         if self._collect_step_log:
             self._step_log.append(record)
 
+    def delay_of(self, vehicle: Vehicle) -> float:
+        """Seconds ``vehicle`` has waited so far: its finished waits plus
+        the open one, if it is waiting now."""
+        if vehicle.stopped_since is None:
+            return vehicle.cumulative_wait
+        return vehicle.cumulative_wait + (self.t - vehicle.stopped_since)
+
+    def sorted_history(self, node_id: str, window: int) -> list[int]:
+        """The trailing ``window`` values of the node's queue history in
+        ascending order. Kept per (node, window) and caught up by index:
+        each value enters once (insort) and leaves once (bisect + del).
+        The list is the episode's own; do not modify it."""
+        entry = self._sorted_windows.get((node_id, window))
+        if entry is None:
+            entry = self._sorted_windows[(node_id, window)] = [[], 0]
+        data, consumed = entry
+        history = self.queue_history[node_id]
+        for i in range(consumed, len(history)):
+            insort(data, history[i])
+            if i >= window:
+                del data[bisect_left(data, history[i - window])]
+        entry[1] = len(history)
+        return data
+
+    def _window_vehicle_count(self) -> int:
+        """Vehicles in the network at some incident-window step run so
+        far: a vehicle is present from its entry step up to, not
+        including, its exit step."""
+        incident = self.scenario.incident
+        first = max(0, math.ceil(incident.start))
+        last = min(math.floor(incident.end + INCIDENT_TAIL), self.t - 1)
+        if first > last:
+            return 0
+        return sum(
+            1
+            for v in self.vehicles
+            if v.entry_time <= last and (v.exit_time is None or v.exit_time > first)
+        )
+
     def finish(self) -> EpisodeResult:
-        waits = [v.cumulative_wait for v in self.vehicles]
+        waits = [self.delay_of(v) for v in self.vehicles]
         avg_delay = float(np.mean(waits)) if waits else 0.0
         avg_queue = float(np.mean(self._per_step_queues)) if self._per_step_queues else 0.0
 
-        emergency_waits = [v.cumulative_wait for v in self.vehicles if v.vclass == "emergency"]
-        normal_waits = [v.cumulative_wait for v in self.vehicles if v.vclass == "normal"]
+        emergency_waits = [w for v, w in zip(self.vehicles, waits) if v.vclass == "emergency"]
+        normal_waits = [w for v, w in zip(self.vehicles, waits) if v.vclass == "normal"]
         has_bus = any(v.vclass == "bus" for v in self.vehicles)
         bus_person_delay = None
         if has_bus:
             weights = sum(v.occupancy for v in self.vehicles)
             bus_person_delay = float(
-                sum(v.occupancy * v.cumulative_wait for v in self.vehicles) / weights
+                sum(v.occupancy * w for v, w in zip(self.vehicles, waits)) / weights
             )
         incident_delay = None
         if self.scenario.incident is not None:
-            incident_delay = self._window_wait / max(1, len(self._window_vehicles))
+            incident_delay = self._window_wait / max(1, self._window_vehicle_count())
 
         metrics = SimulationMetrics(
             avg_delay=avg_delay,
@@ -639,7 +676,10 @@ class Episode:
         )
         return EpisodeResult(
             metrics=metrics,
-            vehicle_log=tuple(v.record() for v in self.vehicles),
+            vehicle_log=tuple(
+                VehicleRecord(v.id, v.vclass, v.occupancy, v.entry_time, v.exit_time, w)
+                for v, w in zip(self.vehicles, waits)
+            ),
             step_log=tuple(self._step_log),
             controller_faults=self.controller_faults,
         )

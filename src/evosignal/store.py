@@ -154,15 +154,23 @@ class RunStore:
     # reads
 
     def _read_file(self, name: str) -> list[dict]:
+        """Every record of one file. A last line without its newline
+        that does not parse is a torn append (a crash mid-write) and is
+        skipped; ``truncate_to`` removes it."""
         path = self._path(name)
         if not path.exists():
             return []
         records = []
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    records.append(json.loads(text))
+                except json.JSONDecodeError:
+                    if line.endswith("\n"):
+                        raise
         return records
 
     def skills(self) -> dict[str, Skill]:
@@ -222,13 +230,19 @@ class RunStore:
 
     def truncate_to(self, record_counts: dict[str, int]) -> None:
         """Drop any records appended after a checkpoint (a partially
-        completed generation), so resume continues from a clean edge."""
+        completed generation) and any torn last line, so resume
+        continues from a clean edge. A file is rewritten through a
+        temporary file and a rename, so a crash here leaves either the
+        old or the new content."""
         for name, keep in record_counts.items():
-            records = self._read_file(name)
-            if len(records) <= keep:
+            path = self._path(name)
+            kept = "".join(canonical_json(r) + "\n" for r in self._read_file(name)[:keep])
+            if not path.exists() or path.read_text(encoding="utf-8") == kept:
                 continue
-            kept = records[:keep]
-            with open(self._path(name), "w", encoding="utf-8") as handle:
-                for record in kept:
-                    handle.write(canonical_json(record) + "\n")
+            tmp = self._path(name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(kept)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
         self._sequence = self._recover_state()

@@ -7,22 +7,26 @@ import math
 
 
 def percentile(values, q: float) -> float:
-    """Linear interpolation between order statistics at rank
-    q/100 * (n-1). One method for the whole engine: the evolution signal
-    extractor and the congestion detector must agree with each other,
-    and tests compare against an independent implementation exactly, so
-    the formula below - data[low]*(1-frac) + data[high]*frac - is the
-    pinned convention."""
-    data = sorted(float(v) for v in values)
+    """The q-th percentile of ``values``; see ``percentile_of_sorted``."""
+    return percentile_of_sorted(sorted(float(v) for v in values), q)
+
+
+def percentile_of_sorted(data, q: float) -> float:
+    """Linear interpolation between order statistics of the ascending
+    ``data`` at rank q/100 * (n-1). One method for the whole engine: the
+    evolution signal extractor and the congestion detector must agree
+    with each other, and tests compare against an independent
+    implementation exactly, so the formula below - data[low]*(1-frac) +
+    data[high]*frac - is the pinned convention."""
     if not data:
         raise ValueError("empty sample has no percentile")
     if len(data) == 1:
-        return data[0]
+        return float(data[0])
     rank = (q / 100.0) * (len(data) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
     if low == high:
-        return data[int(rank)]
+        return float(data[int(rank)])
     frac = rank - low
     return data[low] * (1 - frac) + data[high] * frac
 

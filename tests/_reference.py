@@ -1,10 +1,12 @@
 """Independent oracles used by the test suite.
 
 These are deliberately separate implementations from the package:
-a tree-walking evaluator for skill code (the package compiles to CPython
-bytecode instead), a node counter, a brute-force percentile, and
-observations built from sorted distance lists (the package keeps only
-counts and extremes, once per link per step). They exist so the main
+a tree-walking evaluator for skill code (the package lowers each body to
+a Python function instead) and a phase scorer built on it, a node
+counter, a brute-force percentile, observations built from sorted
+distance lists (the package keeps only counts and extremes, once per
+link per step), and the per-vehicle, per-second wait accrual (the
+package banks a wait when it ends). They exist so the main
 implementations have something to disagree with.
 """
 
@@ -12,11 +14,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from evosignal.dsl import nodes
-from evosignal.dsl.interpreter import EvalError, dsl_range
+from evosignal.dsl.interpreter import EvalError
 from evosignal.dsl.whitelist import canonical_binding
-from evosignal.sim.engine import JAM_SPACING, LaneObservation
-from evosignal.sim.network import NUM_PHASES, PHASE_TABLE, heading_after, opposite
+from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING, LaneObservation
+from evosignal.sim.network import NUM_PHASES, PHASE_TABLE, heading_after, opposite, phase_of
 
 
 def _apply_binop(op: str, left, right):
@@ -53,7 +57,31 @@ def _apply_compare(op: str, left, right) -> bool:
     raise AssertionError(op)
 
 
-_BUILTIN_FUNCS = {"min": min, "max": max, "abs": abs, "sum": sum, "len": len, "range": dsl_range}
+_RANGE_BOUND = 1_000_000
+
+
+def _range(n) -> list[float]:
+    """range(n) as the sandbox defines it, materialised: floored
+    argument, empty for negatives, refused beyond the bound. The values
+    are floats, so sum and len stay in double precision."""
+    count = int(math.floor(n))
+    if count > _RANGE_BOUND:
+        raise EvalError(f"range({n!r}) exceeds the sandbox bound")
+    return [float(i) for i in range(max(0, count))]
+
+
+def _sum(values: list[float]) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _len(values: list[float]) -> float:
+    return float(len(values))
+
+
+_BUILTIN_FUNCS = {"min": min, "max": max, "abs": abs, "sum": _sum, "len": _len, "range": _range}
 
 
 class ReferenceEvaluator:
@@ -69,10 +97,10 @@ class ReferenceEvaluator:
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise EvalError(str(exc)) from exc
         if isinstance(self.value, complex) or not isinstance(self.value, (int, float)):
-            raise EvalError(f"non-real result: {self.value!r}")
+            raise EvalError(f"skill produced a non-real result: {self.value!r}")
         result = float(self.value)
         if not math.isfinite(result):
-            raise EvalError(f"non-finite result: {result!r}")
+            raise EvalError(f"skill produced a non-finite result: {result!r}")
         return result
 
     def _exec_block(self, statements):
@@ -120,6 +148,34 @@ class ReferenceEvaluator:
 
 def reference_evaluate(ast: nodes.SkillAst, bindings) -> float:
     return ReferenceEvaluator(bindings).run(ast)
+
+
+_EVENT_NAMES = (
+    "emergency_distance", "emergency_phase", "bus_count",
+    "bus_delay", "incident_blocked", "congestion_level",
+)
+
+
+def reference_score_phases(inlane_ast, outlane_ast, observations, context=None) -> list[float]:
+    """Per-phase scores: for each lane-link in turn, the inlane body on
+    the inlane features, then the outlane body on the outlane features,
+    each with the phase index and the event context (zeros by default)
+    bound by name and evaluated by tree walking."""
+    event = {name: 0.0 for name in _EVENT_NAMES}
+    event.update(context or {})
+    scores = []
+    for k, lane_links in enumerate(observations):
+        total = 0.0
+        for pair in lane_links:
+            for ast, lane in zip((inlane_ast, outlane_ast), pair):
+                bindings = dict(event)
+                bindings["index"] = float(k)
+                bindings["num_vehicle"] = float(lane.num_vehicle)
+                bindings["num_waiting_vehicle"] = float(lane.num_waiting_vehicle)
+                bindings["vehicle_dist"] = float(lane.vehicle_dist)
+                total += reference_evaluate(ast, bindings)
+        scores.append(total)
+    return scores
 
 
 def reference_node_count(ast: nodes.SkillAst) -> int:
@@ -211,3 +267,106 @@ def reference_observe(episode, intersection_id: str):
             phase_obs.append((inlane, outlane))
         out.append(phase_obs)
     return out
+
+
+class ReferenceAccrual:
+    """Waits accrued the per-second way, beside an Episode: call
+    ``after_step`` after every ``Episode.step``. Each second, every
+    queued or frozen vehicle on any link waits one more second, an
+    intersection's queue is the count of such vehicles on its approaches,
+    and during the incident window (blockage plus tail) every vehicle in
+    the network joins the window's vehicle set."""
+
+    def __init__(self, episode):
+        self.episode = episode
+        self.waits: dict[int, float] = {}
+        self.queue_history = {node_id: [] for node_id in episode.network.intersections}
+        self.window_wait = 0.0
+        self.window_vehicles: set[int] = set()
+
+    def after_step(self) -> None:
+        episode = self.episode
+        t = episode.t - 1  # the second that step just simulated
+        incident = episode.scenario.incident
+        in_window = incident is not None and incident.start <= t <= incident.end + INCIDENT_TAIL
+        for node_id, node in episode.network.intersections.items():
+            count = 0
+            for link_id in node.approaches.values():
+                state = episode.links[link_id]
+                count += sum(len(q) for q in state.queues.values())
+                count += sum(1 for v in state.running if v.frozen)
+            self.queue_history[node_id].append(count)
+        for state in episode.links.values():
+            present = list(state.running)
+            waiting = [v for v in state.running if v.frozen]
+            for queue in state.queues.values():
+                present.extend(queue)
+                waiting.extend(queue)
+            for vehicle in waiting:
+                self.waits[vehicle.id] = self.waits.get(vehicle.id, 0.0) + 1.0
+            if in_window:
+                self.window_vehicles.update(v.id for v in present)
+                self.window_wait += len(waiting)
+
+    def delay(self, vehicle) -> float:
+        return self.waits.get(vehicle.id, 0.0)
+
+    def avg_delay(self) -> float:
+        waits = [self.delay(v) for v in self.episode.vehicles]
+        return float(np.mean(waits)) if waits else 0.0
+
+    def incident_window_delay(self) -> float:
+        return self.window_wait / max(1, len(self.window_vehicles))
+
+
+def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -> list[tuple[str, dict]]:
+    """(kind, context) of each event at one intersection under the
+    default detector settings, from a full list of approach vehicles
+    (sides and movements in sorted order, each queue before the running
+    vehicles) and the accrual oracle's waits and queue history."""
+    node = episode.network.intersections[intersection_id]
+    signal = episode.signals[intersection_id]
+    listed = []
+    for side in sorted(node.approaches):
+        state = episode.links[node.approaches[side]]
+        length = state.link.length
+        for movement in sorted(state.queues):
+            head = state.blocked_head_pos.get(movement)
+            anchor = 0.0 if head is None else (length - head) + JAM_SPACING
+            for i, vehicle in enumerate(state.queues[movement]):
+                listed.append((vehicle, side, movement, anchor + i * JAM_SPACING))
+        for vehicle in state.running:
+            listed.append((vehicle, side, vehicle.movement or "s", length - vehicle.pos))
+
+    emergencies = [(d, phase_of(side, m)) for v, side, m, d in listed
+                   if v.vclass == "emergency" and d <= 200.0]
+    bus_delays = [accrual.delay(v) for v, _, _, _ in listed if v.vclass == "bus"]
+    blocked = set()
+    for vehicle, side, movement, distance in listed:
+        if vehicle.stopped_since is not None and episode.t - vehicle.stopped_since > 120.0:
+            red = signal.in_transition or phase_of(side, movement) != signal.active
+            if not (distance <= 50.0 and red):
+                blocked.add((side, movement))
+
+    events = []
+    if emergencies:
+        distance, phase = min(emergencies, key=lambda e: e[0])  # first of the nearest
+        events.append(("emergency", {"emergency_distance": float(distance),
+                                     "emergency_phase": float(phase)}))
+    if blocked:
+        events.append(("incident", {"incident_blocked": float(len(blocked))}))
+    if bus_delays:
+        total = 0.0
+        for delay in bus_delays:
+            total += delay
+        events.append(("transit", {"bus_count": float(len(bus_delays)), "bus_delay": total}))
+    history = accrual.queue_history[intersection_id]
+    if len(history) >= 300:
+        trailing = history[-300:]
+        threshold = brute_force_percentile(trailing, 90.0)
+        current = trailing[-1]
+        if current > threshold:
+            band = (max(trailing) - threshold) / 4.0
+            level = min(3, int((current - threshold) / band)) if band > 0 else 3
+            events.append(("congestion", {"congestion_level": float(level)}))
+    return events

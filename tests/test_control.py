@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +15,13 @@ from evosignal.control import (
     max_pressure,
     score_phases,
 )
+from evosignal.dsl import EvalError, parse
+from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import LaneObservation, run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
+
+from ._reference import reference_score_phases
 
 
 def lane(num=0, waiting=0, dist=300.0):
@@ -96,6 +103,74 @@ class TestScorePhases:
         result = score_phases(SEED_SKILL, obs)
         assert result.scores[1] == result.scores[2]
         assert result.chosen == 1
+
+
+def _scoring_bodies() -> list[str]:
+    """Library bodies, scripted mutations of them (routine and event),
+    and bodies that fault or leave the finite reals."""
+    bodies = [code for skill in (SEED_SKILL, *LIBRARY.values())
+              for code in (skill.inlane_code, skill.outlane_code)]
+    elites = [SEED_SKILL, LIBRARY["saturation-branch"], LIBRARY["preempt-approach"],
+              LIBRARY["bus-priority"], LIBRARY["incident-diversion"]]
+    kinds = [None, None, "emergency", "transit", "incident"]
+    for i in range(60):
+        draft = scripted_mutate(elites[i % 5], {}, random.Random(i), event_kind=kinds[i % 5])
+        bodies += [draft["inlane_code"], draft["outlane_code"]]
+    return bodies + [
+        "value[0] += 1e308\nvalue[0] += 1e308 * num_vehicle",
+        "value[0] += num_waiting_vehicle / (num_vehicle - num_vehicle)",
+        "value[0] += (index - 2) ** 0.5",
+        "value[0] += sum(range(num_vehicle)) - len(range(vehicle_dist)) * congestion_level",
+        "value[0] += len(range(vehicle_dist)) ** len(range(num_vehicle))",
+        "value[0] += vehicle_dist % (bus_count - index)",
+    ]
+
+
+SCORING_BODIES = _scoring_bodies()
+
+lane_pairs = st.tuples(
+    *[st.builds(LaneObservation, st.integers(0, 40), st.integers(0, 40),
+                st.floats(0.0, 600.0, allow_nan=False)) for _ in range(2)]
+)
+
+
+class TestScoreOracle:
+    """score_phases against per-binding tree walking, with the same
+    summation order and the same first fault."""
+
+    @staticmethod
+    def outcome(score):
+        try:
+            return score()
+        except EvalError as exc:
+            return ("EvalError", str(exc))
+
+    @given(
+        inlane=st.sampled_from(SCORING_BODIES),
+        outlane=st.sampled_from(SCORING_BODIES),
+        obs=st.lists(st.lists(lane_pairs, min_size=1, max_size=3), min_size=4, max_size=4),
+        context=st.fixed_dictionaries({}, optional={
+            name: st.sampled_from([0.0, 1.0, 2.0, 37.5, 150.0])
+            for name in ("emergency_distance", "emergency_phase", "bus_count",
+                         "bus_delay", "incident_blocked", "congestion_level")
+        }),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_scores_match_reference(self, inlane, outlane, obs, context):
+        skill = Skill(id="h", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
+        ours = self.outcome(lambda: list(score_phases(skill, obs, context).scores))
+        theirs = self.outcome(lambda: reference_score_phases(parse(inlane), parse(outlane), obs, context))
+        assert ours == theirs
+
+    def test_inlane_fault_is_reported_before_the_outlane_runs(self):
+        skill = Skill(id="f", description="", guidance="",
+                      inlane_code="value[0] += 1e308\nvalue[0] += 1e308",
+                      outlane_code="value[0] += num_vehicle / 0")
+        obs = observations([[(lane(), lane())] for _ in range(4)])
+        with pytest.raises(EvalError, match="non-finite result: inf"):
+            score_phases(skill, obs)
+        with pytest.raises(EvalError, match="non-finite result: inf"):
+            reference_score_phases(parse(skill.inlane_code), parse(skill.outlane_code), obs)
 
 
 class TestMaxPressure:

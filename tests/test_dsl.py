@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +190,34 @@ class TestEvaluate:
         ast = dsl.parse("value[0] += vehicle_dist")
         with pytest.raises(dsl.EvalError):
             dsl.evaluate(ast, dsl.EvalContext(bindings={}))
+
+    def test_names_outside_the_canonical_bindings_are_never_bound(self):
+        for code in ("value[0] += value", "value[0] += outlane_2_num_waiting_vehicle"):
+            body = dsl.compile_body(dsl.parse(code))
+            with pytest.raises(dsl.EvalError, match="is unbound in this context"):
+                body.function(*[1.0] * 10)
+
+    def test_sum_of_range_is_closed_form_and_cheap(self):
+        ast = dsl.parse("value[0] += sum(range(999999))")
+        body = dsl.compile_body(ast)
+        started = time.perf_counter()
+        for _ in range(100):
+            assert body.run({}) == 999999 * 999998 / 2
+        assert (time.perf_counter() - started) / 100 < 1e-3
+        assert dsl.evaluate(dsl.parse("value[0] += sum(range(-3.5)) + len(range(2.9))"),
+                            dsl.EvalContext(bindings={})) == 2.0
+
+    def test_range_results_stay_in_double_precision(self):
+        # Integer arithmetic would give 1000**1000 - 1000**1000 = 0.
+        ast = dsl.parse(
+            "value[0] += len(range(1000)) ** len(range(1000)) - len(range(1000)) ** len(range(1000))"
+        )
+        with pytest.raises(dsl.EvalError):
+            dsl.evaluate(ast, dsl.EvalContext(bindings={}))
+
+    def test_range_bound_is_still_refused(self):
+        with pytest.raises(dsl.EvalError, match="exceeds the sandbox bound"):
+            dsl.evaluate(dsl.parse("value[0] += len(range(1000001))"), dsl.EvalContext(bindings={}))
 
     @given(
         waiting=st.floats(0, 50, allow_nan=False),

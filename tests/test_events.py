@@ -19,11 +19,12 @@ from evosignal.events import (
     dispatch,
     event_bindings,
 )
+from evosignal.control import DispatcherController
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import Episode, Vehicle
+from evosignal.sim.engine import Episode, StepContext, Vehicle
 from evosignal.skills import LIBRARY
 
-from ._reference import brute_force_percentile
+from ._reference import ReferenceAccrual, brute_force_percentile, reference_detect
 from .test_sim import zero_demand
 
 
@@ -150,6 +151,40 @@ class TestDetect:
         threshold = brute_force_percentile(history, 90)
         fired = any(e.kind == "congestion" for e in events)
         assert fired == (history[-1] > threshold)
+
+
+class TestDetectOracle:
+    """detect() at every intersection and step of dispatcher episodes:
+    the rolling sorted window against the sorting path, and both against
+    a reference built from full vehicle lists and per-second waits."""
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [("M1", {"emergency", "incident", "congestion"}), ("E2", {"emergency", "congestion"}),
+         ("B2", {"transit", "congestion"})],
+    )
+    def test_detect_matches_sorting_path_and_reference(self, family, expected):
+        scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=2)
+        episode = Episode(scenario)
+        accrual = ReferenceAccrual(episode)
+        controller = DispatcherController(default_bank())
+        kinds = set()
+        for _ in range(scenario.duration):
+            decisions = {}
+            for node_id in episode.network.intersection_ids:
+                events = detect(episode, node_id)
+                assert events == detect(
+                    episode, node_id, queue_history=list(episode.queue_history[node_id])
+                )
+                assert [(e.kind, e.context) for e in events] == reference_detect(
+                    episode, node_id, accrual
+                )
+                kinds.update(e.kind for e in events)
+                if not episode.signals[node_id].in_transition:
+                    decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode))
+            episode.step(decisions)
+            accrual.after_step()
+        assert expected <= kinds
 
 
 class TestDispatch:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,7 @@ from evosignal.sim.network import (
 )
 from evosignal.sim.scenario import load_scenario, scheduled_emergencies
 
-from ._reference import reference_observe
+from ._reference import ReferenceAccrual, reference_observe
 
 
 class HoldController:
@@ -279,8 +281,8 @@ class TestEngine:
         for _ in range(scenario.duration):
             episode.step({})
             for vehicle in episode.vehicles:
-                assert vehicle.cumulative_wait >= last.get(vehicle.id, 0.0)
-                last[vehicle.id] = vehicle.cumulative_wait
+                assert episode.delay_of(vehicle) >= last.get(vehicle.id, 0.0)
+                last[vehicle.id] = episode.delay_of(vehicle)
 
     def test_incident_blocks_service_then_recovers(self):
         scenario = make_scenario("I1", rows=2, cols=2, duration=30, demand_scale=0.0, seed=3)
@@ -441,3 +443,95 @@ class TestLazyObservation:
                 per_step = []
             else:
                 per_step.append(link_id)
+
+
+def max_pressure_decisions(episode, controller):
+    return {
+        node_id: controller.decide(StepContext(episode.t, node_id, episode))
+        for node_id in episode.network.intersection_ids
+        if not episode.signals[node_id].in_transition
+    }
+
+
+class TestAccrualOracle:
+    """Waits banked when they end, against the per-second loops."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", ["T1", "I1", "B2", "M1"])
+    def test_banked_waits_match_per_second_accrual(self, family, seed):
+        # I1 and M1 block from 600 s to 900 s, and the window runs 300 s
+        # past that; stop inside the tail so finish sees a cut window.
+        duration = 1150 if family in ("I1", "M1") else 400
+        scenario = make_scenario(family, rows=2, cols=2, duration=duration, seed=seed)
+        episode = Episode(scenario)
+        reference = ReferenceAccrual(episode)
+        controller = MaxPressureController()
+        for _ in range(duration):
+            episode.step(max_pressure_decisions(episode, controller))
+            reference.after_step()
+            for vehicle in episode.vehicles:
+                assert episode.delay_of(vehicle) == reference.delay(vehicle), vehicle.id
+            if episode.t % 50 == 0 or episode.t == duration:
+                metrics = episode.finish().metrics
+                assert episode.queue_history == reference.queue_history
+                assert metrics.avg_delay == reference.avg_delay()
+                if scenario.incident is not None:
+                    assert metrics.incident_window_delay == reference.incident_window_delay()
+        result = episode.finish()
+        assert [r.delay for r in result.vehicle_log] == [reference.delay(v) for v in episode.vehicles]
+        assert any(r.delay > 0 for r in result.vehicle_log)
+        if scenario.incident is not None:
+            assert reference.window_wait > 0
+
+    def test_finish_does_not_change_the_episode(self):
+        scenario = make_scenario("I1", rows=2, cols=2, duration=700, seed=0)
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        for _ in range(650):
+            episode.step(max_pressure_decisions(episode, controller))
+        first = episode.finish()
+        assert episode.finish() == first
+        for _ in range(50):
+            episode.step(max_pressure_decisions(episode, controller))
+        fresh = run_episode(scenario, MaxPressureController())
+        assert episode.finish() == fresh
+
+    def test_only_the_incident_freezes_a_vehicle(self):
+        # The waiting count adds the blocker only while the incident
+        # holds it, so nothing else in the engine may set `frozen`.
+        source = Path(__file__).resolve().parents[1] / "src" / "evosignal"
+        writers = set()
+        for path in sorted(source.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+                for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                    for node in ast.walk(fn):
+                        targets = node.targets if isinstance(node, ast.Assign) else (
+                            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+                        if any(isinstance(t, ast.Attribute) and t.attr == "frozen" for t in targets):
+                            writers.add(f"{cls.name}.{fn.name}")
+        assert writers == {"Vehicle.__init__", "Episode._update_incident"}
+
+
+class TestSortedHistory:
+    @pytest.mark.parametrize("window", [7, 300])
+    def test_window_matches_a_fresh_sort_every_step(self, window):
+        scenario = make_scenario("T1", rows=2, cols=2, duration=500, seed=3)
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        for _ in range(scenario.duration):
+            episode.step(max_pressure_decisions(episode, controller))
+            for node_id, history in episode.queue_history.items():
+                assert episode.sorted_history(node_id, window) == sorted(history[-window:])
+        assert len(set(episode.queue_history["x0_0"][-window:])) > 1
+
+    def test_catches_up_after_skipped_steps(self):
+        scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=5)
+        episode = Episode(scenario)
+        for _ in range(400):
+            episode.step({})
+            if episode.t % 97 == 0:
+                history = episode.queue_history["x1_0"]
+                assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])
+        history = episode.queue_history["x1_0"]
+        assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import time
 
 import pytest
 
+from evosignal.evolution import EvolutionConfig, run_evolution
+from evosignal.sim import make_scenario
 from evosignal.skills import LIBRARY, SEED_SKILL
 from evosignal.store import Checkpoint, RunStore, StorageError, UnknownId
 from evosignal.util import canonical_json
@@ -101,3 +105,108 @@ class TestCheckpointAndTruncate:
         events = store.events()
         assert len(events) == 5
         assert store.append_event("generated", {}) == 6  # sequence rewinds too
+
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.append_event("generated", {"generation": 0})
+        path = tmp_path / "run" / "events.jsonl"
+        whole = path.read_bytes()
+        path.write_bytes(whole + whole[:-5])
+        again = RunStore(tmp_path / "run")
+        assert [e["seq"] for e in again.events()] == [1]
+        again.truncate_to({"events.jsonl": 1})
+        assert path.read_bytes() == whole
+
+    def test_torn_line_inside_the_file_still_fails(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.append_event("generated", {"generation": 0})
+        path = tmp_path / "run" / "events.jsonl"
+        path.write_bytes(path.read_bytes()[:-5] + b"\n")
+        with pytest.raises(json.JSONDecodeError):
+            RunStore(tmp_path / "run")
+
+
+STORE_FILES = ("skills.jsonl", "capsules.jsonl", "events.jsonl")
+
+
+class LastGenerationImproves:
+    """Scripted drafts: a phase-index skill in generation 0, then one
+    that serves the longest queue, so the last generation appends to
+    every store file (a capsule included)."""
+
+    def __init__(self, population: int):
+        self.population = population
+        self.calls = 0
+
+    def propose(self, request) -> str:
+        self.calls += 1
+        inlane = "value[0] += index" if self.calls <= self.population else "value[0] += num_waiting_vehicle"
+        return json.dumps({"description": "d", "guidance": "g",
+                           "inlane_code": inlane, "outlane_code": "value[0] += 0"})
+
+
+def line_ends(data: bytes) -> list[tuple[int, int]]:
+    """(end offset, seq) of each record line."""
+    out, start = [], 0
+    for line in data.splitlines(keepends=True):
+        start += len(line)
+        out.append((start, json.loads(line)["seq"]))
+    return out
+
+
+CRASH_SCENARIO = make_scenario("T1", rows=1, cols=1, duration=5, seed=1,
+                               demand_scale=4.0, link_length=30.0)
+CRASH_CONFIG = EvolutionConfig(scenarios=(CRASH_SCENARIO,), population=2, generations=2, seed=1)
+
+
+def crash_run(run_dir, **kw):
+    return run_evolution(CRASH_CONFIG, LastGenerationImproves(CRASH_CONFIG.population),
+                         RunStore(run_dir, run_id="r"), **kw)
+
+
+@pytest.fixture(scope="module")
+def two_generations(tmp_path_factory):
+    """Store files of an uninterrupted two-generation run, and the
+    files and checkpoint after its first generation."""
+    base = tmp_path_factory.mktemp("crash")
+    crash_run(base / "straight")
+    crash_run(base / "partial", stop_after=1)
+    want = {name: (base / "straight" / name).read_bytes() for name in STORE_FILES}
+    kept = {name: (base / "partial" / name).read_bytes() for name in STORE_FILES}
+    return want, kept, (base / "partial" / "checkpoint.json").read_bytes()
+
+
+class TestCrashAtAnyByte:
+    @pytest.mark.parametrize("name", STORE_FILES)
+    def test_resume_after_a_cut_anywhere_in_the_last_generation(self, name, two_generations, tmp_path):
+        """Cut one store file at every line boundary of the last
+        generation and at every byte of its last record, the other files
+        holding exactly the records appended before the cut one (a
+        single writer appends in seq order), then resume: every file
+        must match the uninterrupted run."""
+        started = time.monotonic()
+        want, kept, checkpoint = two_generations
+        ends = {other: line_ends(want[other]) for other in STORE_FILES}
+        for other in STORE_FILES:
+            # the last generation appends to every file, a capsule included
+            assert want[other].startswith(kept[other]) and len(want[other]) > len(kept[other])
+
+        whole = want[name]
+        offsets = {*range(ends[name][-2][0], len(whole))}
+        offsets |= {end for end, _ in ends[name] if end >= len(kept[name])}
+        for i, offset in enumerate(sorted(offsets)):
+            run_dir = tmp_path / f"cut{i}"
+            run_dir.mkdir()
+            (run_dir / "checkpoint.json").write_bytes(checkpoint)
+            crash_seq = min([seq for end, seq in ends[name] if end > offset], default=math.inf)
+            for other in STORE_FILES:
+                if other == name:
+                    cut = whole[:offset]
+                else:
+                    cut = want[other][: max([0] + [end for end, seq in ends[other] if seq < crash_seq])]
+                (run_dir / other).write_bytes(cut)
+            crash_run(run_dir, resume=True)
+            for other in STORE_FILES:
+                assert (run_dir / other).read_bytes() == want[other], (offset, other)
+        assert len(offsets) > 250
+        assert time.monotonic() - started < 10.0
