@@ -25,7 +25,7 @@ from .evolution import EvolutionConfig, generation_records, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
-from .store import RunStore, UnknownRun
+from .store import RunStore, StorageError, UnknownRun
 
 BASELINE_KINDS = ("fixed_time", "max_pressure", "handcrafted_preemption", "dispatcher")
 METRIC_COLUMNS = ("avg_delay", "avg_queue", "throughput", "emergency_delay", "bus_person_delay")
@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     except GeneratorUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

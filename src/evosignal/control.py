@@ -25,17 +25,14 @@ from .dsl.interpreter import finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
     EpisodeResult,
-    LaneObservation,
     PhaseDecision,
+    PhaseViews,
     SimulationMetrics,
     StepContext,
     run_episode,
 )
 from .sim.scenario import ScenarioConfig
 from .skills import Skill
-
-PhaseObservations = list[list[tuple[LaneObservation, LaneObservation]]]
-
 
 @dataclass(frozen=True)
 class PhaseScores:
@@ -64,17 +61,21 @@ class CompiledSkill:
 
 def score_phases(
     skill: Skill | CompiledSkill,
-    observations: PhaseObservations,
+    observations: PhaseViews,
     ctx_extra: dict[str, float] | None = None,
 ) -> PhaseScores:
     """Score every phase with a skill; raises EvalError if any lane-link
     evaluation faults (callers hold the current phase and record it).
     Each lane-link adds its inlane result, checked, then its outlane
-    result, so the first fault in that order is the one reported."""
+    result, so the first fault in that order is the one reported. A lane
+    feature a body does not name is never read from the view; the body
+    gets 0.0 for it, which it cannot see."""
     compiled = skill if isinstance(skill, CompiledSkill) else CompiledSkill(skill)
     extra = ctx_extra or {}
     e0, e1, e2, e3, e4, e5 = (extra.get(name, 0.0) for name in EVENT_VARIABLES)
     fin, fout = compiled.inlane.function, compiled.outlane.function
+    in_count, in_waiting, in_dist = compiled.inlane.reads
+    out_count, out_waiting, out_dist = compiled.outlane.reads
     scores = []
     try:
         for k, lane_links in enumerate(observations):
@@ -82,16 +83,20 @@ def score_phases(
             index = float(k)
             for inlane, outlane in lane_links:
                 result = fin(
-                    float(inlane.num_vehicle), float(inlane.num_waiting_vehicle),
-                    float(inlane.vehicle_dist), index, e0, e1, e2, e3, e4, e5,
+                    float(inlane.num_vehicle) if in_count else 0.0,
+                    float(inlane.num_waiting_vehicle) if in_waiting else 0.0,
+                    float(inlane.vehicle_dist) if in_dist else 0.0,
+                    index, e0, e1, e2, e3, e4, e5,
                 )
                 # r - r is 0.0 exactly for a finite float
                 if type(result) is not float or result - result != 0.0:
                     result = finite_result(result)
                 total += result
                 result = fout(
-                    float(outlane.num_vehicle), float(outlane.num_waiting_vehicle),
-                    float(outlane.vehicle_dist), index, e0, e1, e2, e3, e4, e5,
+                    float(outlane.num_vehicle) if out_count else 0.0,
+                    float(outlane.num_waiting_vehicle) if out_waiting else 0.0,
+                    float(outlane.vehicle_dist) if out_dist else 0.0,
+                    index, e0, e1, e2, e3, e4, e5,
                 )
                 if type(result) is not float or result - result != 0.0:
                     result = finite_result(result)
@@ -102,7 +107,7 @@ def score_phases(
     return PhaseScores(tuple(scores), _argmax_lowest(scores))
 
 
-def max_pressure(observations: PhaseObservations) -> PhaseScores:
+def max_pressure(observations: PhaseViews) -> PhaseScores:
     """Upstream-minus-downstream queue pressure; event-blind by
     construction."""
     scores = []

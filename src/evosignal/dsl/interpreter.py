@@ -8,7 +8,9 @@ assigns any lane-index aliases the body uses and sets up the ``value``
 accumulator; the function returns ``value[0]``. Its globals hold the
 whitelisted builtins and nothing else, so a call costs about as much as
 the arithmetic in it, which matters because an episode evaluates skill
-bodies hundreds of thousands of times.
+bodies hundreds of thousands of times. ``CompiledBody.reads`` records
+which lane features a body names (aliases included), so a scorer reads
+from the simulator only those.
 
 Semantics are plain double precision: all literals are floats, ``//`` is
 floor division, ``%`` takes the sign of the divisor, ``**`` is real
@@ -222,16 +224,22 @@ class CompiledBody:
     ``BODY_PARAMETERS``. ``function`` returns the raw accumulator and
     may raise ArithmeticError, TypeError or ValueError; callers map
     those to EvalError and check the result with ``finite_result``, as
-    ``run`` does. Immutable after construction; safe to share across
-    threads (each call has its own locals)."""
+    ``run`` does. ``reads`` tells, for each of the three lane features
+    in ``BODY_PARAMETERS`` order, whether the body names it directly or
+    through an alias; the function never reads a feature it does not
+    name, so a caller may pass anything for it. Immutable after
+    construction; safe to share across threads (each call has its own
+    locals)."""
 
-    __slots__ = ("function", "name_map")
+    __slots__ = ("function", "name_map", "reads")
 
     def __init__(self, ast: SkillAst):
         namespace: dict[str, object] = {}
         exec(compile(_lower_function(ast), "<skill>", "exec"), _EXEC_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
         self.function = namespace["skill"]
         self.name_map = tuple((name, wl.canonical_binding(name)) for name in sorted(free_names(ast)))
+        named = {canonical for _, canonical in self.name_map}
+        self.reads = tuple(feature in named for feature in BODY_PARAMETERS[:3])
 
     def run(self, bindings: Mapping[str, float]) -> float:
         for src, canonical in self.name_map:

@@ -4,12 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .complexity import complexity
 from .nodes import Call, SkillAst, free_names, iter_calls
 from .whitelist import VariableWhitelist
 
 STAGE_PARSE = "parse"
 STAGE_WHITELIST = "whitelist"
 STAGE_SANDBOX = "sandbox"
+
+# Size bounds on one code body, as counted by ``complexity``. Library
+# bodies reach 20 nodes and depth 2. Letting every scripted draft become
+# the elite for 100 generations (40 seeds, each event kind) reaches 93
+# nodes and depth 15. A body runs once per lane-link per decision, so
+# its node count sets the cost of an episode.
+MAX_BODY_NODES = 500
+MAX_BRANCH_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -77,4 +86,13 @@ def validate(ast: SkillAst, whitelist: VariableWhitelist) -> ValidationReport:
     shape_error = _check_call_shapes(ast)
     if shape_error is not None:
         return ValidationReport.failed(STAGE_WHITELIST, shape_error)
+    nodes, depth = complexity(ast)
+    if nodes > MAX_BODY_NODES:
+        return ValidationReport.failed(
+            STAGE_WHITELIST, f"body has {nodes} nodes, more than the limit of {MAX_BODY_NODES}"
+        )
+    if depth > MAX_BRANCH_DEPTH:
+        return ValidationReport.failed(
+            STAGE_WHITELIST, f"body nests conditionals {depth} deep, more than the limit of {MAX_BRANCH_DEPTH}"
+        )
     return ValidationReport.passed()

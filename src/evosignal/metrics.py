@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 ROUTINE_WEIGHTS = (0.4, 0.4, 0.2)  # delay, queue, throughput
 EVENT_WEIGHTS = {
     "emergency": (0.6, 0.25, 0.15),  # event delay, normal delay, queue
@@ -111,7 +109,11 @@ def welch_and_cohen(a, b) -> StatResult:
     # as another down there
     dof = se_sq**2 / dof_denominator if dof_denominator > 0 else float(na + nb - 2)
     # Two-tailed p from the t distribution (incomplete-beta based).
-    p = float(2.0 * _scipy_stats.t.sf(abs(t), dof))
+    # Imported here, not at module level: importing scipy.stats takes
+    # about a second, and nothing else in the package needs it.
+    from scipy import stats
+
+    p = float(2.0 * stats.t.sf(abs(t), dof))
     pooled = math.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2))
     d = (mean_a - mean_b) / pooled if pooled > 0 else math.copysign(math.inf, mean_a - mean_b)
     return StatResult(t=t, p=p, d=d, dof=dof)

@@ -3,7 +3,6 @@
 from .engine import (
     Episode,
     EpisodeResult,
-    LaneObservation,
     PhaseDecision,
     SimulationMetrics,
     StepContext,
@@ -31,7 +30,6 @@ __all__ = [
     "FAMILIES",
     "IncidentInjection",
     "Intersection",
-    "LaneObservation",
     "Link",
     "load_scenario",
     "make_scenario",

@@ -11,6 +11,13 @@ seeded generator consumed in a fixed order.
 
 Model constants follow common microsimulation practice: 7.5 m jam
 spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
+
+Controllers observe through live views built once per episode: a
+``LaneView`` per (link, movement) and a ``LinkView`` per link. A view
+stores no figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
+``vehicle_dist`` is read from the link state when it is asked for, so a
+controller pays only for the figures it reads, and a read after
+``Episode.step`` sees the new state.
 """
 
 from __future__ import annotations
@@ -46,15 +53,6 @@ SORTED_PHASE_TABLE = tuple(tuple(sorted(p)) for p in PHASE_TABLE)
 
 VCLASS_OCCUPANCY = {"normal": 1.5, "bus": 30.0, "emergency": 1.5}
 VCLASS_SPEED = {"normal": 13.9, "bus": 13.9, "emergency": 20.0}
-
-
-@dataclass(frozen=True)
-class LaneObservation:
-    """What a skill sees for one lane of one lane-link."""
-
-    num_vehicle: int
-    num_waiting_vehicle: int
-    vehicle_dist: float
 
 
 @dataclass(frozen=True)
@@ -155,12 +153,14 @@ class Vehicle:
 
 
 class LinkState:
-    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos", "empty")
+    """Vehicles on one link. The queue lists and the ``blocked`` set are
+    created once and only ever changed in place, so views may hold
+    them; ``running`` is replaced every step."""
+
+    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos")
 
     def __init__(self, link: Link):
         self.link = link
-        # The observation of an empty lane or link, shared by all of them.
-        self.empty = LaneObservation(0, 0, mean_gap(0, math.inf, -math.inf, link.length))
         self.running: list[Vehicle] = []
         self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
         self.credit: dict[str, float] = {m: 0.0 for m in MOVEMENTS}
@@ -177,47 +177,117 @@ class LinkState:
         return (self.link.length - head) + JAM_SPACING
 
     def vehicle_count(self) -> int:
-        return len(self.running) + sum(len(q) for q in self.queues.values())
+        return len(self.running) + sum(map(len, self.queues.values()))
 
-    def observe(self) -> tuple[dict[str, LaneObservation], LaneObservation]:
-        """Each movement's lane and the whole link, from one pass over
-        the queues and the running vehicles. A queued vehicle stands
-        ``anchor + i * JAM_SPACING`` from the stop line, a running one
-        ``length - pos``; the gap needs only the nearest and farthest."""
-        length = self.link.length
-        # movement -> [vehicles, waiting, nearest, farthest], occupied lanes only
-        figures: dict[str | None, list] = {}
-        for movement, queue in self.queues.items():
-            n = len(queue)
-            if n:
-                anchor = self.queue_anchor(movement)
-                figures[movement] = [n, n, anchor, anchor + (n - 1) * JAM_SPACING]
-        for vehicle in self.running:
-            dist = length - vehicle.pos
-            fig = figures.get(vehicle.movement)
-            if fig is None:
-                figures[vehicle.movement] = [1, int(vehicle.frozen), dist, dist]
-                continue
-            fig[0] += 1
-            if vehicle.frozen:
-                fig[1] += 1
-            if dist < fig[2]:
-                fig[2] = dist
-            if dist > fig[3]:
-                fig[3] = dist
-        lanes = dict.fromkeys(MOVEMENTS, self.empty)
-        if not figures:
-            return lanes, self.empty
-        total = waiting = 0
+
+class LaneView:
+    """Live figures of one movement's lane of a link: what a skill sees
+    as the inlane of a lane-link. A queued vehicle stands ``anchor + i *
+    JAM_SPACING`` from the stop line and a running one ``length - pos``.
+    The one frozen vehicle, the incident blocker, is counted as waiting
+    through ``blocked``: ``_update_incident`` sets both together."""
+
+    __slots__ = ("_state", "_movement", "_queue", "_blocked")
+
+    def __init__(self, state: LinkState, movement: str):
+        self._state = state
+        self._movement = movement
+        self._queue = state.queues[movement]
+        self._blocked = state.blocked
+
+    @property
+    def num_waiting_vehicle(self) -> int:
+        return len(self._queue) + (self._movement in self._blocked)
+
+    @property
+    def num_vehicle(self) -> int:
+        movement = self._movement
+        n = len(self._queue)
+        for vehicle in self._state.running:
+            if vehicle.movement == movement:
+                n += 1
+        return n
+
+    @property
+    def vehicle_dist(self) -> float:
+        state, movement = self._state, self._movement
+        length = state.link.length
+        n = len(self._queue)
+        if n:
+            lo = state.queue_anchor(movement)
+            hi = lo + (n - 1) * JAM_SPACING
+        else:
+            lo, hi = math.inf, -math.inf
+        for vehicle in state.running:
+            if vehicle.movement == movement:
+                n += 1
+                dist = length - vehicle.pos
+                if dist < lo:
+                    lo = dist
+                if dist > hi:
+                    hi = dist
+        return mean_gap(n, lo, hi, length)
+
+
+class LinkView:
+    """Live figures of a whole link: what a skill sees as the outlane of
+    a lane-link. Up to three lane-links of an intersection read the same
+    exit link, so the gap is kept in ``gaps``, a dict keyed by link id
+    that the episode clears every step. The view holds that dict, never
+    the episode, so a finished episode is freed by reference counting."""
+
+    __slots__ = ("_state", "_queues", "_blocked", "_gaps", "_id")
+
+    def __init__(self, state: LinkState, gaps: dict[str, float]):
+        self._state = state
+        self._queues = tuple(state.queues.values())
+        self._blocked = state.blocked
+        self._gaps = gaps
+        self._id = state.link.id
+
+    @property
+    def num_waiting_vehicle(self) -> int:
+        left, straight, right = self._queues
+        return len(left) + len(straight) + len(right) + len(self._blocked)
+
+    @property
+    def num_vehicle(self) -> int:
+        return self._state.vehicle_count()
+
+    @property
+    def vehicle_dist(self) -> float:
+        gap = self._gaps.get(self._id)
+        if gap is None:
+            gap = self._gaps[self._id] = self._gap()
+        return gap
+
+    def _gap(self) -> float:
+        state = self._state
+        length = state.link.length
+        n = 0
         lo, hi = math.inf, -math.inf
-        for movement, (n, w, near, far) in figures.items():
-            if movement is not None:
-                lanes[movement] = LaneObservation(n, w, mean_gap(n, near, far, length))
-            total += n
-            waiting += w
-            lo = min(lo, near)
-            hi = max(hi, far)
-        return lanes, LaneObservation(total, waiting, mean_gap(total, lo, hi, length))
+        for movement, queue in state.queues.items():
+            k = len(queue)
+            if k:
+                n += k
+                anchor = state.queue_anchor(movement)
+                if anchor < lo:
+                    lo = anchor
+                far = anchor + (k - 1) * JAM_SPACING
+                if far > hi:
+                    hi = far
+        for vehicle in state.running:
+            n += 1
+            dist = length - vehicle.pos
+            if dist < lo:
+                lo = dist
+            if dist > hi:
+                hi = dist
+        return mean_gap(n, lo, hi, length)
+
+
+# Per phase, the (inlane, outlane) views of its lane-links.
+PhaseViews = tuple[tuple[tuple[LaneView, LinkView], ...], ...]
 
 
 def mean_gap(n: int, lo: float, hi: float, link_length: float) -> float:
@@ -245,8 +315,10 @@ class SignalState:
 
 class StepContext:
     """Everything a controller may look at when deciding one
-    intersection's phase for one step. The observations are taken on
-    first read, so a controller that reads none pays for none."""
+    intersection's phase for one step. ``observations`` are the
+    intersection's live views (``Episode.observe``), fetched on first
+    read; each figure is computed only when read, so a controller pays
+    for none it does not read. They are valid until the next step."""
 
     __slots__ = ("t", "intersection_id", "episode", "_observations")
 
@@ -254,10 +326,10 @@ class StepContext:
         self.t = t
         self.intersection_id = intersection_id
         self.episode = episode
-        self._observations: list[list[tuple[LaneObservation, LaneObservation]]] | None = None
+        self._observations: PhaseViews | None = None
 
     @property
-    def observations(self) -> list[list[tuple[LaneObservation, LaneObservation]]]:
+    def observations(self) -> PhaseViews:
         if self._observations is None:
             self._observations = self.episode.observe(self.intersection_id)
         return self._observations
@@ -312,20 +384,31 @@ class Episode:
         ]
         self._window_wait = 0.0
         self._reachable_cache: dict[str, tuple[str, ...]] = {}
-        # Per intersection and phase: (approach link, movement, exit link)
-        # of each lane-link, in evaluation order.
-        self._lane_table = {
+        # Whole-link gaps read this step, by link id; shared by the views.
+        self._link_gaps: dict[str, float] = {}
+        lane_views = {
+            (link_id, movement): LaneView(state, movement)
+            for link_id, state in self.links.items()
+            for movement in MOVEMENTS
+        }
+        link_views = {link_id: LinkView(state, self._link_gaps) for link_id, state in self.links.items()}
+        # Per intersection and phase: the (inlane, outlane) views of each
+        # lane-link, in evaluation order.
+        self._views: dict[str, PhaseViews] = {
             node_id: tuple(
                 tuple(
-                    (node.approaches[side], movement, node.exits[heading_after(opposite(side), movement)])
+                    (
+                        lane_views[node.approaches[side], movement],
+                        link_views[node.exits[heading_after(opposite(side), movement)]],
+                    )
                     for side, movement in SORTED_PHASE_TABLE[k]
                 )
                 for k in range(NUM_PHASES)
             )
             for node_id, node in self.network.intersections.items()
         }
-        # LinkState.observe() results of this step, by link id.
-        self._link_obs: dict[str, tuple[dict[str, LaneObservation], LaneObservation]] = {}
+        # Queued vehicles on each intersection's approaches.
+        self._queued: dict[str, int] = dict.fromkeys(self.network.intersection_ids, 0)
         # Per intersection: (side, approach LinkState), sides in sorted order.
         self.approach_states: dict[str, tuple[tuple[str, LinkState], ...]] = {}
         for node_id in self.network.intersection_ids:
@@ -429,25 +512,12 @@ class Episode:
     # ------------------------------------------------------------------
     # observation
 
-    def observe(self, intersection_id: str) -> list[list[tuple[LaneObservation, LaneObservation]]]:
-        """Per-phase, per-lane-link (inlane, outlane) observations. Each
-        link is observed once per step and shared by every intersection
-        that reads it as an approach or an exit."""
-        cache = self._link_obs
-        links = self.links
-        out: list[list[tuple[LaneObservation, LaneObservation]]] = []
-        for lane_links in self._lane_table[intersection_id]:
-            phase_obs: list[tuple[LaneObservation, LaneObservation]] = []
-            for approach, movement, exit_link in lane_links:
-                inlane = cache.get(approach)
-                if inlane is None:
-                    inlane = cache[approach] = links[approach].observe()
-                outlane = cache.get(exit_link)
-                if outlane is None:
-                    outlane = cache[exit_link] = links[exit_link].observe()
-                phase_obs.append((inlane[0][movement], outlane[1]))
-            out.append(phase_obs)
-        return out
+    def observe(self, intersection_id: str) -> PhaseViews:
+        """Per-phase, per-lane-link (inlane, outlane) live views of one
+        intersection, built once per episode. Their figures are read
+        from the current state, so they are valid until the next
+        ``step()``; a read after it sees the new state."""
+        return self._views[intersection_id]
 
     # ------------------------------------------------------------------
     # dynamics
@@ -455,7 +525,7 @@ class Episode:
     def step(self, decisions: dict[str, PhaseDecision | None]) -> None:
         """Advance one second. ``decisions`` maps intersection id to the
         requested phase (None or current phase holds)."""
-        self._link_obs.clear()
+        self._link_gaps.clear()
         self._spawn_arrivals()
         self._spawn_scheduled()
         self._update_incident()
@@ -498,6 +568,7 @@ class Episode:
             signal.yellow = YELLOW_STEPS
 
     def _serve_green(self) -> None:
+        queued = self._queued
         for node_id in self.network.intersection_ids:
             signal = self.signals[node_id]
             node = self.network.intersections[node_id]
@@ -514,6 +585,7 @@ class Episode:
                 link_state.credit[movement] += SATURATION_FLOW
                 while link_state.credit[movement] >= 1.0 and queue:
                     link_state.credit[movement] -= 1.0
+                    queued[node_id] -= 1
                     self._release(queue.pop(0))
 
     def _release(self, vehicle: Vehicle) -> None:
@@ -526,56 +598,63 @@ class Episode:
         self.links[vehicle.route[vehicle.leg]].running.append(vehicle)
 
     def _advance_vehicles(self) -> None:
-        for link_id in self.links:
-            link_state = self.links[link_id]
-            if not link_state.running:
+        t = self.t
+        for link_state in self.links.values():
+            running = link_state.running
+            if not running:
                 continue
             link = link_state.link
+            length = link.length
             still_running: list[Vehicle] = []
-            for vehicle in link_state.running:
+            if link.kind == "exit":
+                for vehicle in running:
+                    if not vehicle.frozen:
+                        vehicle.pos += vehicle.cruise
+                        if vehicle.pos >= length:
+                            vehicle.exit_time = t
+                            self.completed += 1
+                            continue
+                    still_running.append(vehicle)
+                link_state.running = still_running
+                continue
+            queues = link_state.queues
+            # Per movement, length - queue anchor; the anchor is 0.0
+            # unless a blockage holds the queue back.
+            room = None
+            if link_state.blocked_head_pos:
+                room = {m: length - link_state.queue_anchor(m) for m in MOVEMENTS}
+            joined = 0
+            for vehicle in running:
                 if vehicle.frozen:
                     still_running.append(vehicle)
                     continue
                 vehicle.pos += vehicle.cruise
-                if link.kind == "exit":
-                    if vehicle.pos >= link.length:
-                        vehicle.exit_time = self.t
-                        self.completed += 1
-                    else:
-                        still_running.append(vehicle)
-                    continue
                 movement = vehicle.movement or "s"
-                queue = link_state.queues[movement]
-                threshold = (
-                    link.length
-                    - link_state.queue_anchor(movement)
-                    - (len(queue) + 1) * JAM_SPACING
-                )
-                if vehicle.pos >= threshold:
+                queue = queues[movement]
+                free = length if room is None else room[movement]
+                if vehicle.pos >= free - (len(queue) + 1) * JAM_SPACING:
                     vehicle.queued = True
-                    vehicle.stopped_since = self.t
+                    vehicle.stopped_since = t
                     queue.append(vehicle)
+                    joined += 1
                 else:
                     still_running.append(vehicle)
+            if joined:
+                self._queued[link.dst] += joined
             link_state.running = still_running
 
     def _accrue(self) -> None:
-        # A link's waiting vehicles are its queues plus, on the incident
-        # link while the blocker is frozen, the blocker itself (only
-        # _update_incident freezes a vehicle).
-        per_node_waiting: dict[str, int] = {}
-        for node_id, approaches in self.approach_states.items():
-            count = 0
-            for _, link_state in approaches:
-                for queue in link_state.queues.values():
-                    count += len(queue)
-            per_node_waiting[node_id] = count
-        if self._incident_vehicle is not None:
-            per_node_waiting[self._incident_node] += 1
+        # An intersection's waiting vehicles are its queued ones plus, on
+        # the incident node while the blocker is frozen, the blocker
+        # (only _update_incident freezes a vehicle).
+        history = self.queue_history
         total_waiting = 0
-        for node_id, count in per_node_waiting.items():
-            self.queue_history[node_id].append(count)
+        for node_id, count in self._queued.items():
+            history[node_id].append(count)
             total_waiting += count
+        if self._incident_vehicle is not None:
+            history[self._incident_node][-1] += 1
+            total_waiting += 1
         incident = self.scenario.incident
         if incident is not None and incident.start <= self.t <= incident.end + INCIDENT_TAIL:
             self._window_wait += total_waiting
@@ -594,7 +673,7 @@ class Episode:
                         "intersection": node_id,
                         "phase": signal.active,
                         "yellow": signal.yellow,
-                        "queue": per_node_waiting[node_id],
+                        "queue": history[node_id][-1],
                     }
                 )
 

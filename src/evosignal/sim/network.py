@@ -12,6 +12,7 @@ axis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -128,8 +129,8 @@ def build_network(
     link, so sources and sinks ring the whole boundary."""
     if rows < 1 or cols < 1:
         raise ConfigError(f"grid must be at least 1x1, got {rows}x{cols}")
-    if link_length <= 0:
-        raise ConfigError(f"link length must be positive, got {link_length}")
+    if not (math.isfinite(link_length) and link_length > 0):
+        raise ConfigError(f"link length must be a positive finite number, got {link_length}")
 
     links: dict[str, Link] = {}
     intersections: dict[str, Intersection] = {}

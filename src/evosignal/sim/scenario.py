@@ -15,6 +15,7 @@ meaning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -45,10 +46,22 @@ class BusLine:
     headway: float
     first_departure: float = 0.0
 
+    def __post_init__(self):
+        # a zero headway would schedule departures forever
+        _require_positive(self.headway, f"bus line {self.name} headway")
+
 
 @dataclass(frozen=True)
 class EmergencyInjection:
     period: float  # one ambulance every `period` seconds, from t=0
+
+    def __post_init__(self):
+        _require_positive(self.period, "emergency period")
+
+
+def _require_positive(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -266,18 +279,25 @@ def load_scenario(path: str) -> ScenarioConfig:
           incident: {start: 600, duration: 300}
     """
     with open(path, "r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle) or {}
+        try:
+            raw = yaml.safe_load(handle) or {}
+        except yaml.YAMLError as exc:
+            detail = " ".join(str(exc).split())
+            raise ConfigError(f"scenario file {path} is not valid YAML: {detail}") from None
     if not isinstance(raw, dict) or "name" not in raw:
         raise ConfigError(f"scenario file {path} must be a mapping with a 'name' key")
+    for key in ("grid", "demand", "events"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ConfigError(f"scenario file {path}: '{key}' must be a mapping")
 
-    grid = raw.get("grid", {})
+    grid = raw.get("grid") or {}
     rows = int(grid.get("rows", 4))
     cols = int(grid.get("cols", 4))
     link_length = float(grid.get("link_length", 300.0))
     duration = int(raw.get("duration", DEFAULT_DURATION))
     network = build_network(rows, cols, link_length)
 
-    demand_spec = raw.get("demand", {})
+    demand_spec = raw.get("demand") or {}
     default_rate = float(demand_spec.get("default_rate", 0.0))
     demand: dict[str, RateProfile] = {
         link_id: _flat(default_rate) for link_id in network.entry_links

@@ -214,12 +214,19 @@ class RunStore:
         return dict(self._counts)
 
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
+        """Write the checkpoint atomically. The record files it counts
+        are synced first and the directory after the rename, so after a
+        crash a checkpoint never counts records the files lost."""
+        for name in KIND_TO_FILE.values():
+            if self._path(name).exists():
+                _fsync(self._path(name))
         tmp = self._path(CHECKPOINT_FILE + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(checkpoint.to_dict(), handle, sort_keys=True, indent=1)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._path(CHECKPOINT_FILE))
+        _fsync(self.run_dir)
 
     def read_checkpoint(self) -> Checkpoint | None:
         path = self._path(CHECKPOINT_FILE)
@@ -231,12 +238,22 @@ class RunStore:
     def truncate_to(self, record_counts: dict[str, int]) -> None:
         """Drop any records appended after a checkpoint (a partially
         completed generation) and any torn last line, so resume
-        continues from a clean edge. A file is rewritten through a
-        temporary file and a rename, so a crash here leaves either the
-        old or the new content."""
+        continues from a clean edge. A file holding fewer records than
+        the checkpoint counts lost records the run already relied on:
+        that raises StorageError before any file changes. A file is
+        rewritten through a temporary file and a rename, so a crash here
+        leaves either the old or the new content."""
+        records = {name: self._read_file(name) for name in record_counts}
+        for name, keep in record_counts.items():
+            if len(records[name]) < keep:
+                raise StorageError(
+                    f"{self._path(name)} holds {len(records[name])} records but its "
+                    f"checkpoint counts {keep}; refusing to resume from a store "
+                    "shorter than its checkpoint"
+                )
         for name, keep in record_counts.items():
             path = self._path(name)
-            kept = "".join(canonical_json(r) + "\n" for r in self._read_file(name)[:keep])
+            kept = "".join(canonical_json(r) + "\n" for r in records[name][:keep])
             if not path.exists() or path.read_text(encoding="utf-8") == kept:
                 continue
             tmp = self._path(name + ".tmp")
@@ -246,3 +263,12 @@ class RunStore:
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         self._sequence = self._recover_state()
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's or a directory's data and metadata to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -4,8 +4,9 @@ These are deliberately separate implementations from the package:
 a tree-walking evaluator for skill code (the package lowers each body to
 a Python function instead) and a phase scorer built on it, a node
 counter, a brute-force percentile, observations built from sorted
-distance lists (the package keeps only counts and extremes, once per
-link per step), and the per-vehicle, per-second wait accrual (the
+distance lists as frozen ``LaneObservation`` values (the package reads
+counts and extremes from live views when they are asked for), and the
+per-vehicle, per-second wait accrual (the
 package banks a wait when it ends). They exist so the main
 implementations have something to disagree with.
 """
@@ -13,13 +14,14 @@ implementations have something to disagree with.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from evosignal.dsl import nodes
 from evosignal.dsl.interpreter import EvalError
 from evosignal.dsl.whitelist import canonical_binding
-from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING, LaneObservation
+from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING
 from evosignal.sim.network import NUM_PHASES, PHASE_TABLE, heading_after, opposite, phase_of
 
 
@@ -211,6 +213,15 @@ def brute_force_percentile(values, q: float) -> float:
         return float(data[int(rank)])
     frac = rank - low
     return float(data[low] * (1 - frac) + data[high] * frac)
+
+
+@dataclass(frozen=True)
+class LaneObservation:
+    """What a skill sees for one lane of one lane-link, as plain values."""
+
+    num_vehicle: int
+    num_waiting_vehicle: int
+    vehicle_dist: float
 
 
 def _stopline_distances(link_state, movement=None) -> list[float]:

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evosignal
 from evosignal.cli import main
+from evosignal.sim import engine
 from evosignal.skills import LIBRARY
 
 DESK = ["--rows", "1", "--cols", "1", "--duration", "150", "--demand-scale", "1.0"]
@@ -230,3 +236,64 @@ class TestInspectReplayExport:
 
     def test_export_empty_run_fails(self, tmp_path):
         assert main(["export", "--run", str(tmp_path / "nothing")]) != 0
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(evosignal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, evosignal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+MALFORMED_SCENARIOS = {
+    "yaml-syntax": "name: x\ngrid: {rows: 2\n",
+    "not-a-mapping": "- just\n- a list\n",
+    "grid-not-a-mapping": "name: x\ngrid: 5\n",
+    "zero-headway": "name: x\nduration: 60\nevents:\n  bus_lines: {count: 2, headway: 0}\n",
+    "negative-headway": "name: x\nduration: 60\nevents:\n  bus_lines: {count: 1, headway: -30}\n",
+    "nan-headway": "name: x\nduration: 60\nevents:\n  bus_lines: {count: 1, headway: .nan}\n",
+    "zero-period": "name: x\nduration: 60\nevents:\n  emergency: {period: 0}\n",
+    "inf-period": "name: x\nduration: 60\nevents:\n  emergency: {period: .inf}\n",
+    "nan-link-length": "name: x\ngrid: {link_length: .nan}\n",
+    "inf-link-length": "name: x\ngrid: {link_length: .inf}\n",
+    "zero-link-length": "name: x\ngrid: {link_length: 0}\n",
+}
+
+
+class TestMalformedScenarioFiles:
+    @pytest.fixture(autouse=True)
+    def no_schedule(self, monkeypatch):
+        """A malformed file must be refused before any episode builds
+        its schedules, so none of these can loop or divide by zero."""
+
+        def refuse(*args):
+            raise AssertionError("an episode was built from a malformed scenario")
+
+        monkeypatch.setattr(engine, "scheduled_emergencies", refuse)
+        monkeypatch.setattr(engine, "scheduled_bus_departures", refuse)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+    def test_is_a_usage_error(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(MALFORMED_SCENARIOS[name])
+        code = main(["baseline", "--method", "fixed_time", "--scenario", str(path), "--seeds", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestResumeRefusal:
+    def test_a_store_shorter_than_its_checkpoint_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        base = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "3",
+                "--seed", "5", "--out", str(out)]
+        assert main(base + ["--stop-after", "1"]) == 0
+        events = out / "events.jsonl"
+        events.write_text("".join(events.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert main(base + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "events.jsonl" in err and "shorter than its checkpoint" in err

@@ -18,10 +18,10 @@ from evosignal.control import (
 from evosignal.dsl import EvalError, parse
 from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import LaneObservation, run_episode
+from evosignal.sim.engine import run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
-from ._reference import reference_score_phases
+from ._reference import LaneObservation, reference_score_phases
 
 
 def lane(num=0, waiting=0, dist=300.0):

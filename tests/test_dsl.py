@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosignal import dsl
+from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 
 from ._reference import reference_evaluate, reference_node_count
@@ -280,6 +281,74 @@ class TestEvaluate:
         for t in threads:
             t.join()
         assert not mismatches
+
+
+def nested(depth: int) -> str:
+    body = "value[0] += 1"
+    for _ in range(depth):
+        body = "if num_vehicle > 1:\n" + "\n".join("    " + line for line in body.splitlines())
+    return body
+
+
+class TestBodySize:
+    def test_library_and_rewrite_bodies_sit_far_below_the_limits(self):
+        from evosignal.generator import _EVENT_REWRITE_TEMPLATES, _REWRITE_TEMPLATES
+
+        bodies = [code for skill in [SEED_SKILL, *LIBRARY.values()] for code in (skill.inlane_code, skill.outlane_code)]
+        templates = [*_REWRITE_TEMPLATES, *(t for ts in _EVENT_REWRITE_TEMPLATES.values() for t in ts)]
+        bodies += [code for _, inlane, outlane in templates for code in (inlane, outlane)]
+        for code in bodies:
+            nodes, depth = dsl.complexity(dsl.parse(code))
+            assert nodes * 20 <= MAX_BODY_NODES and depth * 10 <= MAX_BRANCH_DEPTH, code
+
+    def test_node_limit_is_inclusive(self):
+        at_limit = "value[0] += num_vehicle\n" * 166 + "value[0] += 1"
+        assert dsl.complexity(dsl.parse(at_limit))[0] == MAX_BODY_NODES
+        assert dsl.validate(dsl.parse(at_limit), ROUTINE).ok
+        over = "value[0] += num_vehicle\n" * 167
+        report = dsl.validate(dsl.parse(over), ROUTINE)
+        assert not report.ok and report.stage == "whitelist"
+        assert report.message == f"body has 501 nodes, more than the limit of {MAX_BODY_NODES}"
+
+    def test_depth_limit_is_inclusive(self):
+        assert dsl.validate(dsl.parse(nested(MAX_BRANCH_DEPTH)), ROUTINE).ok
+        report = dsl.validate(dsl.parse(nested(MAX_BRANCH_DEPTH + 1)), ROUTINE)
+        assert not report.ok and report.stage == "whitelist"
+        assert report.message == f"body nests conditionals 33 deep, more than the limit of {MAX_BRANCH_DEPTH}"
+
+    def test_a_long_straight_line_body_is_refused_before_it_runs(self):
+        line = "value[0] += num_waiting_vehicle * max(1, vehicle_dist) + num_vehicle // 5\n"
+        skill = make_skill(line * 2000)
+        assert len(skill.inlane_code) > 100_000
+        report = dsl.sandbox_check(skill, ROUTINE)
+        assert not report.ok and report.stage == "whitelist"
+        assert report.message.startswith("inlane: body has 18000 nodes")
+
+
+class TestReads:
+    """CompiledBody.reads: (num_vehicle, num_waiting_vehicle,
+    vehicle_dist), each True when the body names it, aliases included."""
+
+    @pytest.mark.parametrize(
+        "code, reads",
+        [
+            ("value[0] += num_waiting_vehicle", (False, True, False)),
+            ("value[0] += inlane_2_vehicle_dist", (False, False, True)),
+            ("value[0] += outlane_0_num_vehicle * index", (True, False, False)),
+            ("value[0] += inlane_1_num_vehicle + num_vehicle", (True, False, False)),
+            ("value[0] += emergency_distance - index", (False, False, False)),
+            ("if vehicle_dist > 3:\n    value[0] += 1\nelse:\n    value[0] += inlane_0_num_waiting_vehicle",
+             (False, True, True)),
+        ],
+    )
+    def test_reads_follow_canonical_names(self, code, reads):
+        assert dsl.compile_body(dsl.parse(code)).reads == reads
+
+    def test_library_bodies(self):
+        flagship = LIBRARY["saturation-branch"]
+        assert dsl.compile_body(dsl.parse(flagship.inlane_code)).reads == (True, True, True)
+        assert dsl.compile_body(dsl.parse(flagship.outlane_code)).reads == (True, False, True)
+        assert dsl.compile_body(dsl.parse(SEED_SKILL.outlane_code)).reads == (False, False, False)
 
 
 class TestSandboxCheck:

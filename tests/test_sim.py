@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import ast
+import gc
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from evosignal.control import FixedTimeController, MaxPressureController
+from evosignal.control import FixedTimeController, MaxPressureController, SkillController
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import (
     Episode,
     JAM_SPACING,
-    LinkState,
+    LaneView,
+    LinkView,
     PhaseDecision,
     StepContext,
     Vehicle,
@@ -30,6 +34,7 @@ from evosignal.sim.network import (
     reachable_exits,
 )
 from evosignal.sim.scenario import load_scenario, scheduled_emergencies
+from evosignal.skills import LIBRARY, SEED_SKILL
 
 from ._reference import ReferenceAccrual, reference_observe
 
@@ -164,6 +169,7 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
     vehicle.queued = True
     vehicle.stopped_since = episode.t
     state.queues[movement].append(vehicle)
+    episode._queued[state.link.dst] += 1
     return vehicle
 
 
@@ -314,6 +320,28 @@ class TestEngine:
             episode.step(serve_blocked_lane)
         assert len(link.queues["s"]) == 0  # served after recovery
 
+    def test_a_queue_behind_a_blockage_forms_behind_the_blocker(self):
+        scenario = make_scenario("I1", rows=2, cols=2, duration=120, demand_scale=0.0, seed=3)
+        incident = replace(scenario.incident, start=1.0, duration=100.0)
+        scenario = replace(scenario, incident=incident, demand={})
+        episode = Episode(scenario)
+        link = episode.links[incident.link]
+        queue = link.queues[incident.movement]
+        for _ in range(2):
+            episode.step({})
+        head = link.blocked_head_pos[incident.movement]
+        for _ in range(3):
+            episode._new_vehicle("normal", episode._straight_route_from(incident.link))
+            for _ in range(4):
+                episode.step({})
+        for _ in range(30):
+            episode.step({})
+        assert len(queue) == 3 and link.blocked
+        for i, vehicle in enumerate(queue):
+            # joined at (head - JAM_SPACING) - (i + 1) * JAM_SPACING or later,
+            # and one step of travel never carries it past the blocker
+            assert head - (i + 2) * JAM_SPACING <= vehicle.pos < head
+
     def test_bus_person_delay_matches_brute_force(self):
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.6, seed=5)
         result = run_episode(scenario, HoldController(), seed=5)
@@ -396,53 +424,107 @@ class DecisionLog:
         return self.inner.decide(ctx)
 
 
-class TestLazyObservation:
+FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
+
+
+class TestLiveViews:
     @pytest.fixture()
-    def observed(self, monkeypatch):
-        """Record Episode.observe calls as (t, intersection), and
-        LinkState.observe calls as link ids with a None at each step."""
-        calls = {"episode": [], "link": []}
-        episode_observe, link_observe, step = Episode.observe, LinkState.observe, Episode.step
+    def reads(self, monkeypatch):
+        """Count every figure read from a view as (view class, figure),
+        and every whole-link gap computed as (t, link id)."""
+        counts = Counter()
+        gaps: list[tuple[int, str]] = []
+        for cls in (LaneView, LinkView):
+            for figure in FIGURES:
+                fget = vars(cls)[figure].fget
 
-        def count_episode(episode, node_id):
-            calls["episode"].append((episode.t, node_id))
-            return episode_observe(episode, node_id)
+                def counted(view, fget=fget, key=(cls.__name__, figure)):
+                    counts[key] += 1
+                    return fget(view)
 
-        def count_link(state):
-            calls["link"].append(state.link.id)
-            return link_observe(state)
+                monkeypatch.setattr(cls, figure, property(counted))
+        compute = LinkView._gap
+        step = Episode.step
+        clock = {"t": 0}
 
-        def mark_step(episode, decisions):
-            calls["link"].append(None)
-            return step(episode, decisions)
+        def counted_gap(view):
+            gaps.append((clock["t"], view._id))
+            return compute(view)
 
-        monkeypatch.setattr(Episode, "observe", count_episode)
-        monkeypatch.setattr(LinkState, "observe", count_link)
-        monkeypatch.setattr(Episode, "step", mark_step)
-        return calls
+        def timed_step(episode, decisions):
+            step(episode, decisions)
+            clock["t"] = episode.t
 
-    def scenario(self):
-        return make_scenario("T1", rows=2, cols=2, duration=300, seed=4)
+        monkeypatch.setattr(LinkView, "_gap", counted_gap)
+        monkeypatch.setattr(Episode, "step", timed_step)
+        return counts, gaps
 
-    def test_fixed_time_never_observes(self, observed):
+    def scenario(self, family="T1"):
+        return make_scenario(family, rows=2, cols=2, duration=300, seed=4)
+
+    def test_fixed_time_reads_no_figure(self, reads):
+        counts, _ = reads
         controller = DecisionLog(FixedTimeController())
         run_episode(self.scenario(), controller)
         assert controller.decided
-        assert observed["episode"] == []
-        assert all(link_id is None for link_id in observed["link"])
+        assert sum(counts.values()) == 0
 
-    def test_max_pressure_observes_once_per_decision(self, observed):
-        controller = DecisionLog(MaxPressureController())
-        run_episode(self.scenario(), controller)
-        assert observed["episode"] == controller.decided
-        # each link is observed at most once between two steps
-        per_step: list[str] = []
-        for link_id in observed["link"] + [None]:
-            if link_id is None:
-                assert len(per_step) == len(set(per_step))
-                per_step = []
-            else:
-                per_step.append(link_id)
+    def test_max_pressure_reads_only_waiting_counts(self, reads):
+        counts, _ = reads
+        run_episode(self.scenario(), MaxPressureController())
+        assert counts[("LaneView", "num_waiting_vehicle")] > 0
+        assert counts[("LinkView", "num_waiting_vehicle")] > 0
+        assert {figure for _, figure in counts} == {"num_waiting_vehicle"}
+
+    def test_seed_skill_reads_neither_count_nor_gap(self, reads):
+        counts, _ = reads
+        result = run_episode(self.scenario(), SkillController(SEED_SKILL))
+        assert result.controller_faults == 0
+        assert set(counts) == {("LaneView", "num_waiting_vehicle")}
+
+    @pytest.mark.parametrize("name", ["saturation-branch", "bus-priority"])
+    def test_each_link_gap_is_computed_once_per_step(self, reads, name):
+        counts, gaps = reads
+        run_episode(self.scenario(), SkillController(LIBRARY[name]))
+        assert counts[("LinkView", "vehicle_dist")] > len(gaps) > 0
+        assert len(gaps) == len(set(gaps))
+
+    @pytest.mark.parametrize("family", ["T1", "I1", "E2"])
+    def test_views_read_after_a_step_see_the_new_state(self, family):
+        # I1's blockage runs from 600 s to 900 s; hold views across it.
+        scenario = make_scenario(family, rows=2, cols=2, duration=700, seed=1)
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        views = {node_id: episode.observe(node_id) for node_id in episode.network.intersection_ids}
+        for _ in range(scenario.duration):
+            episode.step(max_pressure_decisions(episode, controller))
+            if episode.t % 7 == 0 or 595 <= episode.t <= 610:
+                for node_id, held in views.items():
+                    assert episode.observe(node_id) is held
+                    assert_same_observations(held, reference_observe(episode, node_id))
+
+    def test_a_finished_episode_is_freed_without_the_cycle_collector(self):
+        scenario = make_scenario("B2", rows=2, cols=2, duration=120, seed=2)
+        controller = SkillController(LIBRARY["bus-priority"])
+        gc.collect()
+        gc.disable()
+        try:
+            episode = Episode(scenario)
+            while True:
+                decisions = {
+                    node_id: controller.decide(StepContext(episode.t, node_id, episode))
+                    for node_id in episode.network.intersection_ids
+                }
+                if episode.t == scenario.duration:
+                    break
+                episode.step(decisions)
+            assert episode._link_gaps  # gaps read since the last step are held
+            episode.finish()
+            ref = weakref.ref(episode)
+            del episode
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def max_pressure_decisions(episode, controller):

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from evosignal.evolution import EvolutionConfig, run_evolution
 from evosignal.sim import make_scenario
 from evosignal.skills import LIBRARY, SEED_SKILL
+from evosignal import store as store_module
 from evosignal.store import Checkpoint, RunStore, StorageError, UnknownId
 from evosignal.util import canonical_json
 
@@ -127,6 +130,56 @@ class TestCheckpointAndTruncate:
 
 
 STORE_FILES = ("skills.jsonl", "capsules.jsonl", "events.jsonl")
+
+
+class TestShortStore:
+    @pytest.mark.parametrize("lost", ["last", "all"])
+    @pytest.mark.parametrize("name", STORE_FILES)
+    def test_resume_refuses_a_file_missing_checkpointed_records(self, name, lost, two_generations, tmp_path):
+        """After an OS crash a file can lose appends the checkpoint
+        already counts; resuming must refuse, naming the file and both
+        counts, and leave every file as it was."""
+        _, kept, checkpoint = two_generations
+        counts = json.loads(checkpoint)["record_counts"]
+        lines = kept[name].splitlines(keepends=True)
+        assert len(lines) == counts[name] >= 1
+        k = 1 if lost == "last" else len(lines)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "checkpoint.json").write_bytes(checkpoint)
+        files = {other: kept[other] for other in STORE_FILES}
+        files[name] = b"".join(lines[:-k])
+        for other, data in files.items():
+            (run_dir / other).write_bytes(data)
+        with pytest.raises(StorageError) as refused:
+            crash_run(run_dir, resume=True)
+        message = str(refused.value)
+        assert name in message
+        assert f"holds {counts[name] - k} records" in message and f"counts {counts[name]}" in message
+        for other, data in files.items():
+            assert (run_dir / other).read_bytes() == data
+
+    def test_checkpoint_syncs_the_record_files_first(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "run")
+        store.append_event("generated", {"generation": 0})
+        store.append_skill(SEED_SKILL)
+        synced = []
+        real_fsync, real_replace = store_module._fsync, os.replace
+
+        def record_fsync(path):
+            synced.append(Path(path).name)
+            real_fsync(path)
+
+        def record_replace(src, dst):
+            synced.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_module, "_fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        store.write_checkpoint(Checkpoint(1, (0.0,), 0, None, None, 0, store.record_counts(), 2))
+        renamed = synced.index(("replace", "checkpoint.json"))
+        assert sorted(synced[:renamed]) == ["events.jsonl", "skills.jsonl"]
+        assert synced[renamed + 1:] == ["run"]
 
 
 class LastGenerationImproves:
