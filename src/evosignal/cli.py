@@ -19,10 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from . import metrics as met
-from .control import ControllerSpec, drive, run_episodes
+from .control import ControllerSpec, drive, episode_pool, run_episodes
 from .dsl import event_whitelist, sandbox_check
 from .evolution import EvolutionConfig, generation_records, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
+from .sim.engine import Arrivals
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 from .store import RunStore, StorageError, UnknownRun
@@ -200,14 +201,15 @@ def _run_over_seeds(args, command: str, label: str, spec: ControllerSpec) -> int
     with a mean±std row, its manifest, and the optional episode log."""
     scenario = _build_scenario(args.scenario, args)
     seeds = _parse_seeds(args.seeds)
-    tasks = [(spec, scenario, seed) for seed in seeds]
-    if args.episode_log:
-        # The first seed runs here and collects its step log on the way.
-        first = drive(spec, scenario, seed=seeds[0], collect_step_log=True)
-        _write_episode_log(args.episode_log, first.step_log)
-        results = [(first.metrics, first.controller_faults)] + run_episodes(tasks[1:], args.jobs)
-    else:
-        results = run_episodes(tasks, args.jobs)
+    tasks = [(spec, scenario, seed, None) for seed in seeds]
+    with episode_pool(args.jobs, len(tasks)) as pool:
+        if args.episode_log:
+            # The first seed runs here and collects its step log on the way.
+            first = drive(spec, scenario, seed=seeds[0], collect_step_log=True)
+            _write_episode_log(args.episode_log, first.step_log)
+            results = [(first.metrics, first.controller_faults)] + run_episodes(tasks[1:], pool)
+        else:
+            results = run_episodes(tasks, pool)
     rows = _summary_rows(scenario.name, label, seeds, [metrics for metrics, _ in results])
     _write_csv(args.out, _EVAL_HEADER, rows)
     _write_file_manifest(args.out, command, args)
@@ -265,40 +267,48 @@ def cmd_compare(args) -> int:
     header = ["scenario", "metric", "method_a", "method_b", "mean_a", "std_a",
               "mean_b", "std_b", "t", "p", "cohen_d", "dof"]
     rows: list[list] = []
-    for name in args.scenarios.split(","):
-        scenario = _build_scenario(name.strip(), args)
-        # One batch per scenario: every method x seed shares one pool.
-        tasks = [(spec, scenario, seed) for _, spec in methods for seed in seeds]
-        all_metrics = [metrics for metrics, _ in run_episodes(tasks, args.jobs)]
-        samples: dict[str, dict[str, list[float]]] = {}
-        for i, (label, _) in enumerate(methods):
-            results = all_metrics[i * len(seeds):(i + 1) * len(seeds)]
-            per_metric: dict[str, list[float]] = {}
-            for column in METRIC_COLUMNS:
-                values = [getattr(m, column) for m in results]
-                if all(v is not None for v in values):
-                    per_metric[column] = [float(v) for v in values]
-            samples[label] = per_metric
-        for i in range(len(methods)):
-            for j in range(i + 1, len(methods)):
-                label_a, label_b = methods[i][0], methods[j][0]
-                for column in METRIC_COLUMNS:
-                    if column not in samples[label_a] or column not in samples[label_b]:
-                        continue
-                    a = samples[label_a][column]
-                    b = samples[label_b][column]
-                    stat = met.welch_and_cohen(a, b)
-                    rows.append([
-                        scenario.name, column, label_a, label_b,
-                        f"{statistics.mean(a):.4f}",
-                        f"{statistics.stdev(a):.4f}" if len(a) > 1 else "0",
-                        f"{statistics.mean(b):.4f}",
-                        f"{statistics.stdev(b):.4f}" if len(b) > 1 else "0",
-                        f"{stat.t:.4f}", f"{stat.p:.6g}", f"{stat.d:.4f}", f"{stat.dof:.3f}",
-                    ])
+    with episode_pool(args.jobs, len(methods) * len(seeds)) as pool:
+        for name in args.scenarios.split(","):
+            rows.extend(_compare_scenario(_build_scenario(name.strip(), args), methods, seeds, pool))
     _write_csv(args.out, header, rows)
     _write_file_manifest(args.out, "compare", args)
     return 0
+
+
+def _compare_scenario(scenario: ScenarioConfig, methods, seeds: list[int], pool) -> list[list]:
+    """The comparison rows of one scenario. Its episodes run as one
+    batch, and the methods share the traffic of each seed."""
+    arrivals = {seed: Arrivals(scenario, seed) for seed in seeds}
+    tasks = [(spec, scenario, seed, arrivals[seed]) for _, spec in methods for seed in seeds]
+    all_metrics = [metrics for metrics, _ in run_episodes(tasks, pool)]
+    rows: list[list] = []
+    samples: dict[str, dict[str, list[float]]] = {}
+    for i, (label, _) in enumerate(methods):
+        results = all_metrics[i * len(seeds):(i + 1) * len(seeds)]
+        per_metric: dict[str, list[float]] = {}
+        for column in METRIC_COLUMNS:
+            values = [getattr(m, column) for m in results]
+            if all(v is not None for v in values):
+                per_metric[column] = [float(v) for v in values]
+        samples[label] = per_metric
+    for i in range(len(methods)):
+        for j in range(i + 1, len(methods)):
+            label_a, label_b = methods[i][0], methods[j][0]
+            for column in METRIC_COLUMNS:
+                if column not in samples[label_a] or column not in samples[label_b]:
+                    continue
+                a = samples[label_a][column]
+                b = samples[label_b][column]
+                stat = met.welch_and_cohen(a, b)
+                rows.append([
+                    scenario.name, column, label_a, label_b,
+                    f"{statistics.mean(a):.4f}",
+                    f"{statistics.stdev(a):.4f}" if len(a) > 1 else "0",
+                    f"{statistics.mean(b):.4f}",
+                    f"{statistics.stdev(b):.4f}" if len(b) > 1 else "0",
+                    f"{stat.t:.4f}", f"{stat.p:.6g}", f"{stat.d:.4f}", f"{stat.dof:.3f}",
+                ])
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +373,7 @@ def cmd_replay(args) -> int:
     else:
         print(f"run {store.run_id}: {len(events)} events, {len(capsules)} capsules")
     print(
-        f"cost: {ledger.llm_calls} generator calls, {ledger.sim_runs} episodes, "
+        f"cost: {ledger.llm_calls} generator calls, {ledger.sim_runs} evaluations, "
         f"{ledger.wall_clock:.1f}s wall clock"
     )
     return 0

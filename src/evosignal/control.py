@@ -16,7 +16,9 @@ phases were evaluated in.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import events as ev
@@ -24,6 +26,7 @@ from .dsl import EvalError, compile_body, parse
 from .dsl.interpreter import finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
+    Arrivals,
     EpisodeResult,
     PhaseDecision,
     PhaseViews,
@@ -283,25 +286,47 @@ def drive(
     seed: int | None = None,
     *,
     collect_step_log: bool = False,
+    arrivals: Arrivals | None = None,
 ) -> EpisodeResult:
     """Run one episode under a freshly built controller."""
     controller = spec.build()
-    return run_episode(scenario, controller, seed, collect_step_log=collect_step_log)
+    return run_episode(scenario, controller, seed, collect_step_log=collect_step_log, arrivals=arrivals)
 
 
-def _episode_metrics(task: tuple[ControllerSpec, ScenarioConfig, int]) -> tuple[SimulationMetrics, int]:
-    result = drive(*task)
+# (spec, scenario, seed, the Arrivals of (scenario, seed) to share, or None)
+Task = tuple[ControllerSpec, ScenarioConfig, int, Arrivals | None]
+
+
+def _episode_metrics(task: Task) -> tuple[SimulationMetrics, int]:
+    spec, scenario, seed, arrivals = task
+    result = drive(spec, scenario, seed, arrivals=arrivals)
     return result.metrics, result.controller_faults
 
 
-def run_episodes(
-    tasks: list[tuple[ControllerSpec, ScenarioConfig, int]], jobs: int = 1
-) -> list[tuple[SimulationMetrics, int]]:
-    """Run ``(spec, scenario, seed)`` episodes and return each one's
-    metrics and controller-fault count, in task order for any ``jobs``.
-    With ``jobs > 1`` the episodes fan out over worker processes; only
-    the metrics come back, never the vehicle log."""
-    if jobs <= 1 or len(tasks) <= 1:
+@contextmanager
+def episode_pool(jobs: int, largest_batch: int) -> Iterator[futures.Executor | None]:
+    """The worker processes of a run: one pool of ``min(jobs,
+    largest_batch)`` workers for every ``run_episodes`` call, shut down
+    on leaving, also by an exception. None when that is one worker, so
+    the episodes run in this process."""
+    workers = min(jobs, largest_batch)
+    if workers <= 1:
+        yield None
+        return
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def run_episodes(tasks: list[Task], pool: futures.Executor | None = None) -> list[tuple[SimulationMetrics, int]]:
+    """Run ``(spec, scenario, seed, arrivals)`` episodes and return each
+    one's metrics and controller-fault count, in task order with or
+    without a ``pool`` (see ``episode_pool``). Through a pool only the
+    metrics come back, never the vehicle log."""
+    if pool is None or len(tasks) <= 1:
         return [_episode_metrics(task) for task in tasks]
-    with futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_episode_metrics, tasks))
+    # Each task carries a copy of its arrivals to a worker: draw them
+    # here, once, so that no worker draws them again.
+    for _, scenario, _, arrivals in tasks:
+        if arrivals is not None:
+            arrivals.draw_until(scenario.duration)
+    return list(pool.map(_episode_metrics, tasks))

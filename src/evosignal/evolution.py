@@ -7,12 +7,15 @@ on all scenarios, rank, and archive a capsule whenever the best-so-far
 fitness strictly improves. The elite is carried forward as the mutation
 base and the best-so-far floor without re-evaluation, so a run with M
 candidates over G generations costs exactly M*G generator calls and
-M*G*len(scenarios) episodes.
+M*G*len(scenarios) evaluations. Candidates of one generation whose
+parsed bodies are equal share one simulation per scenario, so a run
+simulates at most that many episodes.
 
 Evaluation seeds are fixed per (run seed, scenario) for the whole run:
 every candidate in every generation faces the same episodes, so fitness
 comparisons are real comparisons and a copied elite reproduces its
-fitness exactly.
+fitness exactly. The traffic of each (scenario, seed) is drawn once per
+run (``Arrivals``), and one worker pool serves the whole run.
 
 Everything is checkpointed after each generation; a resumed run replays
 into byte-identical store files.
@@ -26,9 +29,9 @@ from dataclasses import dataclass, replace
 from . import events as ev
 from . import generator as gen
 from . import metrics as met
-from .control import ControllerSpec, run_episodes
-from .dsl import event_whitelist, routine_whitelist
-from .sim.engine import SimulationMetrics
+from .control import ControllerSpec, episode_pool, run_episodes
+from .dsl import event_whitelist, parse, routine_whitelist
+from .sim.engine import Arrivals, SimulationMetrics
 from .sim.scenario import ScenarioConfig
 from .skills import SEED_SKILL, Skill
 from .store import Checkpoint, RunStore
@@ -307,34 +310,51 @@ def _summarize(outcomes: list[EpisodeOutcome]) -> tuple[float, dict[str, float]]
     return mean_fitness, summary
 
 
+def run_arrivals(cfg: EvolutionConfig) -> tuple[Arrivals, ...]:
+    """The traffic every candidate of a run faces: one ``Arrivals`` per
+    scenario, at the run's fixed evaluation seed for it."""
+    return tuple(
+        Arrivals(scenario, mix_seed(cfg.seed, s_index)) for s_index, scenario in enumerate(cfg.scenarios)
+    )
+
+
 def evaluate_generation(
     cfg: EvolutionConfig,
     candidates: list[Skill],
     bank: ev.SkillBank | None,
-    jobs: int = 1,
+    arrivals: tuple[Arrivals, ...],
+    pool=None,
 ) -> list[tuple[float, dict[str, float], list[EpisodeOutcome]]]:
     """Mean fitness, mean headline metrics and per-episode outcomes of
-    each candidate across the config's scenarios. Episodes may run in
-    worker processes; fitness is computed here, and results come back in
-    candidate order regardless of jobs, so the audit trail is identical
-    either way."""
-    seeds = [mix_seed(cfg.seed, s_index) for s_index in range(len(cfg.scenarios))]
+    each candidate across the config's scenarios, whose traffic is
+    ``arrivals`` (see ``run_arrivals``). On that traffic an episode is a
+    function of the candidate's parsed bodies alone (``bank`` is fixed
+    within a call), so candidates with equal parsed (inlane, outlane)
+    bodies run once per scenario and share the outcomes. Episodes may
+    run in ``pool``; fitness is computed here, and results come back in
+    candidate order either way, so the audit trail is identical."""
+    keys = [(parse(c.inlane_code), parse(c.outlane_code)) for c in candidates]
+    index: dict[tuple, int] = {}
+    distinct: list[Skill] = []
+    for candidate, key in zip(candidates, keys):
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(candidate)
     tasks = [
-        (_candidate_spec(cfg, candidate, bank), scenario, seed)
-        for candidate in candidates
-        for scenario, seed in zip(cfg.scenarios, seeds)
+        (_candidate_spec(cfg, candidate, bank), each.scenario, each.seed, each)
+        for candidate in distinct
+        for each in arrivals
     ]
-    outcomes = [
-        _outcome(cfg, scenario, seed, metrics, faults)
-        for (_, scenario, seed), (metrics, faults) in zip(tasks, run_episodes(tasks, jobs))
-    ]
-    per_candidate = []
-    n = len(cfg.scenarios)
-    for i in range(len(candidates)):
-        chunk = outcomes[i * n : (i + 1) * n]
-        fitness, summary = _summarize(chunk)
-        per_candidate.append((fitness, summary, chunk))
-    return per_candidate
+    results = run_episodes(tasks, pool)
+    n = len(arrivals)
+    evaluations = []
+    for i in range(len(distinct)):
+        chunk = [
+            _outcome(cfg, each.scenario, each.seed, metrics, faults)
+            for each, (metrics, faults) in zip(arrivals, results[i * n : (i + 1) * n])
+        ]
+        evaluations.append((*_summarize(chunk), chunk))
+    return [evaluations[index[key]] for key in keys]
 
 
 def dispatcher_context_evaluate(
@@ -354,7 +374,7 @@ def dispatcher_context_evaluate(
         seed=seed,
         fitness_constant=fitness_constant,
     )
-    return evaluate_generation(cfg, [candidate], bank)[0][0]
+    return evaluate_generation(cfg, [candidate], bank, run_arrivals(cfg))[0][0]
 
 
 def run_evolution(
@@ -371,10 +391,23 @@ def run_evolution(
 
     ``stop_after`` ends the session after that many generations with the
     checkpoint intact (simulating an interrupt); ``resume`` picks up from
-    the store's checkpoint; ``jobs`` fans candidate episodes out over
-    worker processes without changing any output byte. Returns the best
-    skill over all generations.
+    the store's checkpoint; ``jobs`` fans candidate episodes out over one
+    pool of worker processes, kept for the whole call, without changing
+    any output byte. Returns the best skill over all generations.
     """
+    with episode_pool(jobs, cfg.population * len(cfg.scenarios)) as pool:
+        return _evolve(cfg, backend, store, bank, stop_after, resume, pool)
+
+
+def _evolve(
+    cfg: EvolutionConfig,
+    backend,
+    store: RunStore,
+    bank: ev.SkillBank | None,
+    stop_after: int | None,
+    resume: bool,
+    pool,
+) -> EvolutionResult:
     started = time.monotonic()
     whitelist = event_whitelist() if cfg.event_kind else routine_whitelist()
     if cfg.event_kind and bank is None:
@@ -392,7 +425,7 @@ def run_evolution(
         checkpoint = store.read_checkpoint()
         if checkpoint is None:
             raise ValueError(f"no checkpoint to resume in {store.run_dir}")
-        store.truncate_to(checkpoint.record_counts)
+        store.truncate_to(checkpoint.record_counts, checkpoint.sequence)
         skills = store.skills()
         start_generation = checkpoint.generations_done
         fitness_history = list(checkpoint.fitness_history)
@@ -413,6 +446,7 @@ def run_evolution(
 
     generations_this_session = 0
     interrupted = False
+    arrivals = run_arrivals(cfg)
 
     for g in range(start_generation, cfg.generations):
         if stop_after is not None and generations_this_session >= stop_after:
@@ -466,7 +500,7 @@ def run_evolution(
             draft.with_lineage(id=f"g{g:03d}c{i}", parent_id=elite.id, generation=g)
             for i, draft in enumerate(drafts)
         ]
-        evaluations = evaluate_generation(cfg, candidates, bank, jobs=jobs)
+        evaluations = evaluate_generation(cfg, candidates, bank, arrivals, pool)
 
         gen_best: Skill | None = None
         gen_best_fitness = NEG_INFINITY

@@ -136,7 +136,9 @@ class CostLedger:
 def cost_ledger(events, wall_clock: float = 0.0) -> CostLedger:
     """Search-cost accounting from the audit trail: one `generated`
     event per generator invocation (retries included), one `evaluated`
-    event per episode."""
+    event per candidate and scenario. ``sim_runs`` counts those
+    evaluations; candidates of a generation with equal parsed bodies
+    share one simulated episode, so fewer may have been simulated."""
     calls = 0
     runs = 0
     for event in events:

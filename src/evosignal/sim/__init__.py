@@ -1,6 +1,7 @@
 """Deterministic point-queue grid traffic simulation."""
 
 from .engine import (
+    Arrivals,
     Episode,
     EpisodeResult,
     PhaseDecision,
@@ -21,6 +22,7 @@ from .scenario import (
 )
 
 __all__ = [
+    "Arrivals",
     "build_network",
     "BusLine",
     "ConfigError",

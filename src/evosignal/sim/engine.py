@@ -7,7 +7,10 @@ all-red transition, and a new phase must hold green for at least 5 s
 before the next change (the handcrafted preemption override is the one
 exception). An episode is fully determined by (scenario, controller,
 seed): arrivals are Poisson draws and routes are choices from a single
-seeded generator consumed in a fixed order.
+seeded generator consumed in a fixed order. No signal decision reaches
+that generator, so the vehicles entering at each step are a function of
+(scenario, seed) alone: ``Arrivals`` holds them, and every episode of
+one (scenario, seed) may spawn from the same ``Arrivals``.
 
 Model constants follow common microsimulation practice: 7.5 m jam
 spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
@@ -349,15 +352,111 @@ class StepContext:
         )
 
 
+# The vehicles entering at one step, as (vclass, route) pairs.
+StepArrivals = tuple[tuple[str, tuple[str, ...]], ...]
+
+
+class Arrivals:
+    """The vehicles that enter the episodes of one (scenario, seed). For
+    each step: the Poisson arrivals of every entry link in link order,
+    then the emergency vehicles and buses scheduled by then, each as a
+    (vclass, route) pair. Steps are drawn from the seeded generator on
+    first request and kept, so episodes sharing an ``Arrivals`` draw each
+    step once. This is the only user of the generator. A pickled copy
+    carries the generator's state and the steps drawn so far, and draws
+    the same stream past them."""
+
+    def __init__(self, scenario: ScenarioConfig, seed: int | None = None):
+        self.scenario = scenario
+        self.seed = scenario.seed if seed is None else seed
+        self.network = scenario.build_network()
+        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self._exits: dict[str, tuple[str, ...]] = {}
+        self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
+        self._emergency_times = scheduled_emergencies(scenario)
+        self._next_emergency = 0
+        # Per bus line: its route (None if it has none) and departures.
+        self._bus_times = tuple(
+            (self._route(line.entry_link, line.exit_link), scheduled_bus_departures(scenario, line))
+            for line in scenario.bus_lines
+        )
+        self._next_bus = [0] * len(self._bus_times)
+        self._steps: list[StepArrivals] = []
+
+    def at(self, t: int) -> StepArrivals:
+        """The vehicles entering at step ``t``."""
+        if t >= len(self._steps):
+            self.draw_until(t + 1)
+        return self._steps[t]
+
+    def draw_until(self, end: int) -> None:
+        """Draw every step before ``end`` that is not drawn yet."""
+        steps = self._steps
+        while len(steps) < end:
+            steps.append(self._draw(len(steps)))
+
+    def _route(self, entry_link: str, exit_link: str) -> tuple[str, ...] | None:
+        key = (entry_link, exit_link)
+        if key not in self._routes:
+            route = canonical_route(self.network, entry_link, exit_link)
+            self._routes[key] = None if route is None else tuple(route)
+        return self._routes[key]
+
+    def _sample_route(self, entry_link: str) -> tuple[str, ...]:
+        exits = self._exits.get(entry_link)
+        if exits is None:
+            exits = self._exits[entry_link] = reachable_exits(self.network, entry_link)
+        return self._route(entry_link, exits[int(self._rng.integers(len(exits)))])
+
+    def _draw(self, t: int) -> StepArrivals:
+        rng = self._rng
+        entry_links = self.network.entry_links
+        entering = []
+        for entry_link in entry_links:
+            rate = self.scenario.rate_at(entry_link, t)
+            if rate <= 0:
+                continue
+            for _ in range(int(rng.poisson(rate))):
+                entering.append(("normal", self._sample_route(entry_link)))
+        times = self._emergency_times
+        while self._next_emergency < len(times) and times[self._next_emergency] <= t:
+            self._next_emergency += 1
+            entry_link = entry_links[int(rng.integers(len(entry_links)))]
+            entering.append(("emergency", self._sample_route(entry_link)))
+        for i, (route, times) in enumerate(self._bus_times):
+            while self._next_bus[i] < len(times) and times[self._next_bus[i]] <= t:
+                self._next_bus[i] += 1
+                if route is not None:
+                    entering.append(("bus", route))
+        return tuple(entering)
+
+
 class Episode:
     """Mutable state of one simulation run. Confine an instance to a
-    single thread; run several instances concurrently instead."""
+    single thread; run several instances concurrently instead. Vehicles
+    enter from ``arrivals``, built here when none is given; one given
+    must be drawn for this scenario and seed."""
 
-    def __init__(self, scenario: ScenarioConfig, seed: int | None = None, collect_step_log: bool = False):
+    def __init__(
+        self,
+        scenario: ScenarioConfig,
+        seed: int | None = None,
+        collect_step_log: bool = False,
+        arrivals: Arrivals | None = None,
+    ):
         self.scenario = scenario
-        self.network = scenario.build_network()
         self.seed = scenario.seed if seed is None else seed
-        self.rng = np.random.Generator(np.random.PCG64(self.seed))
+        if arrivals is None:
+            arrivals = Arrivals(scenario, self.seed)
+        elif arrivals.seed != self.seed or (
+            arrivals.scenario is not scenario and arrivals.scenario != scenario
+        ):
+            raise ValueError(
+                f"arrivals of scenario {arrivals.scenario.name!r} seed {arrivals.seed} cannot "
+                f"feed an episode of scenario {scenario.name!r} seed {self.seed}"
+            )
+        self.arrivals = arrivals
+        self.network = arrivals.network
         self.t = 0
         self.links: dict[str, LinkState] = {
             link_id: LinkState(link) for link_id, link in sorted(self.network.links.items())
@@ -378,12 +477,7 @@ class Episode:
         self._per_step_delays: list[float] = []
         self._total_wait = 0.0
         self._incident_vehicle: Vehicle | None = None
-        self._emergency_times = list(scheduled_emergencies(scenario))
-        self._bus_times = [
-            (line, list(scheduled_bus_departures(scenario, line))) for line in scenario.bus_lines
-        ]
         self._window_wait = 0.0
-        self._reachable_cache: dict[str, tuple[str, ...]] = {}
         # Whole-link gaps read this step, by link id; shared by the views.
         self._link_gaps: dict[str, float] = {}
         lane_views = {
@@ -442,34 +536,6 @@ class Episode:
         nxt = self.network.links[route[leg + 1]]
         return turn_movement(link.direction, nxt.direction)
 
-    def _sample_route(self, entry_link: str) -> tuple[str, ...]:
-        exits = self._reachable_cache.get(entry_link)
-        if exits is None:
-            exits = reachable_exits(self.network, entry_link)
-            self._reachable_cache[entry_link] = exits
-        choice = exits[int(self.rng.integers(len(exits)))]
-        return tuple(canonical_route(self.network, entry_link, choice))
-
-    def _spawn_arrivals(self) -> None:
-        for entry_link in self.network.entry_links:
-            rate = self.scenario.rate_at(entry_link, self.t)
-            if rate <= 0:
-                continue
-            for _ in range(int(self.rng.poisson(rate))):
-                self._new_vehicle("normal", self._sample_route(entry_link))
-
-    def _spawn_scheduled(self) -> None:
-        while self._emergency_times and self._emergency_times[0] <= self.t:
-            self._emergency_times.pop(0)
-            entry = self.network.entry_links[int(self.rng.integers(len(self.network.entry_links)))]
-            self._new_vehicle("emergency", self._sample_route(entry))
-        for line, times in self._bus_times:
-            while times and times[0] <= self.t:
-                times.pop(0)
-                route = canonical_route(self.network, line.entry_link, line.exit_link)
-                if route is not None:
-                    self._new_vehicle("bus", tuple(route))
-
     def _straight_route_from(self, link_id: str) -> tuple[str, ...]:
         """Continue straight from a link until the network boundary."""
         route = [link_id]
@@ -526,8 +592,8 @@ class Episode:
         """Advance one second. ``decisions`` maps intersection id to the
         requested phase (None or current phase holds)."""
         self._link_gaps.clear()
-        self._spawn_arrivals()
-        self._spawn_scheduled()
+        for vclass, route in self.arrivals.at(self.t):
+            self._new_vehicle(vclass, route)
         self._update_incident()
         self._apply_decisions(decisions)
         self._serve_green()
@@ -773,14 +839,16 @@ def run_episode(
     seed: int | None = None,
     *,
     collect_step_log: bool = False,
+    arrivals: Arrivals | None = None,
 ) -> EpisodeResult:
     """Run a full episode under a controller.
 
     The controller must provide ``decide(ctx: StepContext) ->
     PhaseDecision | None`` and may provide ``reset(network)``. Identical
-    (scenario, controller, seed) triples produce bit-identical results.
+    (scenario, controller, seed) triples produce bit-identical results,
+    whether or not the episode spawns from a shared ``arrivals``.
     """
-    episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log)
+    episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log, arrivals=arrivals)
     if hasattr(controller, "reset"):
         controller.reset(episode.network)
     for _ in range(scenario.duration):

@@ -64,6 +64,29 @@ def _require_positive(value: float, what: str) -> None:
         raise ConfigError(f"{what} must be a positive finite number, got {value}")
 
 
+def _number(value, what: str, kind: type = float):
+    """``value`` as a ``kind`` (float or int); ConfigError if it is not one."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _rate(value, what: str) -> float:
+    """An arrival rate: a finite number, zero or more."""
+    rate = _number(value, what)
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ConfigError(f"{what} must be a finite number, zero or more, got {value}")
+    return rate
+
+
+def _require_type(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "a mapping"
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class IncidentInjection:
     start: float
@@ -291,35 +314,45 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"scenario file {path}: '{key}' must be a mapping")
 
     grid = raw.get("grid") or {}
-    rows = int(grid.get("rows", 4))
-    cols = int(grid.get("cols", 4))
-    link_length = float(grid.get("link_length", 300.0))
-    duration = int(raw.get("duration", DEFAULT_DURATION))
+    rows = _number(grid.get("rows", 4), "grid rows", int)
+    cols = _number(grid.get("cols", 4), "grid cols", int)
+    link_length = _number(grid.get("link_length", 300.0), "grid link_length")
+    duration = _number(raw.get("duration", DEFAULT_DURATION), "duration", int)
     network = build_network(rows, cols, link_length)
 
     demand_spec = raw.get("demand") or {}
-    default_rate = float(demand_spec.get("default_rate", 0.0))
+    default_rate = _rate(demand_spec.get("default_rate", 0.0), "demand default_rate")
     demand: dict[str, RateProfile] = {
         link_id: _flat(default_rate) for link_id in network.entry_links
     }
-    for source in demand_spec.get("sources", []) or []:
-        link_id = source["link"]
+    for source in _require_type(demand_spec.get("sources") or [], list, "demand sources"):
+        link_id = _require_type(source, dict, "a demand source")["link"]
         if link_id not in network.links or network.links[link_id].kind != "entry":
             raise ConfigError(f"demand source {link_id!r} is not an entry link")
-        demand[link_id] = tuple((float(t), float(rate)) for t, rate in source["profile"])
+        profile = []
+        for piece in _require_type(source["profile"], list, f"the profile of {link_id}"):
+            if not (isinstance(piece, list) and len(piece) == 2):
+                raise ConfigError(f"a profile piece of {link_id} must be [start, rate], got {piece!r}")
+            start = _number(piece[0], f"a profile start of {link_id}")
+            profile.append((start, _rate(piece[1], f"a profile rate of {link_id}")))
+        demand[link_id] = tuple(profile)
 
     events = raw.get("events", {}) or {}
+    for key, value in events.items():
+        _require_type(value, dict, f"events '{key}'")
     emergency = None
     if "emergency" in events:
-        emergency = EmergencyInjection(period=float(events["emergency"]["period"]))
+        emergency = EmergencyInjection(period=_number(events["emergency"]["period"], "emergency period"))
     bus_lines: tuple[BusLine, ...] = ()
     if "bus_lines" in events:
         spec = events["bus_lines"]
-        bus_lines = _stock_bus_lines(network, int(spec["count"]), float(spec["headway"]))
+        count = _number(spec["count"], "bus_lines count", int)
+        bus_lines = _stock_bus_lines(network, count, _number(spec["headway"], "bus_lines headway"))
     incident = None
     if "incident" in events:
         spec = events["incident"]
-        incident = _stock_incident(network, float(spec["start"]), float(spec["duration"]))
+        start, length = _number(spec["start"], "incident start"), _number(spec["duration"], "incident duration")
+        incident = _stock_incident(network, start, length)
 
     return ScenarioConfig(
         name=str(raw["name"]),
@@ -331,7 +364,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         emergency=emergency,
         bus_lines=bus_lines,
         incident=incident,
-        fitness_constant=float(raw.get("fitness_constant", 0.0)),
-        seed=int(raw.get("seed", 0)),
+        fitness_constant=_number(raw.get("fitness_constant", 0.0), "fitness_constant"),
+        seed=_number(raw.get("seed", 0), "seed", int),
         family=None,
     )

@@ -235,12 +235,14 @@ class RunStore:
         with open(path, "r", encoding="utf-8") as handle:
             return Checkpoint.from_dict(json.load(handle))
 
-    def truncate_to(self, record_counts: dict[str, int]) -> None:
+    def truncate_to(self, record_counts: dict[str, int], sequence: int) -> None:
         """Drop any records appended after a checkpoint (a partially
         completed generation) and any torn last line, so resume
         continues from a clean edge. A file holding fewer records than
-        the checkpoint counts lost records the run already relied on:
-        that raises StorageError before any file changes. A file is
+        the checkpoint counts lost records the run already relied on,
+        and kept records whose highest ``seq`` is not the checkpoint's
+        ``sequence`` are not the records it was written after: either
+        raises StorageError before any file changes. A file is
         rewritten through a temporary file and a rename, so a crash here
         leaves either the old or the new content."""
         records = {name: self._read_file(name) for name in record_counts}
@@ -251,6 +253,16 @@ class RunStore:
                     f"checkpoint counts {keep}; refusing to resume from a store "
                     "shorter than its checkpoint"
                 )
+        last = max(
+            (int(r.get("seq", 0)) for name, keep in record_counts.items() for r in records[name][:keep]),
+            default=0,
+        )
+        if last != sequence:
+            raise StorageError(
+                f"the records of {self.run_dir} that its checkpoint counts end at sequence "
+                f"{last}, but the checkpoint was written at sequence {sequence}; refusing "
+                "to resume from a store that does not match its checkpoint"
+            )
         for name, keep in record_counts.items():
             path = self._path(name)
             kept = "".join(canonical_json(r) + "\n" for r in records[name][:keep])

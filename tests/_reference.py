@@ -7,7 +7,9 @@ counter, a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
 counts and extremes from live views when they are asked for), and the
 per-vehicle, per-second wait accrual (the
-package banks a wait when it ends). They exist so the main
+package banks a wait when it ends), and the arrival stream drawn step by
+step with every route searched again (the package draws it once into an
+``Arrivals`` and caches routes). They exist so the main
 implementations have something to disagree with.
 """
 
@@ -22,7 +24,16 @@ from evosignal.dsl import nodes
 from evosignal.dsl.interpreter import EvalError
 from evosignal.dsl.whitelist import canonical_binding
 from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING
-from evosignal.sim.network import NUM_PHASES, PHASE_TABLE, heading_after, opposite, phase_of
+from evosignal.sim.network import (
+    NUM_PHASES,
+    PHASE_TABLE,
+    canonical_route,
+    heading_after,
+    opposite,
+    phase_of,
+    reachable_exits,
+)
+from evosignal.sim.scenario import scheduled_bus_departures, scheduled_emergencies
 
 
 def _apply_binop(op: str, left, right):
@@ -381,3 +392,37 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
             level = min(3, int((current - threshold) / band)) if band > 0 else 3
             events.append(("congestion", {"congestion_level": float(level)}))
     return events
+
+
+def reference_arrivals(scenario, seed: int, steps: int) -> list[tuple]:
+    """The (vclass, route) pairs entering at each of the first ``steps``
+    steps. Per step: for each entry link a Poisson count, then a uniform
+    reachable exit per vehicle; then each emergency due, an entry link
+    and then its exit; then each bus due on a line with a route."""
+    network = scenario.build_network()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    emergencies = list(scheduled_emergencies(scenario))
+    buses = [(line, list(scheduled_bus_departures(scenario, line))) for line in scenario.bus_lines]
+
+    def route_from(entry):
+        exits = reachable_exits(network, entry)
+        return tuple(canonical_route(network, entry, exits[int(rng.integers(len(exits)))]))
+
+    drawn = []
+    for t in range(steps):
+        step = []
+        for entry in network.entry_links:
+            rate = scenario.rate_at(entry, t)
+            if rate > 0:
+                step.extend(("normal", route_from(entry)) for _ in range(int(rng.poisson(rate))))
+        while emergencies and emergencies[0] <= t:
+            emergencies.pop(0)
+            step.append(("emergency", route_from(network.entry_links[int(rng.integers(len(network.entry_links)))])))
+        for line, times in buses:
+            while times and times[0] <= t:
+                times.pop(0)
+                route = canonical_route(network, line.entry_link, line.exit_link)
+                if route is not None:
+                    step.append(("bus", tuple(route)))
+        drawn.append(tuple(step))
+    return drawn

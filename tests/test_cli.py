@@ -260,6 +260,14 @@ MALFORMED_SCENARIOS = {
     "nan-link-length": "name: x\ngrid: {link_length: .nan}\n",
     "inf-link-length": "name: x\ngrid: {link_length: .inf}\n",
     "zero-link-length": "name: x\ngrid: {link_length: 0}\n",
+    "profile-not-a-list": 'name: x\ndemand: {sources: [{link: "tN_0_0>x0_0", profile: 5}]}\n',
+    "sources-not-a-list": 'name: x\ndemand: {sources: {link: "tN_0_0>x0_0"}}\n',
+    "event-not-a-mapping": "name: x\nduration: 60\nevents: {emergency: 5}\n",
+    "negative-default-rate": "name: x\ndemand: {default_rate: -3}\n",
+    "nan-profile-rate": 'name: x\ndemand: {sources: [{link: "tN_0_0>x0_0", profile: [[0, 0.1], [30, .nan]]}]}\n',
+    "rows-a-list": "name: x\ngrid: {rows: [1]}\n",
+    "infinite-rows": "name: x\ngrid: {rows: .inf}\n",
+    "period-a-list": "name: x\nduration: 60\nevents:\n  emergency: {period: [120]}\n",
 }
 
 
@@ -297,3 +305,23 @@ class TestResumeRefusal:
         assert main(base + ["--resume"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "events.jsonl" in err and "shorter than its checkpoint" in err
+
+    def test_a_checkpoint_of_another_sequence_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        base = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "3",
+                "--seed", "5", "--out", str(out)]
+        assert main(base + ["--stop-after", "1"]) == 0
+        path = out / "checkpoint.json"
+        checkpoint = json.loads(path.read_text())
+        sequence = checkpoint["sequence"]
+        checkpoint["sequence"] = sequence + 1
+        path.write_text(json.dumps(checkpoint))
+        # the command rewrites its manifest; the store must stay as it is
+        stored = ("skills.jsonl", "capsules.jsonl", "events.jsonl", "checkpoint.json")
+        before = {name: (out / name).read_bytes() for name in stored}
+        capsys.readouterr()
+        assert main(base + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"sequence {sequence}," in err and f"sequence {sequence + 1};" in err
+        assert {name: (out / name).read_bytes() for name in stored} == before

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from concurrent import futures
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +15,15 @@ from evosignal.control import (
     ControllerSpec,
     FixedTimePlan,
     drive,
+    episode_pool,
     max_pressure,
+    run_episodes,
     score_phases,
 )
 from evosignal.dsl import EvalError, parse
 from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import run_episode
+from evosignal.sim.engine import Arrivals, run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
 from ._reference import LaneObservation, reference_score_phases
@@ -292,3 +297,44 @@ class TestDrive:
         blind = drive(ControllerSpec("max_pressure"), scenario, seed=2)
         assert handcrafted.metrics.emergency_delay is not None
         assert handcrafted.metrics.emergency_delay < blind.metrics.emergency_delay
+
+
+class TestEpisodePool:
+    def test_src_constructs_a_process_pool_in_one_place(self):
+        source = Path(__file__).resolve().parents[1] / "src" / "evosignal"
+        sites = []
+        for path in sorted(source.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "ProcessPoolExecutor":
+                        sites.append(path.name)
+        assert sites == ["control.py"]
+
+    @pytest.mark.parametrize("jobs, largest_batch", [(1, 8), (4, 1), (0, 3)])
+    def test_one_worker_runs_in_this_process(self, jobs, largest_batch):
+        with episode_pool(jobs, largest_batch) as pool:
+            assert pool is None
+
+    def test_the_pool_has_at_most_one_worker_per_task_and_is_shut_down_on_an_error(self):
+        with pytest.raises(KeyError):
+            with episode_pool(8, 3) as pool:
+                assert pool._max_workers == 3
+                raise KeyError("stop")
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pool.submit(int)
+
+    def test_a_pool_and_shared_arrivals_do_not_change_a_result(self):
+        scenario = make_scenario("E2", rows=2, cols=2, duration=200, seed=1)
+        arrivals = {seed: Arrivals(scenario, seed) for seed in (3, 4)}
+        specs = [ControllerSpec("max_pressure"), ControllerSpec("skill", skill=SEED_SKILL)]
+        fresh = [(spec, scenario, seed, None) for spec in specs for seed in (3, 4)]
+        shared = [(spec, scenario, seed, arrivals[seed]) for spec in specs for seed in (3, 4)]
+        want = run_episodes(fresh)
+        with episode_pool(2, len(shared)) as pool:
+            assert run_episodes(shared, pool) == want
+            # the tasks were drawn here before they went to the workers
+            assert all(len(a._steps) == scenario.duration for a in arrivals.values())
+            assert run_episodes(fresh, pool) == want
+        assert run_episodes(shared) == want

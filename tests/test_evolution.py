@@ -4,6 +4,7 @@ checkpoint/resume, and dispatcher-context evaluation."""
 from __future__ import annotations
 
 import json
+from concurrent import futures
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +20,16 @@ from evosignal.evolution import (
     NotAnImprovement,
     direction_text,
     dispatcher_context_evaluate,
+    evaluate_generation,
     extract_signals,
+    run_arrivals,
     run_evolution,
     solidify,
 )
 from evosignal.generator import EliteCopyBackend, ScriptedBackend
 from evosignal.metrics import cost_ledger
 from evosignal.sim import make_scenario
-from evosignal.skills import LIBRARY, SEED_SKILL
+from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 from evosignal.store import RunStore
 from evosignal.util import percentile
 
@@ -266,6 +269,170 @@ class TestRunEvolution:
             run_evolution(cfg, backend, RunStore(run_dir, run_id="r"), jobs=jobs)
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
+
+
+def body_skill(i, inlane, outlane="value[0] += 0"):
+    return Skill(id=f"c{i}", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
+
+
+@pytest.fixture()
+def simulations(monkeypatch):
+    """The (scenario, seed) of every episode simulated in this process."""
+    from evosignal import control
+
+    runs = []
+    real = control.run_episode
+
+    def counting(scenario, controller, seed=None, **kwargs):
+        runs.append((scenario.name, seed))
+        return real(scenario, controller, seed, **kwargs)
+
+    monkeypatch.setattr(control, "run_episode", counting)
+    return runs
+
+
+QUEUE = "value[0] += num_waiting_vehicle"
+SPACED_QUEUE = "value[0]  +=  num_waiting_vehicle  \n\n"
+FAULTING = "value[0] += 1 / num_waiting_vehicle"
+
+
+class TestDistinctCandidates:
+    """Candidates of a generation with equal parsed bodies are simulated
+    once per scenario and share the outcomes."""
+
+    CFG = EvolutionConfig(
+        scenarios=(desk_scenario(duration=120), make_scenario("T2", rows=1, cols=1, duration=120, seed=5)),
+        population=4,
+        seed=8,
+    )
+
+    def evaluate(self, candidates):
+        return evaluate_generation(self.CFG, candidates, None, run_arrivals(self.CFG))
+
+    def test_copies_and_a_whitespace_variant_run_once_per_scenario(self, simulations):
+        candidates = [body_skill(0, QUEUE), body_skill(1, QUEUE), body_skill(2, QUEUE),
+                      body_skill(3, SPACED_QUEUE)]
+        evaluations = self.evaluate(candidates)
+        assert len(simulations) == len(self.CFG.scenarios)
+        assert all(e == evaluations[0] for e in evaluations)
+        simulations.clear()
+        assert self.evaluate(candidates[3:]) == evaluations[:1]
+
+    def test_a_one_token_change_is_a_miss(self, simulations):
+        candidates = [body_skill(0, QUEUE), body_skill(1, "value[0] += num_vehicle"),
+                      body_skill(2, QUEUE, "value[0] -= 0")]
+        evaluations = self.evaluate(candidates)
+        assert len(simulations) == 3 * len(self.CFG.scenarios)
+        for candidate, evaluation in zip(candidates, evaluations):
+            assert self.evaluate([candidate]) == [evaluation]
+
+    def test_a_faulting_duplicate_records_its_siblings_faults(self, tmp_path, simulations):
+        class Drafts:
+            """A faulting body, a sound one, then the faulting body again."""
+
+            calls = 0
+
+            def propose(self, request):
+                inlane = (FAULTING, QUEUE, FAULTING.replace(" ", "  "))[self.calls % 3]
+                self.calls += 1
+                return json.dumps({"description": "d", "guidance": "g",
+                                   "inlane_code": inlane, "outlane_code": "value[0] += 0"})
+
+        cfg = EvolutionConfig(scenarios=self.CFG.scenarios, population=3, generations=1, seed=8)
+        store = RunStore(tmp_path / "run")
+        run_evolution(cfg, Drafts(), store)
+        assert len(simulations) == 2 * len(cfg.scenarios)
+        evaluated = [e for e in store.events() if e["event"] == "evaluated"]
+        faults = {(e["skill_id"], e["scenario"]): (e["faults"], e["fitness"]) for e in evaluated}
+        for scenario in cfg.scenarios:
+            assert faults["g000c0", scenario.name] == faults["g000c2", scenario.name]
+            assert faults["g000c0", scenario.name][0] > 0 and faults["g000c0", scenario.name][1] is None
+            assert faults["g000c1", scenario.name][0] == 0
+
+
+class RepeatingBackend:
+    """Drafts cycling through a few bodies, two of them equal up to
+    whitespace, so every generation holds duplicates."""
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+        self.calls = 0
+
+    def propose(self, request) -> str:
+        inlane, outlane = self.bodies[self.calls % len(self.bodies)]
+        self.calls += 1
+        return json.dumps({"description": "d", "guidance": "g",
+                           "inlane_code": inlane, "outlane_code": outlane})
+
+
+ROUTINE_BODIES = [
+    (QUEUE, "value[0] += 0"),
+    ("value[0] += num_vehicle", "value[0] -= num_waiting_vehicle"),
+    (SPACED_QUEUE, "value[0] += 0"),
+    ("value[0] += 2 * num_waiting_vehicle", "value[0] += 0"),
+    (QUEUE, "value[0] +=   0"),
+]
+TRANSIT_BODIES = [
+    ("value[0] += num_waiting_vehicle + bus_count", "value[0] += 0"),
+    ("value[0] += num_waiting_vehicle  +  bus_count", "value[0] += 0"),
+    ("value[0] += num_vehicle + 3 * bus_count", "value[0] -= num_waiting_vehicle"),
+]
+
+
+class TestSharedWork:
+    """Duplicates, shared arrivals and the run-long pool change no byte."""
+
+    @pytest.mark.parametrize("mode", ["routine", "transit"])
+    def test_a_run_with_duplicates_writes_the_same_bytes_with_one_or_two_jobs(self, mode, tmp_path, simulations):
+        if mode == "routine":
+            scenarios, bodies = (desk_scenario(duration=120), desk_scenario(seed=6, duration=120)), ROUTINE_BODIES
+        else:
+            scenarios = (make_scenario("B1", rows=2, cols=2, duration=200, demand_scale=0.5, seed=3),)
+            bodies = TRANSIT_BODIES
+        cfg = EvolutionConfig(scenarios=scenarios, population=4, generations=3, mode=mode, seed=2)
+        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        run_evolution(cfg, RepeatingBackend(bodies), RunStore(serial_dir, run_id="r"), jobs=1)
+        evaluations = len([e for e in RunStore(serial_dir).events() if e["event"] == "evaluated"])
+        assert evaluations == 4 * 3 * len(scenarios)
+        assert len(simulations) < evaluations  # duplicates were simulated once
+        run_evolution(cfg, RepeatingBackend(bodies), RunStore(parallel_dir, run_id="r"), jobs=2)
+        for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
+            assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        from evosignal import control
+
+        made = []
+
+        class Recording(futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(control.futures, "ProcessPoolExecutor", Recording)
+        return made
+
+    def test_a_run_opens_one_pool_and_shuts_it_down(self, tmp_path, pools):
+        cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=3, generations=3, seed=4)
+        run_evolution(cfg, ScriptedBackend(seed=4), RunStore(tmp_path / "run"), jobs=8, stop_after=2)
+        assert len(pools) == 1 and pools[0]._max_workers == 3
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pools[0].submit(int)
+
+    def test_a_failing_run_shuts_its_pool_down(self, tmp_path, pools):
+        class FailsInGenerationTwo(RepeatingBackend):
+            def propose(self, request):
+                if self.calls == 4:
+                    raise OSError("backend gone")
+                return super().propose(request)
+
+        cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=2, generations=3, seed=4)
+        with pytest.raises(OSError, match="backend gone"):
+            run_evolution(cfg, FailsInGenerationTwo(ROUTINE_BODIES), RunStore(tmp_path / "run"), jobs=2)
+        assert len(pools) == 1
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pools[0].submit(int)
 
 
 class TestDispatcherContext:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import math
+import pickle
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +16,7 @@ import pytest
 from evosignal.control import FixedTimeController, MaxPressureController, SkillController
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import (
+    Arrivals,
     Episode,
     JAM_SPACING,
     LaneView,
@@ -36,7 +38,7 @@ from evosignal.sim.network import (
 from evosignal.sim.scenario import load_scenario, scheduled_emergencies
 from evosignal.skills import LIBRARY, SEED_SKILL
 
-from ._reference import ReferenceAccrual, reference_observe
+from ._reference import ReferenceAccrual, reference_arrivals, reference_observe
 
 
 class HoldController:
@@ -617,3 +619,78 @@ class TestSortedHistory:
                 assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])
         history = episode.queue_history["x1_0"]
         assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])
+
+
+def vehicles_under(controller, scenario, seed, arrivals=None):
+    """(id, vclass, entry_time, route) of every vehicle of one episode,
+    and its metrics."""
+    episode = Episode(scenario, seed, arrivals=arrivals)
+    for _ in range(scenario.duration):
+        episode.step(max_pressure_decisions(episode, controller))
+    vehicles = [(v.id, v.vclass, v.entry_time, v.route) for v in episode.vehicles]
+    return vehicles, episode.finish().metrics
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("family, seed", [("T3", 0), ("V1", 3), ("E2", 1), ("B2", 2), ("M1", 4)])
+    def test_draws_the_stream_of_the_reference(self, family, seed):
+        scenario = make_scenario(family, rows=2, cols=3, duration=900, seed=seed)
+        arrivals = Arrivals(scenario)
+        assert [arrivals.at(t) for t in range(900)] == reference_arrivals(scenario, seed, 900)
+
+    @pytest.mark.parametrize("family", ["T3", "E2", "B2", "M1"])
+    def test_fixed_time_and_max_pressure_see_the_same_vehicles(self, family):
+        scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=4)
+        fixed, fixed_metrics = vehicles_under(FixedTimeController(), scenario, 4)
+        pressure, pressure_metrics = vehicles_under(MaxPressureController(), scenario, 4)
+        assert fixed == pressure
+        assert fixed_metrics != pressure_metrics  # the signals did differ
+        scheduled = {"E2": "emergency", "B2": "bus", "M1": "emergency"}.get(family, "normal")
+        assert {"normal", scheduled} <= {vclass for _, vclass, _, _ in fixed}
+
+    @pytest.mark.parametrize("family", ["E2", "B2"])
+    def test_a_pickled_partly_drawn_copy_continues_the_stream(self, family):
+        scenario = make_scenario(family, rows=2, cols=2, duration=600, seed=1)
+        fresh = Arrivals(scenario, 8)
+        partly = Arrivals(scenario, 8)
+        partly.draw_until(250)
+        copy = pickle.loads(pickle.dumps(partly))
+        want = [fresh.at(t) for t in range(700)]
+        assert [copy.at(t) for t in range(699, -1, -1)][::-1] == want
+        assert [partly.at(t) for t in range(700)] == want
+        assert sum(map(len, want[250:])) > 0
+
+    def test_a_shared_arrivals_gives_the_episodes_of_a_fresh_one(self):
+        scenario = make_scenario("M1", rows=2, cols=2, duration=900, seed=2)
+        shared = Arrivals(scenario, 5)
+        for controller in (MaxPressureController(), FixedTimeController(), SkillController(SEED_SKILL)):
+            assert run_episode(scenario, controller, 5, arrivals=shared) == run_episode(scenario, controller, 5)
+
+    def test_an_episode_refuses_arrivals_of_another_scenario_or_seed(self):
+        scenario = make_scenario("T1", rows=2, cols=2, duration=60, seed=2)
+        with pytest.raises(ValueError, match="seed 3 cannot feed an episode of scenario 'T1' seed 4"):
+            Episode(scenario, 4, arrivals=Arrivals(scenario, 3))
+        other = make_scenario("T1", rows=2, cols=2, duration=61, seed=2)
+        with pytest.raises(ValueError):
+            Episode(scenario, 4, arrivals=Arrivals(other, 4))
+        equal = make_scenario("T1", rows=2, cols=2, duration=60, seed=2)
+        assert Episode(scenario, 4, arrivals=Arrivals(equal, 4)).arrivals.seed == 4
+        assert Episode(scenario, arrivals=Arrivals(scenario)).seed == 2
+
+    def test_only_arrivals_calls_the_generator(self):
+        """Every draw happens in Arrivals, so nothing a controller does
+        can change the vehicles that enter."""
+        source = Path(__file__).resolve().parents[1] / "src" / "evosignal"
+        users = set()
+        for path in sorted(source.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    generator = isinstance(node, ast.Attribute) and (
+                        node.attr in ("_rng", "rng", "PCG64", "Generator", "default_rng")
+                        or (node.attr == "random" and isinstance(node.value, ast.Name)
+                            and node.value.id in ("np", "numpy"))
+                    )
+                    if generator:
+                        users.add(f"{path.name}:{getattr(top, 'name', type(top).__name__)}")
+        assert users == {"engine.py:Arrivals"}

@@ -104,7 +104,7 @@ class TestCheckpointAndTruncate:
         counts = store.record_counts()
         store.append_event("generated", {"generation": 1, "candidate": 0})
         store.append_event("evaluated", {"generation": 1})
-        store.truncate_to(counts)
+        store.truncate_to(counts, 5)
         events = store.events()
         assert len(events) == 5
         assert store.append_event("generated", {}) == 6  # sequence rewinds too
@@ -117,7 +117,7 @@ class TestCheckpointAndTruncate:
         path.write_bytes(whole + whole[:-5])
         again = RunStore(tmp_path / "run")
         assert [e["seq"] for e in again.events()] == [1]
-        again.truncate_to({"events.jsonl": 1})
+        again.truncate_to({"events.jsonl": 1}, 1)
         assert path.read_bytes() == whole
 
     def test_torn_line_inside_the_file_still_fails(self, tmp_path):
@@ -158,6 +158,27 @@ class TestShortStore:
         assert f"holds {counts[name] - k} records" in message and f"counts {counts[name]}" in message
         for other, data in files.items():
             assert (run_dir / other).read_bytes() == data
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_resume_refuses_a_checkpoint_of_another_sequence(self, shift, two_generations, tmp_path):
+        """The kept records must end at the record the checkpoint was
+        written after. The files hold a whole second generation, so a
+        resume that truncated before checking would change them."""
+        want, _, checkpoint = two_generations
+        data = json.loads(checkpoint)
+        sequence = data["sequence"]
+        data["sequence"] = sequence + shift
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "checkpoint.json").write_text(json.dumps(data))
+        for name in STORE_FILES:
+            (run_dir / name).write_bytes(want[name])
+        with pytest.raises(StorageError) as refused:
+            crash_run(run_dir, resume=True)
+        message = str(refused.value)
+        assert f"end at sequence {sequence}," in message and f"at sequence {sequence + shift};" in message
+        for name in STORE_FILES:
+            assert (run_dir / name).read_bytes() == want[name]
 
     def test_checkpoint_syncs_the_record_files_first(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path / "run")
