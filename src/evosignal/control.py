@@ -26,8 +26,10 @@ from .dsl import EvalError, compile_body, parse
 from .dsl.interpreter import finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
+    PHASE_DECISIONS,
     Arrivals,
     EpisodeResult,
+    Junction,
     PhaseDecision,
     PhaseViews,
     SimulationMetrics,
@@ -110,16 +112,30 @@ def score_phases(
     return PhaseScores(tuple(scores), _argmax_lowest(scores))
 
 
-def max_pressure(observations: PhaseViews) -> PhaseScores:
-    """Upstream-minus-downstream queue pressure; event-blind by
+def pressure_scores(junction: Junction) -> list[int]:
+    """Upstream-minus-downstream queue pressure of each phase, counted
+    from the junction's max-pressure table: each exit link's waiting
+    vehicles (its queues and blocked movements) are counted once, and a
+    lane-link adds its approach lane's waiting vehicles (the queue, plus
+    the blocker while its movement is blocked) minus its exit link's.
+    Every figure is a count, so the sums are exact. Event-blind by
     construction."""
+    waiting_out = [
+        len(left) + len(straight) + len(right) + len(blocked)
+        for left, straight, right, blocked in junction.exits
+    ]
     scores = []
-    for lane_links in observations:
-        pressure = 0.0
-        for inlane, outlane in lane_links:
-            pressure += inlane.num_waiting_vehicle - outlane.num_waiting_vehicle
+    for lane_links in junction.pressure:
+        pressure = 0
+        for queue, blocked, movement, exit_index in lane_links:
+            pressure += len(queue) + (movement in blocked) - waiting_out[exit_index]
         scores.append(pressure)
-    return PhaseScores(tuple(scores), _argmax_lowest(scores))
+    return scores
+
+
+def max_pressure(junction: Junction) -> int:
+    """The phase of highest pressure, the lowest index among ties."""
+    return _argmax_lowest(pressure_scores(junction))
 
 
 @dataclass(frozen=True)
@@ -156,16 +172,22 @@ class FixedTimeController:
 
     def __init__(self, plan: FixedTimePlan | None = None):
         self.plan = plan or FixedTimePlan()
+        # The decision of step ``_t``, which every intersection shares.
+        self._t: int | None = None
+        self._decision: PhaseDecision | None = None
 
     def decide(self, ctx: StepContext) -> PhaseDecision:
-        return PhaseDecision(self.plan.target_at(ctx.t))
+        if ctx.t != self._t:
+            self._t = ctx.t
+            self._decision = PHASE_DECISIONS[self.plan.target_at(ctx.t)]
+        return self._decision
 
 
 class MaxPressureController:
     kind = "max_pressure"
 
     def decide(self, ctx: StepContext) -> PhaseDecision:
-        return PhaseDecision(max_pressure(ctx.observations).chosen)
+        return PHASE_DECISIONS[max_pressure(ctx.junction)]
 
 
 class SkillController:
@@ -180,7 +202,7 @@ class SkillController:
 
     def decide(self, ctx: StepContext) -> PhaseDecision | None:
         try:
-            return PhaseDecision(score_phases(self.compiled, ctx.observations).chosen)
+            return PHASE_DECISIONS[score_phases(self.compiled, ctx.observations).chosen]
         except EvalError as exc:
             ctx.record_fault(str(exc))
             return None
@@ -215,7 +237,7 @@ class HandcraftedPreemptionController:
         emergency = ev.active_event(events, "emergency")
         if emergency is not None:
             return PhaseDecision(int(emergency.context["emergency_phase"]), override_min_green=True)
-        return PhaseDecision(max_pressure(ctx.observations).chosen)
+        return PHASE_DECISIONS[max_pressure(ctx.junction)]
 
 
 class DispatcherController:
@@ -250,7 +272,7 @@ class DispatcherController:
         except EvalError as exc:
             ctx.record_fault(str(exc))
             return None
-        return PhaseDecision(scores.chosen)
+        return PHASE_DECISIONS[scores.chosen]
 
 
 @dataclass(frozen=True)

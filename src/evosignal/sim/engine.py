@@ -21,12 +21,19 @@ stores no figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
 ``vehicle_dist`` is read from the link state when it is asked for, so a
 controller pays only for the figures it reads, and a read after
 ``Episode.step`` sees the new state.
+
+Each intersection also gets a ``Junction`` record, built once per
+episode: its signal, its queued-vehicle count and history, each phase's
+lane-links and a max-pressure table of queue lists and ``blocked`` sets.
+The step loop, ``Episode.step``'s per-intersection passes and the
+baseline controllers iterate these records instead of looking up
+signals, nodes and links by id every step.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +42,11 @@ from .network import (
     MOVEMENTS,
     NUM_PHASES,
     PHASE_TABLE,
+    Intersection,
     Link,
-    canonical_route,
+    grid_routes,
     heading_after,
     opposite,
-    reachable_exits,
     turn_movement,
 )
 from .scenario import ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
@@ -62,6 +69,11 @@ VCLASS_SPEED = {"normal": 13.9, "bus": 13.9, "emergency": 20.0}
 class PhaseDecision:
     phase: int
     override_min_green: bool = False
+
+
+# One shared decision per phase; a decision is immutable, so controllers
+# return these rather than build one per intersection and step.
+PHASE_DECISIONS = tuple(PhaseDecision(k) for k in range(NUM_PHASES))
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,8 @@ class Vehicle:
 
 class LinkState:
     """Vehicles on one link. The queue lists and the ``blocked`` set are
-    created once and only ever changed in place, so views may hold
-    them; ``running`` is replaced every step."""
+    created once and only ever changed in place, so views and records
+    may hold them; ``running`` is replaced when a vehicle leaves it."""
 
     __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos")
 
@@ -316,19 +328,66 @@ class SignalState:
         return self.yellow > 0
 
 
+class Junction:
+    """One intersection's record, built once per episode, so that the
+    per-step loops and the baseline controllers index tables instead of
+    looking up signals, nodes and links by id:
+
+    - ``signal``, its ``SignalState``;
+    - ``queued``, the vehicles queued on its approaches now, and
+      ``history``, that count per step (its ``queue_history`` list);
+    - ``lanes``, per phase, each lane-link's (approach ``LinkState``,
+      movement, queue list) in evaluation order;
+    - the max-pressure table: ``exits``, the (left, straight, right)
+      queue lists and the ``blocked`` set of each of its four exit
+      links, and ``pressure``, per phase, each lane-link's (queue list,
+      approach ``blocked`` set, movement, index into ``exits``).
+
+    The lists and sets are the link states' own, changed only in place,
+    so the record stays valid for the whole episode."""
+
+    __slots__ = ("id", "signal", "queued", "history", "lanes", "exits", "pressure")
+
+    def __init__(self, node: Intersection, links: dict[str, LinkState]):
+        self.id = node.id
+        self.signal = SignalState()
+        self.queued = 0
+        self.history: list[int] = []
+        headings = tuple(sorted(node.exits))
+        exit_states = [links[node.exits[heading]] for heading in headings]
+        self.exits = tuple((*state.queues.values(), state.blocked) for state in exit_states)
+        lanes = []
+        pressure = []
+        for lane_links in SORTED_PHASE_TABLE:
+            phase_lanes = []
+            phase_pressure = []
+            for side, movement in lane_links:
+                state = links[node.approaches[side]]
+                queue = state.queues[movement]
+                phase_lanes.append((state, movement, queue))
+                exit_index = headings.index(heading_after(opposite(side), movement))
+                phase_pressure.append((queue, state.blocked, movement, exit_index))
+            lanes.append(tuple(phase_lanes))
+            pressure.append(tuple(phase_pressure))
+        self.lanes = tuple(lanes)
+        self.pressure = tuple(pressure)
+
+
 class StepContext:
     """Everything a controller may look at when deciding one
-    intersection's phase for one step. ``observations`` are the
-    intersection's live views (``Episode.observe``), fetched on first
-    read; each figure is computed only when read, so a controller pays
-    for none it does not read. They are valid until the next step."""
+    intersection's phase for one step. ``junction`` is the
+    intersection's record (looked up when not given). ``observations``
+    are its live views (``Episode.observe``), fetched on first read;
+    each figure is computed only when read, so a controller pays for
+    none it does not read. They are valid until the next step."""
 
-    __slots__ = ("t", "intersection_id", "episode", "_observations")
+    __slots__ = ("t", "intersection_id", "episode", "junction", "_observations")
 
-    def __init__(self, t: int, intersection_id: str, episode: "Episode"):
+    def __init__(self, t: int, intersection_id: str, episode: "Episode", junction: Junction | None = None):
         self.t = t
         self.intersection_id = intersection_id
         self.episode = episode
+        self.junction = episode.junctions[intersection_id] if junction is None else junction
         self._observations: PhaseViews | None = None
 
     @property
@@ -362,22 +421,30 @@ class Arrivals:
     then the emergency vehicles and buses scheduled by then, each as a
     (vclass, route) pair. Steps are drawn from the seeded generator on
     first request and kept, so episodes sharing an ``Arrivals`` draw each
-    step once. This is the only user of the generator. A pickled copy
-    carries the generator's state and the steps drawn so far, and draws
-    the same stream past them."""
+    step once. This is the only user of the generator. The network and
+    the routes are the grid's shared ``GridRoutes``. A pickled copy
+    carries them, the generator's state and the steps drawn so far, and
+    draws the same stream past them."""
 
     def __init__(self, scenario: ScenarioConfig, seed: int | None = None):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.network = scenario.build_network()
+        self.grid = grid_routes(scenario.rows, scenario.cols, scenario.link_length)
+        self.network = self.grid.network
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
-        self._exits: dict[str, tuple[str, ...]] = {}
-        self._routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
+        # The rate of an entry link changes only where a step reaches the
+        # start of a profile piece; ``_rates`` holds the (entry link,
+        # rate) pairs with a positive rate, in link order, until then.
+        self._rate_changes = sorted(
+            {start for profile in scenario.demand.values() for start, _ in profile if start > 0}
+        )
+        self._next_change = 0
+        self._rates = self._rates_at(0)
         self._emergency_times = scheduled_emergencies(scenario)
         self._next_emergency = 0
         # Per bus line: its route (None if it has none) and departures.
         self._bus_times = tuple(
-            (self._route(line.entry_link, line.exit_link), scheduled_bus_departures(scenario, line))
+            (self.grid.routes.get((line.entry_link, line.exit_link)), scheduled_bus_departures(scenario, line))
             for line in scenario.bus_lines
         )
         self._next_bus = [0] * len(self._bus_times)
@@ -395,32 +462,32 @@ class Arrivals:
         while len(steps) < end:
             steps.append(self._draw(len(steps)))
 
-    def _route(self, entry_link: str, exit_link: str) -> tuple[str, ...] | None:
-        key = (entry_link, exit_link)
-        if key not in self._routes:
-            route = canonical_route(self.network, entry_link, exit_link)
-            self._routes[key] = None if route is None else tuple(route)
-        return self._routes[key]
+    def _rates_at(self, t: int) -> tuple[tuple[str, float], ...]:
+        rates = []
+        for entry_link in self.network.entry_links:
+            rate = self.scenario.rate_at(entry_link, t)
+            if not rate <= 0:
+                rates.append((entry_link, rate))
+        return tuple(rates)
 
     def _sample_route(self, entry_link: str) -> tuple[str, ...]:
-        exits = self._exits.get(entry_link)
-        if exits is None:
-            exits = self._exits[entry_link] = reachable_exits(self.network, entry_link)
-        return self._route(entry_link, exits[int(self._rng.integers(len(exits)))])
+        routes = self.grid.choices[entry_link]
+        return routes[int(self._rng.integers(len(routes)))]
 
     def _draw(self, t: int) -> StepArrivals:
         rng = self._rng
-        entry_links = self.network.entry_links
+        changes = self._rate_changes
+        if self._next_change < len(changes) and changes[self._next_change] <= t:
+            self._next_change = bisect_right(changes, t)
+            self._rates = self._rates_at(t)
         entering = []
-        for entry_link in entry_links:
-            rate = self.scenario.rate_at(entry_link, t)
-            if rate <= 0:
-                continue
+        for entry_link, rate in self._rates:
             for _ in range(int(rng.poisson(rate))):
                 entering.append(("normal", self._sample_route(entry_link)))
         times = self._emergency_times
         while self._next_emergency < len(times) and times[self._next_emergency] <= t:
             self._next_emergency += 1
+            entry_links = self.network.entry_links
             entry_link = entry_links[int(rng.integers(len(entry_links)))]
             entering.append(("emergency", self._sample_route(entry_link)))
         for i, (route, times) in enumerate(self._bus_times):
@@ -461,12 +528,26 @@ class Episode:
         self.links: dict[str, LinkState] = {
             link_id: LinkState(link) for link_id, link in sorted(self.network.links.items())
         }
+        # One record per intersection, in id order; every per-step loop
+        # over intersections runs over these.
+        self.junctions: dict[str, Junction] = {
+            node_id: Junction(self.network.intersections[node_id], self.links)
+            for node_id in self.network.intersection_ids
+        }
         self.signals: dict[str, SignalState] = {
-            node: SignalState() for node in self.network.intersection_ids
+            node_id: junction.signal for node_id, junction in self.junctions.items()
         }
         self.queue_history: dict[str, list[int]] = {
-            node: [] for node in self.network.intersection_ids
+            node_id: junction.history for node_id, junction in self.junctions.items()
         }
+        # Links leading into an intersection, with its record, and exit
+        # links: ``_advance_vehicles`` treats the two kinds apart.
+        self._approach_links = tuple(
+            (state, self.junctions[state.link.dst])
+            for state in self.links.values()
+            if state.link.kind != "exit"
+        )
+        self._exit_links = tuple(state for state in self.links.values() if state.link.kind == "exit")
         self.vehicles: list[Vehicle] = []
         self.completed = 0
         self.controller_faults = 0
@@ -501,18 +582,16 @@ class Episode:
             )
             for node_id, node in self.network.intersections.items()
         }
-        # Queued vehicles on each intersection's approaches.
-        self._queued: dict[str, int] = dict.fromkeys(self.network.intersection_ids, 0)
         # Per intersection: (side, approach LinkState), sides in sorted order.
         self.approach_states: dict[str, tuple[tuple[str, LinkState], ...]] = {}
-        for node_id in self.network.intersection_ids:
+        for node_id in self.junctions:
             approaches = self.network.intersections[node_id].approaches
             self.approach_states[node_id] = tuple(
                 (side, self.links[approaches[side]]) for side in sorted(approaches)
             )
         # The intersection the incident link (an approach) leads into.
-        self._incident_node = (
-            self.network.links[scenario.incident.link].dst if scenario.incident else None
+        self._incident_junction = (
+            self.junctions[self.network.links[scenario.incident.link].dst] if scenario.incident else None
         )
         # (node, window) -> [ascending trailing window, history length consumed]
         self._sorted_windows: dict[tuple[str, int], list] = {}
@@ -602,8 +681,9 @@ class Episode:
         self.t += 1
 
     def _apply_decisions(self, decisions: dict[str, PhaseDecision | None]) -> None:
-        for node_id in self.network.intersection_ids:
-            signal = self.signals[node_id]
+        get = decisions.get
+        for junction in self.junctions.values():
+            signal = junction.signal
             if signal.yellow > 0:
                 signal.yellow -= 1
                 if signal.yellow == 0 and signal.pending is not None:
@@ -612,7 +692,7 @@ class Episode:
                     signal.green_elapsed = 0
                 continue
             signal.green_elapsed += 1
-            decision = decisions.get(node_id)
+            decision = get(junction.id)
             if decision is None:
                 continue
             target = decision.phase
@@ -621,7 +701,7 @@ class Episode:
                     {
                         "kind": "invalid_decision",
                         "time": self.t,
-                        "intersection": node_id,
+                        "intersection": junction.id,
                         "phase": target,
                     }
                 )
@@ -634,24 +714,21 @@ class Episode:
             signal.yellow = YELLOW_STEPS
 
     def _serve_green(self) -> None:
-        queued = self._queued
-        for node_id in self.network.intersection_ids:
-            signal = self.signals[node_id]
-            node = self.network.intersections[node_id]
+        for junction in self.junctions.values():
+            signal = junction.signal
             if signal.yellow > 0:
                 continue
-            for side, movement in SORTED_PHASE_TABLE[signal.active]:
-                link_state = self.links[node.approaches[side]]
-                if movement in link_state.blocked:
+            for state, movement, queue in junction.lanes[signal.active]:
+                if movement in state.blocked:
                     continue
-                queue = link_state.queues[movement]
+                credit = state.credit
                 if not queue:
-                    link_state.credit[movement] = 0.0
+                    credit[movement] = 0.0
                     continue
-                link_state.credit[movement] += SATURATION_FLOW
-                while link_state.credit[movement] >= 1.0 and queue:
-                    link_state.credit[movement] -= 1.0
-                    queued[node_id] -= 1
+                credit[movement] += SATURATION_FLOW
+                while credit[movement] >= 1.0 and queue:
+                    credit[movement] -= 1.0
+                    junction.queued -= 1
                     self._release(queue.pop(0))
 
     def _release(self, vehicle: Vehicle) -> None:
@@ -664,35 +741,39 @@ class Episode:
         self.links[vehicle.route[vehicle.leg]].running.append(vehicle)
 
     def _advance_vehicles(self) -> None:
+        """Move every running vehicle one second on. A link's ``running``
+        list is replaced, in the same order, only when a vehicle left it
+        for a queue or the network."""
         t = self.t
-        for link_state in self.links.values():
-            running = link_state.running
+        for state in self._exit_links:
+            running = state.running
             if not running:
                 continue
-            link = link_state.link
-            length = link.length
-            still_running: list[Vehicle] = []
-            if link.kind == "exit":
-                for vehicle in running:
-                    if not vehicle.frozen:
-                        vehicle.pos += vehicle.cruise
-                        if vehicle.pos >= length:
-                            vehicle.exit_time = t
-                            self.completed += 1
-                            continue
-                    still_running.append(vehicle)
-                link_state.running = still_running
+            length = state.link.length
+            exited = 0
+            for vehicle in running:
+                if not vehicle.frozen:
+                    vehicle.pos += vehicle.cruise
+                    if vehicle.pos >= length:
+                        vehicle.exit_time = t
+                        exited += 1
+            if exited:
+                self.completed += exited
+                state.running = [vehicle for vehicle in running if vehicle.exit_time is None]
+        for state, junction in self._approach_links:
+            running = state.running
+            if not running:
                 continue
-            queues = link_state.queues
+            length = state.link.length
+            queues = state.queues
             # Per movement, length - queue anchor; the anchor is 0.0
             # unless a blockage holds the queue back.
             room = None
-            if link_state.blocked_head_pos:
-                room = {m: length - link_state.queue_anchor(m) for m in MOVEMENTS}
+            if state.blocked_head_pos:
+                room = {m: length - state.queue_anchor(m) for m in MOVEMENTS}
             joined = 0
             for vehicle in running:
                 if vehicle.frozen:
-                    still_running.append(vehicle)
                     continue
                 vehicle.pos += vehicle.cruise
                 movement = vehicle.movement or "s"
@@ -703,43 +784,40 @@ class Episode:
                     vehicle.stopped_since = t
                     queue.append(vehicle)
                     joined += 1
-                else:
-                    still_running.append(vehicle)
             if joined:
-                self._queued[link.dst] += joined
-            link_state.running = still_running
+                junction.queued += joined
+                state.running = [vehicle for vehicle in running if not vehicle.queued]
 
     def _accrue(self) -> None:
         # An intersection's waiting vehicles are its queued ones plus, on
         # the incident node while the blocker is frozen, the blocker
         # (only _update_incident freezes a vehicle).
-        history = self.queue_history
         total_waiting = 0
-        for node_id, count in self._queued.items():
-            history[node_id].append(count)
+        for junction in self.junctions.values():
+            count = junction.queued
+            junction.history.append(count)
             total_waiting += count
         if self._incident_vehicle is not None:
-            history[self._incident_node][-1] += 1
+            self._incident_junction.history[-1] += 1
             total_waiting += 1
         incident = self.scenario.incident
         if incident is not None and incident.start <= self.t <= incident.end + INCIDENT_TAIL:
             self._window_wait += total_waiting
         self._total_wait += total_waiting
-        n_nodes = len(self.network.intersections)
-        self._per_step_queues.append(total_waiting / n_nodes)
+        self._per_step_queues.append(total_waiting / len(self.junctions))
         entered = max(1, len(self.vehicles))
         self._per_step_delays.append(self._total_wait / entered)
         if self._collect_step_log:
-            for node_id in self.network.intersection_ids:
-                signal = self.signals[node_id]
+            for junction in self.junctions.values():
+                signal = junction.signal
                 self._step_log.append(
                     {
                         "kind": "step",
                         "time": self.t,
-                        "intersection": node_id,
+                        "intersection": junction.id,
                         "phase": signal.active,
                         "yellow": signal.yellow,
-                        "queue": history[node_id][-1],
+                        "queue": junction.history[-1],
                     }
                 )
 
@@ -851,11 +929,14 @@ def run_episode(
     episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log, arrivals=arrivals)
     if hasattr(controller, "reset"):
         controller.reset(episode.network)
+    junctions = tuple(episode.junctions.values())
+    decide = controller.decide
     for _ in range(scenario.duration):
+        t = episode.t
         decisions: dict[str, PhaseDecision | None] = {}
-        for node_id in episode.network.intersection_ids:
-            if episode.signals[node_id].in_transition:
+        for junction in junctions:
+            if junction.signal.yellow > 0:
                 continue
-            decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode))
+            decisions[junction.id] = decide(StepContext(t, junction.id, episode, junction))
         episode.step(decisions)
     return episode.finish()

@@ -12,6 +12,7 @@ axis).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,8 +114,9 @@ class Network:
     entry_links: tuple[str, ...]
     exit_links: tuple[str, ...]
 
-    @property
+    @functools.cached_property
     def intersection_ids(self) -> tuple[str, ...]:
+        """Intersection ids in sorted order, sorted once per network."""
         return tuple(sorted(self.intersections))
 
 
@@ -221,3 +223,38 @@ def reachable_exits(network: Network, entry_link_id: str) -> tuple[str, ...]:
         for exit_id in network.exit_links
         if canonical_route(network, entry_link_id, exit_id) is not None
     )
+
+
+class GridRoutes:
+    """The network of one grid and every route a vehicle can be sent on:
+    ``routes`` maps each (entry, exit) pair with a canonical route to
+    that route, and ``choices`` gives each entry link its routes to the
+    reachable exits, in exit id order. These depend on the grid alone,
+    so every scenario and seed on the grid shares one (``grid_routes``)."""
+
+    __slots__ = ("network", "routes", "choices")
+
+    def __init__(self, network: Network):
+        self.network = network
+        self.routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        self.choices: dict[str, tuple[tuple[str, ...], ...]] = {}
+        for entry_id in network.entry_links:
+            reachable = []
+            for exit_id in network.exit_links:
+                route = canonical_route(network, entry_id, exit_id)
+                if route is not None:
+                    self.routes[entry_id, exit_id] = route = tuple(route)
+                    reachable.append(route)
+            self.choices[entry_id] = tuple(reachable)
+
+
+# Grids whose routes are kept; an 8x8 grid's take about 0.2 MB.
+GRID_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=GRID_MEMO_SIZE, typed=True)
+def grid_routes(rows: int, cols: int, link_length: float) -> GridRoutes:
+    """The ``GridRoutes`` of a grid, built on first request and kept for
+    the ``GRID_MEMO_SIZE`` grids used last in this process. Treat the
+    result as read-only: it is shared."""
+    return GridRoutes(build_network(rows, cols, link_length))

@@ -33,6 +33,15 @@ EVENT_BASE_RATE = 0.055
 ROUTINE_FITNESS_CONSTANT = 0.0
 EVENT_FITNESS_CONSTANT = 60.0
 
+# What a scenario file may ask for (see load_scenario). The stock
+# families stay far inside: rates up to 0.15 veh/s at demand scale 1,
+# intervals of 120 s or more, four bus lines.
+MAX_RATE = 10.0  # veh/s per entry link
+MIN_INTERVAL = 1.0  # s between emergency vehicles, and between a line's buses
+MAX_GRID_SIDE = 32
+MAX_DURATION = 86_400  # s
+MAX_BUS_LINES = 64
+
 RateProfile = tuple[tuple[float, float], ...]  # (start_time, rate) pieces
 
 
@@ -48,7 +57,7 @@ class BusLine:
 
     def __post_init__(self):
         # a zero headway would schedule departures forever
-        _require_positive(self.headway, f"bus line {self.name} headway")
+        _require_interval(self.headway, f"bus line {self.name} headway")
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,12 @@ class EmergencyInjection:
     period: float  # one ambulance every `period` seconds, from t=0
 
     def __post_init__(self):
-        _require_positive(self.period, "emergency period")
+        _require_interval(self.period, "emergency period")
 
 
-def _require_positive(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{what} must be a positive finite number, got {value}")
+def _require_interval(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value >= MIN_INTERVAL):
+        raise ConfigError(f"{what} must be a finite number of at least {MIN_INTERVAL:g} s, got {value}")
 
 
 def _number(value, what: str, kind: type = float):
@@ -72,12 +81,24 @@ def _number(value, what: str, kind: type = float):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
+def _bounded(value, what: str, low: float, high: float, kind: type = float):
+    """``value`` as a ``kind`` in ``[low, high]``; ConfigError if not."""
+    number = _number(value, what, kind)
+    if not low <= number <= high:
+        span = f"of at least {low:g}" if high == math.inf else f"from {low:g} to {high:g}"
+        raise ConfigError(f"{what} must be a number {span}, got {value!r}")
+    return number
+
+
 def _rate(value, what: str) -> float:
-    """An arrival rate: a finite number, zero or more."""
-    rate = _number(value, what)
-    if not (math.isfinite(rate) and rate >= 0):
-        raise ConfigError(f"{what} must be a finite number, zero or more, got {value}")
-    return rate
+    """An arrival rate in veh/s, from 0 to MAX_RATE."""
+    return _bounded(value, what, 0.0, MAX_RATE)
+
+
+def _field(mapping: dict, key: str, what: str):
+    if key not in mapping:
+        raise ConfigError(f"{what} needs a '{key}'")
+    return mapping[key]
 
 
 def _require_type(value, kind: type, what: str):
@@ -114,9 +135,6 @@ class ScenarioConfig:
     fitness_constant: float = 0.0
     seed: int = 0
     family: str | None = None
-
-    def build_network(self) -> Network:
-        return build_network(self.rows, self.cols, self.link_length)
 
     def rate_at(self, entry_link: str, t: float) -> float:
         profile = self.demand.get(entry_link, ())
@@ -249,6 +267,9 @@ def make_scenario(
 
     if family.startswith("V"):
         demand = _perturb(demand)
+    for link_id, profile in demand.items():
+        for _, rate in profile:
+            _rate(rate, f"the rate of {link_id} at demand scale {demand_scale!r}")
 
     return ScenarioConfig(
         name=family,
@@ -300,6 +321,18 @@ def load_scenario(path: str) -> ScenarioConfig:
           emergency: {period: 120}
           bus_lines: {count: 2, headway: 180}
           incident: {start: 600, duration: 300}
+
+    Bounds: rows and cols from 1 to MAX_GRID_SIDE (32); duration from 1
+    to MAX_DURATION (86,400 s); every rate from 0 to MAX_RATE (10
+    veh/s); an emergency period and a bus headway of at least
+    MIN_INTERVAL (1 s); 0 to MAX_BUS_LINES (64) bus lines; a seed of 0
+    or more; an incident start and duration from 0 to MAX_DURATION.
+    Each second then admits Poisson arrivals of mean at most 10 per
+    entry link (a grid has ``2 * (rows + cols)``), at most one emergency
+    vehicle and at most one bus per line, so an episode's vehicle count
+    is at most ``duration * (20 * (rows + cols) + 1 + lines) + 1`` in
+    expectation (the last one is the incident's blocker).
+    Anything else raises ConfigError with a one-line message.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -314,10 +347,10 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"scenario file {path}: '{key}' must be a mapping")
 
     grid = raw.get("grid") or {}
-    rows = _number(grid.get("rows", 4), "grid rows", int)
-    cols = _number(grid.get("cols", 4), "grid cols", int)
+    rows = _bounded(grid.get("rows", 4), "grid rows", 1, MAX_GRID_SIDE, int)
+    cols = _bounded(grid.get("cols", 4), "grid cols", 1, MAX_GRID_SIDE, int)
     link_length = _number(grid.get("link_length", 300.0), "grid link_length")
-    duration = _number(raw.get("duration", DEFAULT_DURATION), "duration", int)
+    duration = _bounded(raw.get("duration", DEFAULT_DURATION), "duration", 1, MAX_DURATION, int)
     network = build_network(rows, cols, link_length)
 
     demand_spec = raw.get("demand") or {}
@@ -326,11 +359,12 @@ def load_scenario(path: str) -> ScenarioConfig:
         link_id: _flat(default_rate) for link_id in network.entry_links
     }
     for source in _require_type(demand_spec.get("sources") or [], list, "demand sources"):
-        link_id = _require_type(source, dict, "a demand source")["link"]
-        if link_id not in network.links or network.links[link_id].kind != "entry":
+        link_id = _field(_require_type(source, dict, "a demand source"), "link", "a demand source")
+        if not isinstance(link_id, str) or link_id not in network.links or network.links[link_id].kind != "entry":
             raise ConfigError(f"demand source {link_id!r} is not an entry link")
         profile = []
-        for piece in _require_type(source["profile"], list, f"the profile of {link_id}"):
+        for piece in _require_type(_field(source, "profile", f"demand source {link_id}"), list,
+                                   f"the profile of {link_id}"):
             if not (isinstance(piece, list) and len(piece) == 2):
                 raise ConfigError(f"a profile piece of {link_id} must be [start, rate], got {piece!r}")
             start = _number(piece[0], f"a profile start of {link_id}")
@@ -342,16 +376,19 @@ def load_scenario(path: str) -> ScenarioConfig:
         _require_type(value, dict, f"events '{key}'")
     emergency = None
     if "emergency" in events:
-        emergency = EmergencyInjection(period=_number(events["emergency"]["period"], "emergency period"))
+        period = _field(events["emergency"], "period", "events 'emergency'")
+        emergency = EmergencyInjection(period=_number(period, "emergency period"))
     bus_lines: tuple[BusLine, ...] = ()
     if "bus_lines" in events:
         spec = events["bus_lines"]
-        count = _number(spec["count"], "bus_lines count", int)
-        bus_lines = _stock_bus_lines(network, count, _number(spec["headway"], "bus_lines headway"))
+        count = _bounded(_field(spec, "count", "events 'bus_lines'"), "bus_lines count", 0, MAX_BUS_LINES, int)
+        headway = _number(_field(spec, "headway", "events 'bus_lines'"), "bus_lines headway")
+        bus_lines = _stock_bus_lines(network, count, headway)
     incident = None
     if "incident" in events:
         spec = events["incident"]
-        start, length = _number(spec["start"], "incident start"), _number(spec["duration"], "incident duration")
+        start = _bounded(_field(spec, "start", "events 'incident'"), "incident start", 0.0, MAX_DURATION)
+        length = _bounded(_field(spec, "duration", "events 'incident'"), "incident duration", 0.0, MAX_DURATION)
         incident = _stock_incident(network, start, length)
 
     return ScenarioConfig(
@@ -365,6 +402,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         bus_lines=bus_lines,
         incident=incident,
         fitness_constant=_number(raw.get("fitness_constant", 0.0), "fitness_constant"),
-        seed=_number(raw.get("seed", 0), "seed", int),
+        seed=_bounded(raw.get("seed", 0), "seed", 0, math.inf, int),
         family=None,
     )

@@ -5,7 +5,9 @@ a tree-walking evaluator for skill code (the package lowers each body to
 a Python function instead) and a phase scorer built on it, a node
 counter, a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
-counts and extremes from live views when they are asked for), and the
+counts and extremes from live views when they are asked for),
+max-pressure scored from observations (the package counts queue lists
+in a per-intersection table), and the
 per-vehicle, per-second wait accrual (the
 package banks a wait when it ends), and the arrival stream drawn step by
 step with every route searched again (the package draws it once into an
@@ -27,6 +29,7 @@ from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING
 from evosignal.sim.network import (
     NUM_PHASES,
     PHASE_TABLE,
+    build_network,
     canonical_route,
     heading_after,
     opposite,
@@ -291,6 +294,19 @@ def reference_observe(episode, intersection_id: str):
     return out
 
 
+def reference_max_pressure(observations) -> list[float]:
+    """Upstream-minus-downstream pressure of each phase: over its
+    lane-links, the inlane's waiting count minus the outlane's, read
+    from each (inlane, outlane) observation pair in turn."""
+    scores = []
+    for lane_links in observations:
+        pressure = 0.0
+        for inlane, outlane in lane_links:
+            pressure += inlane.num_waiting_vehicle - outlane.num_waiting_vehicle
+        scores.append(pressure)
+    return scores
+
+
 class ReferenceAccrual:
     """Waits accrued the per-second way, beside an Episode: call
     ``after_step`` after every ``Episode.step``. Each second, every
@@ -399,7 +415,7 @@ def reference_arrivals(scenario, seed: int, steps: int) -> list[tuple]:
     steps. Per step: for each entry link a Poisson count, then a uniform
     reachable exit per vehicle; then each emergency due, an entry link
     and then its exit; then each bus due on a line with a route."""
-    network = scenario.build_network()
+    network = build_network(scenario.rows, scenario.cols, scenario.link_length)
     rng = np.random.Generator(np.random.PCG64(seed))
     emergencies = list(scheduled_emergencies(scenario))
     buses = [(line, list(scheduled_bus_departures(scenario, line))) for line in scenario.bus_lines]

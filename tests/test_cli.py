@@ -268,6 +268,11 @@ MALFORMED_SCENARIOS = {
     "rows-a-list": "name: x\ngrid: {rows: [1]}\n",
     "infinite-rows": "name: x\ngrid: {rows: .inf}\n",
     "period-a-list": "name: x\nduration: 60\nevents:\n  emergency: {period: [120]}\n",
+    "rate-above-bound": "name: x\nduration: 60\ndemand: {default_rate: 1e12}\n",
+    "sub-second-period": "name: x\nduration: 60\nevents:\n  emergency: {period: 0.001}\n",
+    "sub-second-headway": "name: x\nduration: 60\nevents:\n  bus_lines: {count: 1, headway: 0.5}\n",
+    "period-missing": "name: x\nduration: 60\nevents:\n  emergency: {}\n",
+    "grid-too-large": "name: x\ngrid: {rows: 100000, cols: 100000}\n",
 }
 
 

@@ -12,13 +12,23 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from evosignal.control import FixedTimeController, MaxPressureController, SkillController
+from evosignal.control import (
+    FixedTimeController,
+    HandcraftedPreemptionController,
+    MaxPressureController,
+    SkillController,
+)
 from evosignal.sim import make_scenario
+from evosignal.sim import network as network_module
 from evosignal.sim.engine import (
     Arrivals,
     Episode,
     JAM_SPACING,
+    Junction,
     LaneView,
     LinkView,
     PhaseDecision,
@@ -28,14 +38,27 @@ from evosignal.sim.engine import (
     run_episode,
 )
 from evosignal.sim.network import (
+    GRID_MEMO_SIZE,
     ConfigError,
+    Network,
     NUM_PHASES,
     PHASE_TABLE,
     build_network,
     canonical_route,
+    grid_routes,
     reachable_exits,
 )
-from evosignal.sim.scenario import load_scenario, scheduled_emergencies
+from evosignal.sim.scenario import (
+    FAMILIES,
+    MAX_BUS_LINES,
+    MAX_DURATION,
+    MAX_GRID_SIDE,
+    MAX_RATE,
+    MIN_INTERVAL,
+    ScenarioConfig,
+    load_scenario,
+    scheduled_emergencies,
+)
 from evosignal.skills import LIBRARY, SEED_SKILL
 
 from ._reference import ReferenceAccrual, reference_arrivals, reference_observe
@@ -156,6 +179,123 @@ class TestScenarios:
         assert t3.rate_at(link, 450) > t3.rate_at(link, 899)
 
 
+def scenario_files():
+    """Mappings shaped like scenario files, with any field that may be
+    missing, mistyped or out of range, or the whole file junk."""
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab1 :-[]{}>", max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abk", max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    def mostly(shaped):
+        """``shaped`` nine draws in ten, junk otherwise, so that most
+        draws reach the deeper fields."""
+        return st.integers(0, 9).flatmap(lambda i: junk if i == 0 else shaped)
+
+    number = mostly(st.one_of(
+        st.integers(1, 40),
+        st.floats(0.0, 200.0),
+        st.sampled_from([-1, 0, 0.5, 1.0, 10.0, 10.5, 64, 86_401, 1e12, -1e12, math.inf, -math.inf, math.nan]),
+    ))
+
+    def mapping(**fields):
+        return mostly(st.fixed_dictionaries({}, optional=fields))
+
+    link = st.sampled_from(["tN_0_0>x0_0", "tW_1_0>x1_0", "x0_0>x0_1", "x0_0>tN_0_0", "nowhere"]) | junk
+    source = mapping(link=link, profile=st.lists(st.lists(number, max_size=3), max_size=3) | junk)
+    shaped = st.fixed_dictionaries(
+        {"name": st.text("ab", max_size=3)},
+        optional={
+            "grid": mapping(rows=number, cols=number, link_length=number),
+            "duration": number,
+            "seed": number,
+            "fitness_constant": number,
+            "demand": mapping(default_rate=number, sources=st.lists(source, max_size=3) | junk),
+            "events": mapping(
+                emergency=mapping(period=number),
+                bus_lines=mapping(count=number, headway=number),
+                incident=mapping(start=number, duration=number),
+            ),
+        },
+    )
+    return mostly(shaped)
+
+
+class TestScenarioRanges:
+    """A scenario file either loads within the documented bounds or is
+    refused with a one-line ConfigError; nothing here runs an episode."""
+
+    @given(raw=scenario_files())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_file_loads_within_bounds_or_is_refused_in_one_line(self, raw, tmp_path):
+        path = tmp_path / "fuzzed.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        try:
+            scenario = load_scenario(str(path))
+        except ConfigError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        assert isinstance(scenario, ScenarioConfig)
+        assert_within_bounds(scenario)
+        assert 1 <= scenario.rows <= MAX_GRID_SIDE and 1 <= scenario.cols <= MAX_GRID_SIDE
+        assert 1 <= scenario.duration <= MAX_DURATION and scenario.seed >= 0
+        assert len(scenario.bus_lines) <= MAX_BUS_LINES
+        if scenario.incident is not None:
+            assert 0 <= scenario.incident.start <= MAX_DURATION
+            assert 0 <= scenario.incident.duration <= MAX_DURATION
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_is_within_bounds(self, family):
+        assert_within_bounds(make_scenario(family, rows=8, cols=8, duration=3600))
+
+    @pytest.mark.parametrize("scale", [1e12, 79.0, -1.0, math.nan])
+    def test_a_demand_scale_past_the_rate_bound_is_refused(self, scale):
+        # T2's north-south sources run at 1.5 x 0.085 veh/s per unit of scale
+        with pytest.raises(ConfigError, match="at demand scale"):
+            make_scenario("T2", demand_scale=scale)
+        assert_within_bounds(make_scenario("T2", demand_scale=78.0))
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ("demand: {default_rate: 10.5}", "default_rate must be a number from 0 to 10"),
+            ("demand: {default_rate: 1e12}", "default_rate must be a number from 0 to 10"),
+            ("events: {emergency: {period: 0.5}}", "at least 1 s"),
+            ("events: {bus_lines: {count: 1, headway: 0.999}}", "at least 1 s"),
+            ("events: {bus_lines: {count: 1000000000, headway: 60}}", "count must be a number from 0 to 64"),
+            ("grid: {rows: 100000}", "rows must be a number from 1 to 32"),
+            ("duration: 1000000000000", "duration must be a number from 1 to 86400"),
+            ("events: {emergency: {}}", "events 'emergency' needs a 'period'"),
+            ("demand: {sources: [{link: [1]}]}", "is not an entry link"),
+            ("events: {incident: {start: .inf, duration: 10}}", "incident start"),
+            ("seed: -1", "seed must be a number of at least 0"),
+        ],
+    )
+    def test_out_of_range_fields_are_refused(self, events, message, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"name: x\n{events}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(str(path))
+
+    def test_the_bounds_admit_their_edges(self, tmp_path):
+        path = tmp_path / "edge.yaml"
+        path.write_text(
+            "name: edge\ngrid: {rows: 32, cols: 1}\nduration: 86400\ndemand: {default_rate: 10}\n"
+            "events: {emergency: {period: 1}, bus_lines: {count: 64, headway: 1}}\n"
+        )
+        scenario = load_scenario(str(path))
+        assert scenario.rows == MAX_GRID_SIDE and len(scenario.bus_lines) == MAX_BUS_LINES
+        assert_within_bounds(scenario)
+
+
+def assert_within_bounds(scenario):
+    assert all(0 <= rate <= MAX_RATE for profile in scenario.demand.values() for _, rate in profile)
+    if scenario.emergency is not None:
+        assert scenario.emergency.period >= MIN_INTERVAL
+    assert all(line.headway >= MIN_INTERVAL for line in scenario.bus_lines)
+
+
 def zero_demand(rows=1, cols=1, duration=60, **kw):
     scenario = make_scenario("T1", rows=rows, cols=cols, duration=duration, **kw)
     return replace(scenario, demand={})
@@ -171,7 +311,7 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
     vehicle.queued = True
     vehicle.stopped_since = episode.t
     state.queues[movement].append(vehicle)
-    episode._queued[state.link.dst] += 1
+    episode.junctions[state.link.dst].queued += 1
     return vehicle
 
 
@@ -322,6 +462,24 @@ class TestEngine:
             episode.step(serve_blocked_lane)
         assert len(link.queues["s"]) == 0  # served after recovery
 
+    @pytest.mark.parametrize("family", ["T1", "I1"])
+    def test_a_link_keeps_its_running_vehicles_in_entry_order(self, family):
+        # Running lists are replaced only when a vehicle leaves them, and
+        # then filtered in order: vehicles of one speed that entered a
+        # link earlier stay ahead of those that entered later.
+        scenario = make_scenario(family, rows=2, cols=2, duration=700, seed=2)
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        replaced = 0
+        for _ in range(scenario.duration):
+            before = {link_id: state.running for link_id, state in episode.links.items()}
+            episode.step(max_pressure_decisions(episode, controller))
+            for link_id, state in episode.links.items():
+                replaced += state.running is not before[link_id]
+                positions = [v.pos for v in state.running if v.cruise == 13.9 and not v.frozen]
+                assert positions == sorted(positions, reverse=True), (episode.t, link_id)
+        assert 0 < replaced < scenario.duration * len(episode.links) / 10
+
     def test_a_queue_behind_a_blockage_forms_behind_the_blocker(self):
         scenario = make_scenario("I1", rows=2, cols=2, duration=120, demand_scale=0.0, seed=3)
         incident = replace(scenario.incident, start=1.0, duration=100.0)
@@ -471,12 +629,22 @@ class TestLiveViews:
         assert controller.decided
         assert sum(counts.values()) == 0
 
-    def test_max_pressure_reads_only_waiting_counts(self, reads):
+    @pytest.mark.parametrize("controller", [MaxPressureController, HandcraftedPreemptionController])
+    def test_max_pressure_reads_no_view(self, reads, monkeypatch, controller):
+        # it counts the junction's queue lists instead
         counts, _ = reads
-        run_episode(self.scenario(), MaxPressureController())
-        assert counts[("LaneView", "num_waiting_vehicle")] > 0
-        assert counts[("LinkView", "num_waiting_vehicle")] > 0
-        assert {figure for _, figure in counts} == {"num_waiting_vehicle"}
+        observed = []
+        observe = Episode.observe
+
+        def counted(episode, node_id):
+            observed.append(node_id)
+            return observe(episode, node_id)
+
+        monkeypatch.setattr(Episode, "observe", counted)
+        controller = DecisionLog(controller())
+        result = run_episode(self.scenario("E2"), controller)
+        assert controller.decided and result.metrics.vehicles_entered > 0
+        assert observed == [] and sum(counts.values()) == 0
 
     def test_seed_skill_reads_neither_count_nor_gap(self, reads):
         counts, _ = reads
@@ -638,6 +806,19 @@ class TestArrivals:
         arrivals = Arrivals(scenario)
         assert [arrivals.at(t) for t in range(900)] == reference_arrivals(scenario, seed, 900)
 
+    def test_rates_follow_unsorted_and_fractional_profile_starts(self):
+        # rate_at takes the last piece before the first one that starts
+        # later than t, so an out-of-order piece matters only once every
+        # start before it has passed
+        scenario = make_scenario("T1", rows=2, cols=2, duration=600, seed=3)
+        entries = sorted(scenario.demand)
+        profiles = [((0.0, 0.2), (150.5, 0.0), (100.0, 0.4), (400.0, 0.1)),
+                    ((-5.0, 0.3), (250.25, 0.6), (math.nan, 0.9)),
+                    ((300.0, 0.5),)]
+        scenario = replace(scenario, demand=dict(zip(entries, profiles)))
+        arrivals = Arrivals(scenario)
+        assert [arrivals.at(t) for t in range(600)] == reference_arrivals(scenario, 3, 600)
+
     @pytest.mark.parametrize("family", ["T3", "E2", "B2", "M1"])
     def test_fixed_time_and_max_pressure_see_the_same_vehicles(self, family):
         scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=4)
@@ -694,3 +875,74 @@ class TestArrivals:
                     if generator:
                         users.add(f"{path.name}:{getattr(top, 'name', type(top).__name__)}")
         assert users == {"engine.py:Arrivals"}
+
+    def test_a_second_arrivals_of_the_grid_searches_no_route(self, monkeypatch):
+        searched = []
+        search = network_module.canonical_route
+
+        def counted(network, entry, exit_):
+            searched.append((entry, exit_))
+            return search(network, entry, exit_)
+
+        monkeypatch.setattr(network_module, "canonical_route", counted)
+        grid_routes.cache_clear()
+        first = make_scenario("T3", rows=3, cols=2, duration=300, seed=1)
+        Arrivals(first, 1).draw_until(300)
+        # a 3x2 grid has 10 entry and 10 exit links: each pair once
+        assert len(searched) == len(set(searched)) == 100
+        searched.clear()
+        drawn = {}
+        for family, seed in (("E2", 2), ("B2", 3), ("T3", 1)):
+            scenario = make_scenario(family, rows=3, cols=2, duration=300, seed=seed)
+            arrivals = Arrivals(scenario, seed)
+            drawn[family, seed] = [arrivals.at(t) for t in range(300)]
+        copy = pickle.loads(pickle.dumps(Arrivals(first, 4)))
+        grid_routes.cache_clear()
+        copy.draw_until(300)  # a pickled copy carries its routes
+        assert searched == []
+        for (family, seed), steps in drawn.items():
+            scenario = make_scenario(family, rows=3, cols=2, duration=300, seed=seed)
+            assert steps == reference_arrivals(scenario, seed, 300)
+
+    def test_the_route_memo_keeps_at_most_its_bound(self):
+        grid_routes.cache_clear()
+        grids = [(1, 2, 100.0 + i) for i in range(GRID_MEMO_SIZE + 3)]
+        tables = [grid_routes(*grid) for grid in grids]
+        info = grid_routes.cache_info()
+        assert info.maxsize == GRID_MEMO_SIZE and info.currsize == GRID_MEMO_SIZE
+        assert grid_routes(*grids[-1]) is tables[-1]  # the grids used last are kept
+        assert grid_routes(*grids[0]) is not tables[0]  # the oldest were dropped
+        assert grid_routes.cache_info().currsize == GRID_MEMO_SIZE
+
+
+class TestHotLoops:
+    """Per-episode work stays per episode: nothing in the step loop
+    sorts the intersection ids or builds an intersection's record."""
+
+    def test_ids_are_sorted_and_records_built_a_constant_number_of_times(self, monkeypatch):
+        sorts, records = [], []
+
+        def counted_ids(network):
+            sorts.append(network)
+            return tuple(sorted(network.intersections))
+
+        build = Junction.__init__
+
+        def counted_build(junction, node, links):
+            records.append(node.id)
+            build(junction, node, links)
+
+        monkeypatch.setattr(Network, "intersection_ids", property(counted_ids))
+        monkeypatch.setattr(Junction, "__init__", counted_build)
+        per_duration = []
+        for duration in (60, 600):
+            sorts.clear()
+            records.clear()
+            scenario = make_scenario("E2", rows=2, cols=3, duration=duration, seed=1)
+            for controller in (FixedTimeController(), MaxPressureController(), SkillController(SEED_SKILL)):
+                run_episode(scenario, controller, 1)
+            per_duration.append((len(sorts), sorted(records)))
+        assert per_duration[0] == per_duration[1]
+        sort_count, built = per_duration[0]
+        assert sort_count <= 3
+        assert built == sorted(["x0_0", "x0_1", "x0_2", "x1_0", "x1_1", "x1_2"] * 3)
