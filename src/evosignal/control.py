@@ -12,6 +12,20 @@ plus the outlane body evaluated on the outlane features, with the phase
 index and any event context injected alongside. Argmax with the lowest
 index winning ties - ties must break the same way no matter what order
 phases were evaluated in.
+
+``score_phases`` is the one scorer, and it computes nothing twice: a
+body that names no parameter is folded to a constant when it is
+compiled and never called; an outlane body that does not name ``index``
+runs once per exit link (4 calls per decision, not 12), since up to
+three lane-links share one; and each exit link's figures are read once.
+The engine keeps the vehicle counts of every link and lane, so a count
+is read in O(1). Scores are bit-identical to calling both bodies at
+every lane-link, and a fault is reported where that order meets it
+first.
+
+The max-pressure baselines count the junction's queue lists instead of
+reading views. Controllers that log events and skill activations build
+those records only when the episode collects a step log.
 """
 
 from __future__ import annotations
@@ -64,6 +78,10 @@ class CompiledSkill:
         self.outlane = compile_body(parse(skill.outlane_code))
 
 
+# The event context of a decision with no active event.
+_NO_EVENT = (0.0,) * len(EVENT_VARIABLES)
+
+
 def score_phases(
     skill: Skill | CompiledSkill,
     observations: PhaseViews,
@@ -72,39 +90,72 @@ def score_phases(
     """Score every phase with a skill; raises EvalError if any lane-link
     evaluation faults (callers hold the current phase and record it).
     Each lane-link adds its inlane result, checked, then its outlane
-    result, so the first fault in that order is the one reported. A lane
-    feature a body does not name is never read from the view; the body
-    gets 0.0 for it, which it cannot see."""
+    result, so the first fault in that order is the one reported.
+
+    Each figure is read once and each result known in advance is not
+    computed again, which leaves every score bit-identical:
+
+    - a lane feature a body does not name is never read from the view;
+      the body gets 0.0 for it, which it cannot see;
+    - a body's ``constant``, when it has one, is added without a call;
+    - up to three lane-links share an outlane view, so each outlane
+      view's figures are read once per call; an outlane body that does
+      not name ``index`` runs once per view, and its checked result
+      serves every lane-link with that view. The memo is keyed on the
+      view (an engine view hashes by identity) and filled at first use,
+      so bodies still run, and fault, in the order above.
+    """
     compiled = skill if isinstance(skill, CompiledSkill) else CompiledSkill(skill)
-    extra = ctx_extra or {}
-    e0, e1, e2, e3, e4, e5 = (extra.get(name, 0.0) for name in EVENT_VARIABLES)
-    fin, fout = compiled.inlane.function, compiled.outlane.function
-    in_count, in_waiting, in_dist = compiled.inlane.reads
-    out_count, out_waiting, out_dist = compiled.outlane.reads
+    e0, e1, e2, e3, e4, e5 = (
+        tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
+    )
+    inlane_body, outlane_body = compiled.inlane, compiled.outlane
+    fin, fout = inlane_body.function, outlane_body.function
+    in_constant, out_constant = inlane_body.constant, outlane_body.constant
+    in_count, in_waiting, in_dist = inlane_body.reads
+    out_count, out_waiting, out_dist = outlane_body.reads
+    share_outlane = not outlane_body.names_index
+    # Per outlane view: its three figures, and its checked result when
+    # the body does not name index.
+    figures_of = {}
+    results = {}
     scores = []
     try:
         for k, lane_links in enumerate(observations):
             total = 0.0
             index = float(k)
             for inlane, outlane in lane_links:
-                result = fin(
-                    float(inlane.num_vehicle) if in_count else 0.0,
-                    float(inlane.num_waiting_vehicle) if in_waiting else 0.0,
-                    float(inlane.vehicle_dist) if in_dist else 0.0,
-                    index, e0, e1, e2, e3, e4, e5,
-                )
-                # r - r is 0.0 exactly for a finite float
-                if type(result) is not float or result - result != 0.0:
-                    result = finite_result(result)
-                total += result
-                result = fout(
-                    float(outlane.num_vehicle) if out_count else 0.0,
-                    float(outlane.num_waiting_vehicle) if out_waiting else 0.0,
-                    float(outlane.vehicle_dist) if out_dist else 0.0,
-                    index, e0, e1, e2, e3, e4, e5,
-                )
-                if type(result) is not float or result - result != 0.0:
-                    result = finite_result(result)
+                if in_constant is None:
+                    result = fin(
+                        float(inlane.num_vehicle) if in_count else 0.0,
+                        float(inlane.num_waiting_vehicle) if in_waiting else 0.0,
+                        float(inlane.vehicle_dist) if in_dist else 0.0,
+                        index, e0, e1, e2, e3, e4, e5,
+                    )
+                    # r - r is 0.0 exactly for a finite float
+                    if type(result) is not float or result - result != 0.0:
+                        result = finite_result(result)
+                    total += result
+                else:
+                    total += in_constant
+                if out_constant is not None:
+                    total += out_constant
+                    continue
+                result = results.get(outlane) if share_outlane else None
+                if result is None:
+                    figures = figures_of.get(outlane)
+                    if figures is None:
+                        figures = figures_of[outlane] = (
+                            float(outlane.num_vehicle) if out_count else 0.0,
+                            float(outlane.num_waiting_vehicle) if out_waiting else 0.0,
+                            float(outlane.vehicle_dist) if out_dist else 0.0,
+                        )
+                    count, waiting, dist = figures
+                    result = fout(count, waiting, dist, index, e0, e1, e2, e3, e4, e5)
+                    if type(result) is not float or result - result != 0.0:
+                        result = finite_result(result)
+                    if share_outlane:
+                        results[outlane] = result
                 total += result
             scores.append(total)
     except (ArithmeticError, TypeError, ValueError) as exc:
@@ -233,7 +284,8 @@ class HandcraftedPreemptionController:
 
     def decide(self, ctx: StepContext) -> PhaseDecision:
         events = ev.detect(ctx.episode, ctx.intersection_id, config=self.detector)
-        _log_events(ctx, events)
+        if ctx.episode.collect_step_log:
+            _log_events(ctx, events)
         emergency = ev.active_event(events, "emergency")
         if emergency is not None:
             return PhaseDecision(int(emergency.context["emergency_phase"]), override_min_green=True)
@@ -254,21 +306,22 @@ class DispatcherController:
 
     def decide(self, ctx: StepContext) -> PhaseDecision | None:
         events = ev.detect(ctx.episode, ctx.intersection_id, config=self.detector)
-        _log_events(ctx, events)
         active_kind, _ = ev.dispatch(events, self.bank)
-        event = ev.active_event(events, active_kind)
-        ctx.log(
-            {
-                "kind": "activation",
-                "skill_kind": active_kind,
-                "time": ctx.t,
-                "intersection": ctx.intersection_id,
-            }
-        )
-        try:
-            scores = score_phases(
-                self.compiled[active_kind], ctx.observations, ev.event_bindings(event)
+        if ctx.episode.collect_step_log:
+            _log_events(ctx, events)
+            ctx.log(
+                {
+                    "kind": "activation",
+                    "skill_kind": active_kind,
+                    "time": ctx.t,
+                    "intersection": ctx.intersection_id,
+                }
             )
+        # With no active event the scorer binds zeros, as event_bindings does.
+        event = ev.active_event(events, active_kind)
+        context = None if event is None else ev.event_bindings(event)
+        try:
+            scores = score_phases(self.compiled[active_kind], ctx.observations, context)
         except EvalError as exc:
             ctx.record_fault(str(exc))
             return None

@@ -4,13 +4,18 @@ The main interpreter lowers a SkillAst once to a real Python function
 (grammar and whitelist have already fenced it in) whose positional
 parameters are the ten canonical bindings: the three lane features,
 the phase ``index`` and the six event-context variables. A prologue
-assigns any lane-index aliases the body uses and sets up the ``value``
-accumulator; the function returns ``value[0]``. Its globals hold the
+assigns any lane-index aliases the body uses and sets the accumulator,
+a local float ``value``, to 0.0; each ``value[0] op= e`` becomes
+``value op= e`` (the same arithmetic, without a list to index), and the
+function returns ``value``. Its globals hold the
 whitelisted builtins and nothing else, so a call costs about as much as
 the arithmetic in it, which matters because an episode evaluates skill
 bodies hundreds of thousands of times. ``CompiledBody.reads`` records
 which lane features a body names (aliases included), so a scorer reads
-from the simulator only those.
+from the simulator only those; ``names_index`` whether it names the
+phase ``index``, so a scorer may share one result among lane-links with
+the same features; and ``constant`` the result of a body that names no
+parameter at all, so a scorer need not call it.
 
 Semantics are plain double precision: all literals are floats, ``//`` is
 floor division, ``%`` takes the sign of the divisor, ``**`` is real
@@ -161,9 +166,7 @@ def _lower_expr(node: Expr) -> pyast.expr:
 
 
 def _accumulator_target() -> pyast.expr:
-    return pyast.Subscript(
-        pyast.Name("value", pyast.Load()), pyast.Constant(0), pyast.Store()
-    )
+    return pyast.Name("value", pyast.Store())
 
 
 def _lower_stmt(node: Stmt) -> pyast.stmt:
@@ -185,7 +188,7 @@ def _name(name: str, ctx=None) -> pyast.Name:
 
 def _lower_function(ast: SkillAst) -> pyast.Module:
     """``def skill(<BODY_PARAMETERS>)``: alias prologue, accumulator,
-    the body, ``return value[0]``. A name that no canonical binding can
+    the body, ``return value``. A name that no canonical binding can
     supply raises EvalError before the body runs."""
     prologue: list[pyast.stmt] = []
     for name in sorted(free_names(ast)):
@@ -196,9 +199,9 @@ def _lower_function(ast: SkillAst) -> pyast.Module:
             prologue.append(pyast.Assign([_name(name, pyast.Store())], _name(canonical)))
     body = [
         *prologue,
-        pyast.Assign([_name("value", pyast.Store())], pyast.List([pyast.Constant(0.0)], pyast.Load())),
+        pyast.Assign([_name("value", pyast.Store())], pyast.Constant(0.0)),
         *(_lower_stmt(s) for s in ast.statements),
-        pyast.Return(pyast.Subscript(_name("value"), pyast.Constant(0), pyast.Load())),
+        pyast.Return(_name("value")),
     ]
     params = pyast.arguments(
         posonlyargs=[], args=[pyast.arg(p) for p in BODY_PARAMETERS],
@@ -224,14 +227,26 @@ class CompiledBody:
     ``BODY_PARAMETERS``. ``function`` returns the raw accumulator and
     may raise ArithmeticError, TypeError or ValueError; callers map
     those to EvalError and check the result with ``finite_result``, as
-    ``run`` does. ``reads`` tells, for each of the three lane features
-    in ``BODY_PARAMETERS`` order, whether the body names it directly or
-    through an alias; the function never reads a feature it does not
-    name, so a caller may pass anything for it. Immutable after
-    construction; safe to share across threads (each call has its own
-    locals)."""
+    ``run`` does.
 
-    __slots__ = ("function", "name_map", "reads")
+    What the body names, for a caller that wants to skip work:
+
+    - ``reads`` tells, for each of the three lane features in
+      ``BODY_PARAMETERS`` order, whether the body names it directly or
+      through an alias; the function never reads a feature it does not
+      name, so a caller may pass anything for it;
+    - ``names_index`` tells whether it names the phase ``index``; if
+      not, its result is a function of the lane features and the event
+      context alone;
+    - ``constant`` is the checked result of a body that names no
+      parameter (``value[0] += 0``), computed here once; it is None for
+      every other body and for one whose run faults, so that a faulting
+      body is still called and faults where it always did.
+
+    Immutable after construction; safe to share across threads (each
+    call has its own locals)."""
+
+    __slots__ = ("function", "name_map", "reads", "names_index", "constant")
 
     def __init__(self, ast: SkillAst):
         namespace: dict[str, object] = {}
@@ -240,6 +255,13 @@ class CompiledBody:
         self.name_map = tuple((name, wl.canonical_binding(name)) for name in sorted(free_names(ast)))
         named = {canonical for _, canonical in self.name_map}
         self.reads = tuple(feature in named for feature in BODY_PARAMETERS[:3])
+        self.names_index = wl.PHASE_INDEX in named
+        self.constant = None
+        if not named:
+            try:
+                self.constant = finite_result(self.function(*[0.0] * len(BODY_PARAMETERS)))
+            except (ArithmeticError, TypeError, ValueError, EvalError):
+                pass
 
     def run(self, bindings: Mapping[str, float]) -> float:
         for src, canonical in self.name_map:

@@ -20,7 +20,8 @@ Controllers observe through live views built once per episode: a
 stores no figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
 ``vehicle_dist`` is read from the link state when it is asked for, so a
 controller pays only for the figures it reads, and a read after
-``Episode.step`` sees the new state.
+``Episode.step`` sees the new state. Vehicle counts are kept by the
+link state as vehicles enter and leave it, so reading one is O(1).
 
 Each intersection also gets a ``Junction`` record, built once per
 episode: its signal, its queued-vehicle count and history, each phase's
@@ -168,16 +169,25 @@ class Vehicle:
 
 
 class LinkState:
-    """Vehicles on one link. The queue lists and the ``blocked`` set are
-    created once and only ever changed in place, so views and records
-    may hold them; ``running`` is replaced when a vehicle leaves it."""
+    """Vehicles on one link. The queue lists, the ``blocked`` set and
+    ``lane_counts`` are created once and only ever changed in place, so
+    views and records may hold them; ``running`` is replaced when a
+    vehicle leaves it.
 
-    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos")
+    ``count`` is the number of vehicles on the link (running and
+    queued), and ``lane_counts[m]`` the number whose movement is ``m``
+    (None on an exit link): those in ``queues[m]`` plus the running ones.
+    The episode changes them only where a vehicle enters the link, leaves
+    it or is given another movement."""
+
+    __slots__ = ("link", "running", "queues", "count", "lane_counts", "credit", "blocked", "blocked_head_pos")
 
     def __init__(self, link: Link):
         self.link = link
         self.running: list[Vehicle] = []
         self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
+        self.count = 0
+        self.lane_counts: dict[str | None, int] = dict.fromkeys((*MOVEMENTS, None), 0)
         self.credit: dict[str, float] = {m: 0.0 for m in MOVEMENTS}
         self.blocked: set[str] = set()
         # Position (m from link start) of a mid-link blockage, per movement.
@@ -191,9 +201,6 @@ class LinkState:
             return 0.0
         return (self.link.length - head) + JAM_SPACING
 
-    def vehicle_count(self) -> int:
-        return len(self.running) + sum(map(len, self.queues.values()))
-
 
 class LaneView:
     """Live figures of one movement's lane of a link: what a skill sees
@@ -202,13 +209,14 @@ class LaneView:
     The one frozen vehicle, the incident blocker, is counted as waiting
     through ``blocked``: ``_update_incident`` sets both together."""
 
-    __slots__ = ("_state", "_movement", "_queue", "_blocked")
+    __slots__ = ("_state", "_movement", "_queue", "_blocked", "_counts")
 
     def __init__(self, state: LinkState, movement: str):
         self._state = state
         self._movement = movement
         self._queue = state.queues[movement]
         self._blocked = state.blocked
+        self._counts = state.lane_counts
 
     @property
     def num_waiting_vehicle(self) -> int:
@@ -216,12 +224,7 @@ class LaneView:
 
     @property
     def num_vehicle(self) -> int:
-        movement = self._movement
-        n = len(self._queue)
-        for vehicle in self._state.running:
-            if vehicle.movement == movement:
-                n += 1
-        return n
+        return self._counts[self._movement]
 
     @property
     def vehicle_dist(self) -> float:
@@ -246,19 +249,16 @@ class LaneView:
 
 class LinkView:
     """Live figures of a whole link: what a skill sees as the outlane of
-    a lane-link. Up to three lane-links of an intersection read the same
-    exit link, so the gap is kept in ``gaps``, a dict keyed by link id
-    that the episode clears every step. The view holds that dict, never
-    the episode, so a finished episode is freed by reference counting."""
+    a lane-link. Up to three lane-links of an intersection share one exit
+    link; ``control.score_phases`` reads each exit's figures once per
+    decision."""
 
-    __slots__ = ("_state", "_queues", "_blocked", "_gaps", "_id")
+    __slots__ = ("_state", "_queues", "_blocked")
 
-    def __init__(self, state: LinkState, gaps: dict[str, float]):
+    def __init__(self, state: LinkState):
         self._state = state
         self._queues = tuple(state.queues.values())
         self._blocked = state.blocked
-        self._gaps = gaps
-        self._id = state.link.id
 
     @property
     def num_waiting_vehicle(self) -> int:
@@ -267,16 +267,10 @@ class LinkView:
 
     @property
     def num_vehicle(self) -> int:
-        return self._state.vehicle_count()
+        return self._state.count
 
     @property
     def vehicle_dist(self) -> float:
-        gap = self._gaps.get(self._id)
-        if gap is None:
-            gap = self._gaps[self._id] = self._gap()
-        return gap
-
-    def _gap(self) -> float:
         state = self._state
         length = state.link.length
         n = 0
@@ -551,7 +545,7 @@ class Episode:
         self.vehicles: list[Vehicle] = []
         self.completed = 0
         self.controller_faults = 0
-        self._collect_step_log = collect_step_log
+        self.collect_step_log = collect_step_log
         self._step_log: list[dict] = []
         self._next_vehicle_id = 0
         self._per_step_queues: list[float] = []
@@ -559,14 +553,12 @@ class Episode:
         self._total_wait = 0.0
         self._incident_vehicle: Vehicle | None = None
         self._window_wait = 0.0
-        # Whole-link gaps read this step, by link id; shared by the views.
-        self._link_gaps: dict[str, float] = {}
         lane_views = {
             (link_id, movement): LaneView(state, movement)
             for link_id, state in self.links.items()
             for movement in MOVEMENTS
         }
-        link_views = {link_id: LinkView(state, self._link_gaps) for link_id, state in self.links.items()}
+        link_views = {link_id: LinkView(state) for link_id, state in self.links.items()}
         # Per intersection and phase: the (inlane, outlane) views of each
         # lane-link, in evaluation order.
         self._views: dict[str, PhaseViews] = {
@@ -604,8 +596,10 @@ class Episode:
         self._next_vehicle_id += 1
         self.vehicles.append(vehicle)
         link_state = self.links[route[0]]
-        vehicle.movement = self._movement_on(route, 0)
+        vehicle.movement = movement = self._movement_on(route, 0)
         link_state.running.append(vehicle)
+        link_state.count += 1
+        link_state.lane_counts[movement] += 1
         return vehicle
 
     def _movement_on(self, route: tuple[str, ...], leg: int) -> str | None:
@@ -636,6 +630,9 @@ class Episode:
             vehicle.pos = pos
             vehicle.frozen = True
             vehicle.stopped_since = self.t
+            lane_counts = link_state.lane_counts
+            lane_counts[vehicle.movement] -= 1
+            lane_counts[incident.movement] += 1
             vehicle.movement = incident.movement
             link_state.blocked.add(incident.movement)
             link_state.blocked_head_pos[incident.movement] = pos
@@ -670,7 +667,6 @@ class Episode:
     def step(self, decisions: dict[str, PhaseDecision | None]) -> None:
         """Advance one second. ``decisions`` maps intersection id to the
         requested phase (None or current phase holds)."""
-        self._link_gaps.clear()
         for vclass, route in self.arrivals.at(self.t):
             self._new_vehicle(vclass, route)
         self._update_incident()
@@ -729,6 +725,8 @@ class Episode:
                 while credit[movement] >= 1.0 and queue:
                     credit[movement] -= 1.0
                     junction.queued -= 1
+                    state.count -= 1
+                    state.lane_counts[movement] -= 1
                     self._release(queue.pop(0))
 
     def _release(self, vehicle: Vehicle) -> None:
@@ -737,8 +735,11 @@ class Episode:
         vehicle.stopped_since = None
         vehicle.leg += 1
         vehicle.pos = 0.0
-        vehicle.movement = self._movement_on(vehicle.route, vehicle.leg)
-        self.links[vehicle.route[vehicle.leg]].running.append(vehicle)
+        vehicle.movement = movement = self._movement_on(vehicle.route, vehicle.leg)
+        state = self.links[vehicle.route[vehicle.leg]]
+        state.running.append(vehicle)
+        state.count += 1
+        state.lane_counts[movement] += 1
 
     def _advance_vehicles(self) -> None:
         """Move every running vehicle one second on. A link's ``running``
@@ -759,6 +760,9 @@ class Episode:
                         exited += 1
             if exited:
                 self.completed += exited
+                # A vehicle on an exit link has no movement.
+                state.count -= exited
+                state.lane_counts[None] -= exited
                 state.running = [vehicle for vehicle in running if vehicle.exit_time is None]
         for state, junction in self._approach_links:
             running = state.running
@@ -807,7 +811,7 @@ class Episode:
         self._per_step_queues.append(total_waiting / len(self.junctions))
         entered = max(1, len(self.vehicles))
         self._per_step_delays.append(self._total_wait / entered)
-        if self._collect_step_log:
+        if self.collect_step_log:
             for junction in self.junctions.values():
                 signal = junction.signal
                 self._step_log.append(
@@ -825,7 +829,7 @@ class Episode:
     # logging / results
 
     def log_record(self, record: dict) -> None:
-        if self._collect_step_log:
+        if self.collect_step_log:
             self._step_log.append(record)
 
     def delay_of(self, vehicle: Vehicle) -> float:
@@ -908,7 +912,7 @@ class Episode:
         )
 
     def in_network_count(self) -> int:
-        return sum(state.vehicle_count() for state in self.links.values())
+        return sum(state.count for state in self.links.values())
 
 
 def run_episode(

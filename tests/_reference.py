@@ -7,8 +7,9 @@ counter, a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
 counts and extremes from live views when they are asked for),
 max-pressure scored from observations (the package counts queue lists
-in a per-intersection table), and the
-per-vehicle, per-second wait accrual (the
+in a per-intersection table), link and lane vehicle counts recounted
+from a link's lists (the package keeps them as vehicles enter and
+leave), the per-vehicle, per-second wait accrual (the
 package banks a wait when it ends), and the arrival stream drawn step by
 step with every route searched again (the package draws it once into an
 ``Arrivals`` and caches routes). They exist so the main
@@ -292,6 +293,19 @@ def reference_observe(episode, intersection_id: str):
             phase_obs.append((inlane, outlane))
         out.append(phase_obs)
     return out
+
+
+def recount_link(link_state) -> tuple[int, dict[str, int]]:
+    """The vehicles on a link, counted from its lists: all of them
+    (running and queued), and per movement those in that movement's
+    queue plus the running ones headed for it."""
+    running = link_state.running
+    total = len(running) + sum(len(queue) for queue in link_state.queues.values())
+    lanes = {
+        movement: len(queue) + sum(1 for v in running if v.movement == movement)
+        for movement, queue in link_state.queues.items()
+    }
+    return total, lanes
 
 
 def reference_max_pressure(observations) -> list[float]:

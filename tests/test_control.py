@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import random
+import time
+from collections import Counter
 from concurrent import futures
 from pathlib import Path
 
@@ -12,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosignal.control import (
+    CompiledSkill,
     ControllerSpec,
     FixedTimeController,
     FixedTimePlan,
     HandcraftedPreemptionController,
     MaxPressureController,
+    SkillController,
     drive,
     episode_pool,
     max_pressure,
@@ -24,10 +28,12 @@ from evosignal.control import (
     run_episodes,
     score_phases,
 )
-from evosignal.dsl import EvalError, parse
+from evosignal.dsl import EvalError, compile_body, complexity, event_whitelist, parse, sandbox_check, validate
+from evosignal.dsl.interpreter import BODY_PARAMETERS
+from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import PHASE_DECISIONS, Arrivals, Episode, run_episode
+from evosignal.sim.engine import PHASE_DECISIONS, Arrivals, Episode, StepContext, run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
 from ._reference import LaneObservation, reference_max_pressure, reference_observe, reference_score_phases
@@ -185,6 +191,204 @@ class TestScoreOracle:
             score_phases(skill, obs)
         with pytest.raises(EvalError, match="non-finite result: inf"):
             reference_score_phases(parse(skill.inlane_code), parse(skill.outlane_code), obs)
+
+
+class CountedBody:
+    """A compiled body whose calls are counted in ``calls[key]``."""
+
+    def __init__(self, body, calls, key):
+        self.reads, self.names_index, self.constant = body.reads, body.names_index, body.constant
+        function = body.function
+
+        def counted(*args):
+            calls[key] += 1
+            return function(*args)
+
+        self.function = counted
+
+
+def counted_skill(inlane, outlane, calls):
+    compiled = CompiledSkill(Skill(id="c", description="", guidance="", inlane_code=inlane, outlane_code=outlane))
+    compiled.inlane = CountedBody(compiled.inlane, calls, "inlane")
+    compiled.outlane = CountedBody(compiled.outlane, calls, "outlane")
+    return compiled
+
+
+def engine_decisions(family="T1", duration=240, seed=6):
+    """Yield (episode, intersection id) at every decision of a 2x2
+    max-pressure episode, before the step it decides; the views are
+    live, so read them before resuming."""
+    scenario = make_scenario(family, rows=2, cols=2, duration=duration, seed=seed)
+    episode = Episode(scenario)
+    controller = MaxPressureController()
+    for _ in range(duration):
+        decisions = {}
+        for node_id, junction in episode.junctions.items():
+            yield episode, node_id
+            decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode, junction))
+        episode.step(decisions)
+
+
+class TestBodyCalls:
+    """How often one decision calls each body, on engine views: a body
+    naming no parameter never, an outlane body that does not name index
+    once per exit link (4), any other body once per lane-link (12)."""
+
+    @pytest.mark.parametrize(
+        ("inlane", "outlane", "inlane_calls", "outlane_calls"),
+        [
+            ("value[0] += num_waiting_vehicle", "value[0] += 0", 12, 0),
+            ("value[0] += 1", "value[0] += 2.5 * 4 - 3", 0, 0),
+            ("value[0] += 1", "value[0] += num_vehicle * 2 - vehicle_dist / 100", 0, 4),
+            ("value[0] += index", "value[0] += outlane_1_num_vehicle * (1 + emergency_distance)", 12, 4),
+            ("value[0] += vehicle_dist", "value[0] += index * num_vehicle - vehicle_dist", 12, 12),
+        ],
+    )
+    def test_calls_per_decision(self, inlane, outlane, inlane_calls, outlane_calls):
+        calls = Counter()
+        compiled = counted_skill(inlane, outlane, calls)
+        decisions = 0
+        for episode, node_id in engine_decisions():
+            calls.clear()
+            score_phases(compiled, episode.observe(node_id))
+            assert (calls["inlane"], calls["outlane"]) == (inlane_calls, outlane_calls)
+            decisions += 1
+        assert decisions == 240 * 4
+
+    def test_only_a_body_that_names_nothing_and_runs_is_folded(self):
+        assert compile_body(parse("value[0] += 0")).constant == 0.0
+        assert compile_body(parse("value[0] += 2 ** 3\nvalue[0] /= 4")).constant == 2.0
+        assert compile_body(parse("value[0] += index")).constant is None
+        for faulting in ("value[0] += 1 / 0", "value[0] += 1e308 * 10", "value[0] += sum(range(1e9))"):
+            assert compile_body(parse(faulting)).constant is None
+        assert compile_body(parse("value[0] += index * 2")).names_index
+        assert not compile_body(parse("value[0] += outlane_3_vehicle_dist")).names_index
+
+    def test_a_faulting_constant_body_is_called_and_faults_in_order(self):
+        calls = Counter()
+        compiled = counted_skill("value[0] += 1", "value[0] += 1 / 0", calls)
+        for episode, node_id in engine_decisions(duration=3):
+            calls.clear()
+            with pytest.raises(EvalError, match="division by zero"):
+                score_phases(compiled, episode.observe(node_id))
+            assert (calls["inlane"], calls["outlane"]) == (0, 1)
+
+
+# Bodies that fault on some figures only, and bodies that name index.
+PARTIAL_INLANES = (
+    "value[0] += num_waiting_vehicle",
+    "value[0] += num_vehicle / (num_waiting_vehicle - 1)",
+    "value[0] += 2",
+    "value[0] += index * vehicle_dist - num_vehicle",
+)
+PARTIAL_OUTLANES = (
+    "value[0] += 0",
+    "value[0] += 10 / (num_vehicle - 3)",
+    "value[0] += 1 / (num_vehicle - index - 2)",
+    "value[0] -= vehicle_dist ** 0.5 * num_vehicle + bus_count",
+    "value[0] += 1e308 * num_waiting_vehicle * 2",
+)
+
+
+class ReferenceSkillController:
+    """Scores with the tree-walking reference, which evaluates both
+    bodies at every lane-link in turn and reads every figure each time."""
+
+    def __init__(self, skill):
+        self.inlane, self.outlane = parse(skill.inlane_code), parse(skill.outlane_code)
+
+    def decide(self, ctx):
+        try:
+            scores = reference_score_phases(self.inlane, self.outlane, ctx.observations)
+        except EvalError as exc:
+            ctx.record_fault(str(exc))
+            return None
+        return PHASE_DECISIONS[scores.index(max(scores))]
+
+
+class TestScoreOracleOnEngineViews:
+    """score_phases against the reference on live engine views, for
+    bodies that share outlane results, name index or fault on some
+    figures only: the same scores, or the same first fault."""
+
+    def test_scores_and_first_faults_match_the_reference(self):
+        pairs = [(i, o) for i in PARTIAL_INLANES for o in PARTIAL_OUTLANES]
+        compiled = [CompiledSkill(Skill(id="p", description="", guidance="", inlane_code=i, outlane_code=o))
+                    for i, o in pairs]
+        parsed = [(parse(i), parse(o)) for i, o in pairs]
+        contexts = (None, {"emergency_distance": 40.0, "emergency_phase": 2.0, "bus_count": 3.0})
+        faults = Counter()
+        for n, (episode, node_id) in enumerate(engine_decisions("E2", duration=200)):
+            views = episode.observe(node_id)
+            context = contexts[n % 2]
+            for pair, skill, (inlane, outlane) in zip(pairs, compiled, parsed):
+                ours = TestScoreOracle.outcome(lambda: list(score_phases(skill, views, context).scores))
+                theirs = TestScoreOracle.outcome(lambda: reference_score_phases(inlane, outlane, views, context))
+                assert ours == theirs, (pair, episode.t, node_id)
+                faults[pair, ours[0] == "EvalError"] += 1
+        for inlane, outlane in pairs:
+            partial = inlane == PARTIAL_INLANES[1] or outlane not in (PARTIAL_OUTLANES[0], PARTIAL_OUTLANES[3])
+            assert (faults[(inlane, outlane), True] > 0) == partial
+            assert faults[(inlane, outlane), False] > 0
+
+    @pytest.mark.parametrize(
+        ("inlane", "outlane"),
+        [(0, 1), (3, 2), (1, 4)],
+    )
+    def test_controller_fault_log_matches_the_reference_order(self, inlane, outlane):
+        skill = Skill(id="p", description="", guidance="",
+                      inlane_code=PARTIAL_INLANES[inlane], outlane_code=PARTIAL_OUTLANES[outlane])
+        scenario = make_scenario("T2", rows=2, cols=2, duration=300, seed=8)
+        ours = run_episode(scenario, SkillController(skill), collect_step_log=True)
+        theirs = run_episode(scenario, ReferenceSkillController(skill), collect_step_log=True)
+        assert ours.step_log == theirs.step_log
+        assert ours.metrics == theirs.metrics
+        # a fault holds the phase, so faults at every decision would be 1200
+        assert 0 < ours.controller_faults < 300 * 4
+
+
+def worst_body() -> str:
+    """A body at both size bounds that names every parameter: nested
+    conditionals MAX_BRANCH_DEPTH deep, every test true, around
+    statements that read every parameter through ``abs`` calls, to
+    exactly MAX_BODY_NODES nodes."""
+    lines = [
+        "    " * depth + f"if {BODY_PARAMETERS[depth % len(BODY_PARAMETERS)]} >= 0:"
+        for depth in range(MAX_BRANCH_DEPTH)
+    ]
+    budget = MAX_BODY_NODES - 2 * MAX_BRANCH_DEPTH  # each test: compare + name
+    named = 0
+    while budget:
+        k = min(10, (budget - 2) // 3)  # statement + target + k abs calls and names + k - 1 adds + 1 product
+        terms = " + ".join(f"abs({BODY_PARAMETERS[(named + j) % len(BODY_PARAMETERS)]})" for j in range(k))
+        lines.append("    " * MAX_BRANCH_DEPTH + f"value[0] += ({terms}) * 0.001")
+        budget -= 3 * k + 2
+        named += k
+    return "\n".join(lines)
+
+
+class TestWorstBody:
+    def test_the_largest_admitted_body_runs_an_episode_within_a_bound(self):
+        code = worst_body()
+        ast = parse(code)
+        assert complexity(ast) == (MAX_BODY_NODES, MAX_BRANCH_DEPTH)
+        assert validate(ast, event_whitelist()).ok
+        worst = Skill(id="w", description="", guidance="", inlane_code=code, outlane_code=code)
+        assert sandbox_check(worst, event_whitelist()).ok
+        scenario = make_scenario("T1", rows=2, cols=2, duration=600, seed=1)
+        arrivals = Arrivals(scenario, 1)
+        arrivals.draw_until(scenario.duration)
+
+        def timed(skill):
+            start = time.perf_counter()
+            result = drive(ControllerSpec("skill", skill=skill), scenario, 1, arrivals=arrivals)
+            return time.perf_counter() - start, result
+
+        seed_s = sorted(timed(SEED_SKILL)[0] for _ in range(3))[1]
+        worst_s, result = timed(worst)
+        assert result.controller_faults == 0
+        # 4-8x on a 2-vCPU host; the bound leaves room for a noisy one
+        assert worst_s < 20 * seed_s, (worst_s, seed_s)
 
 
 def centre_junction(waiting=None, exit_waiting=None, vclass="normal"):

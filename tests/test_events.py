@@ -37,6 +37,8 @@ def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
     vehicle.movement = "s"
     vehicle.pos = state.link.length - distance_from_stopline
     state.running.append(vehicle)
+    state.count += 1
+    state.lane_counts["s"] += 1
     return vehicle
 
 

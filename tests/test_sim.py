@@ -16,6 +16,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from evosignal import control as control_module
 from evosignal.control import (
     FixedTimeController,
     HandcraftedPreemptionController,
@@ -39,6 +40,7 @@ from evosignal.sim.engine import (
 )
 from evosignal.sim.network import (
     GRID_MEMO_SIZE,
+    MOVEMENTS,
     ConfigError,
     Network,
     NUM_PHASES,
@@ -61,7 +63,7 @@ from evosignal.sim.scenario import (
 )
 from evosignal.skills import LIBRARY, SEED_SKILL
 
-from ._reference import ReferenceAccrual, reference_arrivals, reference_observe
+from ._reference import ReferenceAccrual, recount_link, reference_arrivals, reference_observe
 
 
 class HoldController:
@@ -311,6 +313,8 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
     vehicle.queued = True
     vehicle.stopped_since = episode.t
     state.queues[movement].append(vehicle)
+    state.count += 1
+    state.lane_counts[movement] += 1
     episode.junctions[state.link.dst].queued += 1
     return vehicle
 
@@ -591,33 +595,30 @@ class TestLiveViews:
     @pytest.fixture()
     def reads(self, monkeypatch):
         """Count every figure read from a view as (view class, figure),
-        and every whole-link gap computed as (t, link id)."""
+        and list every exit-link figure read as (decision, view, figure),
+        a decision being one ``score_phases`` call."""
         counts = Counter()
-        gaps: list[tuple[int, str]] = []
+        exit_reads: list[tuple[int, int, str]] = []
+        decision = {"n": 0}
         for cls in (LaneView, LinkView):
             for figure in FIGURES:
                 fget = vars(cls)[figure].fget
 
-                def counted(view, fget=fget, key=(cls.__name__, figure)):
-                    counts[key] += 1
+                def counted(view, fget=fget, cls=cls, figure=figure):
+                    counts[cls.__name__, figure] += 1
+                    if cls is LinkView:
+                        exit_reads.append((decision["n"], id(view), figure))
                     return fget(view)
 
                 monkeypatch.setattr(cls, figure, property(counted))
-        compute = LinkView._gap
-        step = Episode.step
-        clock = {"t": 0}
+        score = control_module.score_phases
 
-        def counted_gap(view):
-            gaps.append((clock["t"], view._id))
-            return compute(view)
+        def counted_score(*args, **kwargs):
+            decision["n"] += 1
+            return score(*args, **kwargs)
 
-        def timed_step(episode, decisions):
-            step(episode, decisions)
-            clock["t"] = episode.t
-
-        monkeypatch.setattr(LinkView, "_gap", counted_gap)
-        monkeypatch.setattr(Episode, "step", timed_step)
-        return counts, gaps
+        monkeypatch.setattr(control_module, "score_phases", counted_score)
+        return counts, exit_reads
 
     def scenario(self, family="T1"):
         return make_scenario(family, rows=2, cols=2, duration=300, seed=4)
@@ -652,12 +653,20 @@ class TestLiveViews:
         assert result.controller_faults == 0
         assert set(counts) == {("LaneView", "num_waiting_vehicle")}
 
+    @pytest.mark.parametrize(
+        "outlane", [None, "value[0] += index * outlane_0_num_vehicle - vehicle_dist"], ids=["library", "index"]
+    )
     @pytest.mark.parametrize("name", ["saturation-branch", "bus-priority"])
-    def test_each_link_gap_is_computed_once_per_step(self, reads, name):
-        counts, gaps = reads
-        run_episode(self.scenario(), SkillController(LIBRARY[name]))
-        assert counts[("LinkView", "vehicle_dist")] > len(gaps) > 0
-        assert len(gaps) == len(set(gaps))
+    def test_each_exits_figures_are_read_at_most_once_per_decision(self, reads, name, outlane):
+        # with the library outlane (which does not name index) and with
+        # one that names index, so its body runs once per lane-link
+        skill = LIBRARY[name] if outlane is None else replace(LIBRARY[name], outlane_code=outlane)
+        counts, exit_reads = reads
+        result = run_episode(self.scenario(), SkillController(skill))
+        assert result.controller_faults == 0
+        assert counts[("LinkView", "vehicle_dist")] > 0
+        assert len(exit_reads) == len(set(exit_reads))
+        assert len({view for _, view, _ in exit_reads}) > 4
 
     @pytest.mark.parametrize("family", ["T1", "I1", "E2"])
     def test_views_read_after_a_step_see_the_new_state(self, family):
@@ -688,13 +697,46 @@ class TestLiveViews:
                 if episode.t == scenario.duration:
                     break
                 episode.step(decisions)
-            assert episode._link_gaps  # gaps read since the last step are held
             episode.finish()
             ref = weakref.ref(episode)
             del episode
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestKeptCounts:
+    """The link and lane counts the engine keeps as vehicles enter and
+    leave, against a recount of the link's lists after every step."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("family", ["T1", "I1", "I1-left", "E2", "B2", "M1"])
+    def test_kept_counts_match_a_recount(self, family, size):
+        # I1 and M1 block from 600 s to 900 s; I1-left blocks the left
+        # turn, so the blocker's movement is changed when it is placed.
+        duration = 950 if family.startswith(("I1", "M1")) else 400
+        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration, seed=3)
+        if family == "I1-left":
+            scenario = replace(scenario, incident=replace(scenario.incident, movement="l"))
+        episode = Episode(scenario)
+        controller = MaxPressureController()
+        views = [episode.observe(node_id) for node_id in episode.network.intersection_ids]
+        blocked_steps = 0
+        for _ in range(scenario.duration):
+            episode.step(max_pressure_decisions(episode, controller))
+            blocked_steps += episode._incident_vehicle is not None
+            for state in episode.links.values():
+                total, lanes = recount_link(state)
+                assert state.count == total
+                assert {m: state.lane_counts[m] for m in MOVEMENTS} == lanes
+                assert sum(state.lane_counts.values()) == total
+            for phases in views:
+                for lane_links in phases:
+                    for inlane, outlane in lane_links:
+                        assert inlane.num_vehicle == recount_link(inlane._state)[1][inlane._movement]
+                        assert outlane.num_vehicle == recount_link(outlane._state)[0]
+        assert episode.in_network_count() == len(episode.vehicles) - episode.completed > 0
+        assert blocked_steps == (300 if scenario.incident else 0)
 
 
 def max_pressure_decisions(episode, controller):
