@@ -70,10 +70,9 @@ def _argmax_lowest(scores) -> int:
 class CompiledSkill:
     """A skill with both code bodies compiled once for the episode."""
 
-    __slots__ = ("skill", "inlane", "outlane")
+    __slots__ = ("inlane", "outlane")
 
     def __init__(self, skill: Skill):
-        self.skill = skill
         self.inlane = compile_body(parse(skill.inlane_code))
         self.outlane = compile_body(parse(skill.outlane_code))
 

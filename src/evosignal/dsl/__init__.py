@@ -2,11 +2,9 @@
 
 from .complexity import complexity
 from .interpreter import (
-    EvalContext,
     EvalError,
     CompiledBody,
     compile_body,
-    evaluate,
     sandbox_check,
 )
 from .nodes import (
@@ -50,10 +48,8 @@ __all__ = [
     "complexity",
     "CondChain",
     "canonical_binding",
-    "EvalContext",
     "EvalError",
     "EVENT_VARIABLES",
-    "evaluate",
     "event_whitelist",
     "free_names",
     "LANE_VARIABLES",

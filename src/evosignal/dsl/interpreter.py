@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import ast as pyast
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .nodes import (
@@ -119,20 +118,6 @@ _PY_CMPOPS = {
     "==": pyast.Eq,
     "!=": pyast.NotEq,
 }
-
-
-@dataclass
-class EvalContext:
-    """One evaluation's variable bindings plus the accumulator.
-
-    Bindings are keyed by canonical names (aliases in the code resolve
-    onto them) and are never mutated by evaluation; only the one-slot
-    accumulator changes. Do not share a context across concurrent
-    evaluations.
-    """
-
-    bindings: Mapping[str, float]
-    value: list[float] = field(default_factory=lambda: [0.0])
 
 
 def _lower_expr(node: Expr) -> pyast.expr:
@@ -264,6 +249,8 @@ class CompiledBody:
                 pass
 
     def run(self, bindings: Mapping[str, float]) -> float:
+        """The checked result of the body on ``bindings``, keyed by
+        canonical names; a name the body uses that they lack faults."""
         for src, canonical in self.name_map:
             if canonical not in bindings:
                 raise EvalError(f"variable '{src}' is unbound in this context")
@@ -288,16 +275,6 @@ def compile_body(ast: SkillAst) -> CompiledBody:
     return body
 
 
-def evaluate(ast: SkillAst, ctx: EvalContext) -> float:
-    """Run the program against the context; return the final accumulator.
-
-    Deterministic: the same ast and bindings give bit-identical results.
-    """
-    result = compile_body(ast).run(ctx.bindings)
-    ctx.value[0] = result
-    return result
-
-
 def sandbox_check(skill, whitelist: wl.VariableWhitelist) -> ValidationReport:
     """Full three-stage pipeline over both code bodies of a skill.
 
@@ -316,7 +293,7 @@ def sandbox_check(skill, whitelist: wl.VariableWhitelist) -> ValidationReport:
         if not report.ok:
             return ValidationReport.failed(report.stage, f"{label}: {report.message}")
         try:
-            evaluate(ast, EvalContext(bindings=dummy))
+            compile_body(ast).run(dummy)
         except EvalError as exc:
             return ValidationReport.failed(STAGE_SANDBOX, f"{label}: {exc}")
     return ValidationReport.passed()

@@ -48,6 +48,13 @@ _CMP_NAMES = {
 
 ACCUMULATOR = "value"
 
+# Expressions nested deeper than this are refused here: the validator's
+# walks, hashing and comparing a tree, and compiling it each recurse
+# once or more per level, so a deeper one (a long operator chain) would
+# exhaust the interpreter's recursion limit instead of being rejected.
+MAX_EXPR_DEPTH = 100
+_TOO_DEEP = f"expression nests more than {MAX_EXPR_DEPTH} levels deep"
+
 
 def _reject(node: pyast.AST, message: str) -> SyntaxError:
     lineno = getattr(node, "lineno", 1)
@@ -55,7 +62,10 @@ def _reject(node: pyast.AST, message: str) -> SyntaxError:
     return SyntaxError(message, ("<skill>", lineno, col + 1, None))
 
 
-def _convert_expr(node: pyast.expr) -> Expr:
+def _convert_expr(node: pyast.expr, depth: int = 0) -> Expr:
+    if depth > MAX_EXPR_DEPTH:
+        raise _reject(node, _TOO_DEEP)
+    depth += 1
     if isinstance(node, pyast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise _reject(node, f"only numeric literals are allowed, got {node.value!r}")
@@ -69,7 +79,7 @@ def _convert_expr(node: pyast.expr) -> Expr:
             op = "+"
         else:
             raise _reject(node, "only unary + and - are allowed")
-        operand = _convert_expr(node.operand)
+        operand = _convert_expr(node.operand, depth)
         if isinstance(operand, Num):
             # Fold signed literals so -3 is one literal, not an operation.
             return Num(-operand.value if op == "-" else operand.value)
@@ -78,7 +88,7 @@ def _convert_expr(node: pyast.expr) -> Expr:
         op = _BINOP_NAMES.get(type(node.op))
         if op is None:
             raise _reject(node, f"operator {type(node.op).__name__} is not allowed")
-        return BinOp(op, _convert_expr(node.left), _convert_expr(node.right))
+        return BinOp(op, _convert_expr(node.left, depth), _convert_expr(node.right, depth))
     if isinstance(node, pyast.Compare):
         ops = []
         for cmp_op in node.ops:
@@ -86,8 +96,8 @@ def _convert_expr(node: pyast.expr) -> Expr:
             if name is None:
                 raise _reject(node, f"comparison {type(cmp_op).__name__} is not allowed")
             ops.append(name)
-        operands = [_convert_expr(node.left)]
-        operands.extend(_convert_expr(c) for c in node.comparators)
+        operands = [_convert_expr(node.left, depth)]
+        operands.extend(_convert_expr(c, depth) for c in node.comparators)
         return Compare(tuple(ops), tuple(operands))
     if isinstance(node, pyast.Call):
         if not isinstance(node.func, pyast.Name):
@@ -97,7 +107,7 @@ def _convert_expr(node: pyast.expr) -> Expr:
         for arg in node.args:
             if isinstance(arg, pyast.Starred):
                 raise _reject(arg, "starred arguments are not allowed")
-        return Call(node.func.id, tuple(_convert_expr(a) for a in node.args))
+        return Call(node.func.id, tuple(_convert_expr(a, depth) for a in node.args))
     raise _reject(node, f"{type(node).__name__} is not part of the skill language")
 
 
@@ -151,9 +161,14 @@ def parse(code: str) -> SkillAst:
 
     Raises SyntaxError (with line/column) when the text is not valid
     Python or uses any construct outside the skill grammar. An empty
-    program is also a SyntaxError: a skill body must do something.
+    program is also a SyntaxError: a skill body must do something. So is
+    an expression nested more than ``MAX_EXPR_DEPTH`` levels deep,
+    including one too deep for Python's own parser to read.
     """
-    module = pyast.parse(code, filename="<skill>")
-    if not module.body:
-        raise SyntaxError("empty skill body", ("<skill>", 1, 1, code))
-    return SkillAst(_convert_body(module.body))
+    try:
+        module = pyast.parse(code, filename="<skill>")
+        if not module.body:
+            raise SyntaxError("empty skill body", ("<skill>", 1, 1, code))
+        return SkillAst(_convert_body(module.body))
+    except (RecursionError, MemoryError):
+        raise SyntaxError(_TOO_DEEP, ("<skill>", 1, 1, None)) from None

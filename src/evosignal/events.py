@@ -88,14 +88,14 @@ def default_bank() -> SkillBank:
 def detect(
     episode: Episode,
     intersection_id: str,
-    queue_history: list[int] | None = None,
     config: DetectorConfig = DetectorConfig(),
 ) -> list[TrafficEvent]:
-    """All currently active events at one intersection. The congestion
-    check reads the episode's queue history through its rolling sorted
-    window; an explicit ``queue_history`` is sorted here instead."""
+    """All currently active events at one intersection, read from its
+    junction record. The congestion check reads the junction's queue
+    history through its rolling sorted window."""
     events: list[TrafficEvent] = []
-    signal = episode.signals[intersection_id]
+    junction = episode.junctions[intersection_id]
+    signal = junction.signal
     t = episode.t
     stop_threshold = config.incident_stop_threshold
 
@@ -103,7 +103,7 @@ def detect(
     # and long stops - as (vehicle, side, movement, distance to the stop
     # line), by side, then each movement's queue, then running vehicles.
     notable = []
-    for side, state in episode.approach_states[intersection_id]:
+    for side, state in junction.approaches:
         for movement in _MOVEMENT_ORDER:
             queue = state.queues[movement]
             if not queue:
@@ -165,12 +165,9 @@ def detect(
         )
 
     window = config.congestion_window
-    history = queue_history if queue_history is not None else episode.queue_history[intersection_id]
+    history = junction.history
     if len(history) >= window:
-        if queue_history is None:
-            trailing = episode.sorted_history(intersection_id, window)
-        else:
-            trailing = sorted(history[-window:])
+        trailing = junction.sorted_history(window)
         current = history[-1]
         threshold = percentile_of_sorted(trailing, config.congestion_percentile)
         if current > threshold:

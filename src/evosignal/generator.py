@@ -146,34 +146,54 @@ def build_prompts(
 # ----------------------------------------------------------------------
 # draft JSON extraction
 
-_FENCE_RE = re.compile(r"```(?:json)?\s*(\{.*?\})\s*```", re.DOTALL)
+# A skill object is a few kilobytes; a longer reply is refused unread.
+MAX_REPLY_CHARS = 50_000
+
+# A fenced object opens at the first fence that an optional "json",
+# whitespace and "{" follow, and closes at the first "}" after that
+# which whitespace and a fence follow. Two searches find both.
+_FENCE_OPEN_RE = re.compile(r"```(?:json)?\s*\{")
+_FENCE_CLOSE_RE = re.compile(r"\}\s*```")
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def extract_draft_json(text: str) -> dict:
     """Pull the skill JSON object out of a model reply: bare object,
-    fenced block, or first balanced {...} span."""
+    fenced block, or the first balanced {...} span (braces counted
+    without regard to strings) that is one JSON object, each brace's
+    match found in one pass over the reply. A reply longer than
+    ``MAX_REPLY_CHARS``, one nested past the recursion limit and a bare
+    JSON value that is not an object raise ValueError."""
+    if len(text) > MAX_REPLY_CHARS:
+        raise ValueError(f"generator reply of {len(text)} characters is longer than {MAX_REPLY_CHARS}")
     text = text.strip()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    fenced = _FENCE_RE.search(text)
-    if fenced:
-        return json.loads(fenced.group(1))
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        for end in range(start, len(text)):
-            if text[end] == "{":
-                depth += 1
-            elif text[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start : end + 1])
-                    except json.JSONDecodeError:
-                        break
-        start = text.find("{", start + 1)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if not isinstance(data, dict):
+                raise ValueError(f"generator reply is a JSON {type(data).__name__}, not an object")
+            return data
+        opening = _FENCE_OPEN_RE.search(text)
+        closing = opening and _FENCE_CLOSE_RE.search(text, opening.end())
+        if closing:
+            return json.loads(text[opening.end() - 1 : closing.start() + 1])
+        opened = []
+        ends = {}
+        for brace in _BRACE_RE.finditer(text):
+            if brace.group() == "{":
+                opened.append(brace.start())
+            elif opened:
+                ends[opened.pop()] = brace.end()
+        for start, end in sorted(ends.items()):
+            try:
+                return json.loads(text[start:end])
+            except json.JSONDecodeError:
+                continue
+    except RecursionError:
+        raise ValueError("generator reply nests too deeply to parse") from None
     raise ValueError("no JSON object found in generator reply")
 
 
@@ -482,27 +502,6 @@ class ScriptedBackend:
             )
         rng = random.Random(mix_seed(self.seed, call_index))
         return json.dumps(scripted_mutate(request.elite, request.signals, rng, self.event_kind))
-
-
-class EliteCopyBackend:
-    """Returns the elite verbatim; exists to rig stagnation in tests."""
-
-    kind = "copy"
-
-    def __init__(self):
-        self.calls = 0
-
-    def propose(self, request: GenerationRequest) -> str:
-        self.calls += 1
-        elite = request.elite
-        return json.dumps(
-            {
-                "description": elite.description,
-                "guidance": elite.guidance,
-                "inlane_code": elite.inlane_code,
-                "outlane_code": elite.outlane_code,
-            }
-        )
 
 
 class RemoteBackend:

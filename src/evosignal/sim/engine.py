@@ -15,20 +15,22 @@ one (scenario, seed) may spawn from the same ``Arrivals``.
 Model constants follow common microsimulation practice: 7.5 m jam
 spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
 
-Controllers observe through live views built once per episode: a
-``LaneView`` per (link, movement) and a ``LinkView`` per link. A view
-stores no figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
-``vehicle_dist`` is read from the link state when it is asked for, so a
-controller pays only for the figures it reads, and a read after
-``Episode.step`` sees the new state. Vehicle counts are kept by the
-link state as vehicles enter and leave it, so reading one is O(1).
+Each intersection has one ``Junction`` record, built once per episode
+and holding everything of that intersection: its signal, its
+queued-vehicle count and history with a rolling sorted window of the
+history, its approach links, each phase's lane-links, a max-pressure
+table of queue lists and ``blocked`` sets, and the live views that
+controllers observe. The step loop, ``Episode.step``'s per-intersection
+passes, the controllers and the event detector iterate these records
+instead of looking up signals, nodes and links by id every step.
 
-Each intersection also gets a ``Junction`` record, built once per
-episode: its signal, its queued-vehicle count and history, each phase's
-lane-links and a max-pressure table of queue lists and ``blocked`` sets.
-The step loop, ``Episode.step``'s per-intersection passes and the
-baseline controllers iterate these records instead of looking up
-signals, nodes and links by id every step.
+A view is a ``LaneView`` per approach lane-link or a ``LinkView`` per
+exit link. It stores no figure; each of ``num_vehicle``,
+``num_waiting_vehicle`` and ``vehicle_dist`` is read from the link state
+when it is asked for, so a controller pays only for the figures it
+reads, and a read after ``Episode.step`` sees the new state. Vehicle
+counts are kept by the link state as vehicles enter and leave it, so
+reading one is O(1).
 """
 
 from __future__ import annotations
@@ -324,14 +326,20 @@ class SignalState:
 
 class Junction:
     """One intersection's record, built once per episode, so that the
-    per-step loops and the baseline controllers index tables instead of
-    looking up signals, nodes and links by id:
+    per-step loops, the controllers and the event detector index tables
+    instead of looking up signals, nodes and links by id:
 
     - ``signal``, its ``SignalState``;
     - ``queued``, the vehicles queued on its approaches now, and
-      ``history``, that count per step (its ``queue_history`` list);
+      ``history``, that count per step, read in ascending order through
+      ``sorted_history``;
+    - ``approaches``, its (side, approach ``LinkState``) pairs, sides in
+      sorted order;
     - ``lanes``, per phase, each lane-link's (approach ``LinkState``,
       movement, queue list) in evaluation order;
+    - ``views``, per phase, each lane-link's (inlane ``LaneView``,
+      outlane ``LinkView``) in the same order; the lane-links that
+      leave by one exit link share its one ``LinkView``;
     - the max-pressure table: ``exits``, the (left, straight, right)
       queue lists and the ``blocked`` set of each of its four exit
       links, and ``pressure``, per phase, each lane-link's (queue list,
@@ -340,48 +348,75 @@ class Junction:
     The lists and sets are the link states' own, changed only in place,
     so the record stays valid for the whole episode."""
 
-    __slots__ = ("id", "signal", "queued", "history", "lanes", "exits", "pressure")
+    __slots__ = ("id", "signal", "queued", "history", "approaches", "lanes", "views", "exits", "pressure",
+                 "_windows")
 
     def __init__(self, node: Intersection, links: dict[str, LinkState]):
         self.id = node.id
         self.signal = SignalState()
         self.queued = 0
         self.history: list[int] = []
+        self.approaches = tuple((side, links[node.approaches[side]]) for side in sorted(node.approaches))
         headings = tuple(sorted(node.exits))
         exit_states = [links[node.exits[heading]] for heading in headings]
         self.exits = tuple((*state.queues.values(), state.blocked) for state in exit_states)
+        exit_views = [LinkView(state) for state in exit_states]
         lanes = []
+        views = []
         pressure = []
         for lane_links in SORTED_PHASE_TABLE:
             phase_lanes = []
+            phase_views = []
             phase_pressure = []
             for side, movement in lane_links:
                 state = links[node.approaches[side]]
                 queue = state.queues[movement]
-                phase_lanes.append((state, movement, queue))
                 exit_index = headings.index(heading_after(opposite(side), movement))
+                phase_lanes.append((state, movement, queue))
+                phase_views.append((LaneView(state, movement), exit_views[exit_index]))
                 phase_pressure.append((queue, state.blocked, movement, exit_index))
             lanes.append(tuple(phase_lanes))
+            views.append(tuple(phase_views))
             pressure.append(tuple(phase_pressure))
         self.lanes = tuple(lanes)
+        self.views: PhaseViews = tuple(views)
         self.pressure = tuple(pressure)
+        # window -> [ascending trailing window, history length consumed]
+        self._windows: dict[int, list] = {}
+
+    def sorted_history(self, window: int) -> list[int]:
+        """The trailing ``window`` values of ``history`` in ascending
+        order. Kept per window and caught up by index: each value enters
+        once (insort) and leaves once (bisect + del). The list is the
+        junction's own; do not modify it."""
+        entry = self._windows.get(window)
+        if entry is None:
+            entry = self._windows[window] = [[], 0]
+        data, consumed = entry
+        history = self.history
+        for i in range(consumed, len(history)):
+            insort(data, history[i])
+            if i >= window:
+                del data[bisect_left(data, history[i - window])]
+        entry[1] = len(history)
+        return data
 
 
 class StepContext:
     """Everything a controller may look at when deciding one
-    intersection's phase for one step. ``junction`` is the
-    intersection's record (looked up when not given). ``observations``
-    are its live views (``Episode.observe``), fetched on first read;
-    each figure is computed only when read, so a controller pays for
-    none it does not read. They are valid until the next step."""
+    intersection's phase for one step: ``junction`` is the
+    intersection's record. ``observations`` are its live views
+    (``Episode.observe``), fetched on first read; each figure is
+    computed only when read, so a controller pays for none it does not
+    read. They are valid until the next step."""
 
     __slots__ = ("t", "intersection_id", "episode", "junction", "_observations")
 
-    def __init__(self, t: int, intersection_id: str, episode: "Episode", junction: Junction | None = None):
+    def __init__(self, t: int, episode: "Episode", junction: Junction):
         self.t = t
-        self.intersection_id = intersection_id
+        self.intersection_id = junction.id
         self.episode = episode
-        self.junction = episode.junctions[intersection_id] if junction is None else junction
+        self.junction = junction
         self._observations: PhaseViews | None = None
 
     @property
@@ -528,12 +563,6 @@ class Episode:
             node_id: Junction(self.network.intersections[node_id], self.links)
             for node_id in self.network.intersection_ids
         }
-        self.signals: dict[str, SignalState] = {
-            node_id: junction.signal for node_id, junction in self.junctions.items()
-        }
-        self.queue_history: dict[str, list[int]] = {
-            node_id: junction.history for node_id, junction in self.junctions.items()
-        }
         # Links leading into an intersection, with its record, and exit
         # links: ``_advance_vehicles`` treats the two kinds apart.
         self._approach_links = tuple(
@@ -553,40 +582,10 @@ class Episode:
         self._total_wait = 0.0
         self._incident_vehicle: Vehicle | None = None
         self._window_wait = 0.0
-        lane_views = {
-            (link_id, movement): LaneView(state, movement)
-            for link_id, state in self.links.items()
-            for movement in MOVEMENTS
-        }
-        link_views = {link_id: LinkView(state) for link_id, state in self.links.items()}
-        # Per intersection and phase: the (inlane, outlane) views of each
-        # lane-link, in evaluation order.
-        self._views: dict[str, PhaseViews] = {
-            node_id: tuple(
-                tuple(
-                    (
-                        lane_views[node.approaches[side], movement],
-                        link_views[node.exits[heading_after(opposite(side), movement)]],
-                    )
-                    for side, movement in SORTED_PHASE_TABLE[k]
-                )
-                for k in range(NUM_PHASES)
-            )
-            for node_id, node in self.network.intersections.items()
-        }
-        # Per intersection: (side, approach LinkState), sides in sorted order.
-        self.approach_states: dict[str, tuple[tuple[str, LinkState], ...]] = {}
-        for node_id in self.junctions:
-            approaches = self.network.intersections[node_id].approaches
-            self.approach_states[node_id] = tuple(
-                (side, self.links[approaches[side]]) for side in sorted(approaches)
-            )
         # The intersection the incident link (an approach) leads into.
         self._incident_junction = (
             self.junctions[self.network.links[scenario.incident.link].dst] if scenario.incident else None
         )
-        # (node, window) -> [ascending trailing window, history length consumed]
-        self._sorted_windows: dict[tuple[str, int], list] = {}
 
     # ------------------------------------------------------------------
     # spawning
@@ -656,10 +655,10 @@ class Episode:
 
     def observe(self, intersection_id: str) -> PhaseViews:
         """Per-phase, per-lane-link (inlane, outlane) live views of one
-        intersection, built once per episode. Their figures are read
+        intersection, its junction's ``views``. Their figures are read
         from the current state, so they are valid until the next
         ``step()``; a read after it sees the new state."""
-        return self._views[intersection_id]
+        return self.junctions[intersection_id].views
 
     # ------------------------------------------------------------------
     # dynamics
@@ -839,23 +838,6 @@ class Episode:
             return vehicle.cumulative_wait
         return vehicle.cumulative_wait + (self.t - vehicle.stopped_since)
 
-    def sorted_history(self, node_id: str, window: int) -> list[int]:
-        """The trailing ``window`` values of the node's queue history in
-        ascending order. Kept per (node, window) and caught up by index:
-        each value enters once (insort) and leaves once (bisect + del).
-        The list is the episode's own; do not modify it."""
-        entry = self._sorted_windows.get((node_id, window))
-        if entry is None:
-            entry = self._sorted_windows[(node_id, window)] = [[], 0]
-        data, consumed = entry
-        history = self.queue_history[node_id]
-        for i in range(consumed, len(history)):
-            insort(data, history[i])
-            if i >= window:
-                del data[bisect_left(data, history[i - window])]
-        entry[1] = len(history)
-        return data
-
     def _window_vehicle_count(self) -> int:
         """Vehicles in the network at some incident-window step run so
         far: a vehicle is present from its entry step up to, not
@@ -926,13 +908,11 @@ def run_episode(
     """Run a full episode under a controller.
 
     The controller must provide ``decide(ctx: StepContext) ->
-    PhaseDecision | None`` and may provide ``reset(network)``. Identical
-    (scenario, controller, seed) triples produce bit-identical results,
-    whether or not the episode spawns from a shared ``arrivals``.
+    PhaseDecision | None``. Identical (scenario, controller, seed)
+    triples produce bit-identical results, whether or not the episode
+    spawns from a shared ``arrivals``.
     """
     episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log, arrivals=arrivals)
-    if hasattr(controller, "reset"):
-        controller.reset(episode.network)
     junctions = tuple(episode.junctions.values())
     decide = controller.decide
     for _ in range(scenario.duration):
@@ -941,6 +921,6 @@ def run_episode(
         for junction in junctions:
             if junction.signal.yellow > 0:
                 continue
-            decisions[junction.id] = decide(StepContext(t, junction.id, episode, junction))
+            decisions[junction.id] = decide(StepContext(t, episode, junction))
         episode.step(decisions)
     return episode.finish()

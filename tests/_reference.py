@@ -12,13 +12,16 @@ from a link's lists (the package keeps them as vehicles enter and
 leave), the per-vehicle, per-second wait accrual (the
 package banks a wait when it ends), and the arrival stream drawn step by
 step with every route searched again (the package draws it once into an
-``Arrivals`` and caches routes). They exist so the main
+``Arrivals`` and caches routes), and draft extraction that rescans
+from every ``{`` (the package matches each brace in one pass). They exist so the main
 implementations have something to disagree with.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,7 +380,7 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
     (sides and movements in sorted order, each queue before the running
     vehicles) and the accrual oracle's waits and queue history."""
     node = episode.network.intersections[intersection_id]
-    signal = episode.signals[intersection_id]
+    signal = episode.junctions[intersection_id].signal
     listed = []
     for side in sorted(node.approaches):
         state = episode.links[node.approaches[side]]
@@ -456,3 +459,33 @@ def reference_arrivals(scenario, seed: int, steps: int) -> list[tuple]:
                     step.append(("bus", tuple(route)))
         drawn.append(tuple(step))
     return drawn
+
+
+def reference_extract_draft_json(text: str):
+    """Draft extraction by rescanning: the whole reply as JSON; else the
+    first fenced block by regular expression; else, from each ``{`` in
+    turn, the span to the brace that returns the count to zero, parsed
+    on its own. Quadratic in the number of braces."""
+    text = text.strip()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    fenced = re.search(r"```(?:json)?\s*(\{.*?\})\s*```", text, re.DOTALL)
+    if fenced:
+        return json.loads(fenced.group(1))
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        for end in range(start, len(text)):
+            if text[end] == "{":
+                depth += 1
+            elif text[end] == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return json.loads(text[start : end + 1])
+                    except json.JSONDecodeError:
+                        break
+        start = text.find("{", start + 1)
+    raise ValueError("no JSON object found in generator reply")

@@ -18,13 +18,14 @@ from evosignal import dsl
 from evosignal.control import ControllerSpec, drive
 from evosignal.events import TrafficEvent, default_bank, dispatch
 from evosignal.evolution import EvolutionConfig, run_evolution
-from evosignal.generator import EliteCopyBackend, ScriptedBackend, scripted_mutate
+from evosignal.generator import ScriptedBackend, scripted_mutate
 from evosignal.metrics import FitnessConfig, cost_ledger, routine_fitness, welch_and_cohen
 from evosignal.sim import make_scenario
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 from evosignal.store import RunStore
 from evosignal.util import mix_seed, percentile
 
+from ._backends import EliteCopyBackend
 from ._reference import brute_force_percentile, reference_evaluate
 
 ROUTINE = dsl.routine_whitelist()
@@ -43,10 +44,9 @@ def desk_routine(family="T1", seed=5, duration=240, scale=1.2, rows=1):
 def test_c01_interpreter_fidelity():
     flagship = LIBRARY["saturation-branch"]
     ast = dsl.parse(flagship.inlane_code)
-    ctx = dsl.EvalContext(
-        bindings={"num_waiting_vehicle": 6.0, "vehicle_dist": 4.0, "num_vehicle": 8.0}
+    value = dsl.compile_body(ast).run(
+        {"num_waiting_vehicle": 6.0, "vehicle_dist": 4.0, "num_vehicle": 8.0}
     )
-    value = dsl.evaluate(ast, ctx)
     assert value == 20.0
 
     for name, skill in LIBRARY.items():
@@ -84,7 +84,7 @@ def test_c02_oracle_equivalence():
                 for name in names
             }
             try:
-                ours = dsl.evaluate(ast, dsl.EvalContext(bindings=bindings))
+                ours = dsl.compile_body(ast).run(bindings)
                 ours_error = None
             except dsl.EvalError:
                 ours, ours_error = None, True

@@ -16,6 +16,8 @@ from evosignal.cli import main
 from evosignal.sim import engine
 from evosignal.skills import LIBRARY
 
+from .test_dsl import DEEP_BODIES
+
 DESK = ["--rows", "1", "--cols", "1", "--duration", "150", "--demand-scale", "1.0"]
 
 
@@ -88,6 +90,19 @@ class TestEvaluateCommand:
                      "--seeds", "1,2"])
         assert code == 1
         assert "stage=parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", DEEP_BODIES)
+    def test_skill_too_deep_to_parse_is_one_error_line(self, tmp_path, capsys, code):
+        skill_path = tmp_path / "deep.json"
+        skill_path.write_text(json.dumps({
+            "description": "", "guidance": "", "inlane_code": code, "outlane_code": "value[0] += 0",
+        }))
+        code = main(["evaluate", "--skill", str(skill_path), "--scenario", "T1", *DESK,
+                     "--seeds", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: skill failed validation at stage=parse: inlane: expression nests")
 
     def test_capsule_evaluation(self, tmp_path):
         out = tmp_path / "run"

@@ -225,7 +225,7 @@ def engine_decisions(family="T1", duration=240, seed=6):
         decisions = {}
         for node_id, junction in episode.junctions.items():
             yield episode, node_id
-            decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode, junction))
+            decisions[node_id] = controller.decide(StepContext(episode.t, episode, junction))
         episode.step(decisions)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosignal import dsl
+from evosignal.dsl.parser import MAX_EXPR_DEPTH
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 
@@ -141,56 +142,53 @@ class TestValidate:
 
 class TestEvaluate:
     def test_seed_linear(self):
-        ctx = dsl.EvalContext(bindings={"num_waiting_vehicle": 3.0})
-        assert dsl.evaluate(dsl.parse(SEED_SKILL.inlane_code), ctx) == 3.0
+        body = dsl.compile_body(dsl.parse(SEED_SKILL.inlane_code))
+        assert body.run({"num_waiting_vehicle": 3.0}) == 3.0
 
     def test_flagship_inlane_hand_value(self):
         # waiting=6, dist=4, vehicles=8: 6*(max(1,4) - 4%3) + 8//4 = 20
         ast = dsl.parse(LIBRARY["saturation-branch"].inlane_code)
-        ctx = dsl.EvalContext(
-            bindings={"num_waiting_vehicle": 6.0, "vehicle_dist": 4.0, "num_vehicle": 8.0}
-        )
-        assert dsl.evaluate(ast, ctx) == 20.0
+        bindings = {"num_waiting_vehicle": 6.0, "vehicle_dist": 4.0, "num_vehicle": 8.0}
+        assert dsl.compile_body(ast).run(bindings) == 20.0
 
     def test_division_by_zero_is_eval_error(self):
         ast = dsl.parse("value[0] += 1 / num_vehicle")
         with pytest.raises(dsl.EvalError):
-            dsl.evaluate(ast, dsl.EvalContext(bindings={"num_vehicle": 0.0}))
+            dsl.compile_body(ast).run({"num_vehicle": 0.0})
 
     def test_modulo_sign_follows_divisor(self):
         ast = dsl.parse("value[0] += num_vehicle % -3")
-        ctx = dsl.EvalContext(bindings={"num_vehicle": 5.0})
-        assert dsl.evaluate(ast, ctx) == 5.0 % -3
+        assert dsl.compile_body(ast).run({"num_vehicle": 5.0}) == 5.0 % -3
 
     def test_floor_division_on_reals(self):
         ast = dsl.parse("value[0] += num_vehicle // 2")
-        assert dsl.evaluate(ast, dsl.EvalContext(bindings={"num_vehicle": 7.5})) == 3.0
+        assert dsl.compile_body(ast).run({"num_vehicle": 7.5}) == 3.0
 
     def test_non_finite_result_is_eval_error(self):
         ast = dsl.parse("value[0] += num_vehicle ** num_vehicle")
         with pytest.raises(dsl.EvalError):
-            dsl.evaluate(ast, dsl.EvalContext(bindings={"num_vehicle": 1e9}))
+            dsl.compile_body(ast).run({"num_vehicle": 1e9})
 
     def test_non_real_result_is_eval_error(self):
         ast = dsl.parse("value[0] += (0 - num_vehicle) ** 0.5")
         with pytest.raises(dsl.EvalError):
-            dsl.evaluate(ast, dsl.EvalContext(bindings={"num_vehicle": 2.0}))
+            dsl.compile_body(ast).run({"num_vehicle": 2.0})
 
     def test_bindings_not_mutated(self):
         bindings = {"num_waiting_vehicle": 4.0}
-        dsl.evaluate(dsl.parse(SEED_SKILL.inlane_code), dsl.EvalContext(bindings=bindings))
+        dsl.compile_body(dsl.parse(SEED_SKILL.inlane_code)).run(bindings)
         assert bindings == {"num_waiting_vehicle": 4.0}
 
     def test_repeated_calls_bit_identical(self):
         ast = dsl.parse(LIBRARY["saturation-branch"].inlane_code)
         bindings = {"num_waiting_vehicle": 7.0, "vehicle_dist": 11.3, "num_vehicle": 9.0}
-        results = {dsl.evaluate(ast, dsl.EvalContext(bindings=bindings)) for _ in range(20)}
+        results = {dsl.compile_body(ast).run(bindings) for _ in range(20)}
         assert len(results) == 1
 
     def test_unbound_variable_is_eval_error(self):
         ast = dsl.parse("value[0] += vehicle_dist")
         with pytest.raises(dsl.EvalError):
-            dsl.evaluate(ast, dsl.EvalContext(bindings={}))
+            dsl.compile_body(ast).run({})
 
     def test_names_outside_the_canonical_bindings_are_never_bound(self):
         for code in ("value[0] += value", "value[0] += outlane_2_num_waiting_vehicle"):
@@ -205,8 +203,7 @@ class TestEvaluate:
         for _ in range(100):
             assert body.run({}) == 999999 * 999998 / 2
         assert (time.perf_counter() - started) / 100 < 1e-3
-        assert dsl.evaluate(dsl.parse("value[0] += sum(range(-3.5)) + len(range(2.9))"),
-                            dsl.EvalContext(bindings={})) == 2.0
+        assert dsl.compile_body(dsl.parse("value[0] += sum(range(-3.5)) + len(range(2.9))")).run({}) == 2.0
 
     def test_range_results_stay_in_double_precision(self):
         # Integer arithmetic would give 1000**1000 - 1000**1000 = 0.
@@ -214,11 +211,11 @@ class TestEvaluate:
             "value[0] += len(range(1000)) ** len(range(1000)) - len(range(1000)) ** len(range(1000))"
         )
         with pytest.raises(dsl.EvalError):
-            dsl.evaluate(ast, dsl.EvalContext(bindings={}))
+            dsl.compile_body(ast).run({})
 
     def test_range_bound_is_still_refused(self):
         with pytest.raises(dsl.EvalError, match="exceeds the sandbox bound"):
-            dsl.evaluate(dsl.parse("value[0] += len(range(1000001))"), dsl.EvalContext(bindings={}))
+            dsl.compile_body(dsl.parse("value[0] += len(range(1000001))")).run({})
 
     @given(
         waiting=st.floats(0, 50, allow_nan=False),
@@ -239,8 +236,8 @@ class TestEvaluate:
             "vehicle_dist": dist,
             "num_vehicle": vehicles,
         }
-        a = dsl.evaluate(aliased, dsl.EvalContext(bindings=bindings))
-        b = dsl.evaluate(abstract, dsl.EvalContext(bindings=bindings))
+        a = dsl.compile_body(aliased).run(bindings)
+        b = dsl.compile_body(abstract).run(bindings)
         assert a == b
 
     def test_agrees_with_reference_on_library(self):
@@ -248,7 +245,7 @@ class TestEvaluate:
         for skill in [SEED_SKILL, *LIBRARY.values()]:
             for code in (skill.inlane_code, skill.outlane_code):
                 ast = dsl.parse(code)
-                assert dsl.evaluate(ast, dsl.EvalContext(bindings=bindings)) == (
+                assert dsl.compile_body(ast).run(bindings) == (
                     reference_evaluate(ast, bindings)
                 )
 
@@ -265,13 +262,13 @@ class TestEvaluate:
             }
 
         expected = {
-            w: dsl.evaluate(ast, dsl.EvalContext(bindings=bindings_for(w))) for w in range(6)
+            w: dsl.compile_body(ast).run(bindings_for(w)) for w in range(6)
         }
         mismatches = []
 
         def worker(w):
             for _ in range(500):
-                got = dsl.evaluate(ast, dsl.EvalContext(bindings=bindings_for(w)))
+                got = dsl.compile_body(ast).run(bindings_for(w))
                 if got != expected[w]:
                     mismatches.append((w, got))
 
@@ -351,6 +348,22 @@ class TestReads:
         assert dsl.compile_body(dsl.parse(SEED_SKILL.outlane_code)).reads == (False, False, False)
 
 
+def minus_chain(levels: int) -> str:
+    return "value[0] += " + "-" * levels + "num_vehicle"
+
+
+# Expressions nested past MAX_EXPR_DEPTH: under 500 nodes and deep enough
+# to exhaust the recursion limit when the tree is hashed or compared; and
+# past the recursion limit of the conversion itself, a chain of 1000
+# terms, of 1000 unary minuses, and of 3000, which Python's parser refuses.
+DEEP_BODIES = (
+    minus_chain(400),
+    "value[0] += " + " + ".join(["num_vehicle"] * 1000),
+    minus_chain(1000),
+    minus_chain(3000),
+)
+
+
 class TestSandboxCheck:
     def test_library_skills_pass(self):
         for skill in [SEED_SKILL, *LIBRARY.values()]:
@@ -371,6 +384,19 @@ class TestSandboxCheck:
         skill = make_skill("import os")
         report = dsl.sandbox_check(skill, ROUTINE)
         assert not report.ok and report.stage == "parse"
+
+    @pytest.mark.parametrize("code", DEEP_BODIES)
+    def test_a_too_deep_expression_is_a_parse_failure(self, code):
+        with pytest.raises(SyntaxError, match=f"more than {MAX_EXPR_DEPTH} levels deep"):
+            dsl.parse(code)
+        report = dsl.sandbox_check(make_skill(code), ROUTINE)
+        assert not report.ok and report.stage == "parse"
+        assert report.message.startswith(f"inlane: expression nests more than {MAX_EXPR_DEPTH} levels deep")
+
+    def test_expression_depth_limit_is_inclusive(self):
+        assert dsl.sandbox_check(make_skill(minus_chain(MAX_EXPR_DEPTH)), ROUTINE).ok
+        with pytest.raises(SyntaxError):
+            dsl.parse(minus_chain(MAX_EXPR_DEPTH + 1))
 
     def test_outlane_body_is_checked_too(self):
         skill = make_skill("value[0] += num_vehicle", outlane="value[0] += foo")

@@ -1,4 +1,4 @@
-"""Event detection, priority dispatch, and context injection."""
+"""Event detection, priority dispatch, and event bindings."""
 
 from __future__ import annotations
 
@@ -40,6 +40,14 @@ def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
     state.count += 1
     state.lane_counts["s"] += 1
     return vehicle
+
+
+def detect_with_history(history):
+    """detect() at x0_0 of a fresh episode whose junction has ``history``
+    as its queue history."""
+    episode = Episode(zero_demand())
+    episode.junctions["x0_0"].history.extend(history)
+    return detect(episode, "x0_0")
 
 
 class TestDetect:
@@ -95,7 +103,7 @@ class TestDetect:
             v.queued = True
             v.stopped_since = 70  # stopped 130 s
         # (E, s) is phase 2; active phase is 0, so the line is red
-        assert self.episode.signals["x0_0"].active == 0
+        assert self.episode.junctions["x0_0"].signal.active == 0
         assert not any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
 
     def test_mid_link_stall_is_an_incident(self):
@@ -114,17 +122,16 @@ class TestDetect:
         vehicle = place_running(self.episode, self.node.approaches["N"], 20.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60
-        assert self.episode.signals["x0_0"].active == 0  # (N, s) green
+        assert self.episode.junctions["x0_0"].signal.active == 0  # (N, s) green
         assert any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
 
     def test_congestion_cold_start_is_silent(self):
         history = [50] * 100  # shorter than the 300 s window
-        assert not detect(self.episode, "x0_0", queue_history=history)
+        assert not detect_with_history(history)
 
     def test_congestion_fires_above_p90(self):
         history = list(range(300))  # current = 299, far above P90
-        events = detect(self.episode, "x0_0", queue_history=history)
-        event = next(e for e in events if e.kind == "congestion")
+        event = next(e for e in detect_with_history(history) if e.kind == "congestion")
         assert event.context["congestion_level"] == 3.0
 
     def test_congestion_level_bins(self):
@@ -134,14 +141,12 @@ class TestDetect:
         # above the threshold.
         for current, expected in ((12.0, 3.0), (50.0, 3.0)):
             history = [10.0] * 299 + [current]
-            events = detect(self.episode, "x0_0", queue_history=history)
-            event = next(e for e in events if e.kind == "congestion")
+            event = next(e for e in detect_with_history(history) if e.kind == "congestion")
             assert event.context["congestion_level"] == expected
         # wider historical spread: threshold 10, window max 30, band 5;
         # current 12 sits in the lowest band
         history = [10.0] * 294 + [30.0] * 5 + [12.0]
-        events = detect(self.episode, "x0_0", queue_history=history)
-        event = next(e for e in events if e.kind == "congestion")
+        event = next(e for e in detect_with_history(history) if e.kind == "congestion")
         assert event.context["congestion_level"] == 0.0
 
     @given(
@@ -149,23 +154,22 @@ class TestDetect:
     )
     @settings(max_examples=60, deadline=None)
     def test_congestion_threshold_matches_brute_force(self, history):
-        events = detect(self.episode, "x0_0", queue_history=history)
         threshold = brute_force_percentile(history, 90)
-        fired = any(e.kind == "congestion" for e in events)
+        fired = any(e.kind == "congestion" for e in detect_with_history(history))
         assert fired == (history[-1] > threshold)
 
 
 class TestDetectOracle:
-    """detect() at every intersection and step of dispatcher episodes:
-    the rolling sorted window against the sorting path, and both against
-    a reference built from full vehicle lists and per-second waits."""
+    """detect() at every intersection and step of dispatcher episodes,
+    against a reference built from full vehicle lists, per-second waits
+    and a queue history that it sorts itself."""
 
     @pytest.mark.parametrize(
         "family, expected",
         [("M1", {"emergency", "incident", "congestion"}), ("E2", {"emergency", "congestion"}),
          ("B2", {"transit", "congestion"})],
     )
-    def test_detect_matches_sorting_path_and_reference(self, family, expected):
+    def test_detect_matches_reference(self, family, expected):
         scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=2)
         episode = Episode(scenario)
         accrual = ReferenceAccrual(episode)
@@ -173,17 +177,14 @@ class TestDetectOracle:
         kinds = set()
         for _ in range(scenario.duration):
             decisions = {}
-            for node_id in episode.network.intersection_ids:
+            for node_id, junction in episode.junctions.items():
                 events = detect(episode, node_id)
-                assert events == detect(
-                    episode, node_id, queue_history=list(episode.queue_history[node_id])
-                )
                 assert [(e.kind, e.context) for e in events] == reference_detect(
                     episode, node_id, accrual
                 )
                 kinds.update(e.kind for e in events)
-                if not episode.signals[node_id].in_transition:
-                    decisions[node_id] = controller.decide(StepContext(episode.t, node_id, episode))
+                if not junction.signal.in_transition:
+                    decisions[node_id] = controller.decide(StepContext(episode.t, episode, junction))
             episode.step(decisions)
             accrual.after_step()
         assert expected <= kinds

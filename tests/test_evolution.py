@@ -26,14 +26,16 @@ from evosignal.evolution import (
     run_evolution,
     solidify,
 )
-from evosignal.generator import EliteCopyBackend, ScriptedBackend
+from evosignal.generator import ScriptedBackend
 from evosignal.metrics import cost_ledger
 from evosignal.sim import make_scenario
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 from evosignal.store import RunStore
 from evosignal.util import percentile
 
+from ._backends import EliteCopyBackend
 from ._reference import brute_force_percentile
+from .test_dsl import DEEP_BODIES
 
 
 def agg(fitness=0.0, delay=0.0, queue=0.0, throughput=0.0):
@@ -182,6 +184,30 @@ class TestRunEvolution:
         assert len(rejected) == 4
         evaluated_ids = {e["skill_id"] for e in events if e["event"] == "evaluated"}
         assert evaluated_ids == {"g000c0", "g000c1"}  # two accepted drafts only
+
+    def test_drafts_too_deep_to_parse_are_rejected(self, tmp_path):
+        class DeepDrafts:
+            """First call valid; calls 2..5 nest past the depth limit."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def propose(self, request):
+                self.calls += 1
+                code = "value[0] += num_waiting_vehicle"
+                if 2 <= self.calls <= 5:
+                    code = DEEP_BODIES[self.calls - 2]
+                return json.dumps({"description": "d", "guidance": "g",
+                                   "inlane_code": code, "outlane_code": "value[0] += 0"})
+
+        cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=2,
+                              generations=1, seed=2)
+        store = RunStore(tmp_path / "run")
+        result = run_evolution(cfg, DeepDrafts(), store)
+        assert result.generations_done == 1
+        rejected = [e for e in store.events() if e["event"] == "rejected"]
+        assert [(e["candidate"], e["stage"]) for e in rejected] == [(1, "parse")] * 4
+        assert all("levels deep" in e["message"] for e in rejected)
 
     def test_stagnation_rig_fires_at_tau(self, tmp_path):
         for tau in (1, 2, 3):

@@ -7,10 +7,12 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evosignal import dsl
 from evosignal.generator import (
-    EliteCopyBackend,
+    MAX_REPLY_CHARS,
     GenerationRequest,
     GeneratorUnavailable,
     NEUTRAL_DIRECTION,
@@ -24,6 +26,9 @@ from evosignal.generator import (
     scripted_mutate,
 )
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
+
+from ._backends import EliteCopyBackend
+from ._reference import reference_extract_draft_json
 
 ROUTINE = dsl.routine_whitelist()
 EVENT = dsl.event_whitelist()
@@ -63,6 +68,15 @@ class TestBuildPrompts:
         assert NEUTRAL_DIRECTION in bundle.user
 
 
+# Pieces of model replies: braces, strings, fences and whole drafts.
+REPLY_FRAGMENTS = (
+    "{", "}", "{}", '"', '"a"', ":", ",", " ", "\n", "1", "[", "]", "\\", "x", "json",
+    "```", "```json", '{"a": 1}', '"inlane_code"',
+    json.dumps({"description": "d", "guidance": "g", "inlane_code": "value[0] += 1",
+                "outlane_code": "value[0] += 0"}),
+)
+
+
 class TestExtractDraftJson:
     def test_bare_object(self):
         assert extract_draft_json('{"a": 1}') == {"a": 1}
@@ -78,6 +92,55 @@ class TestExtractDraftJson:
     def test_no_object_raises(self):
         with pytest.raises(ValueError):
             extract_draft_json("no json here")
+
+    @pytest.mark.parametrize("reply", ["[1, 2]", "42", '"text"', "null"])
+    def test_a_bare_value_other_than_an_object_raises(self, reply):
+        with pytest.raises(ValueError, match="not an object"):
+            extract_draft_json(reply)
+
+    def test_a_reply_over_the_bound_is_refused(self):
+        draft = json.dumps({"inlane_code": "value[0] += 1"})
+        assert extract_draft_json(draft.ljust(MAX_REPLY_CHARS)) == {"inlane_code": "value[0] += 1"}
+        with pytest.raises(ValueError, match="longer than"):
+            extract_draft_json(draft.ljust(MAX_REPLY_CHARS + 1))
+
+    def test_nested_braces_at_the_bound_yield_the_innermost_object(self):
+        half = MAX_REPLY_CHARS // 2
+        assert extract_draft_json("{" * half + "}" * half) == {}
+
+    def test_a_reply_nested_past_the_recursion_limit_raises(self):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            extract_draft_json('{"a": ' * 5000 + "1" + "}" * 5000)
+
+    @given(st.lists(st.sampled_from(REPLY_FRAGMENTS), max_size=40).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_rescanning_reference(self, reply):
+        try:
+            expected = reference_extract_draft_json(reply)
+        except ValueError:
+            expected = ValueError
+        if not isinstance(expected, dict):
+            expected = ValueError
+        try:
+            got = extract_draft_json(reply)
+        except ValueError:
+            got = ValueError
+        assert got == expected
+
+    @given(*[st.lists(st.sampled_from(REPLY_FRAGMENTS), min_size=1, max_size=6).map("".join)] * 2)
+    @example(head='{"', tail="}")  # every balanced span starts as an object does
+    @settings(max_examples=30, deadline=None)
+    def test_a_longest_reply_takes_linear_time(self, head, tail):
+        # Two units, each repeated over half the bound. Rescanning from
+        # every "{" made 8,000 unclosed ones take about 3 s.
+        half = MAX_REPLY_CHARS // 2
+        reply = head * (half // len(head)) + tail * (half // len(tail))
+        started = time.perf_counter()
+        try:
+            assert isinstance(extract_draft_json(reply), dict)
+        except ValueError:
+            pass
+        assert time.perf_counter() - started < 1.0
 
 
 class TestScriptedMutate:
@@ -143,8 +206,8 @@ class TestRenderCode:
                 rendered = render_code(ast)
                 again = dsl.parse(rendered)
                 bindings = {name: 2.0 for name in EVENT.canonical_names()}
-                assert dsl.evaluate(again, dsl.EvalContext(bindings=bindings)) == (
-                    dsl.evaluate(ast, dsl.EvalContext(bindings=bindings))
+                assert dsl.compile_body(again).run(bindings) == (
+                    dsl.compile_body(ast).run(bindings)
                 )
 
 

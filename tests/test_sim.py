@@ -346,7 +346,7 @@ class TestEngine:
 
     def test_phase_change_takes_three_yellow_steps(self):
         episode = Episode(zero_demand())
-        signal = episode.signals["x0_0"]
+        signal = episode.junctions["x0_0"].signal
         for _ in range(6):  # satisfy min green
             episode.step({})
         episode.step({"x0_0": PhaseDecision(2)})
@@ -359,7 +359,7 @@ class TestEngine:
 
     def test_min_green_blocks_early_change(self):
         episode = Episode(zero_demand())
-        signal = episode.signals["x0_0"]
+        signal = episode.junctions["x0_0"].signal
         episode.step({"x0_0": PhaseDecision(2)})  # green_elapsed too small
         assert signal.yellow == 0 and signal.active == 0
 
@@ -368,7 +368,7 @@ class TestEngine:
         for _ in range(6):
             episode.step({})
         episode.step({"x0_0": PhaseDecision(17)})
-        assert episode.signals["x0_0"].active == 0
+        assert episode.junctions["x0_0"].signal.active == 0
         assert any(r["kind"] == "invalid_decision" for r in episode._step_log)
 
     def test_observation_of_empty_lane(self):
@@ -456,7 +456,7 @@ class TestEngine:
         queue_vehicle(episode, scenario.incident.link, movement="s")
         for _ in range(8):
             episode.step(serve_blocked_lane)
-        assert episode.signals[node_id].active == 2
+        assert episode.junctions[node_id].signal.active == 2
         assert len(link.queues["s"]) == 1  # still stuck
         for _ in range(4):
             episode.step(serve_blocked_lane)
@@ -565,11 +565,7 @@ class TestObservationOracle:
                 for node_id in episode.network.intersection_ids:
                     assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
             seen |= notable
-            episode.step({
-                node_id: controller.decide(StepContext(episode.t, node_id, episode))
-                for node_id in episode.network.intersection_ids
-                if not episode.signals[node_id].in_transition
-            })
+            episode.step(max_pressure_decisions(episode, controller))
         if family == "I1":
             assert "queue behind blockage" in seen
         if family == "E2":
@@ -691,8 +687,8 @@ class TestLiveViews:
             episode = Episode(scenario)
             while True:
                 decisions = {
-                    node_id: controller.decide(StepContext(episode.t, node_id, episode))
-                    for node_id in episode.network.intersection_ids
+                    node_id: controller.decide(StepContext(episode.t, episode, junction))
+                    for node_id, junction in episode.junctions.items()
                 }
                 if episode.t == scenario.duration:
                     break
@@ -741,9 +737,9 @@ class TestKeptCounts:
 
 def max_pressure_decisions(episode, controller):
     return {
-        node_id: controller.decide(StepContext(episode.t, node_id, episode))
-        for node_id in episode.network.intersection_ids
-        if not episode.signals[node_id].in_transition
+        node_id: controller.decide(StepContext(episode.t, episode, junction))
+        for node_id, junction in episode.junctions.items()
+        if not junction.signal.in_transition
     }
 
 
@@ -767,7 +763,8 @@ class TestAccrualOracle:
                 assert episode.delay_of(vehicle) == reference.delay(vehicle), vehicle.id
             if episode.t % 50 == 0 or episode.t == duration:
                 metrics = episode.finish().metrics
-                assert episode.queue_history == reference.queue_history
+                histories = {node_id: junction.history for node_id, junction in episode.junctions.items()}
+                assert histories == reference.queue_history
                 assert metrics.avg_delay == reference.avg_delay()
                 if scenario.incident is not None:
                     assert metrics.incident_window_delay == reference.incident_window_delay()
@@ -815,20 +812,28 @@ class TestSortedHistory:
         controller = MaxPressureController()
         for _ in range(scenario.duration):
             episode.step(max_pressure_decisions(episode, controller))
-            for node_id, history in episode.queue_history.items():
-                assert episode.sorted_history(node_id, window) == sorted(history[-window:])
-        assert len(set(episode.queue_history["x0_0"][-window:])) > 1
+            for junction in episode.junctions.values():
+                assert junction.sorted_history(window) == sorted(junction.history[-window:])
+        assert len(set(episode.junctions["x0_0"].history[-window:])) > 1
+
+    def test_windows_of_one_junction_are_kept_apart(self):
+        scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=3)
+        episode = Episode(scenario)
+        junction = episode.junctions["x0_0"]
+        for _ in range(scenario.duration):
+            episode.step({})
+            for window in (7, 300):
+                assert junction.sorted_history(window) == sorted(junction.history[-window:])
 
     def test_catches_up_after_skipped_steps(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=5)
         episode = Episode(scenario)
+        junction = episode.junctions["x1_0"]
         for _ in range(400):
             episode.step({})
             if episode.t % 97 == 0:
-                history = episode.queue_history["x1_0"]
-                assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])
-        history = episode.queue_history["x1_0"]
-        assert episode.sorted_history("x1_0", 50) == sorted(history[-50:])
+                assert junction.sorted_history(50) == sorted(junction.history[-50:])
+        assert junction.sorted_history(50) == sorted(junction.history[-50:])
 
 
 def vehicles_under(controller, scenario, seed, arrivals=None):
