@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from . import control, dsl, events, evolution, generator, metrics, skills, store
 from .control import ControllerSpec, drive, max_pressure, score_phases
-from .events import DetectorConfig, SkillBank, TrafficEvent, default_bank, detect, dispatch
+from .events import SkillBank, TrafficEvent, default_bank, detect, dispatch
 from .evolution import EvolutionConfig, direction_text, extract_signals, run_evolution
-from .metrics import FitnessConfig, event_fitness, person_delay, routine_fitness, welch_and_cohen
+from .metrics import event_fitness, person_delay, routine_fitness, welch_and_cohen
 from .sim import ScenarioConfig, SimulationMetrics, make_scenario, run_episode
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 from .store import RunStore
@@ -22,7 +22,6 @@ __all__ = [
     "ControllerSpec",
     "default_bank",
     "detect",
-    "DetectorConfig",
     "direction_text",
     "dispatch",
     "drive",
@@ -32,7 +31,6 @@ __all__ = [
     "evolution",
     "EvolutionConfig",
     "extract_signals",
-    "FitnessConfig",
     "generator",
     "LIBRARY",
     "make_scenario",

@@ -26,7 +26,7 @@ from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.engine import Arrivals
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
-from .store import RunStore, StorageError, UnknownRun
+from .store import SKILLS_FILE, RunStore, StorageError, UnknownRun
 
 BASELINE_KINDS = ("fixed_time", "max_pressure", "handcrafted_preemption", "dispatcher")
 METRIC_COLUMNS = ("avg_delay", "avg_queue", "throughput", "emergency_delay", "bus_person_delay")
@@ -57,7 +57,18 @@ def _build_scenario(name: str, args) -> ScenarioConfig:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    seeds = [int(part) for part in text.split(",") if part.strip()]
+    if not seeds:
+        raise ValueError("--seeds needs at least one seed")
+    return seeds
+
+
+def _open_run(run_dir: str) -> RunStore:
+    """The store of an existing run, whose first record is its seed skill;
+    reading commands never create one."""
+    if not (Path(run_dir) / SKILLS_FILE).is_file():
+        raise UnknownRun(f"no run in {run_dir}: it has no {SKILLS_FILE}")
+    return RunStore(run_dir)
 
 
 def _load_skill(path: str) -> Skill:
@@ -122,7 +133,7 @@ def cmd_evolve(args) -> int:
         seed=args.seed,
     )
     if args.generator == "scripted":
-        backend = ScriptedBackend(seed=args.seed, event_kind=cfg.event_kind)
+        backend = ScriptedBackend(seed=args.seed)
     else:
         backend = RemoteBackend()
     out_dir = Path(args.out)
@@ -223,7 +234,7 @@ def cmd_evaluate(args) -> int:
         if not args.run:
             print("error: --capsule needs --run", file=sys.stderr)
             return 2
-        store = RunStore(args.run)
+        store = _open_run(args.run)
         capsules = [c for c in store.capsules() if c["skill"]["id"] == args.capsule]
         if not capsules:
             print(f"error: capsule {args.capsule!r} not found", file=sys.stderr)
@@ -316,7 +327,7 @@ def _compare_scenario(scenario: ScenarioConfig, methods, seeds: list[int], pool)
 
 
 def cmd_inspect(args) -> int:
-    store = RunStore(args.run)
+    store = _open_run(args.run)
     skills = store.skills()
     if args.skill:
         if args.skill not in skills:
@@ -346,7 +357,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    store = RunStore(args.run)
+    store = _open_run(args.run)
     events = store.events()
     if not events:
         print(f"error: no events in {args.run}", file=sys.stderr)
@@ -380,10 +391,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_export(args) -> int:
-    store = RunStore(args.run)
-    records = generation_records(store)
+    records = generation_records(_open_run(args.run))
     if not records:
-        raise UnknownRun(args.run)
+        raise UnknownRun(f"run {args.run} has no checkpointed generation")
     rows = []
     for record in records:
         valid = [f for f in record.fitness_vector if f is not None]

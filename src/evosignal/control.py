@@ -41,6 +41,7 @@ from .dsl.interpreter import finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
     PHASE_DECISIONS,
+    YELLOW_STEPS,
     Arrivals,
     EpisodeResult,
     Junction,
@@ -82,12 +83,13 @@ _NO_EVENT = (0.0,) * len(EVENT_VARIABLES)
 
 
 def score_phases(
-    skill: Skill | CompiledSkill,
+    compiled: CompiledSkill,
     observations: PhaseViews,
     ctx_extra: dict[str, float] | None = None,
 ) -> PhaseScores:
-    """Score every phase with a skill; raises EvalError if any lane-link
-    evaluation faults (callers hold the current phase and record it).
+    """Score every phase with a compiled skill; raises EvalError if any
+    lane-link evaluation faults (callers hold the current phase and
+    record it).
     Each lane-link adds its inlane result, checked, then its outlane
     result, so the first fault in that order is the one reported.
 
@@ -104,7 +106,6 @@ def score_phases(
       view (an engine view hashes by identity) and filled at first use,
       so bodies still run, and fault, in the order above.
     """
-    compiled = skill if isinstance(skill, CompiledSkill) else CompiledSkill(skill)
     e0, e1, e2, e3, e4, e5 = (
         tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
     )
@@ -188,30 +189,25 @@ def max_pressure(junction: Junction) -> int:
     return _argmax_lowest(pressure_scores(junction))
 
 
-@dataclass(frozen=True)
-class FixedTimePlan:
-    major: int = 25
-    minor: int = 5
-    yellow: int = 3
+# The fixed-time plan: phase greens of 25, 5, 25 and 5 s, each led by
+# the engine's yellow; the green windows are right only with that yellow.
+FIXED_TIME_GREENS = (25, 5, 25, 5)
+FIXED_TIME_CYCLE = sum(FIXED_TIME_GREENS) + 4 * YELLOW_STEPS
 
-    def cycle(self) -> int:
-        return 2 * self.major + 2 * self.minor + 4 * self.yellow
 
-    def target_at(self, t: int) -> int:
-        """Requested phase at simulation time t. Each green slot begins
-        with the yellow that leads into it, so requesting at the slot
-        boundary produces exactly the planned green windows."""
-        greens = (self.major, self.minor, self.major, self.minor)
-        cycle = self.cycle()
-        tick = t % cycle
-        edge = self.major  # first switch request: end of phase 0 green
-        for k in range(1, 4):
-            if tick < edge:
-                return k - 1
-            edge += self.yellow + greens[k]
+def fixed_time_target(t: int) -> int:
+    """Requested phase at simulation time t. Each green slot begins with
+    the yellow that leads into it, so requesting at the slot boundary
+    produces exactly the planned green windows."""
+    tick = t % FIXED_TIME_CYCLE
+    edge = FIXED_TIME_GREENS[0]  # first switch request: end of phase 0 green
+    for k in range(1, 4):
         if tick < edge:
-            return 3
-        return 0  # trailing yellow back into phase 0
+            return k - 1
+        edge += YELLOW_STEPS + FIXED_TIME_GREENS[k]
+    if tick < edge:
+        return 3
+    return 0  # trailing yellow back into phase 0
 
 
 class FixedTimeController:
@@ -220,8 +216,7 @@ class FixedTimeController:
 
     kind = "fixed_time"
 
-    def __init__(self, plan: FixedTimePlan | None = None):
-        self.plan = plan or FixedTimePlan()
+    def __init__(self):
         # The decision of step ``_t``, which every intersection shares.
         self._t: int | None = None
         self._decision: PhaseDecision | None = None
@@ -229,7 +224,7 @@ class FixedTimeController:
     def decide(self, ctx: StepContext) -> PhaseDecision:
         if ctx.t != self._t:
             self._t = ctx.t
-            self._decision = PHASE_DECISIONS[self.plan.target_at(ctx.t)]
+            self._decision = PHASE_DECISIONS[fixed_time_target(ctx.t)]
         return self._decision
 
 
@@ -278,11 +273,8 @@ class HandcraftedPreemptionController:
 
     kind = "handcrafted_preemption"
 
-    def __init__(self, detector: ev.DetectorConfig | None = None):
-        self.detector = detector or ev.DetectorConfig()
-
     def decide(self, ctx: StepContext) -> PhaseDecision:
-        events = ev.detect(ctx.episode, ctx.intersection_id, config=self.detector)
+        events = ev.detect(ctx.episode, ctx.intersection_id)
         if ctx.episode.collect_step_log:
             _log_events(ctx, events)
         emergency = ev.active_event(events, "emergency")
@@ -298,13 +290,12 @@ class DispatcherController:
 
     kind = "dispatcher"
 
-    def __init__(self, bank: ev.SkillBank, detector: ev.DetectorConfig | None = None):
+    def __init__(self, bank: ev.SkillBank):
         self.bank = bank
-        self.detector = detector or ev.DetectorConfig()
         self.compiled = {kind: CompiledSkill(skill) for kind, skill in bank.skills.items()}
 
     def decide(self, ctx: StepContext) -> PhaseDecision | None:
-        events = ev.detect(ctx.episode, ctx.intersection_id, config=self.detector)
+        events = ev.detect(ctx.episode, ctx.intersection_id)
         active_kind, _ = ev.dispatch(events, self.bank)
         if ctx.episode.collect_step_log:
             _log_events(ctx, events)
@@ -334,7 +325,6 @@ class ControllerSpec:
 
     kind: str  # skill | fixed_time | max_pressure | handcrafted_preemption | dispatcher
     skill: Skill | None = None
-    plan: FixedTimePlan | None = None
     bank_skills: dict[str, Skill] | None = None
 
     def build(self):
@@ -343,7 +333,7 @@ class ControllerSpec:
                 raise ValueError("skill controller needs a skill")
             return SkillController(self.skill)
         if self.kind == "fixed_time":
-            return FixedTimeController(self.plan)
+            return FixedTimeController()
         if self.kind == "max_pressure":
             return MaxPressureController()
         if self.kind == "handcrafted_preemption":

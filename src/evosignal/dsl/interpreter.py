@@ -283,7 +283,7 @@ def sandbox_check(skill, whitelist: wl.VariableWhitelist) -> ValidationReport:
     result. ``skill`` needs ``inlane_code`` and ``outlane_code``
     attributes; the report carries the first failing stage.
     """
-    dummy = whitelist.dummy_bindings(1.0)
+    dummy = whitelist.dummy_bindings()
     for label, code in (("inlane", skill.inlane_code), ("outlane", skill.outlane_code)):
         try:
             ast = parse(code)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 ARITH_OPS = ("+", "-", "*", "/", "//", "%", "**")
-COMPARE_OPS = (">", "<", ">=", "<=", "==", "!=")
-UNARY_OPS = ("+", "-")
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class Ref:
 
 @dataclass(frozen=True)
 class UnaryOp:
-    op: str  # one of UNARY_OPS
+    op: str  # "+" or "-"
     operand: "Expr"
 
 
@@ -52,7 +50,7 @@ class BinOp:
 class Compare:
     """Comparison, possibly chained (``a < b <= c``)."""
 
-    ops: tuple[str, ...]  # each one of COMPARE_OPS; len(ops) == len(operands) - 1
+    ops: tuple[str, ...]  # each one of > < >= <= == !=; len(ops) == len(operands) - 1
     operands: tuple["Expr", ...]
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .complexity import complexity
 from .nodes import Call, SkillAst, free_names, iter_calls
-from .whitelist import VariableWhitelist
+from .whitelist import BUILTINS, VariableWhitelist
 
 STAGE_PARSE = "parse"
 STAGE_WHITELIST = "whitelist"
@@ -79,7 +79,7 @@ def validate(ast: SkillAst, whitelist: VariableWhitelist) -> ValidationReport:
                 STAGE_WHITELIST, f"variable '{name}' is not in the sandbox whitelist"
             )
     for call in iter_calls(ast):
-        if call.func not in whitelist.builtins:
+        if call.func not in BUILTINS:
             return ValidationReport.failed(
                 STAGE_WHITELIST, f"call to '{call.func}' is not a whitelisted builtin"
             )

@@ -1,11 +1,14 @@
 """Variable whitelist and alias resolution for the skill sandbox.
 
 Skill code sees three lane features on the inlane side and two on the
-outlane side, the ``value[0]`` accumulator, and the current phase
-``index``. Generated code sometimes spells the lane features with a
-lane-index prefix (``inlane_2_num_vehicle``); every such alias resolves
-to its abstract name. Event-aware skills additionally see six
-event-context variables (no lane prefix; global per intersection).
+outlane side, the ``value[0]`` accumulator, the current phase ``index``
+and the builtins in ``BUILTINS``, the same for every skill. Generated
+code sometimes spells the lane features with a lane-index prefix
+(``inlane_2_num_vehicle``); ``canonical_binding`` resolves every such
+alias to its abstract name. Event-aware skills additionally see six
+event-context variables (no lane prefix; global per intersection):
+they are the one thing that tells the event whitelist from the routine
+one.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ EVENT_VARIABLES = (
 )
 
 PHASE_INDEX = "index"
-ACCUMULATOR = "value[0]"
 
 BUILTINS = ("min", "max", "abs", "sum", "len", "range")
 
@@ -54,42 +56,29 @@ def canonical_binding(name: str) -> str:
 
 @dataclass(frozen=True)
 class VariableWhitelist:
-    """The set of names a skill body may reference.
+    """The set of names a skill body may reference: the lane features
+    (lane-indexed aliases resolve onto them), ``index`` and the builtins,
+    plus ``event_variables``, empty for routine skills and the six
+    event-context names for event skills."""
 
-    ``lane_variables`` are the abstract feature names; lane-indexed
-    aliases resolve onto them. ``event_variables`` is empty for routine
-    skills and the six event-context names for event skills.
-    """
-
-    lane_variables: frozenset[str] = LANE_VARIABLES
-    event_variables: frozenset[str] = frozenset()
-    builtins: tuple[str, ...] = BUILTINS
-    metadata: tuple[str, ...] = (PHASE_INDEX,)
-    accumulator: str = ACCUMULATOR
+    event_variables: tuple[str, ...] = ()
 
     def resolve(self, name: str) -> str | None:
         """Map a referenced name to its canonical binding name, or None
         when the name is not admitted by this whitelist."""
-        if name in self.lane_variables or name in self.event_variables:
-            return name
-        if name in self.metadata:
-            return name
-        m = _ALIAS_RE.match(name)
-        if m:
-            side, _, base = m.groups()
-            allowed = _INLANE_ALIASED if side == "inlane" else _OUTLANE_ALIASED
-            if base in allowed and base in self.lane_variables:
-                return base
+        canonical = canonical_binding(name)
+        if canonical in LANE_VARIABLES or canonical == PHASE_INDEX or canonical in self.event_variables:
+            return canonical
         return None
 
     def canonical_names(self) -> tuple[str, ...]:
         """All canonical binding names, in a stable order."""
-        return tuple(sorted(self.lane_variables)) + tuple(self.event_variables) + self.metadata
+        return tuple(sorted(LANE_VARIABLES)) + self.event_variables + (PHASE_INDEX,)
 
-    def dummy_bindings(self, fill: float = 1.0) -> dict[str, float]:
+    def dummy_bindings(self) -> dict[str, float]:
         """Bindings for the sandbox dry run: every canonical name bound
-        to the same dummy value."""
-        return {name: fill for name in self.canonical_names()}
+        to 1.0."""
+        return {name: 1.0 for name in self.canonical_names()}
 
 
 def routine_whitelist() -> VariableWhitelist:
@@ -100,4 +89,9 @@ def routine_whitelist() -> VariableWhitelist:
 def event_whitelist() -> VariableWhitelist:
     """Whitelist for event skills: lane features + index + the six
     event-context variables."""
-    return VariableWhitelist(event_variables=frozenset(EVENT_VARIABLES))
+    return VariableWhitelist(EVENT_VARIABLES)
+
+
+def whitelist_for(event_kind: str | None) -> VariableWhitelist:
+    """The whitelist of skills evolved for ``event_kind`` (None: routine)."""
+    return event_whitelist() if event_kind else routine_whitelist()

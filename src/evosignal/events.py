@@ -2,12 +2,14 @@
 
 Four detectors watch each intersection's approaches: emergency vehicles
 inside a 200 m radius, buses anywhere upstream, non-signal stops longer
-than 120 s (incidents), and queues above the rolling 90th percentile
-(congestion). A hardcoded priority chain - emergency before incident
-before transit before congestion before normal - picks which skill in
-the bank handles the step; the ordering is a safety constraint, not a
-tunable. The active event's context becomes the six event variables a
-skill body sees (``event_bindings``); every other name stays zero.
+than 120 s (incidents), and queues above the 90th percentile of the
+trailing 300 s (congestion). A hardcoded priority chain - emergency
+before incident before transit before congestion before normal - picks
+which skill in the bank handles the step; the ordering is a safety
+constraint, not a tunable, and so are the detector's figures, the
+module constants below. The active event's context becomes the six
+event variables a skill body sees (``event_bindings``); every other
+name stays zero.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dsl.whitelist import EVENT_VARIABLES
-from .sim.engine import Episode, JAM_SPACING
+from .sim.engine import HISTORY_WINDOW, JAM_SPACING, Episode
 from .sim.network import MOVEMENTS, phase_of
 from .skills import DEFAULT_BANK_SKILLS, LIBRARY, Skill
 from .util import percentile_of_sorted
@@ -24,6 +26,13 @@ PRIORITY = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
 PRIORITY_CHAIN = ("emergency", "incident", "transit", "congestion")
 BANK_KINDS = ("normal",) + PRIORITY_CHAIN
 _MOVEMENT_ORDER = tuple(sorted(MOVEMENTS))
+
+EMERGENCY_RADIUS = 200.0  # m upstream
+INCIDENT_STOP_THRESHOLD = 120.0  # s stopped before it counts
+SIGNAL_STOP_RADIUS = 50.0  # m; stops nearer a red line are signal waits
+CONGESTION_PERCENTILE = 90.0
+# s of trailing history: the window each junction keeps sorted
+CONGESTION_WINDOW = HISTORY_WINDOW
 
 
 @dataclass(frozen=True)
@@ -42,21 +51,6 @@ class TrafficEvent:
     @property
     def priority(self) -> int:
         return PRIORITY[self.kind]
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    emergency_radius: float = 200.0  # m upstream
-    incident_stop_threshold: float = 120.0  # s stopped before it counts
-    signal_stop_radius: float = 50.0  # m; stops nearer a red line are signal waits
-    congestion_percentile: float = 90.0
-    congestion_window: int = 300  # s of trailing history
-
-    def __post_init__(self):
-        for name in ("emergency_radius", "incident_stop_threshold",
-                     "signal_stop_radius", "congestion_percentile", "congestion_window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,7 @@ def default_bank() -> SkillBank:
     return SkillBank({kind: LIBRARY[name] for kind, name in DEFAULT_BANK_SKILLS.items()})
 
 
-def detect(
-    episode: Episode,
-    intersection_id: str,
-    config: DetectorConfig = DetectorConfig(),
-) -> list[TrafficEvent]:
+def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
     """All currently active events at one intersection, read from its
     junction record. The congestion check reads the junction's queue
     history through its rolling sorted window."""
@@ -97,7 +87,7 @@ def detect(
     junction = episode.junctions[intersection_id]
     signal = junction.signal
     t = episode.t
-    stop_threshold = config.incident_stop_threshold
+    stop_threshold = INCIDENT_STOP_THRESHOLD
 
     # The vehicles that can raise an event - emergency vehicles, buses
     # and long stops - as (vehicle, side, movement, distance to the stop
@@ -125,7 +115,7 @@ def detect(
     blocked_lanes: set[tuple[str, str]] = set()
 
     for vehicle, side, movement, distance in notable:
-        if vehicle.vclass == "emergency" and distance <= config.emergency_radius:
+        if vehicle.vclass == "emergency" and distance <= EMERGENCY_RADIUS:
             if emergency_best is None or distance < emergency_best[0]:
                 emergency_best = (distance, phase_of(side, movement))
         if vehicle.vclass == "bus":
@@ -135,7 +125,7 @@ def detect(
             stopped_for = t - vehicle.stopped_since
             if stopped_for > stop_threshold:
                 red = signal.in_transition or phase_of(side, movement) != signal.active
-                if not (distance <= config.signal_stop_radius and red):
+                if not (distance <= SIGNAL_STOP_RADIUS and red):
                     blocked_lanes.add((side, movement))
 
     if emergency_best is not None:
@@ -164,12 +154,11 @@ def detect(
             )
         )
 
-    window = config.congestion_window
     history = junction.history
-    if len(history) >= window:
-        trailing = junction.sorted_history(window)
+    if len(history) >= CONGESTION_WINDOW:
+        trailing = junction.sorted_history()
         current = history[-1]
-        threshold = percentile_of_sorted(trailing, config.congestion_percentile)
+        threshold = percentile_of_sorted(trailing, CONGESTION_PERCENTILE)
         if current > threshold:
             top = trailing[-1]
             band = (top - threshold) / 4.0

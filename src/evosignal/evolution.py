@@ -30,7 +30,7 @@ from . import events as ev
 from . import generator as gen
 from . import metrics as met
 from .control import ControllerSpec, episode_pool, run_episodes
-from .dsl import event_whitelist, parse, routine_whitelist
+from .dsl import parse
 from .sim.engine import Arrivals, SimulationMetrics
 from .sim.scenario import ScenarioConfig
 from .skills import SEED_SKILL, Skill
@@ -76,9 +76,6 @@ class EvolutionSignals:
 
     def as_dict(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in SIGNAL_ORDER}
-
-    def any(self) -> bool:
-        return any(self.as_dict().values())
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,6 @@ class EvolutionConfig:
     tau: int = 3  # stagnation threshold for force_innovation
     mode: str = "routine"  # routine | emergency | transit | incident
     seed: int = 0
-    seed_skill: Skill = SEED_SKILL
-    fitness_constant: float | None = None  # None: take each scenario's own
 
     def __post_init__(self):
         if self.population < 2:
@@ -253,12 +248,6 @@ def generation_records(store: RunStore) -> list[GenerationRecord]:
     return records
 
 
-def _fitness_cfg(cfg: EvolutionConfig, scenario: ScenarioConfig) -> met.FitnessConfig:
-    constant = scenario.fitness_constant if cfg.fitness_constant is None else cfg.fitness_constant
-    mode = "routine" if cfg.mode == "routine" else "event"
-    return met.FitnessConfig(mode=mode, constant=constant)
-
-
 @dataclass(frozen=True)
 class EpisodeOutcome:
     scenario_name: str
@@ -283,9 +272,9 @@ def _outcome(
     if faults > 0:
         fitness = NEG_INFINITY
     elif cfg.mode == "routine":
-        fitness = met.routine_fitness(metrics, _fitness_cfg(cfg, scenario))
+        fitness = met.routine_fitness(metrics, scenario.fitness_constant)
     else:
-        fitness = met.event_fitness(metrics, cfg.mode, _fitness_cfg(cfg, scenario))
+        fitness = met.event_fitness(metrics, cfg.mode, scenario.fitness_constant)
     return EpisodeOutcome(
         scenario_name=scenario.name,
         seed=seed,
@@ -364,16 +353,10 @@ def dispatcher_context_evaluate(
     scenarios,
     *,
     seed: int = 0,
-    fitness_constant: float | None = None,
 ) -> float:
     """Fitness of a candidate event skill inside the full detect +
     dispatch pipeline, all other bank slots held fixed."""
-    cfg = EvolutionConfig(
-        scenarios=tuple(scenarios),
-        mode=kind,
-        seed=seed,
-        fitness_constant=fitness_constant,
-    )
+    cfg = EvolutionConfig(scenarios=tuple(scenarios), mode=kind, seed=seed)
     return evaluate_generation(cfg, [candidate], bank, run_arrivals(cfg))[0][0]
 
 
@@ -409,7 +392,6 @@ def _evolve(
     pool,
 ) -> EvolutionResult:
     started = time.monotonic()
-    whitelist = event_whitelist() if cfg.event_kind else routine_whitelist()
     if cfg.event_kind and bank is None:
         bank = ev.default_bank()
 
@@ -442,7 +424,7 @@ def _evolve(
     else:
         # Archive the seed first so every candidate's parent chain
         # resolves inside this run's store.
-        store.append_skill(cfg.seed_skill)
+        store.append_skill(SEED_SKILL)
 
     generations_this_session = 0
     interrupted = False
@@ -460,12 +442,10 @@ def _evolve(
             else EvolutionSignals()
         )
         direction = direction_text(signals)
-        elite = best_skill if best_skill is not None else cfg.seed_skill
+        elite = best_skill if best_skill is not None else SEED_SKILL
         elite_metrics = elite.metrics_snapshot
 
-        prompts = gen.build_prompts(
-            elite, elite_metrics, direction, whitelist, event_kind=cfg.event_kind
-        )
+        prompts = gen.build_prompts(elite, elite_metrics, direction, cfg.event_kind)
 
         def log_attempt(index: int, attempt: int, draft, report):
             store.append_event(
@@ -490,7 +470,6 @@ def _evolve(
             prompts,
             cfg.population,
             elite=elite,
-            whitelist=whitelist,
             signals=signals.as_dict(),
             event_kind=cfg.event_kind,
             on_attempt=log_attempt,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import dsl
-from .dsl.whitelist import EVENT_VARIABLES, VariableWhitelist
+from .dsl.whitelist import EVENT_VARIABLES, whitelist_for
 from .skills import LIBRARY, Skill
 from .util import mix_seed
 
@@ -26,6 +26,7 @@ MAX_VALIDATION_RETRIES = 3
 TRANSPORT_RETRIES = 3
 RETRYABLE_4XX = (408, 429)  # timeout and rate limit; any other 4xx fails at once
 REQUEST_TIMEOUT = 60.0
+TEMPERATURE = 0.7
 
 ENV_API_BASE = "EVOSIGNAL_API_BASE"
 ENV_MODEL = "EVOSIGNAL_MODEL"
@@ -81,13 +82,13 @@ def build_prompts(
     elite: Skill,
     metrics: dict[str, float] | None,
     direction: str,
-    whitelist: VariableWhitelist,
     event_kind: str | None = None,
 ) -> PromptBundle:
     """Assemble the two-part prompt: a system prompt fixing the task,
-    output format, sandbox rules, and strategy hints; a user prompt
-    carrying the elite's full representation, its metrics, and the
-    evolution direction."""
+    output format, sandbox rules (the event context variables only for
+    an ``event_kind``), and strategy hints; a user prompt carrying the
+    elite's full representation, its metrics, and the evolution
+    direction."""
     direction = direction.strip() or NEUTRAL_DIRECTION
     lane_lines = [
         "inlane variables: num_vehicle, num_waiting_vehicle, vehicle_dist",
@@ -95,9 +96,8 @@ def build_prompts(
         "accumulator: value[0] (write scores with augmented assignment, e.g. value[0] += ...)",
         "metadata: index (the phase being scored)",
     ]
-    if event_kind is not None or whitelist.event_variables:
-        admitted = [name for name in EVENT_VARIABLES if name in whitelist.event_variables]
-        lane_lines.append("event context variables: " + ", ".join(admitted or EVENT_VARIABLES))
+    if event_kind is not None:
+        lane_lines.append("event context variables: " + ", ".join(EVENT_VARIABLES))
     system = "\n".join(
         [
             "You are a traffic signal control strategy optimization expert.",
@@ -291,7 +291,6 @@ _EVENT_REWRITE_TEMPLATES: dict[str, tuple[tuple[str, str, str], ...]] = {
     ),
 }
 
-_MUTATION_OPS = ("coefficient", "threshold", "wrap", "insert", "rewrite")
 REWRITE_PROB_INNOVATE = 0.8
 REWRITE_PROB_BASE = 0.15
 
@@ -427,7 +426,6 @@ def scripted_mutate(
     else:
         op = rng.choice(("coefficient", "threshold", "wrap", "insert"))
 
-    whitelist = dsl.event_whitelist() if event_kind else dsl.routine_whitelist()
     inlane, outlane = elite.inlane_code, elite.outlane_code
     label = op
 
@@ -462,7 +460,7 @@ def scripted_mutate(
         "outlane_code": outlane,
     }
     probe = Skill(id="draft", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
-    if not dsl.sandbox_check(probe, whitelist).ok:
+    if not dsl.sandbox_check(probe, whitelist_for(event_kind)).ok:
         name, inlane, outlane = _REWRITE_TEMPLATES[rng.randrange(len(_REWRITE_TEMPLATES))]
         draft = {
             "description": f"Scripted mutation of '{elite.id}': rewrite: {name}.",
@@ -474,22 +472,21 @@ def scripted_mutate(
 
 
 class ScriptedBackend:
-    """Deterministic stand-in for the remote model. Each call draws its
-    own child generator from (seed, call index), so a checkpoint only
-    needs the call counter to resume bit-identically."""
+    """Deterministic stand-in for the remote model. Its first draft
+    reproduces the elite; each later call draws its own child generator
+    from (seed, call index) and mutates for the request's event kind, so
+    a checkpoint only needs the call counter to resume bit-identically."""
 
     kind = "scripted"
 
-    def __init__(self, seed: int, event_kind: str | None = None, identity_first_draft: bool = True):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.event_kind = event_kind
         self.calls = 0
-        self.identity_first_draft = identity_first_draft
 
     def propose(self, request: GenerationRequest) -> str:
         call_index = self.calls
         self.calls += 1
-        if self.identity_first_draft and call_index == 0:
+        if call_index == 0:
             # Reproduce the baseline once so the search starts from it.
             elite = request.elite
             return json.dumps(
@@ -501,11 +498,12 @@ class ScriptedBackend:
                 }
             )
         rng = random.Random(mix_seed(self.seed, call_index))
-        return json.dumps(scripted_mutate(request.elite, request.signals, rng, self.event_kind))
+        return json.dumps(scripted_mutate(request.elite, request.signals, rng, request.event_kind))
 
 
 class RemoteBackend:
-    """OpenAI-compatible chat-completions transport. One POST per draft;
+    """OpenAI-compatible chat-completions transport. One POST per draft
+    at ``TEMPERATURE``, each waiting at most ``REQUEST_TIMEOUT`` s;
     bounded exponential backoff between attempts, then
     GeneratorUnavailable. A 4xx other than 408 and 429 is not retried."""
 
@@ -516,15 +514,11 @@ class RemoteBackend:
         api_base: str | None = None,
         model: str | None = None,
         api_key: str | None = None,
-        temperature: float = 0.7,
-        timeout: float = REQUEST_TIMEOUT,
         session=None,
     ):
         self.api_base = (api_base or os.environ.get(ENV_API_BASE, "")).rstrip("/")
         self.model = model or os.environ.get(ENV_MODEL, "")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
-        self.temperature = temperature
-        self.timeout = timeout
         self.calls = 0
         if session is None:
             import requests
@@ -543,7 +537,7 @@ class RemoteBackend:
             user = f"{user}\n\nYour previous draft was rejected: {request.previous_error}\nFix it."
         body = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
             "messages": [
                 {"role": "system", "content": request.prompts.system},
                 {"role": "user", "content": user},
@@ -563,7 +557,7 @@ class RemoteBackend:
                     f"{self.api_base}/chat/completions",
                     json=body,
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=REQUEST_TIMEOUT,
                 )
             except Exception as exc:  # transport failure
                 last_error = exc
@@ -585,16 +579,17 @@ def generate(
     count: int,
     *,
     elite: Skill,
-    whitelist: VariableWhitelist,
     signals: dict[str, bool] | None = None,
     event_kind: str | None = None,
     on_attempt=None,
 ) -> list[Skill]:
     """Request ``count`` drafts, validating each through the full
-    pipeline with up to three re-prompts; exhausted drafts are dropped.
+    pipeline, under the whitelist of ``event_kind``, with up to three
+    re-prompts; exhausted drafts are dropped.
     ``on_attempt(index, attempt, draft_or_none, report_or_none)`` is the
     audit hook - called once per backend invocation."""
     signals = signals or {}
+    whitelist = whitelist_for(event_kind)
     accepted: list[Skill] = []
     for i in range(count):
         error: str | None = None

@@ -24,23 +24,13 @@ class MissingMetric(KeyError):
     """The scenario never produced the event-specific metric."""
 
 
-@dataclass(frozen=True)
-class FitnessConfig:
-    mode: str = "routine"  # routine | event
-    constant: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("routine", "event"):
-            raise ValueError(f"unknown fitness mode {self.mode!r}")
-
-
-def routine_fitness(metrics, cfg: FitnessConfig) -> float:
+def routine_fitness(metrics, constant: float) -> float:
     """C - (0.4*avg_delay + 0.4*avg_queue) + 0.2*throughput."""
     w_d, w_q, w_t = ROUTINE_WEIGHTS
-    return cfg.constant - (w_d * metrics.avg_delay + w_q * metrics.avg_queue) + w_t * metrics.throughput
+    return constant - (w_d * metrics.avg_delay + w_q * metrics.avg_queue) + w_t * metrics.throughput
 
 
-def event_fitness(metrics, kind: str, cfg: FitnessConfig) -> float:
+def event_fitness(metrics, kind: str, constant: float) -> float:
     """C - (w_e*event_delay + w_n*normal_delay + w_q*queue) with the
     kind's weights. Raises MissingMetric when the episode carried no
     such events."""
@@ -58,7 +48,7 @@ def event_fitness(metrics, kind: str, cfg: FitnessConfig) -> float:
         normal_delay = metrics.avg_delay
     if event_delay is None:
         raise MissingMetric(f"episode has no {kind} delay metric")
-    return cfg.constant - (w_e * event_delay + w_n * normal_delay + w_q * metrics.avg_queue)
+    return constant - (w_e * event_delay + w_n * normal_delay + w_q * metrics.avg_queue)
 
 
 def person_delay(vehicle_log) -> float:
@@ -124,13 +114,6 @@ class CostLedger:
     llm_calls: int
     sim_runs: int
     wall_clock: float
-
-    def as_dict(self) -> dict:
-        return {
-            "llm_calls": self.llm_calls,
-            "sim_runs": self.sim_runs,
-            "wall_clock": self.wall_clock,
-        }
 
 
 def cost_ledger(events, wall_clock: float = 0.0) -> CostLedger:

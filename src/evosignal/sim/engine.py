@@ -58,6 +58,7 @@ JAM_SPACING = 7.5  # m between queued vehicles
 SATURATION_FLOW = 0.5  # veh/s per lane-link under green
 YELLOW_STEPS = 3
 MIN_GREEN_STEPS = 5
+HISTORY_WINDOW = 300  # steps of queue history a junction keeps sorted
 WAITING_SPEED = 0.1  # m/s; below this a vehicle counts as waiting
 INCIDENT_TAIL = 300.0  # s after blockage end still charged to the incident window
 
@@ -104,18 +105,6 @@ class SimulationMetrics:
     per_step_queues: tuple[float, ...]
     per_step_delays: tuple[float, ...]
     vehicles_entered: int
-
-    def as_dict(self) -> dict[str, float | int | None]:
-        return {
-            "avg_delay": self.avg_delay,
-            "avg_queue": self.avg_queue,
-            "throughput": self.throughput,
-            "emergency_delay": self.emergency_delay,
-            "bus_person_delay": self.bus_person_delay,
-            "normal_delay": self.normal_delay,
-            "incident_window_delay": self.incident_window_delay,
-            "vehicles_entered": self.vehicles_entered,
-        }
 
 
 @dataclass(frozen=True)
@@ -331,8 +320,9 @@ class Junction:
 
     - ``signal``, its ``SignalState``;
     - ``queued``, the vehicles queued on its approaches now, and
-      ``history``, that count per step, read in ascending order through
-      ``sorted_history``;
+      ``history``, that count per step, whose trailing
+      ``HISTORY_WINDOW`` values ``sorted_history`` reads in ascending
+      order;
     - ``approaches``, its (side, approach ``LinkState``) pairs, sides in
       sorted order;
     - ``lanes``, per phase, each lane-link's (approach ``LinkState``,
@@ -349,7 +339,7 @@ class Junction:
     so the record stays valid for the whole episode."""
 
     __slots__ = ("id", "signal", "queued", "history", "approaches", "lanes", "views", "exits", "pressure",
-                 "_windows")
+                 "_sorted", "_consumed")
 
     def __init__(self, node: Intersection, links: dict[str, LinkState]):
         self.id = node.id
@@ -381,24 +371,22 @@ class Junction:
         self.lanes = tuple(lanes)
         self.views: PhaseViews = tuple(views)
         self.pressure = tuple(pressure)
-        # window -> [ascending trailing window, history length consumed]
-        self._windows: dict[int, list] = {}
+        # the ascending trailing window, and the history length it has consumed
+        self._sorted: list[int] = []
+        self._consumed = 0
 
-    def sorted_history(self, window: int) -> list[int]:
-        """The trailing ``window`` values of ``history`` in ascending
-        order. Kept per window and caught up by index: each value enters
-        once (insort) and leaves once (bisect + del). The list is the
+    def sorted_history(self) -> list[int]:
+        """The trailing ``HISTORY_WINDOW`` values of ``history`` in
+        ascending order, caught up by index: each value enters once
+        (insort) and leaves once (bisect + del). The list is the
         junction's own; do not modify it."""
-        entry = self._windows.get(window)
-        if entry is None:
-            entry = self._windows[window] = [[], 0]
-        data, consumed = entry
+        data = self._sorted
         history = self.history
-        for i in range(consumed, len(history)):
+        for i in range(self._consumed, len(history)):
             insort(data, history[i])
-            if i >= window:
-                del data[bisect_left(data, history[i - window])]
-        entry[1] = len(history)
+            if i >= HISTORY_WINDOW:
+                del data[bisect_left(data, history[i - HISTORY_WINDOW])]
+        self._consumed = len(history)
         return data
 
 

@@ -146,9 +146,6 @@ class ScenarioConfig:
                 break
         return rate
 
-    def has_events(self) -> bool:
-        return bool(self.emergency or self.bus_lines or self.incident)
-
 
 def _flat(rate: float) -> RateProfile:
     return ((0.0, rate),)
@@ -227,7 +224,6 @@ def make_scenario(
     duration: int = DEFAULT_DURATION,
     demand_scale: float = 1.0,
     seed: int = 0,
-    fitness_constant: float | None = None,
 ) -> ScenarioConfig:
     """Instantiate a stock scenario family with optional overrides."""
     family = family.upper()
@@ -281,7 +277,7 @@ def make_scenario(
         emergency=emergency,
         bus_lines=bus_lines,
         incident=incident,
-        fitness_constant=constant if fitness_constant is None else fitness_constant,
+        fitness_constant=constant,
         seed=seed,
         family=family,
     )

@@ -19,7 +19,7 @@ from evosignal.control import ControllerSpec, drive
 from evosignal.events import TrafficEvent, default_bank, dispatch
 from evosignal.evolution import EvolutionConfig, run_evolution
 from evosignal.generator import ScriptedBackend, scripted_mutate
-from evosignal.metrics import FitnessConfig, cost_ledger, routine_fitness, welch_and_cohen
+from evosignal.metrics import cost_ledger, routine_fitness, welch_and_cohen
 from evosignal.sim import make_scenario
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 from evosignal.store import RunStore
@@ -202,7 +202,7 @@ def test_c07_evolution_monotonic_progress(tmp_path):
     cfg = EvolutionConfig(scenarios=(scenario,), population=8, generations=20, seed=11)
     seed_fitness = routine_fitness(
         drive(ControllerSpec("skill", skill=SEED_SKILL), scenario, seed=mix_seed(11, 0)).metrics,
-        FitnessConfig("routine", scenario.fitness_constant),
+        scenario.fitness_constant,
     )
     result = run_evolution(cfg, ScriptedBackend(seed=11), RunStore(tmp_path / "c07"))
     history = result.fitness_history

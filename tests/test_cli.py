@@ -14,7 +14,8 @@ import pytest
 import evosignal
 from evosignal.cli import main
 from evosignal.sim import engine
-from evosignal.skills import LIBRARY
+from evosignal.skills import LIBRARY, SEED_SKILL
+from evosignal.store import RunStore
 
 from .test_dsl import DEEP_BODIES
 
@@ -345,3 +346,53 @@ class TestResumeRefusal:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert f"sequence {sequence}," in err and f"sequence {sequence + 1};" in err
         assert {name: (out / name).read_bytes() for name in stored} == before
+
+
+class TestRefusedInput:
+    """Commands that read a run refuse a missing one without creating
+    it, and seed lists need a seed; each prints one error line and
+    exits 2."""
+
+    def one_error_line(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("exists", [False, True])
+    @pytest.mark.parametrize("command", [
+        ["inspect"],
+        ["inspect", "--skill", "seed"],
+        ["replay"],
+        ["export"],
+        ["evaluate", "--scenario", "T1", *DESK, "--capsule", "seed"],
+    ])
+    def test_a_directory_without_a_run_is_refused_and_left_alone(self, command, exists, tmp_path, capsys):
+        run = tmp_path / "nosuch"
+        if exists:  # a directory that holds no run
+            run.mkdir()
+        assert main([*command, "--run", str(run)]) == 2
+        assert f"no run in {run}" in self.one_error_line(capsys)
+        assert run.exists() == exists and not (run / "skills.jsonl").exists()
+
+    def test_export_of_a_run_without_generations_names_it(self, tmp_path, capsys):
+        run = tmp_path / "seeded"
+        RunStore(run).append_skill(SEED_SKILL)
+        assert main(["export", "--run", str(run)]) == 2
+        assert "no checkpointed generation" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("command", [
+        ["baseline", "--method", "fixed_time", "--scenario", "T1"],
+        ["evaluate", "--skill", "SKILL", "--scenario", "T1"],
+    ])
+    def test_an_empty_seed_list_is_refused(self, command, log, tmp_path, capsys):
+        skill = tmp_path / "seed.json"
+        skill.write_text(LIBRARY["distance-weighted"].to_json())
+        out = tmp_path / "out.csv"
+        argv = [str(skill) if part == "SKILL" else part for part in command]
+        argv += [*DESK, "--seeds", " , ", "--out", str(out)]
+        if log:
+            argv += ["--episode-log", str(tmp_path / "log.jsonl")]
+        assert main(argv) == 2
+        assert "--seeds" in self.one_error_line(capsys)
+        assert not out.exists()

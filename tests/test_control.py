@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from evosignal.control import (
     CompiledSkill,
     ControllerSpec,
+    FIXED_TIME_CYCLE,
     FixedTimeController,
-    FixedTimePlan,
     HandcraftedPreemptionController,
     MaxPressureController,
     SkillController,
     drive,
     episode_pool,
+    fixed_time_target,
     max_pressure,
     pressure_scores,
     run_episodes,
@@ -64,12 +65,12 @@ class TestScorePhases:
                 [(lane(), lane())],
             ]
         )
-        result = score_phases(SEED_SKILL, obs)
+        result = score_phases(CompiledSkill(SEED_SKILL), obs)
         assert result.scores[0] == 5.0
         assert result.chosen == 0
 
     def test_all_zero_ties_break_to_lowest_index(self):
-        result = score_phases(SEED_SKILL, EMPTY)
+        result = score_phases(CompiledSkill(SEED_SKILL), EMPTY)
         assert len(set(result.scores)) == 1
         assert result.chosen == 0
 
@@ -77,7 +78,7 @@ class TestScorePhases:
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(waiting=1), lane())] for _ in range(4)])
         ctx = {"emergency_distance": 100.0, "emergency_phase": 2.0}
-        result = score_phases(skill, obs, ctx)
+        result = score_phases(CompiledSkill(skill), obs, ctx)
         assert result.chosen == 2
         # (200 - 100) * 10 per lane-link on the matching phase
         assert result.scores[2] >= 1000.0
@@ -85,7 +86,7 @@ class TestScorePhases:
     def test_event_variables_default_to_zero(self):
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(waiting=2), lane())] for _ in range(4)])
-        result = score_phases(skill, obs)
+        result = score_phases(CompiledSkill(skill), obs)
         # no emergency: falls to the waiting * 3 branch everywhere
         assert all(s == result.scores[0] for s in result.scores)
 
@@ -109,7 +110,7 @@ class TestScorePhases:
                 [(lane(), lane())],
             ]
         )
-        assert score_phases(base, obs).chosen == score_phases(scaled, obs).chosen
+        assert score_phases(CompiledSkill(base), obs).chosen == score_phases(CompiledSkill(scaled), obs).chosen
 
     def test_chosen_is_lowest_index_of_max(self):
         obs = observations(
@@ -120,7 +121,7 @@ class TestScorePhases:
                 [(lane(waiting=2), lane())],
             ]
         )
-        result = score_phases(SEED_SKILL, obs)
+        result = score_phases(CompiledSkill(SEED_SKILL), obs)
         assert result.scores[1] == result.scores[2]
         assert result.chosen == 1
 
@@ -178,7 +179,7 @@ class TestScoreOracle:
     @settings(max_examples=400, deadline=None)
     def test_scores_match_reference(self, inlane, outlane, obs, context):
         skill = Skill(id="h", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
-        ours = self.outcome(lambda: list(score_phases(skill, obs, context).scores))
+        ours = self.outcome(lambda: list(score_phases(CompiledSkill(skill), obs, context).scores))
         theirs = self.outcome(lambda: reference_score_phases(parse(inlane), parse(outlane), obs, context))
         assert ours == theirs
 
@@ -188,7 +189,7 @@ class TestScoreOracle:
                       outlane_code="value[0] += num_vehicle / 0")
         obs = observations([[(lane(), lane())] for _ in range(4)])
         with pytest.raises(EvalError, match="non-finite result: inf"):
-            score_phases(skill, obs)
+            score_phases(CompiledSkill(skill), obs)
         with pytest.raises(EvalError, match="non-finite result: inf"):
             reference_score_phases(parse(skill.inlane_code), parse(skill.outlane_code), obs)
 
@@ -482,17 +483,16 @@ class TestPressureOracle:
 
 class TestFixedTime:
     def test_green_windows_and_cycle(self):
-        plan = FixedTimePlan()
-        assert plan.cycle() == 72
-        assert [plan.target_at(t) for t in (0, 24)] == [0, 0]
-        assert plan.target_at(25) == 1  # switch request: yellow 25..27
-        assert plan.target_at(32) == 1
-        assert plan.target_at(33) == 2
-        assert plan.target_at(60) == 2
-        assert plan.target_at(61) == 3
-        assert plan.target_at(68) == 3
-        assert plan.target_at(69) == 0  # trailing yellow wraps the cycle
-        assert plan.target_at(72) == 0
+        assert FIXED_TIME_CYCLE == 72
+        assert [fixed_time_target(t) for t in (0, 24)] == [0, 0]
+        assert fixed_time_target(25) == 1  # switch request: yellow 25..27
+        assert fixed_time_target(32) == 1
+        assert fixed_time_target(33) == 2
+        assert fixed_time_target(60) == 2
+        assert fixed_time_target(61) == 3
+        assert fixed_time_target(68) == 3
+        assert fixed_time_target(69) == 0  # trailing yellow wraps the cycle
+        assert fixed_time_target(72) == 0
 
     def test_open_loop_ignores_observations(self):
         scenario = make_scenario("T1", rows=1, cols=1, duration=150, demand_scale=0.0)
@@ -508,14 +508,15 @@ class TestFixedTime:
         assert active[72 + 10] == 0  # next cycle
 
     def test_one_target_per_step(self, monkeypatch):
+        from evosignal import control
+
         targets = []
-        target_at = FixedTimePlan.target_at
 
-        def counted(plan, t):
+        def counted(t):
             targets.append(t)
-            return target_at(plan, t)
+            return fixed_time_target(t)
 
-        monkeypatch.setattr(FixedTimePlan, "target_at", counted)
+        monkeypatch.setattr(control, "fixed_time_target", counted)
         controller = FixedTimeController()
         decided = []
 
@@ -529,7 +530,7 @@ class TestFixedTime:
         run_episode(scenario, Logged())
         assert len(decided) == 6 * len(targets) > 0
         assert targets == sorted({t for t, _ in decided})
-        assert all(decision is PHASE_DECISIONS[target_at(controller.plan, t)] for t, decision in decided)
+        assert all(decision is PHASE_DECISIONS[fixed_time_target(t)] for t, decision in decided)
 
     def test_synchronized_across_intersections(self):
         scenario = make_scenario("T1", rows=2, cols=1, duration=80, demand_scale=0.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evosignal.events import (
     BANK_KINDS,
-    DetectorConfig,
+    EMERGENCY_RADIUS,
     SkillBank,
     TrafficEvent,
     default_bank,
@@ -74,12 +74,15 @@ class TestDetect:
         event = next(e for e in detect(self.episode, "x0_0") if e.kind == "emergency")
         assert event.context["emergency_distance"] == 60.0
 
-    def test_radius_monotonicity(self):
-        place_running(self.episode, self.node.approaches["N"], 120.0, vclass="emergency")
-        wide = detect(self.episode, "x0_0", config=DetectorConfig(emergency_radius=200))
-        narrow = detect(self.episode, "x0_0", config=DetectorConfig(emergency_radius=100))
-        assert any(e.kind == "emergency" for e in wide)
-        assert not any(e.kind == "emergency" for e in narrow)
+    def test_radius_boundary(self):
+        # at exactly the 200 m radius it counts; just beyond it does not
+        assert EMERGENCY_RADIUS == 200.0
+        place_running(self.episode, self.node.approaches["N"], 200.0, vclass="emergency")
+        event = next(e for e in detect(self.episode, "x0_0") if e.kind == "emergency")
+        assert event.context["emergency_distance"] == 200.0
+        beyond = Episode(zero_demand())
+        place_running(beyond, self.node.approaches["N"], 200.5, vclass="emergency")
+        assert not detect(beyond, "x0_0")
 
     def test_bus_detection_counts_and_delay(self):
         bus1 = place_running(self.episode, self.node.approaches["W"], 90.0, vclass="bus")

@@ -291,10 +291,27 @@ class TestRunEvolution:
                               mode="transit", seed=3)
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         for jobs, run_dir in ((1, serial_dir), (2, parallel_dir)):
-            backend = ScriptedBackend(seed=3, event_kind="transit")
-            run_evolution(cfg, backend, RunStore(run_dir, run_id="r"), jobs=jobs)
+            run_evolution(cfg, ScriptedBackend(seed=3), RunStore(run_dir, run_id="r"), jobs=jobs)
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
+
+    def test_library_event_run_matches_the_command_line(self, tmp_path):
+        # the scripted backend mutates for the event kind of each request,
+        # so a library run needs no second copy of the run's mode
+        from evosignal.cli import main
+
+        args = dict(rows=2, cols=2, duration=120, demand_scale=0.5)
+        cli_dir, library_dir = tmp_path / "cli" / "run", tmp_path / "library" / "run"
+        assert main(["evolve", "--scenarios", "B2", "--mode", "transit", "--pop", "4", "--gens", "4",
+                     "--seed", "1", "--out", str(cli_dir),
+                     *(f"--{key.replace('_', '-')}={value}" for key, value in args.items())]) == 0
+        cfg = EvolutionConfig(scenarios=(make_scenario("B2", **args),), population=4, generations=4,
+                              mode="transit", seed=1)
+        run_evolution(cfg, ScriptedBackend(seed=1), RunStore(library_dir))
+        for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
+            assert (cli_dir / name).read_bytes() == (library_dir / name).read_bytes(), name
+        skills = (library_dir / "skills.jsonl").read_text()
+        assert "bus_count" in skills or "bus_delay" in skills
 
 
 def body_skill(i, inlane, outlane="value[0] += 0"):

@@ -36,7 +36,7 @@ EVENT = dsl.event_whitelist()
 
 class TestBuildPrompts:
     def test_routine_system_lists_five_lane_variables(self):
-        bundle = build_prompts(SEED_SKILL, None, "Optimize performance.", ROUTINE)
+        bundle = build_prompts(SEED_SKILL, None, "Optimize performance.")
         assert "inlane variables: num_vehicle, num_waiting_vehicle, vehicle_dist" in bundle.system
         assert "outlane variables: num_vehicle, vehicle_dist" in bundle.system
         assert "value[0]" in bundle.system
@@ -44,7 +44,7 @@ class TestBuildPrompts:
         assert "emergency_distance" not in bundle.system
 
     def test_event_mode_appends_six_variables_and_hint(self):
-        bundle = build_prompts(SEED_SKILL, None, "x", EVENT, event_kind="emergency")
+        bundle = build_prompts(SEED_SKILL, None, "x", "emergency")
         for name in ("emergency_distance", "emergency_phase", "bus_count",
                      "bus_delay", "incident_blocked", "congestion_level"):
             assert name in bundle.system
@@ -54,7 +54,7 @@ class TestBuildPrompts:
         elite = LIBRARY["saturation-branch"]
         metrics = {"avg_delay": 12.5, "avg_queue": 3.25, "throughput": 140.0}
         direction = "Queue exceeds P75. Focus on queue management."
-        bundle = build_prompts(elite, metrics, direction, ROUTINE)
+        bundle = build_prompts(elite, metrics, direction)
         assert elite.description in bundle.user
         assert elite.guidance in bundle.user
         assert elite.inlane_code in bundle.user
@@ -64,7 +64,7 @@ class TestBuildPrompts:
         assert direction in bundle.user
 
     def test_empty_direction_gets_neutral_line(self):
-        bundle = build_prompts(SEED_SKILL, None, "", ROUTINE)
+        bundle = build_prompts(SEED_SKILL, None, "")
         assert NEUTRAL_DIRECTION in bundle.user
 
 
@@ -390,10 +390,9 @@ class TestRemoteLoopback:
             )
             drafts = generate(
                 backend,
-                build_prompts(SEED_SKILL, None, "x", ROUTINE),
+                build_prompts(SEED_SKILL, None, "x"),
                 2,
                 elite=SEED_SKILL,
-                whitelist=ROUTINE,
             )
         finally:
             server.shutdown()
@@ -435,7 +434,6 @@ class TestGenerate:
             PromptBundle("s", "u"),
             2,
             elite=SEED_SKILL,
-            whitelist=ROUTINE,
             on_attempt=lambda i, attempt, draft, report: attempts.append((i, attempt)),
         )
         assert len(drafts) == 1  # candidate 1 dropped after retries
@@ -465,11 +463,11 @@ class TestGenerate:
                 )
 
         backend = EventuallyValid()
-        drafts = generate(backend, PromptBundle("s", "u"), 1, elite=SEED_SKILL, whitelist=ROUTINE)
+        drafts = generate(backend, PromptBundle("s", "u"), 1, elite=SEED_SKILL)
         assert len(drafts) == 1
         assert backend.seen_errors[0] is None
         assert "secret_var" in backend.seen_errors[1]
 
     def test_count_zero_is_empty(self):
         assert generate(ScriptedBackend(seed=1), PromptBundle("s", "u"), 0,
-                        elite=SEED_SKILL, whitelist=ROUTINE) == []
+                        elite=SEED_SKILL) == []

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from evosignal.metrics import (
     CostLedger,
-    FitnessConfig,
     MissingMetric,
     cost_ledger,
     event_fitness,
@@ -42,46 +41,45 @@ class FakeVehicle:
 class TestRoutineFitness:
     def test_direct_substitution(self):
         m = FakeMetrics(avg_delay=10, avg_queue=5, throughput=20)
-        assert routine_fitness(m, FitnessConfig("routine", 0.0)) == pytest.approx(-2.0)
+        assert routine_fitness(m, 0.0) == pytest.approx(-2.0)
 
     def test_constant_shifts_without_reordering(self):
         m1 = FakeMetrics(avg_delay=10, avg_queue=5, throughput=20)
         m2 = FakeMetrics(avg_delay=12, avg_queue=4, throughput=30)
         for c in (0.0, 17.0, -3.5):
-            cfg = FitnessConfig("routine", c)
-            f1, f2 = routine_fitness(m1, cfg), routine_fitness(m2, cfg)
-            base = FitnessConfig("routine", 0.0)
+            f1, f2 = routine_fitness(m1, c), routine_fitness(m2, c)
+            base = 0.0
             assert f1 - routine_fitness(m1, base) == pytest.approx(c)
             assert (f1 > f2) == (routine_fitness(m1, base) > routine_fitness(m2, base))
 
     def test_all_zero_metrics_give_constant(self):
-        assert routine_fitness(FakeMetrics(), FitnessConfig("routine", 7.25)) == 7.25
+        assert routine_fitness(FakeMetrics(), 7.25) == 7.25
 
 
 class TestEventFitness:
     def test_emergency_weights(self):
         m = FakeMetrics(avg_queue=4, emergency_delay=5, normal_delay=8)
-        f = event_fitness(m, "emergency", FitnessConfig("event", 10.0))
+        f = event_fitness(m, "emergency", 10.0)
         assert f == pytest.approx(10 - (0.6 * 5 + 0.25 * 8 + 0.15 * 4))
         assert f == pytest.approx(4.4)
 
     def test_transit_weights(self):
         m = FakeMetrics(avg_queue=4, bus_person_delay=5, normal_delay=8)
-        f = event_fitness(m, "transit", FitnessConfig("event", 10.0))
+        f = event_fitness(m, "transit", 10.0)
         assert f == pytest.approx(10 - (0.5 * 5 + 0.35 * 8 + 0.15 * 4))
 
     def test_incident_uses_window_delay(self):
         m = FakeMetrics(avg_delay=6, avg_queue=4, incident_window_delay=9)
-        f = event_fitness(m, "incident", FitnessConfig("event", 10.0))
+        f = event_fitness(m, "incident", 10.0)
         assert f == pytest.approx(10 - (0.6 * 9 + 0.25 * 6 + 0.15 * 4))
 
     def test_missing_metric_raises(self):
         with pytest.raises(MissingMetric):
-            event_fitness(FakeMetrics(), "emergency", FitnessConfig("event", 10.0))
+            event_fitness(FakeMetrics(), "emergency", 10.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            event_fitness(FakeMetrics(), "mystery", FitnessConfig("event", 0.0))
+            event_fitness(FakeMetrics(), "mystery", 0.0)
 
 
 class TestPersonDelay:

@@ -28,6 +28,7 @@ from evosignal.sim import network as network_module
 from evosignal.sim.engine import (
     Arrivals,
     Episode,
+    HISTORY_WINDOW,
     JAM_SPACING,
     Junction,
     LaneView,
@@ -169,7 +170,7 @@ class TestScenarios:
         scenario = load_scenario(str(path))
         assert scenario.name == "desk"
         assert scenario.duration == 600
-        assert not scenario.has_events()
+        assert scenario.emergency is None and scenario.bus_lines == () and scenario.incident is None
         result = run_episode(scenario, HoldController(), seed=9)
         assert result.metrics.vehicles_entered > 0
 
@@ -805,25 +806,17 @@ class TestAccrualOracle:
 
 
 class TestSortedHistory:
-    @pytest.mark.parametrize("window", [7, 300])
-    def test_window_matches_a_fresh_sort_every_step(self, window):
+    # Both episodes run past HISTORY_WINDOW = 300 steps, so values leave
+    # the window as well as enter it.
+    def test_window_matches_a_fresh_sort_every_step(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=500, seed=3)
         episode = Episode(scenario)
         controller = MaxPressureController()
         for _ in range(scenario.duration):
             episode.step(max_pressure_decisions(episode, controller))
             for junction in episode.junctions.values():
-                assert junction.sorted_history(window) == sorted(junction.history[-window:])
-        assert len(set(episode.junctions["x0_0"].history[-window:])) > 1
-
-    def test_windows_of_one_junction_are_kept_apart(self):
-        scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=3)
-        episode = Episode(scenario)
-        junction = episode.junctions["x0_0"]
-        for _ in range(scenario.duration):
-            episode.step({})
-            for window in (7, 300):
-                assert junction.sorted_history(window) == sorted(junction.history[-window:])
+                assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
+        assert len(set(episode.junctions["x0_0"].history[-HISTORY_WINDOW:])) > 1
 
     def test_catches_up_after_skipped_steps(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=5)
@@ -832,8 +825,8 @@ class TestSortedHistory:
         for _ in range(400):
             episode.step({})
             if episode.t % 97 == 0:
-                assert junction.sorted_history(50) == sorted(junction.history[-50:])
-        assert junction.sorted_history(50) == sorted(junction.history[-50:])
+                assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
+        assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
 
 
 def vehicles_under(controller, scenario, seed, arrivals=None):
