@@ -12,7 +12,7 @@ from . import control, dsl, events, evolution, generator, metrics, skills, store
 from .control import ControllerSpec, drive, max_pressure, score_phases
 from .events import SkillBank, TrafficEvent, default_bank, detect, dispatch
 from .evolution import EvolutionConfig, direction_text, extract_signals, run_evolution
-from .metrics import event_fitness, person_delay, routine_fitness, welch_and_cohen
+from .metrics import event_fitness, routine_fitness, welch_and_cohen
 from .sim import ScenarioConfig, SimulationMetrics, make_scenario, run_episode
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 from .store import RunStore
@@ -36,7 +36,6 @@ __all__ = [
     "make_scenario",
     "max_pressure",
     "metrics",
-    "person_delay",
     "routine_fitness",
     "run_episode",
     "run_evolution",

@@ -26,7 +26,7 @@ from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.engine import Arrivals
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
-from .store import SKILLS_FILE, RunStore, StorageError, UnknownRun
+from .store import CHECKPOINT_FILE, SKILLS_FILE, RunStore, StorageError, UnknownRun
 
 BASELINE_KINDS = ("fixed_time", "max_pressure", "handcrafted_preemption", "dispatcher")
 METRIC_COLUMNS = ("avg_delay", "avg_queue", "throughput", "emergency_delay", "bus_person_delay")
@@ -71,9 +71,21 @@ def _open_run(run_dir: str) -> RunStore:
     return RunStore(run_dir)
 
 
+class RejectedSkill(Exception):
+    """A skill given on the command line failed the sandbox check."""
+
+
+def _checked(skill: Skill) -> Skill:
+    """``skill``, once it passes the sandbox check that every loaded skill passes before it runs."""
+    report = sandbox_check(skill, event_whitelist())
+    if not report.ok:
+        raise RejectedSkill(f"skill failed validation at stage={report.stage}: {report.message}")
+    return skill
+
+
 def _load_skill(path: str) -> Skill:
     with open(path, "r", encoding="utf-8") as handle:
-        return Skill.from_json(handle.read(), default_id=Path(path).stem)
+        return _checked(Skill.from_json(handle.read(), default_id=Path(path).stem))
 
 
 def _manifest_dict(command: str, args: argparse.Namespace) -> dict:
@@ -137,6 +149,11 @@ def cmd_evolve(args) -> int:
     else:
         backend = RemoteBackend()
     out_dir = Path(args.out)
+    # Refuse these before the store creates the run directory.
+    if args.stop_after is not None and args.stop_after < 1:
+        raise ValueError("--stop-after must be at least 1")
+    if args.resume and not (out_dir / CHECKPOINT_FILE).is_file():
+        raise ValueError(f"no checkpoint to resume in {out_dir}")
     store = RunStore(out_dir)
     _write_manifest(out_dir, "evolve", args)
     result = run_evolution(cfg, backend, store, stop_after=args.stop_after,
@@ -239,15 +256,10 @@ def cmd_evaluate(args) -> int:
         if not capsules:
             print(f"error: capsule {args.capsule!r} not found", file=sys.stderr)
             return 2
-        skill = Skill.from_json_dict(capsules[-1]["skill"])
+        skill = _checked(Skill.from_json_dict(capsules[-1]["skill"]))
     else:
         print("error: pass --skill FILE or --capsule ID", file=sys.stderr)
         return 2
-    report = sandbox_check(skill, event_whitelist())
-    if not report.ok:
-        print(f"error: skill failed validation at stage={report.stage}: {report.message}",
-              file=sys.stderr)
-        return 1
     return _run_over_seeds(args, "evaluate", skill.id, ControllerSpec("skill", skill=skill))
 
 
@@ -493,6 +505,9 @@ def main(argv=None) -> int:
     except GeneratorUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RejectedSkill as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, FileNotFoundError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Controllers: skills and classical baselines turned into per-step
-phase decisions.
+phase decisions: ``decide(episode, junction)`` returns one junction's
+``PhaseDecision`` for the step, or None to hold.
 
 Common discipline for every controller: the simulator inserts a 3 s
 all-red transition on each phase change and holds a new phase for at
@@ -9,9 +10,9 @@ allowed to override min-green (it still pays the yellow transition).
 Phase scoring follows one rule everywhere: a phase's score is the sum,
 over its lane-links, of the inlane body evaluated on the inlane features
 plus the outlane body evaluated on the outlane features, with the phase
-index and any event context injected alongside. Argmax with the lowest
-index winning ties - ties must break the same way no matter what order
-phases were evaluated in.
+index and the active event's context injected alongside. Argmax with
+the lowest index winning ties - ties must break the same way no matter
+what order phases were evaluated in.
 
 ``score_phases`` is the one scorer, and it computes nothing twice: a
 body that names no parameter is folded to a constant when it is
@@ -43,21 +44,16 @@ from .sim.engine import (
     PHASE_DECISIONS,
     YELLOW_STEPS,
     Arrivals,
+    Episode,
     EpisodeResult,
     Junction,
     PhaseDecision,
     PhaseViews,
     SimulationMetrics,
-    StepContext,
     run_episode,
 )
 from .sim.scenario import ScenarioConfig
 from .skills import Skill
-
-@dataclass(frozen=True)
-class PhaseScores:
-    scores: tuple[float, ...]
-    chosen: int
 
 
 def _argmax_lowest(scores) -> int:
@@ -86,10 +82,11 @@ def score_phases(
     compiled: CompiledSkill,
     observations: PhaseViews,
     ctx_extra: dict[str, float] | None = None,
-) -> PhaseScores:
-    """Score every phase with a compiled skill; raises EvalError if any
-    lane-link evaluation faults (callers hold the current phase and
-    record it).
+) -> list[float]:
+    """Each phase's score under a compiled skill, with the event
+    variables ``ctx_extra`` names bound to its values and every other
+    one to 0.0; raises EvalError if any lane-link evaluation faults
+    (callers hold the current phase and record it).
     Each lane-link adds its inlane result, checked, then its outlane
     result, so the first fault in that order is the one reported.
 
@@ -160,7 +157,7 @@ def score_phases(
             scores.append(total)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise EvalError(str(exc)) from exc
-    return PhaseScores(tuple(scores), _argmax_lowest(scores))
+    return scores
 
 
 def pressure_scores(junction: Junction) -> list[int]:
@@ -214,25 +211,21 @@ class FixedTimeController:
     """Open-loop NEMA-style splits; identical at every intersection (no
     offsets)."""
 
-    kind = "fixed_time"
-
     def __init__(self):
         # The decision of step ``_t``, which every intersection shares.
         self._t: int | None = None
         self._decision: PhaseDecision | None = None
 
-    def decide(self, ctx: StepContext) -> PhaseDecision:
-        if ctx.t != self._t:
-            self._t = ctx.t
-            self._decision = PHASE_DECISIONS[fixed_time_target(ctx.t)]
+    def decide(self, episode: Episode, junction: Junction) -> PhaseDecision:
+        if episode.t != self._t:
+            self._t = episode.t
+            self._decision = PHASE_DECISIONS[fixed_time_target(episode.t)]
         return self._decision
 
 
 class MaxPressureController:
-    kind = "max_pressure"
-
-    def decide(self, ctx: StepContext) -> PhaseDecision:
-        return PHASE_DECISIONS[max_pressure(ctx.junction)]
+    def decide(self, episode: Episode, junction: Junction) -> PhaseDecision:
+        return PHASE_DECISIONS[max_pressure(junction)]
 
 
 class SkillController:
@@ -240,30 +233,21 @@ class SkillController:
     the current phase for the step and record it (the fault still voids
     the candidate's fitness at the evolution layer)."""
 
-    kind = "skill"
-
     def __init__(self, skill: Skill):
         self.compiled = CompiledSkill(skill)
 
-    def decide(self, ctx: StepContext) -> PhaseDecision | None:
+    def decide(self, episode: Episode, junction: Junction) -> PhaseDecision | None:
         try:
-            return PHASE_DECISIONS[score_phases(self.compiled, ctx.observations).chosen]
+            return PHASE_DECISIONS[_argmax_lowest(score_phases(self.compiled, junction.views))]
         except EvalError as exc:
-            ctx.record_fault(str(exc))
+            episode.record_fault(junction, str(exc))
             return None
 
 
-def _log_events(ctx: StepContext, events) -> None:
+def _log_events(episode: Episode, junction: Junction, events) -> None:
     for event in events:
-        ctx.log(
-            {
-                "kind": "event",
-                "event": event.kind,
-                "time": ctx.t,
-                "intersection": ctx.intersection_id,
-                "context": dict(event.context),
-            }
-        )
+        episode.log_record({"kind": "event", "event": event.kind, "time": episode.t, "intersection": junction.id,
+                            "context": dict(event.context)})
 
 
 class HandcraftedPreemptionController:
@@ -271,16 +255,14 @@ class HandcraftedPreemptionController:
     event detector as the dispatcher: an active emergency immediately
     claims its phase, overriding min-green."""
 
-    kind = "handcrafted_preemption"
-
-    def decide(self, ctx: StepContext) -> PhaseDecision:
-        events = ev.detect(ctx.episode, ctx.intersection_id)
-        if ctx.episode.collect_step_log:
-            _log_events(ctx, events)
+    def decide(self, episode: Episode, junction: Junction) -> PhaseDecision:
+        events = ev.detect(episode, junction.id)
+        if episode.collect_step_log:
+            _log_events(episode, junction, events)
         emergency = ev.active_event(events, "emergency")
         if emergency is not None:
             return PhaseDecision(int(emergency.context["emergency_phase"]), override_min_green=True)
-        return PHASE_DECISIONS[max_pressure(ctx.junction)]
+        return PHASE_DECISIONS[max_pressure(junction)]
 
 
 class DispatcherController:
@@ -288,34 +270,26 @@ class DispatcherController:
     skill from the bank, score with the event context injected. Detected
     events and skill activations are logged so runs can be audited."""
 
-    kind = "dispatcher"
-
     def __init__(self, bank: ev.SkillBank):
         self.bank = bank
         self.compiled = {kind: CompiledSkill(skill) for kind, skill in bank.skills.items()}
 
-    def decide(self, ctx: StepContext) -> PhaseDecision | None:
-        events = ev.detect(ctx.episode, ctx.intersection_id)
+    def decide(self, episode: Episode, junction: Junction) -> PhaseDecision | None:
+        events = ev.detect(episode, junction.id)
         active_kind, _ = ev.dispatch(events, self.bank)
-        if ctx.episode.collect_step_log:
-            _log_events(ctx, events)
-            ctx.log(
-                {
-                    "kind": "activation",
-                    "skill_kind": active_kind,
-                    "time": ctx.t,
-                    "intersection": ctx.intersection_id,
-                }
+        if episode.collect_step_log:
+            _log_events(episode, junction, events)
+            episode.log_record(
+                {"kind": "activation", "skill_kind": active_kind, "time": episode.t, "intersection": junction.id}
             )
-        # With no active event the scorer binds zeros, as event_bindings does.
         event = ev.active_event(events, active_kind)
-        context = None if event is None else ev.event_bindings(event)
+        context = None if event is None else event.context
         try:
-            scores = score_phases(self.compiled[active_kind], ctx.observations, context)
+            scores = score_phases(self.compiled[active_kind], junction.views, context)
         except EvalError as exc:
-            ctx.record_fault(str(exc))
+            episode.record_fault(junction, str(exc))
             return None
-        return PHASE_DECISIONS[scores.chosen]
+        return PHASE_DECISIONS[_argmax_lowest(scores)]
 
 
 @dataclass(frozen=True)
@@ -384,8 +358,7 @@ def episode_pool(jobs: int, largest_batch: int) -> Iterator[futures.Executor | N
 def run_episodes(tasks: list[Task], pool: futures.Executor | None = None) -> list[tuple[SimulationMetrics, int]]:
     """Run ``(spec, scenario, seed, arrivals)`` episodes and return each
     one's metrics and controller-fault count, in task order with or
-    without a ``pool`` (see ``episode_pool``). Through a pool only the
-    metrics come back, never the vehicle log."""
+    without a ``pool`` (see ``episode_pool``)."""
     if pool is None or len(tasks) <= 1:
         return [_episode_metrics(task) for task in tasks]
     # Each task carries a copy of its arrivals to a worker: draw them

@@ -1,4 +1,4 @@
-"""Event detection, the priority dispatcher, and event bindings.
+"""Event detection and the priority dispatcher.
 
 Four detectors watch each intersection's approaches: emergency vehicles
 inside a 200 m radius, buses anywhere upstream, non-signal stops longer
@@ -7,9 +7,8 @@ trailing 300 s (congestion). A hardcoded priority chain - emergency
 before incident before transit before congestion before normal - picks
 which skill in the bank handles the step; the ordering is a safety
 constraint, not a tunable, and so are the detector's figures, the
-module constants below. The active event's context becomes the six
-event variables a skill body sees (``event_bindings``); every other
-name stays zero.
+module constants below. The active event's context binds the event
+variables a skill body sees; every other one is 0.0.
 """
 
 from __future__ import annotations
@@ -184,16 +183,6 @@ def dispatch(events, bank: SkillBank) -> tuple[str, Skill]:
             active = event
     kind = active.kind if active is not None else "normal"
     return kind, bank[kind]
-
-
-def event_bindings(event: TrafficEvent | None) -> dict[str, float]:
-    """The six event-context bindings: the active event's values, zeros
-    for everything else (so event skills see neutral values during quiet
-    periods)."""
-    bindings = {name: 0.0 for name in EVENT_VARIABLES}
-    if event is not None:
-        bindings.update(event.context)
-    return bindings
 
 
 def active_event(events, kind: str) -> TrafficEvent | None:

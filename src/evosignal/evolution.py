@@ -173,6 +173,8 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.generations < 1:
+            raise ValueError("generations must be at least 1")
         if self.population < 2:
             raise ValueError("population must be at least 2 (elite plus one candidate)")
         if self.tau < 1:
@@ -378,6 +380,8 @@ def run_evolution(
     pool of worker processes, kept for the whole call, without changing
     any output byte. Returns the best skill over all generations.
     """
+    if stop_after is not None and stop_after < 1:
+        raise ValueError("stop_after must be None or at least 1")
     with episode_pool(jobs, cfg.population * len(cfg.scenarios)) as pool:
         return _evolve(cfg, backend, store, bank, stop_after, resume, pool)
 

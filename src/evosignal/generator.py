@@ -477,8 +477,6 @@ class ScriptedBackend:
     from (seed, call index) and mutates for the request's event kind, so
     a checkpoint only needs the call counter to resume bit-identically."""
 
-    kind = "scripted"
-
     def __init__(self, seed: int):
         self.seed = seed
         self.calls = 0
@@ -506,8 +504,6 @@ class RemoteBackend:
     at ``TEMPERATURE``, each waiting at most ``REQUEST_TIMEOUT`` s;
     bounded exponential backoff between attempts, then
     GeneratorUnavailable. A 4xx other than 408 and 429 is not retried."""
-
-    kind = "remote"
 
     def __init__(
         self,

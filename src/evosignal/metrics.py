@@ -1,4 +1,4 @@
-"""Fitness functions, person-delay, statistical tests, cost accounting.
+"""Fitness functions, statistical tests, cost accounting.
 
 Routine fitness rewards throughput and penalizes delay and queue with
 fixed weights (0.4, 0.4, 0.2); event fitness is a pure penalty with
@@ -49,16 +49,6 @@ def event_fitness(metrics, kind: str, constant: float) -> float:
     if event_delay is None:
         raise MissingMetric(f"episode has no {kind} delay metric")
     return constant - (w_e * event_delay + w_n * normal_delay + w_q * metrics.avg_queue)
-
-
-def person_delay(vehicle_log) -> float:
-    """Occupancy-weighted mean delay over the whole vehicle log (all
-    classes; the occupancy weights are what make transit matter)."""
-    records = list(vehicle_log)
-    if not records:
-        raise ValueError("empty vehicle log")
-    total_weight = sum(r.occupancy for r in records)
-    return sum(r.occupancy * r.delay for r in records) / total_weight
 
 
 @dataclass(frozen=True)

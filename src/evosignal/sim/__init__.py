@@ -6,8 +6,6 @@ from .engine import (
     EpisodeResult,
     PhaseDecision,
     SimulationMetrics,
-    StepContext,
-    VehicleRecord,
     run_episode,
 )
 from .network import ConfigError, Intersection, Link, Network, build_network
@@ -40,6 +38,4 @@ __all__ = [
     "run_episode",
     "ScenarioConfig",
     "SimulationMetrics",
-    "StepContext",
-    "VehicleRecord",
 ]

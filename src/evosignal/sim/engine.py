@@ -59,7 +59,6 @@ SATURATION_FLOW = 0.5  # veh/s per lane-link under green
 YELLOW_STEPS = 3
 MIN_GREEN_STEPS = 5
 HISTORY_WINDOW = 300  # steps of queue history a junction keeps sorted
-WAITING_SPEED = 0.1  # m/s; below this a vehicle counts as waiting
 INCIDENT_TAIL = 300.0  # s after blockage end still charged to the incident window
 
 # Lane-links of each phase in a fixed evaluation order.
@@ -78,16 +77,6 @@ class PhaseDecision:
 # One shared decision per phase; a decision is immutable, so controllers
 # return these rather than build one per intersection and step.
 PHASE_DECISIONS = tuple(PhaseDecision(k) for k in range(NUM_PHASES))
-
-
-@dataclass(frozen=True)
-class VehicleRecord:
-    id: int
-    vclass: str
-    occupancy: float
-    entry_time: int
-    exit_time: int | None
-    delay: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,6 @@ class SimulationMetrics:
 @dataclass(frozen=True)
 class EpisodeResult:
     metrics: SimulationMetrics
-    vehicle_log: tuple[VehicleRecord, ...]
     step_log: tuple[dict, ...]
     controller_faults: int
 
@@ -153,10 +141,6 @@ class Vehicle:
         self.exit_time: int | None = None
         self.cumulative_wait = 0.0
         self.stopped_since: int | None = None
-
-    @property
-    def waiting(self) -> bool:
-        return self.queued or self.frozen
 
 
 class LinkState:
@@ -388,44 +372,6 @@ class Junction:
                 del data[bisect_left(data, history[i - HISTORY_WINDOW])]
         self._consumed = len(history)
         return data
-
-
-class StepContext:
-    """Everything a controller may look at when deciding one
-    intersection's phase for one step: ``junction`` is the
-    intersection's record. ``observations`` are its live views
-    (``Episode.observe``), fetched on first read; each figure is
-    computed only when read, so a controller pays for none it does not
-    read. They are valid until the next step."""
-
-    __slots__ = ("t", "intersection_id", "episode", "junction", "_observations")
-
-    def __init__(self, t: int, episode: "Episode", junction: Junction):
-        self.t = t
-        self.intersection_id = junction.id
-        self.episode = episode
-        self.junction = junction
-        self._observations: PhaseViews | None = None
-
-    @property
-    def observations(self) -> PhaseViews:
-        if self._observations is None:
-            self._observations = self.episode.observe(self.intersection_id)
-        return self._observations
-
-    def log(self, record: dict) -> None:
-        self.episode.log_record(record)
-
-    def record_fault(self, message: str) -> None:
-        self.episode.controller_faults += 1
-        self.episode.log_record(
-            {
-                "kind": "controller_fault",
-                "time": self.t,
-                "intersection": self.intersection_id,
-                "message": message,
-            }
-        )
 
 
 # The vehicles entering at one step, as (vclass, route) pairs.
@@ -819,6 +765,13 @@ class Episode:
         if self.collect_step_log:
             self._step_log.append(record)
 
+    def record_fault(self, junction: Junction, message: str) -> None:
+        """Count a controller's runtime fault at ``junction`` and log it."""
+        self.controller_faults += 1
+        self.log_record(
+            {"kind": "controller_fault", "time": self.t, "intersection": junction.id, "message": message}
+        )
+
     def delay_of(self, vehicle: Vehicle) -> float:
         """Seconds ``vehicle`` has waited so far: its finished waits plus
         the open one, if it is waiting now."""
@@ -873,16 +826,9 @@ class Episode:
         )
         return EpisodeResult(
             metrics=metrics,
-            vehicle_log=tuple(
-                VehicleRecord(v.id, v.vclass, v.occupancy, v.entry_time, v.exit_time, w)
-                for v, w in zip(self.vehicles, waits)
-            ),
             step_log=tuple(self._step_log),
             controller_faults=self.controller_faults,
         )
-
-    def in_network_count(self) -> int:
-        return sum(state.count for state in self.links.values())
 
 
 def run_episode(
@@ -895,20 +841,20 @@ def run_episode(
 ) -> EpisodeResult:
     """Run a full episode under a controller.
 
-    The controller must provide ``decide(ctx: StepContext) ->
-    PhaseDecision | None``. Identical (scenario, controller, seed)
-    triples produce bit-identical results, whether or not the episode
-    spawns from a shared ``arrivals``.
+    Each step, ``controller.decide(episode, junction) -> PhaseDecision |
+    None`` is asked for every junction not in a yellow transition; it
+    reports a runtime fault with ``episode.record_fault``. Identical
+    (scenario, controller, seed) triples produce bit-identical results,
+    whether or not the episode spawns from a shared ``arrivals``.
     """
     episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log, arrivals=arrivals)
     junctions = tuple(episode.junctions.values())
     decide = controller.decide
     for _ in range(scenario.duration):
-        t = episode.t
         decisions: dict[str, PhaseDecision | None] = {}
         for junction in junctions:
             if junction.signal.yellow > 0:
                 continue
-            decisions[junction.id] = decide(StepContext(t, episode, junction))
+            decisions[junction.id] = decide(episode, junction)
         episode.step(decisions)
     return episode.finish()

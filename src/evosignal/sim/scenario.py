@@ -95,6 +95,17 @@ def _rate(value, what: str) -> float:
     return _bounded(value, what, 0.0, MAX_RATE)
 
 
+def _checked_shape(rows, cols, duration, seed) -> tuple[int, int, int, int]:
+    """Grid rows and cols, duration and seed as ints within the bounds of
+    ``load_scenario``, checked before either factory builds a network."""
+    return (
+        _bounded(rows, "grid rows", 1, MAX_GRID_SIDE, int),
+        _bounded(cols, "grid cols", 1, MAX_GRID_SIDE, int),
+        _bounded(duration, "duration", 1, MAX_DURATION, int),
+        _bounded(seed, "seed", 0, math.inf, int),
+    )
+
+
 def _field(mapping: dict, key: str, what: str):
     if key not in mapping:
         raise ConfigError(f"{what} needs a '{key}'")
@@ -134,7 +145,6 @@ class ScenarioConfig:
     incident: IncidentInjection | None = None
     fitness_constant: float = 0.0
     seed: int = 0
-    family: str | None = None
 
     def rate_at(self, entry_link: str, t: float) -> float:
         profile = self.demand.get(entry_link, ())
@@ -229,6 +239,7 @@ def make_scenario(
     family = family.upper()
     if family not in FAMILIES:
         raise ConfigError(f"unknown scenario family {family!r} (expected one of {FAMILIES})")
+    rows, cols, duration, seed = _checked_shape(rows, cols, duration, seed)
     network = build_network(rows, cols, link_length)
 
     emergency = None
@@ -279,7 +290,6 @@ def make_scenario(
         incident=incident,
         fitness_constant=constant,
         seed=seed,
-        family=family,
     )
 
 
@@ -343,10 +353,10 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"scenario file {path}: '{key}' must be a mapping")
 
     grid = raw.get("grid") or {}
-    rows = _bounded(grid.get("rows", 4), "grid rows", 1, MAX_GRID_SIDE, int)
-    cols = _bounded(grid.get("cols", 4), "grid cols", 1, MAX_GRID_SIDE, int)
+    rows, cols, duration, seed = _checked_shape(
+        grid.get("rows", 4), grid.get("cols", 4), raw.get("duration", DEFAULT_DURATION), raw.get("seed", 0)
+    )
     link_length = _number(grid.get("link_length", 300.0), "grid link_length")
-    duration = _bounded(raw.get("duration", DEFAULT_DURATION), "duration", 1, MAX_DURATION, int)
     network = build_network(rows, cols, link_length)
 
     demand_spec = raw.get("demand") or {}
@@ -398,6 +408,5 @@ def load_scenario(path: str) -> ScenarioConfig:
         bus_lines=bus_lines,
         incident=incident,
         fitness_constant=_number(raw.get("fitness_constant", 0.0), "fitness_constant"),
-        seed=_bounded(raw.get("seed", 0), "seed", 0, math.inf, int),
-        family=None,
+        seed=seed,
     )

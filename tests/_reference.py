@@ -311,6 +311,11 @@ def recount_link(link_state) -> tuple[int, dict[str, int]]:
     return total, lanes
 
 
+def in_network_count(episode) -> int:
+    """The vehicles in the network now: the sum of every link's kept count."""
+    return sum(state.count for state in episode.links.values())
+
+
 def reference_max_pressure(observations) -> list[float]:
     """Upstream-minus-downstream pressure of each phase: over its
     lane-links, the inlane's waiting count minus the outlane's, read

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import evosignal
 from evosignal.cli import main
@@ -104,6 +109,23 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         [line] = err.splitlines()
         assert line.startswith("error: skill failed validation at stage=parse: inlane: expression nests")
+
+    @pytest.mark.parametrize(("inlane", "stage"), [("value[0] +=", "parse"), ("value[0] += no_such_name", "whitelist")])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_a_skill_file_is_checked_before_it_runs(self, tmp_path, capsys, command, inlane, stage):
+        skill_path = tmp_path / "bad.json"
+        skill_path.write_text(json.dumps({
+            "description": "", "guidance": "", "inlane_code": inlane, "outlane_code": "value[0] += 0",
+        }))
+        method = {
+            "evaluate": ["--skill", str(skill_path), "--scenario", "T1"],
+            "compare": ["--methods", f"max_pressure,skill:{skill_path}", "--scenarios", "T1"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert main([command, *method, *DESK, "--seeds", "1,2", "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: skill failed validation at stage={stage}: inlane: ")
+        assert not out.exists()
 
     def test_capsule_evaluation(self, tmp_path):
         out = tmp_path / "run"
@@ -374,6 +396,32 @@ class TestRefusedInput:
         assert f"no run in {run}" in self.one_error_line(capsys)
         assert run.exists() == exists and not (run / "skills.jsonl").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--gens", "0"],
+        ["--gens", "-1"],
+        ["--stop-after", "0"],
+        ["--stop-after", "-1"],
+        ["--resume"],
+    ])
+    def test_bad_evolve_input_is_refused_before_the_run_directory(self, flags, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "2", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        self.one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ["baseline", "--method", "fixed_time", "--scenario", "T1"],
+        ["compare", "--methods", "fixed_time,max_pressure", "--scenarios", "T1"],
+    ])
+    def test_a_duration_out_of_bounds_is_refused(self, command, duration, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--rows", "1", "--cols", "1", "--duration", duration, "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert "duration must be a number from 1 to 86400" in self.one_error_line(capsys)
+        assert not out.exists()
+
     def test_export_of_a_run_without_generations_names_it(self, tmp_path, capsys):
         run = tmp_path / "seeded"
         RunStore(run).append_skill(SEED_SKILL)
@@ -396,3 +444,135 @@ class TestRefusedInput:
         assert main(argv) == 2
         assert "--seeds" in self.one_error_line(capsys)
         assert not out.exists()
+
+
+# Argument values for the fuzz: small integers, and the empty string.
+# POSITIVE is mostly 2 or 3, in range for every count, so that a fair
+# share of runs gets past the argument checks; both list in-range
+# values first, which Hypothesis draws more often.
+SMALL = st.sampled_from(["3", "2", "1", "0", "-1", "-2", "-3", ""])
+IN_RANGE = st.sampled_from(["2", "3"])
+POSITIVE = st.one_of(IN_RANGE, IN_RANGE, IN_RANGE, SMALL)
+JOBS = st.sampled_from(["-1", "0", "1"])
+
+
+def optional(flag, values):
+    """``[flag, value]`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+def scenario_flags(flag):
+    """A scenario on a grid of at most 3x3 for at most 3 s."""
+    return st.builds(
+        lambda name, rows, cols, duration, scale: [flag, name, "--rows", rows, "--cols", cols,
+                                                   "--duration", duration, *scale],
+        st.sampled_from(["T1", "E2", "B1", ""]), POSITIVE, POSITIVE, POSITIVE, optional("--demand-scale", SMALL),
+    )
+
+
+SEED_LISTS = st.one_of(st.just(""), st.lists(st.one_of(st.integers(0, 3), st.integers(-3, 3)), min_size=1,
+                                             max_size=3).map(lambda seeds: ",".join(map(str, seeds))))
+
+
+def flags(*parts):
+    """One argv tail from strategies of flag lists, joined in order."""
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+class TestArgvFuzz:
+    """Every command, on fuzzed small arguments, exits 0, 1 or 2 without
+    a traceback; exit 2 prints one ``error:`` line and creates no
+    directory. Every argument is a small integer, the empty string, or
+    a path inside a fresh directory (or to one evolved run)."""
+
+    SKILLS = {
+        "good": SEED_SKILL.to_json(),
+        "faulty": json.dumps({"description": "", "guidance": "",
+                              "inlane_code": "value[0] += 1 / (num_waiting_vehicle - 2)",
+                              "outlane_code": "value[0] += 0"}),
+        "unparsable": json.dumps({"description": "", "guidance": "",
+                                  "inlane_code": "value[0] +=", "outlane_code": "value[0] += 0"}),
+    }
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "run"
+        assert main(["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "2", "--out", str(out)]) == 0
+        return out
+
+    def check(self, argv):
+        """Run ``argv`` in a fresh directory, where ``DIR`` stands for it,
+        and check the exit."""
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for name, text in self.SKILLS.items():
+                (work / f"{name}.json").write_text(text)
+            argv = [arg.replace("DIR", tmp) for arg in argv]
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refused the line
+                    code = exc.code
+            event(f"exit {code}")
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert sum("error:" in line for line in lines) == 1, (argv, lines)
+                assert not any(path.is_dir() for path in work.iterdir()), argv
+
+    @given(flags(
+        scenario_flags("--scenarios"),
+        POSITIVE.map(lambda pop: ["--pop", pop]), POSITIVE.map(lambda gens: ["--gens", gens]),
+        optional("--tau", POSITIVE), optional("--seed", SMALL), optional("--stop-after", POSITIVE),
+        optional("--jobs", JOBS), st.sampled_from([[], ["--resume"]]),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_evolve(self, argv):
+        self.check(["evolve", *argv, "--out", "DIR/run"])
+
+    @given(flags(
+        scenario_flags("--scenario"),
+        st.sampled_from([["--skill", "DIR/good.json"], ["--skill", "DIR/faulty.json"],
+                         ["--skill", "DIR/unparsable.json"], ["--skill", ""], ["--capsule", ""],
+                         ["--capsule", "seed", "--run", "DIR/none"], []]),
+        optional("--seeds", SEED_LISTS), optional("--jobs", JOBS),
+        optional("--out", st.sampled_from(["DIR/out.csv", "", "DIR/no/out.csv"])),
+        optional("--episode-log", st.sampled_from(["DIR/log.jsonl", ""])),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate(self, argv):
+        self.check(["evaluate", *argv])
+
+    @given(flags(
+        scenario_flags("--scenario"),
+        st.sampled_from(["fixed_time", "max_pressure", "handcrafted_preemption", "dispatcher", ""]).map(
+            lambda method: ["--method", method]),
+        optional("--seeds", SEED_LISTS), optional("--jobs", JOBS),
+        optional("--out", st.sampled_from(["DIR/out.csv", ""])),
+        optional("--episode-log", st.sampled_from(["DIR/log.jsonl", ""])),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_baseline(self, argv):
+        self.check(["baseline", *argv])
+
+    @given(flags(
+        st.lists(st.sampled_from(["fixed_time", "seed", "library:bus-priority", "skill:DIR/good.json",
+                                  "skill:DIR/faulty.json", "skill:DIR/unparsable.json", ""]),
+                 max_size=3).map(lambda methods: ["--methods", ",".join(methods)]),
+        scenario_flags("--scenarios"),
+        optional("--seeds", SEED_LISTS), optional("--jobs", JOBS),
+        optional("--out", st.sampled_from(["DIR/out.csv", ""])),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_compare(self, argv):
+        self.check(["compare", *argv])
+
+    @given(
+        command=st.sampled_from([["inspect"], ["inspect", "--skill", ""], ["inspect", "--skill", "g001c0"],
+                                 ["replay"], ["export"], ["export", "--out", "DIR/out.csv"], ["export", "--out", ""]]),
+        run=st.sampled_from(["RUN", "DIR/none", ""]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reading_commands(self, run_dir, command, run):
+        self.check([*command, "--run", str(run_dir) if run == "RUN" else run])

@@ -21,6 +21,7 @@ from evosignal.control import (
     HandcraftedPreemptionController,
     MaxPressureController,
     SkillController,
+    _argmax_lowest,
     drive,
     episode_pool,
     fixed_time_target,
@@ -34,7 +35,7 @@ from evosignal.dsl.interpreter import BODY_PARAMETERS
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import PHASE_DECISIONS, Arrivals, Episode, StepContext, run_episode
+from evosignal.sim.engine import PHASE_DECISIONS, Arrivals, Episode, run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
 from ._reference import LaneObservation, reference_max_pressure, reference_observe, reference_score_phases
@@ -65,30 +66,30 @@ class TestScorePhases:
                 [(lane(), lane())],
             ]
         )
-        result = score_phases(CompiledSkill(SEED_SKILL), obs)
-        assert result.scores[0] == 5.0
-        assert result.chosen == 0
+        scores = score_phases(CompiledSkill(SEED_SKILL), obs)
+        assert scores[0] == 5.0
+        assert _argmax_lowest(scores) == 0
 
     def test_all_zero_ties_break_to_lowest_index(self):
-        result = score_phases(CompiledSkill(SEED_SKILL), EMPTY)
-        assert len(set(result.scores)) == 1
-        assert result.chosen == 0
+        scores = score_phases(CompiledSkill(SEED_SKILL), EMPTY)
+        assert len(set(scores)) == 1
+        assert _argmax_lowest(scores) == 0
 
     def test_emergency_context_dominates_its_phase(self):
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(waiting=1), lane())] for _ in range(4)])
         ctx = {"emergency_distance": 100.0, "emergency_phase": 2.0}
-        result = score_phases(CompiledSkill(skill), obs, ctx)
-        assert result.chosen == 2
+        scores = score_phases(CompiledSkill(skill), obs, ctx)
+        assert _argmax_lowest(scores) == 2
         # (200 - 100) * 10 per lane-link on the matching phase
-        assert result.scores[2] >= 1000.0
+        assert scores[2] >= 1000.0
 
     def test_event_variables_default_to_zero(self):
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(waiting=2), lane())] for _ in range(4)])
-        result = score_phases(CompiledSkill(skill), obs)
+        scores = score_phases(CompiledSkill(skill), obs)
         # no emergency: falls to the waiting * 3 branch everywhere
-        assert all(s == result.scores[0] for s in result.scores)
+        assert all(s == scores[0] for s in scores)
 
     # A power of two scales every score exactly, so ties stay ties; an
     # arbitrary factor can round two equal sums apart.
@@ -110,7 +111,9 @@ class TestScorePhases:
                 [(lane(), lane())],
             ]
         )
-        assert score_phases(CompiledSkill(base), obs).chosen == score_phases(CompiledSkill(scaled), obs).chosen
+        assert _argmax_lowest(score_phases(CompiledSkill(base), obs)) == _argmax_lowest(
+            score_phases(CompiledSkill(scaled), obs)
+        )
 
     def test_chosen_is_lowest_index_of_max(self):
         obs = observations(
@@ -121,9 +124,9 @@ class TestScorePhases:
                 [(lane(waiting=2), lane())],
             ]
         )
-        result = score_phases(CompiledSkill(SEED_SKILL), obs)
-        assert result.scores[1] == result.scores[2]
-        assert result.chosen == 1
+        scores = score_phases(CompiledSkill(SEED_SKILL), obs)
+        assert scores[1] == scores[2]
+        assert _argmax_lowest(scores) == 1
 
 
 def _scoring_bodies() -> list[str]:
@@ -179,7 +182,7 @@ class TestScoreOracle:
     @settings(max_examples=400, deadline=None)
     def test_scores_match_reference(self, inlane, outlane, obs, context):
         skill = Skill(id="h", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
-        ours = self.outcome(lambda: list(score_phases(CompiledSkill(skill), obs, context).scores))
+        ours = self.outcome(lambda: score_phases(CompiledSkill(skill), obs, context))
         theirs = self.outcome(lambda: reference_score_phases(parse(inlane), parse(outlane), obs, context))
         assert ours == theirs
 
@@ -226,7 +229,7 @@ def engine_decisions(family="T1", duration=240, seed=6):
         decisions = {}
         for node_id, junction in episode.junctions.items():
             yield episode, node_id
-            decisions[node_id] = controller.decide(StepContext(episode.t, episode, junction))
+            decisions[node_id] = controller.decide(episode, junction)
         episode.step(decisions)
 
 
@@ -298,11 +301,11 @@ class ReferenceSkillController:
     def __init__(self, skill):
         self.inlane, self.outlane = parse(skill.inlane_code), parse(skill.outlane_code)
 
-    def decide(self, ctx):
+    def decide(self, episode, junction):
         try:
-            scores = reference_score_phases(self.inlane, self.outlane, ctx.observations)
+            scores = reference_score_phases(self.inlane, self.outlane, junction.views)
         except EvalError as exc:
-            ctx.record_fault(str(exc))
+            episode.record_fault(junction, str(exc))
             return None
         return PHASE_DECISIONS[scores.index(max(scores))]
 
@@ -323,7 +326,7 @@ class TestScoreOracleOnEngineViews:
             views = episode.observe(node_id)
             context = contexts[n % 2]
             for pair, skill, (inlane, outlane) in zip(pairs, compiled, parsed):
-                ours = TestScoreOracle.outcome(lambda: list(score_phases(skill, views, context).scores))
+                ours = TestScoreOracle.outcome(lambda: score_phases(skill, views, context))
                 theirs = TestScoreOracle.outcome(lambda: reference_score_phases(inlane, outlane, views, context))
                 assert ours == theirs, (pair, episode.t, node_id)
                 faults[pair, ours[0] == "EvalError"] += 1
@@ -452,10 +455,10 @@ class CheckedPressure:
         self.checked = 0
         self.overrides = 0
 
-    def decide(self, ctx):
-        want = reference_pressure(ctx.episode, ctx.intersection_id)
-        decision = self.inner.decide(ctx)
-        assert pressure_scores(ctx.junction) == want
+    def decide(self, episode, junction):
+        want = reference_pressure(episode, junction.id)
+        decision = self.inner.decide(episode, junction)
+        assert pressure_scores(junction) == want
         if decision.override_min_green:
             self.overrides += 1
         else:
@@ -521,9 +524,9 @@ class TestFixedTime:
         decided = []
 
         class Logged:
-            def decide(self, ctx):
-                decision = controller.decide(ctx)
-                decided.append((ctx.t, decision))
+            def decide(self, episode, junction):
+                decision = controller.decide(episode, junction)
+                decided.append((episode.t, decision))
                 return decision
 
         scenario = make_scenario("T1", rows=3, cols=2, duration=200, seed=1)
@@ -548,7 +551,7 @@ class AlternatingController:
     def __init__(self):
         self.k = 0
 
-    def decide(self, ctx):
+    def decide(self, episode, junction):
         self.k += 1
         from evosignal.sim.engine import PhaseDecision
 

@@ -1,4 +1,4 @@
-"""Event detection, priority dispatch, and event bindings."""
+"""Event detection, priority dispatch, and the event context a skill sees."""
 
 from __future__ import annotations
 
@@ -17,15 +17,14 @@ from evosignal.events import (
     default_bank,
     detect,
     dispatch,
-    event_bindings,
 )
-from evosignal.control import DispatcherController
+from evosignal.control import CompiledSkill, ControllerSpec, DispatcherController, drive, score_phases
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import Episode, StepContext, Vehicle
-from evosignal.skills import LIBRARY
+from evosignal.sim.engine import Episode, Vehicle
+from evosignal.skills import LIBRARY, Skill
 
-from ._reference import ReferenceAccrual, brute_force_percentile, reference_detect
-from .test_sim import zero_demand
+from ._reference import LaneObservation, ReferenceAccrual, brute_force_percentile, reference_detect
+from .test_sim import decisions_of, zero_demand
 
 
 def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
@@ -187,7 +186,7 @@ class TestDetectOracle:
                 )
                 kinds.update(e.kind for e in events)
                 if not junction.signal.in_transition:
-                    decisions[node_id] = controller.decide(StepContext(episode.t, episode, junction))
+                    decisions[node_id] = controller.decide(episode, junction)
             episode.step(decisions)
             accrual.after_step()
         assert expected <= kinds
@@ -231,31 +230,35 @@ class TestDispatch:
         assert bank["normal"] is other["normal"]
 
 
+def context_scores(context):
+    """The phase scores of a skill that reads each event variable at its
+    own decimal digit, on a junction with one empty lane-link per phase;
+    the dispatcher passes the active event's context as given."""
+    skill = Skill(
+        id="digits", description="", guidance="",
+        inlane_code="value[0] += emergency_distance + emergency_phase * 10 + bus_count * 100"
+                    " + bus_delay * 1000 + incident_blocked * 10000 + congestion_level * 100000",
+        outlane_code="value[0] += 0",
+    )
+    empty = LaneObservation(num_vehicle=0, num_waiting_vehicle=0, vehicle_dist=300.0)
+    return score_phases(CompiledSkill(skill), [[(empty, empty)]] * 4, context)
+
+
 class TestInjectContext:
+    """The scorer binds an event's context and 0.0 to every event
+    variable the context lacks."""
+
     def test_emergency_context(self):
-        event = TrafficEvent(
-            "emergency", "x0_0", {"emergency_distance": 150.0, "emergency_phase": 2.0}
-        )
-        merged = event_bindings(event)
-        assert merged["emergency_distance"] == 150.0
-        assert merged["emergency_phase"] == 2.0
-        assert merged["bus_count"] == 0.0
+        event = TrafficEvent("emergency", "x0_0", {"emergency_distance": 5.0, "emergency_phase": 2.0})
+        assert context_scores(event.context) == [25.0] * 4
 
     def test_no_event_gives_all_zeros(self):
-        merged = event_bindings(None)
-        assert sorted(merged) == sorted(
-            ["emergency_distance", "emergency_phase", "bus_count", "bus_delay",
-             "incident_blocked", "congestion_level"]
-        )
-        assert all(v == 0.0 for v in merged.values())
+        assert context_scores(None) == [0.0] * 4
+        assert context_scores({}) == [0.0] * 4
 
     def test_transit_sets_two_others_zero(self):
-        event = TrafficEvent("transit", "x0_0", {"bus_count": 2.0, "bus_delay": 37.0})
-        merged = event_bindings(event)
-        assert merged["bus_count"] == 2.0
-        assert merged["bus_delay"] == 37.0
-        assert merged["emergency_distance"] == 0.0
-        assert merged["incident_blocked"] == 0.0
+        event = TrafficEvent("transit", "x0_0", {"bus_count": 2.0, "bus_delay": 3.0})
+        assert context_scores(event.context) == [3200.0] * 4
 
     def test_event_context_rejects_lane_variables(self):
         # event context is its own namespace, disjoint from lane variables
@@ -265,17 +268,16 @@ class TestInjectContext:
 
 class TestDetectorInEpisode:
     def test_emergencies_traverse_and_complete(self):
-        from evosignal.control import ControllerSpec, drive
-
         scenario = make_scenario("E2", rows=2, cols=2, duration=900, demand_scale=0.6, seed=2)
-        result = drive(ControllerSpec("dispatcher"), scenario, seed=2)
-        ambulances = [r for r in result.vehicle_log if r.vclass == "emergency"]
+        episode = Episode(scenario, seed=2)
+        controller = ControllerSpec("dispatcher").build()
+        for _ in range(scenario.duration):
+            episode.step(decisions_of(episode, controller))
+        ambulances = [v for v in episode.vehicles if v.vclass == "emergency"]
         assert len(ambulances) == 7  # one per 120 s over 900 s
-        assert any(r.exit_time is not None for r in ambulances)
+        assert any(v.exit_time is not None for v in ambulances)
 
     def test_mixed_scenario_dispatches_incident_skill_in_window(self):
-        from evosignal.control import ControllerSpec, drive
-
         scenario = make_scenario("M1", rows=2, cols=2, duration=1000, demand_scale=0.5, seed=4)
         result = drive(ControllerSpec("dispatcher"), scenario, seed=4, collect_step_log=True)
         incident_node = None

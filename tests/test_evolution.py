@@ -605,3 +605,16 @@ class TestEvolutionConfigValidation:
     def test_mode_names(self):
         with pytest.raises(ValueError):
             EvolutionConfig(scenarios=(desk_scenario(),), mode="spooky")
+
+    @pytest.mark.parametrize("generations", [0, -1])
+    def test_generations_floor(self, generations):
+        with pytest.raises(ValueError, match="generations must be at least 1"):
+            EvolutionConfig(scenarios=(desk_scenario(),), generations=generations)
+
+    @pytest.mark.parametrize("stop_after", [0, -1])
+    def test_stop_after_floor_is_checked_before_the_store_is_written(self, stop_after, tmp_path):
+        cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=2, generations=2)
+        store = RunStore(tmp_path / "run")
+        with pytest.raises(ValueError, match="stop_after must be None or at least 1"):
+            run_evolution(cfg, ScriptedBackend(seed=0), store, stop_after=stop_after)
+        assert list(store.run_dir.iterdir()) == []

@@ -1,5 +1,4 @@
-"""Fitness arithmetic, person-delay, Welch/Cohen statistics, cost
-accounting."""
+"""Fitness arithmetic, Welch/Cohen statistics, cost accounting."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from evosignal.metrics import (
     MissingMetric,
     cost_ledger,
     event_fitness,
-    person_delay,
     routine_fitness,
     welch_and_cohen,
 )
@@ -30,12 +28,6 @@ class FakeMetrics:
     bus_person_delay: float | None = None
     normal_delay: float = 0.0
     incident_window_delay: float | None = None
-
-
-@dataclass
-class FakeVehicle:
-    occupancy: float
-    delay: float
 
 
 class TestRoutineFitness:
@@ -80,34 +72,6 @@ class TestEventFitness:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             event_fitness(FakeMetrics(), "mystery", 0.0)
-
-
-class TestPersonDelay:
-    def test_bus_dominates_weighting(self):
-        log = [FakeVehicle(30.0, 10.0), FakeVehicle(1.5, 4.0), FakeVehicle(1.5, 4.0)]
-        expected = (30 * 10 + 1.5 * 4 * 2) / (30 + 3)
-        assert person_delay(log) == pytest.approx(expected)
-        assert person_delay(log) == pytest.approx(9.454545454545455)
-
-    def test_constant_delay_is_identity(self):
-        log = [FakeVehicle(30.0, 6.5), FakeVehicle(1.5, 6.5), FakeVehicle(1.5, 6.5)]
-        assert person_delay(log) == pytest.approx(6.5)
-
-    def test_uniform_weights_reduce_to_mean(self):
-        log = [FakeVehicle(1.5, 2.0), FakeVehicle(1.5, 4.0), FakeVehicle(1.5, 9.0)]
-        assert person_delay(log) == pytest.approx((2 + 4 + 9) / 3)
-
-    @given(st.lists(st.tuples(st.floats(1, 40), st.floats(0, 100)), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_bounded_by_extremes(self, pairs):
-        log = [FakeVehicle(occ, delay) for occ, delay in pairs]
-        value = person_delay(log)
-        delays = [v.delay for v in log]
-        assert min(delays) - 1e-9 <= value <= max(delays) + 1e-9
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            person_delay([])
 
 
 class TestWelchAndCohen:

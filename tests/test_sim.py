@@ -25,6 +25,7 @@ from evosignal.control import (
 )
 from evosignal.sim import make_scenario
 from evosignal.sim import network as network_module
+from evosignal.sim import scenario as scenario_module
 from evosignal.sim.engine import (
     Arrivals,
     Episode,
@@ -34,7 +35,6 @@ from evosignal.sim.engine import (
     LaneView,
     LinkView,
     PhaseDecision,
-    StepContext,
     Vehicle,
     mean_gap,
     run_episode,
@@ -64,12 +64,24 @@ from evosignal.sim.scenario import (
 )
 from evosignal.skills import LIBRARY, SEED_SKILL
 
-from ._reference import ReferenceAccrual, recount_link, reference_arrivals, reference_observe
+from ._reference import ReferenceAccrual, in_network_count, recount_link, reference_arrivals, reference_observe
 
 
 class HoldController:
-    def decide(self, ctx):
+    def decide(self, episode, junction):
         return None
+
+
+def held_episode(scenario, seed):
+    """An episode of ``scenario`` run to its end with every signal held."""
+    episode = Episode(scenario, seed=seed)
+    for _ in range(scenario.duration):
+        episode.step({})
+    return episode
+
+
+def vehicle_records(episode):
+    return [(v.id, v.vclass, v.occupancy, v.entry_time, v.exit_time, episode.delay_of(v)) for v in episode.vehicles]
 
 
 class TestNetwork:
@@ -281,6 +293,25 @@ class TestScenarioRanges:
         with pytest.raises(ConfigError, match=message):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"duration": 0}, "duration must be a number from 1 to 86400, got 0"),
+            ({"duration": -5}, "duration must be a number from 1 to 86400, got -5"),
+            ({"duration": MAX_DURATION + 1}, "duration must be a number from 1 to 86400"),
+            ({"rows": MAX_GRID_SIDE + 1}, "grid rows must be a number from 1 to 32, got 33"),
+            ({"cols": 0}, "grid cols must be a number from 1 to 32, got 0"),
+            ({"seed": -1}, "seed must be a number of at least 0"),
+        ],
+    )
+    def test_a_family_out_of_bounds_is_refused_before_its_network(self, overrides, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a network was built for an out-of-bounds scenario")
+
+        monkeypatch.setattr(scenario_module, "build_network", refuse)
+        with pytest.raises(ConfigError, match=message):
+            make_scenario("T1", **overrides)
+
     def test_the_bounds_admit_their_edges(self, tmp_path):
         path = tmp_path / "edge.yaml"
         path.write_text(
@@ -405,14 +436,14 @@ class TestEngine:
             for v in state.running
         ]
         assert moving
-        assert all(not v.waiting for v in moving)
+        assert all(not (v.queued or v.frozen) for v in moving)
 
     def test_determinism_same_seed(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0, seed=6)
         a = run_episode(scenario, HoldController(), seed=6)
         b = run_episode(scenario, HoldController(), seed=6)
         assert a.metrics == b.metrics
-        assert a.vehicle_log == b.vehicle_log
+        assert vehicle_records(held_episode(scenario, 6)) == vehicle_records(held_episode(scenario, 6))
 
     def test_distinct_seeds_differ(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0)
@@ -425,7 +456,7 @@ class TestEngine:
         episode = Episode(scenario)
         for _ in range(scenario.duration):
             episode.step({})
-            assert len(episode.vehicles) == episode.in_network_count() + episode.completed
+            assert len(episode.vehicles) == in_network_count(episode) + episode.completed
 
     def test_waiting_monotonicity(self):
         scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5, seed=8)
@@ -478,7 +509,7 @@ class TestEngine:
         replaced = 0
         for _ in range(scenario.duration):
             before = {link_id: state.running for link_id, state in episode.links.items()}
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
             for link_id, state in episode.links.items():
                 replaced += state.running is not before[link_id]
                 positions = [v.pos for v in state.running if v.cruise == 13.9 and not v.frozen]
@@ -509,11 +540,11 @@ class TestEngine:
 
     def test_bus_person_delay_matches_brute_force(self):
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.6, seed=5)
-        result = run_episode(scenario, HoldController(), seed=5)
-        log = result.vehicle_log
-        assert any(r.vclass == "bus" for r in log)
-        expected = sum(r.occupancy * r.delay for r in log) / sum(r.occupancy for r in log)
-        assert result.metrics.bus_person_delay == pytest.approx(expected, rel=1e-12)
+        episode = held_episode(scenario, 5)
+        vehicles = episode.vehicles
+        assert any(v.vclass == "bus" for v in vehicles)
+        expected = sum(v.occupancy * episode.delay_of(v) for v in vehicles) / sum(v.occupancy for v in vehicles)
+        assert episode.finish().metrics.bus_person_delay == pytest.approx(expected, rel=1e-12)
 
     def test_mean_gap_conventions(self):
         # (n, nearest, farthest, link length)
@@ -566,7 +597,7 @@ class TestObservationOracle:
                 for node_id in episode.network.intersection_ids:
                     assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
             seen |= notable
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
         if family == "I1":
             assert "queue behind blockage" in seen
         if family == "E2":
@@ -580,9 +611,9 @@ class DecisionLog:
         self.inner = inner
         self.decided = []
 
-    def decide(self, ctx):
-        self.decided.append((ctx.t, ctx.intersection_id))
-        return self.inner.decide(ctx)
+    def decide(self, episode, junction):
+        self.decided.append((episode.t, junction.id))
+        return self.inner.decide(episode, junction)
 
 
 FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
@@ -673,7 +704,7 @@ class TestLiveViews:
         controller = MaxPressureController()
         views = {node_id: episode.observe(node_id) for node_id in episode.network.intersection_ids}
         for _ in range(scenario.duration):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
             if episode.t % 7 == 0 or 595 <= episode.t <= 610:
                 for node_id, held in views.items():
                     assert episode.observe(node_id) is held
@@ -688,7 +719,7 @@ class TestLiveViews:
             episode = Episode(scenario)
             while True:
                 decisions = {
-                    node_id: controller.decide(StepContext(episode.t, episode, junction))
+                    node_id: controller.decide(episode, junction)
                     for node_id, junction in episode.junctions.items()
                 }
                 if episode.t == scenario.duration:
@@ -720,7 +751,7 @@ class TestKeptCounts:
         views = [episode.observe(node_id) for node_id in episode.network.intersection_ids]
         blocked_steps = 0
         for _ in range(scenario.duration):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
             blocked_steps += episode._incident_vehicle is not None
             for state in episode.links.values():
                 total, lanes = recount_link(state)
@@ -732,13 +763,15 @@ class TestKeptCounts:
                     for inlane, outlane in lane_links:
                         assert inlane.num_vehicle == recount_link(inlane._state)[1][inlane._movement]
                         assert outlane.num_vehicle == recount_link(outlane._state)[0]
-        assert episode.in_network_count() == len(episode.vehicles) - episode.completed > 0
+        assert in_network_count(episode) == len(episode.vehicles) - episode.completed > 0
         assert blocked_steps == (300 if scenario.incident else 0)
 
 
-def max_pressure_decisions(episode, controller):
+def decisions_of(episode, controller):
+    """What ``controller`` decides for every junction not in a yellow
+    transition, as ``run_episode`` asks it."""
     return {
-        node_id: controller.decide(StepContext(episode.t, episode, junction))
+        node_id: controller.decide(episode, junction)
         for node_id, junction in episode.junctions.items()
         if not junction.signal.in_transition
     }
@@ -758,7 +791,7 @@ class TestAccrualOracle:
         reference = ReferenceAccrual(episode)
         controller = MaxPressureController()
         for _ in range(duration):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
             reference.after_step()
             for vehicle in episode.vehicles:
                 assert episode.delay_of(vehicle) == reference.delay(vehicle), vehicle.id
@@ -769,9 +802,10 @@ class TestAccrualOracle:
                 assert metrics.avg_delay == reference.avg_delay()
                 if scenario.incident is not None:
                     assert metrics.incident_window_delay == reference.incident_window_delay()
-        result = episode.finish()
-        assert [r.delay for r in result.vehicle_log] == [reference.delay(v) for v in episode.vehicles]
-        assert any(r.delay > 0 for r in result.vehicle_log)
+        episode.finish()
+        waits = [episode.delay_of(v) for v in episode.vehicles]
+        assert waits == [reference.delay(v) for v in episode.vehicles]
+        assert any(wait > 0 for wait in waits)
         if scenario.incident is not None:
             assert reference.window_wait > 0
 
@@ -780,11 +814,11 @@ class TestAccrualOracle:
         episode = Episode(scenario)
         controller = MaxPressureController()
         for _ in range(650):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
         first = episode.finish()
         assert episode.finish() == first
         for _ in range(50):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
         fresh = run_episode(scenario, MaxPressureController())
         assert episode.finish() == fresh
 
@@ -813,7 +847,7 @@ class TestSortedHistory:
         episode = Episode(scenario)
         controller = MaxPressureController()
         for _ in range(scenario.duration):
-            episode.step(max_pressure_decisions(episode, controller))
+            episode.step(decisions_of(episode, controller))
             for junction in episode.junctions.values():
                 assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
         assert len(set(episode.junctions["x0_0"].history[-HISTORY_WINDOW:])) > 1
@@ -834,7 +868,7 @@ def vehicles_under(controller, scenario, seed, arrivals=None):
     and its metrics."""
     episode = Episode(scenario, seed, arrivals=arrivals)
     for _ in range(scenario.duration):
-        episode.step(max_pressure_decisions(episode, controller))
+        episode.step(decisions_of(episode, controller))
     vehicles = [(v.id, v.vclass, v.entry_time, v.route) for v in episode.vehicles]
     return vehicles, episode.finish().metrics
 
