@@ -63,10 +63,19 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _run_path(run_dir: str) -> Path:
+    """``run_dir`` as the directory of a run; its name is the run's id,
+    so a path with no name of its own ("" or ".") is refused."""
+    path = Path(run_dir)
+    if not path.name:
+        raise ValueError(f"a run needs a directory of its own, and {run_dir!r} names none")
+    return path
+
+
 def _open_run(run_dir: str) -> RunStore:
     """The store of an existing run, whose first record is its seed skill;
     reading commands never create one."""
-    if not (Path(run_dir) / SKILLS_FILE).is_file():
+    if not (_run_path(run_dir) / SKILLS_FILE).is_file():
         raise UnknownRun(f"no run in {run_dir}: it has no {SKILLS_FILE}")
     return RunStore(run_dir)
 
@@ -135,6 +144,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_evolve(args) -> int:
+    out_dir = _run_path(args.out)
     scenarios = tuple(_build_scenario(name.strip(), args) for name in args.scenarios.split(","))
     cfg = EvolutionConfig(
         scenarios=scenarios,
@@ -148,7 +158,6 @@ def cmd_evolve(args) -> int:
         backend = ScriptedBackend(seed=args.seed)
     else:
         backend = RemoteBackend()
-    out_dir = Path(args.out)
     # Refuse these before the store creates the run directory.
     if args.stop_after is not None and args.stop_after < 1:
         raise ValueError("--stop-after must be at least 1")

@@ -24,9 +24,10 @@ is read in O(1). Scores are bit-identical to calling both bodies at
 every lane-link, and a fault is reported where that order meets it
 first.
 
-The max-pressure baselines count the junction's queue lists instead of
-reading views. Controllers that log events and skill activations build
-those records only when the episode collects a step log.
+The max-pressure baselines read the phase pressures the engine keeps
+on each junction instead of reading views. Controllers that log events
+and skill activations build those records only when the episode
+collects a step log.
 """
 
 from __future__ import annotations
@@ -161,29 +162,18 @@ def score_phases(
 
 
 def pressure_scores(junction: Junction) -> list[int]:
-    """Upstream-minus-downstream queue pressure of each phase, counted
-    from the junction's max-pressure table: each exit link's waiting
-    vehicles (its queues and blocked movements) are counted once, and a
-    lane-link adds its approach lane's waiting vehicles (the queue, plus
-    the blocker while its movement is blocked) minus its exit link's.
-    Every figure is a count, so the sums are exact. Event-blind by
-    construction."""
-    waiting_out = [
-        len(left) + len(straight) + len(right) + len(blocked)
-        for left, straight, right, blocked in junction.exits
-    ]
-    scores = []
-    for lane_links in junction.pressure:
-        pressure = 0
-        for queue, blocked, movement, exit_index in lane_links:
-            pressure += len(queue) + (movement in blocked) - waiting_out[exit_index]
-        scores.append(pressure)
-    return scores
+    """Upstream-minus-downstream queue pressure of each phase: the
+    junction's kept ``pressures``, which the engine changes at every
+    queue join, release and blockage change. Every figure is a count, so
+    the sums are exact. Event-blind by construction. The list is the
+    junction's own; do not modify it."""
+    return junction.pressures
 
 
 def max_pressure(junction: Junction) -> int:
     """The phase of highest pressure, the lowest index among ties."""
-    return _argmax_lowest(pressure_scores(junction))
+    pressures = junction.pressures
+    return pressures.index(max(pressures))
 
 
 # The fixed-time plan: phase greens of 25, 5, 25 and 5 s, each led by

@@ -16,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dsl.whitelist import EVENT_VARIABLES
-from .sim.engine import HISTORY_WINDOW, JAM_SPACING, Episode
-from .sim.network import MOVEMENTS, phase_of
+from .sim.engine import HISTORY_WINDOW, JAM_SPACING, Episode, position
+from .sim.network import phase_of
 from .skills import DEFAULT_BANK_SKILLS, LIBRARY, Skill
 from .util import percentile_of_sorted
 
 PRIORITY = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
 PRIORITY_CHAIN = ("emergency", "incident", "transit", "congestion")
 BANK_KINDS = ("normal",) + PRIORITY_CHAIN
-_MOVEMENT_ORDER = tuple(sorted(MOVEMENTS))
 
 EMERGENCY_RADIUS = 200.0  # m upstream
 INCIDENT_STOP_THRESHOLD = 120.0  # s stopped before it counts
@@ -90,11 +89,15 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
 
     # The vehicles that can raise an event - emergency vehicles, buses
     # and long stops - as (vehicle, side, movement, distance to the stop
-    # line), by side, then each movement's queue, then running vehicles.
+    # line), by side, then each movement's queue, then each lane's
+    # running vehicles. At most one emergency vehicle spawns per step,
+    # and at most one vehicle is released into a link per step, so no
+    # two emergency vehicles running on one link stand level: the
+    # nearest, the one tie-break below, is the same in any lane order,
+    # and so is the bus delay, a sum of whole seconds.
     notable = []
-    for side, state in junction.approaches:
-        for movement in _MOVEMENT_ORDER:
-            queue = state.queues[movement]
+    for side, state, queues, runnings in junction.approaches:
+        for movement, queue in queues:
             if not queue:
                 continue
             anchor = state.queue_anchor(movement)
@@ -103,10 +106,11 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
                 if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):
                     notable.append((vehicle, side, movement, anchor + i * JAM_SPACING))
         length = state.link.length
-        for vehicle in state.running:
-            since = vehicle.stopped_since
-            if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):
-                notable.append((vehicle, side, vehicle.movement or "s", length - vehicle.pos))
+        for running in runnings:
+            for vehicle in running:
+                since = vehicle.stopped_since
+                if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):
+                    notable.append((vehicle, side, vehicle.movement, length - position(vehicle, t)))
 
     emergency_best: tuple[float, int] | None = None
     bus_count = 0

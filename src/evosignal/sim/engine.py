@@ -15,14 +15,40 @@ one (scenario, seed) may spawn from the same ``Arrivals``.
 Model constants follow common microsimulation practice: 7.5 m jam
 spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
 
+Time advances by events, not by moving every vehicle every second (the
+next-event time advance of Law and Kelton, *Simulation Modeling and
+Analysis*, ch. 1):
+
+- Positions come from a table. A vehicle that entered its link at step
+  ``e`` stands at ``table[t - e]`` at step ``t``, where ``table[0] =
+  0.0`` and ``table[k] = table[k - 1] + cruise``: the very float
+  additions of a per-second update, so every position is the same to
+  the bit. There is one table per cruise speed; the incident blocker,
+  which starts mid-link, gets one of its own starting there when it
+  moves on. ``position`` is the one reader.
+- Each movement of a link is a ``Lane`` that keeps its running vehicles
+  in the order they entered the link. An exit-link vehicle leaves the
+  network at a step known when it enters, so its lane is put in the
+  bucket of that step. An approach lane is put in the bucket of its
+  wake step, the first step at which one of its running vehicles meets
+  the queue-join test against the queue as it stands. Only a join, a
+  new vehicle or a blockage change can bring that step nearer, and each
+  recomputes it; a release only shortens the queue, which delays joins,
+  so a stale wake step is early and never late. A lane in the bucket of
+  the current step runs the per-second join test over its vehicles in
+  order, as if every vehicle had moved every second.
+- Each junction keeps the max-pressure score of its four phases
+  (Varaiya, *Transportation Research Part C* 36, 2013) as ints, changed
+  at each join, release and blockage change by the lane's ``terms``.
+
 Each intersection has one ``Junction`` record, built once per episode
 and holding everything of that intersection: its signal, its
 queued-vehicle count and history with a rolling sorted window of the
-history, its approach links, each phase's lane-links, a max-pressure
-table of queue lists and ``blocked`` sets, and the live views that
-controllers observe. The step loop, ``Episode.step``'s per-intersection
-passes, the controllers and the event detector iterate these records
-instead of looking up signals, nodes and links by id every step.
+history, its approach links, each phase's lane-links, its kept phase
+pressures, and the live views that controllers observe. The step loop,
+``Episode.step``'s per-intersection passes, the controllers and the
+event detector iterate these records instead of looking up signals,
+nodes and links by id every step.
 
 A view is a ``LaneView`` per approach lane-link or a ``LinkView`` per
 exit link. It stores no figure; each of ``num_vehicle``,
@@ -30,7 +56,9 @@ exit link. It stores no figure; each of ``num_vehicle``,
 when it is asked for, so a controller pays only for the figures it
 reads, and a read after ``Episode.step`` sees the new state. Vehicle
 counts are kept by the link state as vehicles enter and leave it, so
-reading one is O(1).
+reading one is O(1); so is a lane's nearest and farthest running
+vehicle while the lane holds only vehicles on the common table, the
+two ends of its list.
 """
 
 from __future__ import annotations
@@ -42,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    DIRECTIONS,
     MOVEMENTS,
     NUM_PHASES,
     PHASE_TABLE,
@@ -50,7 +79,8 @@ from .network import (
     grid_routes,
     heading_after,
     opposite,
-    turn_movement,
+    phase_of,
+    route_movements,
 )
 from .scenario import ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
 
@@ -64,8 +94,23 @@ INCIDENT_TAIL = 300.0  # s after blockage end still charged to the incident wind
 # Lane-links of each phase in a fixed evaluation order.
 SORTED_PHASE_TABLE = tuple(tuple(sorted(p)) for p in PHASE_TABLE)
 
+# Per travel heading, the phase of each lane-link that leaves an
+# intersection by the exit of that heading.
+_FEEDER_PHASES = {
+    heading: tuple(
+        k
+        for k, lane_links in enumerate(SORTED_PHASE_TABLE)
+        for side, movement in lane_links
+        if heading_after(opposite(side), movement) == heading
+    )
+    for heading in DIRECTIONS
+}
+
 VCLASS_OCCUPANCY = {"normal": 1.5, "bus": 30.0, "emergency": 1.5}
 VCLASS_SPEED = {"normal": 13.9, "bus": 13.9, "emergency": 20.0}
+
+# The wake step of a lane with no running vehicle to wake it.
+NEVER = math.inf
 
 
 @dataclass(frozen=True)
@@ -103,11 +148,27 @@ class EpisodeResult:
     controller_faults: int
 
 
+def position_table(start: float, cruise: float, length: float) -> tuple[float, ...]:
+    """Positions after 0, 1, 2, ... seconds at ``cruise`` from ``start``,
+    each the one before plus ``cruise``, up to the first one at or past
+    ``length`` and at least to the one after ``start`` (a blocker may
+    stand at the very end of its link)."""
+    table = [start]
+    while table[-1] < length or len(table) < 2:
+        table.append(table[-1] + cruise)
+    return tuple(table)
+
+
 class Vehicle:
-    """One vehicle. ``cumulative_wait`` holds the seconds of its finished
-    waits; while it waits (queued, or frozen as an incident blocker)
-    ``stopped_since`` is the time the open wait began, and
-    ``Episode.delay_of`` adds that open interval."""
+    """One vehicle. ``movements[leg]`` is the movement it makes at the
+    end of its current link (None on the exit link). While it runs,
+    ``entered`` is the step at which it entered the link and ``table``
+    its position table there; while it is queued or frozen, and once it
+    has left the network, ``entered`` is None and ``pos`` holds its
+    position (see ``position``). ``cumulative_wait`` holds the seconds
+    of its finished waits; while it waits (queued, or frozen as an
+    incident blocker) ``stopped_since`` is the time the open wait began,
+    and ``Episode.delay_of`` adds that open interval."""
 
     __slots__ = (
         "id",
@@ -115,7 +176,10 @@ class Vehicle:
         "occupancy",
         "cruise",
         "route",
+        "movements",
         "leg",
+        "table",
+        "entered",
         "pos",
         "movement",
         "queued",
@@ -126,15 +190,20 @@ class Vehicle:
         "stopped_since",
     )
 
-    def __init__(self, vid: int, vclass: str, route: tuple[str, ...], entry_time: int):
+    def __init__(
+        self, vid: int, vclass: str, route: tuple[str, ...], movements: tuple[str | None, ...], entry_time: int
+    ):
         self.id = vid
         self.vclass = vclass
         self.occupancy = VCLASS_OCCUPANCY[vclass]
         self.cruise = VCLASS_SPEED[vclass]
         self.route = route
+        self.movements = movements
         self.leg = 0
+        self.table: tuple[float, ...] | None = None
+        self.entered: int | None = None
         self.pos = 0.0
-        self.movement: str | None = None
+        self.movement = movements[0]
         self.queued = False
         self.frozen = False
         self.entry_time = entry_time
@@ -143,27 +212,83 @@ class Vehicle:
         self.stopped_since: int | None = None
 
 
+def position(vehicle: Vehicle, t: int) -> float:
+    """Metres from the start of its current link at which ``vehicle``
+    stands at step ``t`` (before step ``t`` moves it on)."""
+    entered = vehicle.entered
+    if entered is None:
+        return vehicle.pos
+    return vehicle.table[t - entered]
+
+
+class Clock:
+    """The step an episode is at, shared with the views that read
+    positions at it."""
+
+    __slots__ = ("t",)
+
+    def __init__(self):
+        self.t = 0
+
+
+class Lane:
+    """The running vehicles of one movement of a link (of an exit link,
+    all its vehicles, whose movement is None), in the order they entered
+    the link, with what ``Episode`` needs to wake the lane:
+
+    - ``odd``, how many of them do not run on the common table (the
+      vehicles of another cruise speed, the incident blocker); while it
+      is 0 the list is in position order, nearest the end first;
+    - ``free``, the link length less the queue anchor
+      (``LinkState.queue_anchor``), and ``wake``, the step at which the
+      lane is next due (``NEVER`` if none);
+    - on an approach link, ``queue``, its movement's queue list,
+      ``credit``, the saturation-flow credit its green has built up, and
+      ``terms``, the (pressures, phase, sign) entries a change of its
+      waiting count moves: its own lane-link's phase at the junction it
+      leads into and, on an interior link, the phase of each lane-link
+      that feeds it at the junction upstream.
+
+    A lane refers to no link state or junction, so an episode's records
+    form no reference cycle and are freed with it. ``running`` is
+    changed only in place, so views may hold it."""
+
+    __slots__ = ("movement", "queue", "running", "odd", "free", "wake", "terms", "credit")
+
+    def __init__(self, movement: str | None, queue: list[Vehicle] | None, length: float):
+        self.movement = movement
+        self.queue = queue
+        self.running: list[Vehicle] = []
+        self.odd = 0
+        self.free = length
+        self.wake = NEVER
+        self.terms: tuple[tuple[list[int], int, int], ...] = ()
+        self.credit = 0.0
+
+
 class LinkState:
     """Vehicles on one link. The queue lists, the ``blocked`` set and
     ``lane_counts`` are created once and only ever changed in place, so
-    views and records may hold them; ``running`` is replaced when a
-    vehicle leaves it.
+    views and records may hold them. ``lanes`` holds a ``Lane`` per
+    movement (l, s, r) of an approach link, or the one ``Lane`` (key
+    None) of an exit link.
 
     ``count`` is the number of vehicles on the link (running and
     queued), and ``lane_counts[m]`` the number whose movement is ``m``
     (None on an exit link): those in ``queues[m]`` plus the running ones.
-    The episode changes them only where a vehicle enters the link, leaves
-    it or is given another movement."""
+    The episode changes them only where a vehicle enters the link or
+    leaves it."""
 
-    __slots__ = ("link", "running", "queues", "count", "lane_counts", "credit", "blocked", "blocked_head_pos")
+    __slots__ = ("link", "lanes", "queues", "count", "lane_counts", "blocked", "blocked_head_pos")
 
     def __init__(self, link: Link):
         self.link = link
-        self.running: list[Vehicle] = []
         self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
+        self.lanes = {
+            m: Lane(m, self.queues.get(m), link.length) for m in ((None,) if link.kind == "exit" else MOVEMENTS)
+        }
         self.count = 0
         self.lane_counts: dict[str | None, int] = dict.fromkeys((*MOVEMENTS, None), 0)
-        self.credit: dict[str, float] = {m: 0.0 for m in MOVEMENTS}
         self.blocked: set[str] = set()
         # Position (m from link start) of a mid-link blockage, per movement.
         self.blocked_head_pos: dict[str, float] = {}
@@ -177,21 +302,39 @@ class LinkState:
         return (self.link.length - head) + JAM_SPACING
 
 
+def _scanned_span(running: list[Vehicle], t: int, length: float, lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)`` widened by the distance to the stop line of every
+    vehicle in ``running`` at step ``t``. A lane whose vehicles all run
+    on the common table needs only its two ends: the views read those
+    inline."""
+    for vehicle in running:
+        dist = length - position(vehicle, t)
+        if dist < lo:
+            lo = dist
+        if dist > hi:
+            hi = dist
+    return lo, hi
+
+
 class LaneView:
     """Live figures of one movement's lane of a link: what a skill sees
     as the inlane of a lane-link. A queued vehicle stands ``anchor + i *
-    JAM_SPACING`` from the stop line and a running one ``length - pos``.
-    The one frozen vehicle, the incident blocker, is counted as waiting
-    through ``blocked``: ``_update_incident`` sets both together."""
+    JAM_SPACING`` from the stop line and a running one ``length -
+    position``. The one frozen vehicle, the incident blocker, is counted
+    as waiting through ``blocked``: ``_update_incident`` sets both
+    together."""
 
-    __slots__ = ("_state", "_movement", "_queue", "_blocked", "_counts")
+    __slots__ = ("_lane", "_state", "_movement", "_queue", "_running", "_blocked", "_counts", "_clock")
 
-    def __init__(self, state: LinkState, movement: str):
+    def __init__(self, state: LinkState, lane: Lane, clock: Clock):
+        self._lane = lane
         self._state = state
-        self._movement = movement
-        self._queue = state.queues[movement]
+        self._movement = lane.movement
+        self._queue = lane.queue
+        self._running = lane.running
         self._blocked = state.blocked
         self._counts = state.lane_counts
+        self._clock = clock
 
     @property
     def num_waiting_vehicle(self) -> int:
@@ -203,20 +346,30 @@ class LaneView:
 
     @property
     def vehicle_dist(self) -> float:
-        state, movement = self._state, self._movement
+        state = self._state
         length = state.link.length
-        n = len(self._queue)
-        if n:
-            lo = state.queue_anchor(movement)
-            hi = lo + (n - 1) * JAM_SPACING
+        n = self._counts[self._movement]
+        if n <= 1:
+            return length / (n + 1)
+        k = len(self._queue)
+        if k:
+            lo = state.queue_anchor(self._movement)
+            hi = lo + (k - 1) * JAM_SPACING
         else:
             lo, hi = math.inf, -math.inf
-        for vehicle in state.running:
-            if vehicle.movement == movement:
-                n += 1
-                dist = length - vehicle.pos
+        running = self._running
+        if running:
+            t = self._clock.t
+            if self._lane.odd:
+                lo, hi = _scanned_span(running, t, length, lo, hi)
+            else:
+                # in position order: the nearest first, the farthest last
+                vehicle = running[0]
+                dist = length - vehicle.table[t - vehicle.entered]
                 if dist < lo:
                     lo = dist
+                vehicle = running[-1]
+                dist = length - vehicle.table[t - vehicle.entered]
                 if dist > hi:
                     hi = dist
         return mean_gap(n, lo, hi, length)
@@ -228,12 +381,14 @@ class LinkView:
     link; ``control.score_phases`` reads each exit's figures once per
     decision."""
 
-    __slots__ = ("_state", "_queues", "_blocked")
+    __slots__ = ("_state", "_queues", "_lanes", "_blocked", "_clock")
 
-    def __init__(self, state: LinkState):
+    def __init__(self, state: LinkState, clock: Clock):
         self._state = state
         self._queues = tuple(state.queues.values())
+        self._lanes = tuple(state.lanes.values())
         self._blocked = state.blocked
+        self._clock = clock
 
     @property
     def num_waiting_vehicle(self) -> int:
@@ -248,23 +403,33 @@ class LinkView:
     def vehicle_dist(self) -> float:
         state = self._state
         length = state.link.length
-        n = 0
+        n = state.count
+        if n <= 1:
+            return length / (n + 1)
         lo, hi = math.inf, -math.inf
         for movement, queue in state.queues.items():
             k = len(queue)
             if k:
-                n += k
                 anchor = state.queue_anchor(movement)
                 if anchor < lo:
                     lo = anchor
                 far = anchor + (k - 1) * JAM_SPACING
                 if far > hi:
                     hi = far
-        for vehicle in state.running:
-            n += 1
-            dist = length - vehicle.pos
+        t = self._clock.t
+        for lane in self._lanes:
+            running = lane.running
+            if not running:
+                continue
+            if lane.odd:
+                lo, hi = _scanned_span(running, t, length, lo, hi)
+                continue
+            vehicle = running[0]
+            dist = length - vehicle.table[t - vehicle.entered]
             if dist < lo:
                 lo = dist
+            vehicle = running[-1]
+            dist = length - vehicle.table[t - vehicle.entered]
             if dist > hi:
                 hi = dist
         return mean_gap(n, lo, hi, length)
@@ -307,54 +472,53 @@ class Junction:
       ``history``, that count per step, whose trailing
       ``HISTORY_WINDOW`` values ``sorted_history`` reads in ascending
       order;
-    - ``approaches``, its (side, approach ``LinkState``) pairs, sides in
-      sorted order;
+    - ``approaches``, per approach link, sides in sorted order: (side,
+      ``LinkState``, its (movement, queue list) pairs in movement order,
+      its lanes' running lists);
     - ``lanes``, per phase, each lane-link's (approach ``LinkState``,
-      movement, queue list) in evaluation order;
+      movement, queue list, ``Lane``) in evaluation order;
     - ``views``, per phase, each lane-link's (inlane ``LaneView``,
       outlane ``LinkView``) in the same order; the lane-links that
       leave by one exit link share its one ``LinkView``;
-    - the max-pressure table: ``exits``, the (left, straight, right)
-      queue lists and the ``blocked`` set of each of its four exit
-      links, and ``pressure``, per phase, each lane-link's (queue list,
-      approach ``blocked`` set, movement, index into ``exits``).
+    - ``pressures``, the upstream-minus-downstream queue pressure of
+      each phase: over its lane-links, the approach lane's waiting
+      vehicles (its queue, plus the blocker while its movement is
+      blocked) less those of the lane-link's exit link (its queues and
+      blocked movements). The episode keeps it through the lanes'
+      ``terms``.
 
     The lists and sets are the link states' own, changed only in place,
     so the record stays valid for the whole episode."""
 
-    __slots__ = ("id", "signal", "queued", "history", "approaches", "lanes", "views", "exits", "pressure",
+    __slots__ = ("id", "signal", "queued", "history", "approaches", "lanes", "views", "pressures",
                  "_sorted", "_consumed")
 
-    def __init__(self, node: Intersection, links: dict[str, LinkState]):
+    def __init__(self, node: Intersection, links: dict[str, LinkState], clock: Clock):
         self.id = node.id
         self.signal = SignalState()
         self.queued = 0
         self.history: list[int] = []
-        self.approaches = tuple((side, links[node.approaches[side]]) for side in sorted(node.approaches))
-        headings = tuple(sorted(node.exits))
-        exit_states = [links[node.exits[heading]] for heading in headings]
-        self.exits = tuple((*state.queues.values(), state.blocked) for state in exit_states)
-        exit_views = [LinkView(state) for state in exit_states]
+        self.approaches = tuple(
+            (side, state, tuple((m, state.queues[m]) for m in sorted(MOVEMENTS)),
+             tuple(lane.running for lane in state.lanes.values()))
+            for side, state in ((side, links[node.approaches[side]]) for side in sorted(node.approaches))
+        )
+        exit_views = {heading: LinkView(links[node.exits[heading]], clock) for heading in sorted(node.exits)}
         lanes = []
         views = []
-        pressure = []
         for lane_links in SORTED_PHASE_TABLE:
             phase_lanes = []
             phase_views = []
-            phase_pressure = []
             for side, movement in lane_links:
                 state = links[node.approaches[side]]
-                queue = state.queues[movement]
-                exit_index = headings.index(heading_after(opposite(side), movement))
-                phase_lanes.append((state, movement, queue))
-                phase_views.append((LaneView(state, movement), exit_views[exit_index]))
-                phase_pressure.append((queue, state.blocked, movement, exit_index))
+                lane = state.lanes[movement]
+                phase_lanes.append((state, movement, lane.queue, lane))
+                phase_views.append((LaneView(state, lane, clock), exit_views[heading_after(opposite(side), movement)]))
             lanes.append(tuple(phase_lanes))
             views.append(tuple(phase_views))
-            pressure.append(tuple(phase_pressure))
         self.lanes = tuple(lanes)
         self.views: PhaseViews = tuple(views)
-        self.pressure = tuple(pressure)
+        self.pressures = [0] * NUM_PHASES
         # the ascending trailing window, and the history length it has consumed
         self._sorted: list[int] = []
         self._consumed = 0
@@ -487,24 +651,41 @@ class Episode:
             )
         self.arrivals = arrivals
         self.network = arrivals.network
-        self.t = 0
+        self._movements = arrivals.grid.movements
+        self.clock = Clock()
         self.links: dict[str, LinkState] = {
             link_id: LinkState(link) for link_id, link in sorted(self.network.links.items())
         }
         # One record per intersection, in id order; every per-step loop
         # over intersections runs over these.
         self.junctions: dict[str, Junction] = {
-            node_id: Junction(self.network.intersections[node_id], self.links)
+            node_id: Junction(self.network.intersections[node_id], self.links, self.clock)
             for node_id in self.network.intersection_ids
         }
-        # Links leading into an intersection, with its record, and exit
-        # links: ``_advance_vehicles`` treats the two kinds apart.
-        self._approach_links = tuple(
-            (state, self.junctions[state.link.dst])
-            for state in self.links.values()
-            if state.link.kind != "exit"
-        )
-        self._exit_links = tuple(state for state in self.links.values() if state.link.kind == "exit")
+        # Per link id and movement, the (lane, link state, junction it
+        # leads into, None on an exit link) a vehicle enters; the buckets
+        # of ``_due`` hold these.
+        self._lanes: dict[str, dict[str | None, tuple[Lane, LinkState, Junction | None]]] = {}
+        for link_id, state in self.links.items():
+            link = state.link
+            junction = None
+            if link.kind != "exit":
+                junction = self.junctions[link.dst]
+                feeders = ()
+                if link.kind != "entry":
+                    upstream = self.junctions[link.src].pressures
+                    feeders = tuple((upstream, k, -1) for k in _FEEDER_PHASES[link.direction])
+                for movement, lane in state.lanes.items():
+                    lane.terms = ((junction.pressures, phase_of(link.approach_side, movement), 1), *feeders)
+            self._lanes[link_id] = {movement: (lane, state, junction) for movement, lane in state.lanes.items()}
+        # Every link of a grid has the network's length.
+        self._tables = {
+            speed: position_table(0.0, speed, self.network.link_length) for speed in set(VCLASS_SPEED.values())
+        }
+        self._common_table = self._tables[VCLASS_SPEED["normal"]]
+        # Per step, the lanes due then: exit lanes with a vehicle leaving
+        # the network, approach lanes whose wake step it is (or was).
+        self._due: dict[int, list[tuple[Lane, LinkState, Junction | None]]] = {}
         self.vehicles: list[Vehicle] = []
         self.completed = 0
         self.controller_faults = 0
@@ -521,26 +702,79 @@ class Episode:
             self.junctions[self.network.links[scenario.incident.link].dst] if scenario.incident else None
         )
 
+    @property
+    def t(self) -> int:
+        """The current step: the number of steps run so far."""
+        return self.clock.t
+
+    @t.setter
+    def t(self, value: int) -> None:
+        self.clock.t = value
+
     # ------------------------------------------------------------------
     # spawning
 
-    def _new_vehicle(self, vclass: str, route: tuple[str, ...]) -> Vehicle:
-        vehicle = Vehicle(self._next_vehicle_id, vclass, route, self.t)
+    def _new_vehicle(self, vclass: str, route: tuple[str, ...], movements: tuple[str | None, ...]) -> Vehicle:
+        vehicle = Vehicle(self._next_vehicle_id, vclass, route, movements, self.clock.t)
         self._next_vehicle_id += 1
         self.vehicles.append(vehicle)
-        link_state = self.links[route[0]]
-        vehicle.movement = movement = self._movement_on(route, 0)
-        link_state.running.append(vehicle)
-        link_state.count += 1
-        link_state.lane_counts[movement] += 1
+        vehicle.table = self._tables[vehicle.cruise]
+        self._enter(vehicle, self._lanes[route[0]][movements[0]])
         return vehicle
 
-    def _movement_on(self, route: tuple[str, ...], leg: int) -> str | None:
-        link = self.network.links[route[leg]]
-        if leg + 1 >= len(route):
-            return None
-        nxt = self.network.links[route[leg + 1]]
-        return turn_movement(link.direction, nxt.direction)
+    def _enter(self, vehicle: Vehicle, due: tuple[Lane, LinkState, Junction | None]) -> None:
+        """Start ``vehicle`` running in a lane, given as its ``_lanes``
+        triple, at the current step, and make the lane due no later than
+        it needs to be."""
+        t = self.clock.t
+        vehicle.entered = t
+        lane, state, _ = due
+        lane.running.append(vehicle)
+        state.count += 1
+        state.lane_counts[lane.movement] += 1
+        table = vehicle.table
+        if table is not self._common_table:
+            lane.odd += 1
+        if lane.queue is None:  # an exit link
+            # the last entry is the first at or past the link's end
+            self._put(due, t + len(table) - 2)
+            return
+        wake = t + bisect_left(table, lane.free - (len(lane.queue) + 1) * JAM_SPACING) - 1
+        if wake < t:
+            wake = t
+        if wake < lane.wake:
+            lane.wake = wake
+            self._put(due, wake)
+
+    def _put(self, due: tuple[Lane, LinkState, Junction | None], step: int) -> None:
+        bucket = self._due.get(step)
+        if bucket is None:
+            self._due[step] = [due]
+        else:
+            bucket.append(due)
+
+    def _rewake(self, due: tuple[Lane, LinkState, Junction | None], threshold: float, floor: int) -> None:
+        """Set the lane's wake step from scratch: the first step, not
+        before ``floor``, at which a running vehicle that is not frozen
+        reaches ``threshold``, the join test's bound as the queue stands."""
+        lane = due[0]
+        running = lane.running
+        wake = NEVER
+        if running:
+            if lane.odd:
+                for vehicle in running:
+                    if not vehicle.frozen:
+                        step = vehicle.entered + bisect_left(vehicle.table, threshold) - 1
+                        if step < wake:
+                            wake = step
+            else:
+                head = running[0]
+                wake = head.entered + bisect_left(head.table, threshold) - 1
+            if wake < floor:
+                wake = floor
+        lane.wake = wake
+        if wake is not NEVER:
+            self._put(due, wake)
 
     def _straight_route_from(self, link_id: str) -> tuple[str, ...]:
         """Continue straight from a link until the network boundary."""
@@ -552,37 +786,56 @@ class Episode:
             route.append(link.id)
         return tuple(route)
 
+    def _blockage_changed(self, link_id: str, movement: str, sign: int) -> None:
+        """Move the kept pressures by the blocker's ``sign`` and wake its
+        lane again against the new queue anchor."""
+        due = self._lanes[link_id][movement]
+        lane, state, _ = due
+        for pressures, k, term in lane.terms:
+            pressures[k] += sign * term
+        lane.free = state.link.length - state.queue_anchor(movement)
+        self._rewake(due, lane.free - (len(lane.queue) + 1) * JAM_SPACING, self.clock.t)
+
     def _update_incident(self) -> None:
         incident = self.scenario.incident
         if incident is None:
             return
-        if self.t == int(incident.start):
-            link_state = self.links[incident.link]
-            pos = max(0.0, link_state.link.length - incident.position_from_stopline)
-            vehicle = self._new_vehicle("normal", self._straight_route_from(incident.link))
+        t = self.clock.t
+        if t == int(incident.start):
+            state = self.links[incident.link]
+            pos = max(0.0, state.link.length - incident.position_from_stopline)
+            route = self._straight_route_from(incident.link)
+            vehicle = Vehicle(self._next_vehicle_id, "normal", route, route_movements(self.network, route), t)
+            self._next_vehicle_id += 1
+            self.vehicles.append(vehicle)
+            # It stands at pos until the blockage ends, then moves on from there.
+            vehicle.table = position_table(pos, vehicle.cruise, state.link.length)
             vehicle.pos = pos
             vehicle.frozen = True
-            vehicle.stopped_since = self.t
-            lane_counts = link_state.lane_counts
-            lane_counts[vehicle.movement] -= 1
-            lane_counts[incident.movement] += 1
-            vehicle.movement = incident.movement
-            link_state.blocked.add(incident.movement)
-            link_state.blocked_head_pos[incident.movement] = pos
+            vehicle.stopped_since = t
+            vehicle.movement = movement = incident.movement
+            lane = state.lanes[movement]
+            lane.running.append(vehicle)
+            lane.odd += 1
+            state.count += 1
+            state.lane_counts[movement] += 1
+            state.blocked.add(movement)
+            state.blocked_head_pos[movement] = pos
             self._incident_vehicle = vehicle
-            self.log_record(
-                {"kind": "incident_start", "time": self.t, "link": incident.link}
-            )
-        elif self.t == int(incident.end) and self._incident_vehicle is not None:
-            link_state = self.links[incident.link]
-            link_state.blocked.discard(incident.movement)
-            link_state.blocked_head_pos.pop(incident.movement, None)
+            self._blockage_changed(incident.link, movement, 1)
+            self.log_record({"kind": "incident_start", "time": t, "link": incident.link})
+        elif t == int(incident.end) and self._incident_vehicle is not None:
+            state = self.links[incident.link]
+            state.blocked.discard(incident.movement)
+            state.blocked_head_pos.pop(incident.movement, None)
             vehicle = self._incident_vehicle
             vehicle.frozen = False
-            vehicle.cumulative_wait += self.t - vehicle.stopped_since
+            vehicle.entered = t
+            vehicle.cumulative_wait += t - vehicle.stopped_since
             vehicle.stopped_since = None
             self._incident_vehicle = None
-            self.log_record({"kind": "incident_end", "time": self.t, "link": incident.link})
+            self._blockage_changed(incident.link, incident.movement, -1)
+            self.log_record({"kind": "incident_end", "time": t, "link": incident.link})
 
     # ------------------------------------------------------------------
     # observation
@@ -600,14 +853,15 @@ class Episode:
     def step(self, decisions: dict[str, PhaseDecision | None]) -> None:
         """Advance one second. ``decisions`` maps intersection id to the
         requested phase (None or current phase holds)."""
-        for vclass, route in self.arrivals.at(self.t):
-            self._new_vehicle(vclass, route)
+        movements = self._movements
+        for vclass, route in self.arrivals.at(self.clock.t):
+            self._new_vehicle(vclass, route, movements[route])
         self._update_incident()
         self._apply_decisions(decisions)
         self._serve_green()
         self._advance_vehicles()
         self._accrue()
-        self.t += 1
+        self.clock.t += 1
 
     def _apply_decisions(self, decisions: dict[str, PhaseDecision | None]) -> None:
         get = decisions.get
@@ -629,7 +883,7 @@ class Episode:
                 self.log_record(
                     {
                         "kind": "invalid_decision",
-                        "time": self.t,
+                        "time": self.clock.t,
                         "intersection": junction.id,
                         "phase": target,
                     }
@@ -647,83 +901,115 @@ class Episode:
             signal = junction.signal
             if signal.yellow > 0:
                 continue
-            for state, movement, queue in junction.lanes[signal.active]:
+            for state, movement, queue, lane in junction.lanes[signal.active]:
                 if movement in state.blocked:
                     continue
-                credit = state.credit
                 if not queue:
-                    credit[movement] = 0.0
+                    lane.credit = 0.0
                     continue
-                credit[movement] += SATURATION_FLOW
-                while credit[movement] >= 1.0 and queue:
-                    credit[movement] -= 1.0
+                lane.credit += SATURATION_FLOW
+                while lane.credit >= 1.0 and queue:
+                    lane.credit -= 1.0
                     junction.queued -= 1
                     state.count -= 1
                     state.lane_counts[movement] -= 1
+                    for pressures, k, term in lane.terms:
+                        pressures[k] -= term
                     self._release(queue.pop(0))
 
     def _release(self, vehicle: Vehicle) -> None:
         vehicle.queued = False
-        vehicle.cumulative_wait += self.t - vehicle.stopped_since
+        vehicle.cumulative_wait += self.clock.t - vehicle.stopped_since
         vehicle.stopped_since = None
-        vehicle.leg += 1
-        vehicle.pos = 0.0
-        vehicle.movement = movement = self._movement_on(vehicle.route, vehicle.leg)
-        state = self.links[vehicle.route[vehicle.leg]]
-        state.running.append(vehicle)
-        state.count += 1
-        state.lane_counts[movement] += 1
+        vehicle.leg = leg = vehicle.leg + 1
+        vehicle.movement = movement = vehicle.movements[leg]
+        self._enter(vehicle, self._lanes[vehicle.route[leg]][movement])
 
     def _advance_vehicles(self) -> None:
-        """Move every running vehicle one second on. A link's ``running``
-        list is replaced, in the same order, only when a vehicle left it
-        for a queue or the network."""
-        t = self.t
-        for state in self._exit_links:
-            running = state.running
-            if not running:
+        """Move the vehicles on one second, working only on the lanes due
+        now: each exit lane with a vehicle reaching the end of its link,
+        and each approach lane at its wake step. A lane's other vehicles
+        are where their tables put them without being touched."""
+        t = self.clock.t
+        bucket = self._due.pop(t, None)
+        if bucket is None:
+            return
+        for due in bucket:
+            lane, state, junction = due
+            if junction is None:
+                self._exit(lane, state, t)
+            elif lane.wake == t:
+                self._join(due, t)
+
+    def _exit(self, lane: Lane, state: LinkState, t: int) -> None:
+        """Take the vehicles that reach the end of an exit link at step
+        ``t`` out of the network. While the lane runs only on the common
+        table they are a prefix of it."""
+        running = lane.running
+        exited = 0
+        for vehicle in running:
+            table = vehicle.table
+            if vehicle.entered + len(table) - 2 == t:
+                vehicle.pos = table[-1]
+                vehicle.entered = None
+                vehicle.exit_time = t
+                exited += 1
+            elif not lane.odd:
+                break
+        if not exited:
+            return
+        if lane.odd:
+            running[:] = [vehicle for vehicle in running if vehicle.exit_time is None]
+            lane.odd = sum(1 for vehicle in running if vehicle.table is not self._common_table)
+        else:
+            del running[:exited]
+        self.completed += exited
+        state.count -= exited
+        state.lane_counts[None] -= exited
+
+    def _join(self, due: tuple[Lane, LinkState, Junction], t: int) -> None:
+        """The per-second queue-join test of one approach lane at step
+        ``t``: in entry order, each running vehicle that is not frozen
+        joins the queue if its new position is at or past the queue's
+        tail. While the lane runs only on the common table, the vehicles
+        are in position order, so the joiners are a prefix and the head
+        alone sets the next wake step."""
+        lane, _, junction = due
+        running = lane.running
+        queue = lane.queue
+        free = lane.free
+        threshold = free - (len(queue) + 1) * JAM_SPACING
+        index = t + 1
+        joined = 0
+        for vehicle in running:
+            if vehicle.frozen:
                 continue
-            length = state.link.length
-            exited = 0
-            for vehicle in running:
-                if not vehicle.frozen:
-                    vehicle.pos += vehicle.cruise
-                    if vehicle.pos >= length:
-                        vehicle.exit_time = t
-                        exited += 1
-            if exited:
-                self.completed += exited
-                # A vehicle on an exit link has no movement.
-                state.count -= exited
-                state.lane_counts[None] -= exited
-                state.running = [vehicle for vehicle in running if vehicle.exit_time is None]
-        for state, junction in self._approach_links:
-            running = state.running
-            if not running:
-                continue
-            length = state.link.length
-            queues = state.queues
-            # Per movement, length - queue anchor; the anchor is 0.0
-            # unless a blockage holds the queue back.
-            room = None
-            if state.blocked_head_pos:
-                room = {m: length - state.queue_anchor(m) for m in MOVEMENTS}
-            joined = 0
-            for vehicle in running:
-                if vehicle.frozen:
+            pos = vehicle.table[index - vehicle.entered]
+            if pos < threshold:
+                if lane.odd:
                     continue
-                vehicle.pos += vehicle.cruise
-                movement = vehicle.movement or "s"
-                queue = queues[movement]
-                free = length if room is None else room[movement]
-                if vehicle.pos >= free - (len(queue) + 1) * JAM_SPACING:
-                    vehicle.queued = True
-                    vehicle.stopped_since = t
-                    queue.append(vehicle)
-                    joined += 1
-            if joined:
-                junction.queued += joined
-                state.running = [vehicle for vehicle in running if not vehicle.queued]
+                break
+            vehicle.pos = pos
+            vehicle.entered = None
+            vehicle.queued = True
+            vehicle.stopped_since = t
+            queue.append(vehicle)
+            joined += 1
+            threshold = free - (len(queue) + 1) * JAM_SPACING
+        if joined:
+            if lane.odd:
+                running[:] = [vehicle for vehicle in running if not vehicle.queued]
+                common = self._common_table
+                for vehicle in queue[-joined:]:
+                    # the blocker leaves its own table behind
+                    vehicle.table = self._tables[vehicle.cruise]
+                lane.odd = sum(1 for vehicle in running if vehicle.table is not common)
+            else:
+                del running[:joined]
+            junction.queued += joined
+            for pressures, k, term in lane.terms:
+                pressures[k] += joined * term
+        self._rewake(due, threshold, index)
 
     def _accrue(self) -> None:
         # An intersection's waiting vehicles are its queued ones plus, on
@@ -737,8 +1023,9 @@ class Episode:
         if self._incident_vehicle is not None:
             self._incident_junction.history[-1] += 1
             total_waiting += 1
+        t = self.clock.t
         incident = self.scenario.incident
-        if incident is not None and incident.start <= self.t <= incident.end + INCIDENT_TAIL:
+        if incident is not None and incident.start <= t <= incident.end + INCIDENT_TAIL:
             self._window_wait += total_waiting
         self._total_wait += total_waiting
         self._per_step_queues.append(total_waiting / len(self.junctions))
@@ -750,7 +1037,7 @@ class Episode:
                 self._step_log.append(
                     {
                         "kind": "step",
-                        "time": self.t,
+                        "time": t,
                         "intersection": junction.id,
                         "phase": signal.active,
                         "yellow": signal.yellow,

@@ -225,25 +225,36 @@ def reachable_exits(network: Network, entry_link_id: str) -> tuple[str, ...]:
     )
 
 
+def route_movements(network: Network, route) -> tuple[str | None, ...]:
+    """The movement a vehicle on ``route`` makes at the end of each leg:
+    the turn onto the next link, and None on the last (exit) link."""
+    links = network.links
+    headings = [links[link_id].direction for link_id in route]
+    return (*(turn_movement(a, b) for a, b in zip(headings, headings[1:])), None)
+
+
 class GridRoutes:
     """The network of one grid and every route a vehicle can be sent on:
     ``routes`` maps each (entry, exit) pair with a canonical route to
-    that route, and ``choices`` gives each entry link its routes to the
-    reachable exits, in exit id order. These depend on the grid alone,
-    so every scenario and seed on the grid shares one (``grid_routes``)."""
+    that route, ``choices`` gives each entry link its routes to the
+    reachable exits, in exit id order, and ``movements`` maps each route
+    to its ``route_movements``. These depend on the grid alone, so every
+    scenario and seed on the grid shares one (``grid_routes``)."""
 
-    __slots__ = ("network", "routes", "choices")
+    __slots__ = ("network", "routes", "choices", "movements")
 
     def __init__(self, network: Network):
         self.network = network
         self.routes: dict[tuple[str, str], tuple[str, ...]] = {}
         self.choices: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self.movements: dict[tuple[str, ...], tuple[str | None, ...]] = {}
         for entry_id in network.entry_links:
             reachable = []
             for exit_id in network.exit_links:
                 route = canonical_route(network, entry_id, exit_id)
                 if route is not None:
                     self.routes[entry_id, exit_id] = route = tuple(route)
+                    self.movements[route] = route_movements(network, route)
                     reachable.append(route)
             self.choices[entry_id] = tuple(reachable)
 

@@ -6,14 +6,18 @@ a Python function instead) and a phase scorer built on it, a node
 counter, a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
 counts and extremes from live views when they are asked for),
-max-pressure scored from observations (the package counts queue lists
-in a per-intersection table), link and lane vehicle counts recounted
-from a link's lists (the package keeps them as vehicles enter and
-leave), the per-vehicle, per-second wait accrual (the
-package banks a wait when it ends), and the arrival stream drawn step by
-step with every route searched again (the package draws it once into an
-``Arrivals`` and caches routes), and draft extraction that rescans
-from every ``{`` (the package matches each brace in one pass). They exist so the main
+max-pressure scored from observations (the package keeps each
+junction's phase pressures as queues change), link and lane vehicle
+counts recounted from a link's lists (the package keeps them as
+vehicles enter and leave), the per-vehicle, per-second wait accrual
+(the package banks a wait when it ends), and the arrival stream drawn
+step by step with every route searched again (the package draws it
+once into an ``Arrivals`` and caches routes), draft extraction that
+rescans from every ``{`` (the package matches each brace in one pass),
+and a stepper that moves every running vehicle every second by a float
+addition, with each junction's pressures counted from its queue lists
+(the package reads positions from tables, works only on the lanes where
+something happens, and keeps the pressures). They exist so the main
 implementations have something to disagree with.
 """
 
@@ -29,8 +33,15 @@ import numpy as np
 from evosignal.dsl import nodes
 from evosignal.dsl.interpreter import EvalError
 from evosignal.dsl.whitelist import canonical_binding
-from evosignal.sim.engine import INCIDENT_TAIL, JAM_SPACING
+from evosignal.sim.engine import (
+    INCIDENT_TAIL,
+    JAM_SPACING,
+    SATURATION_FLOW,
+    VCLASS_SPEED,
+    position,
+)
 from evosignal.sim.network import (
+    MOVEMENTS,
     NUM_PHASES,
     PHASE_TABLE,
     build_network,
@@ -39,6 +50,7 @@ from evosignal.sim.network import (
     opposite,
     phase_of,
     reachable_exits,
+    turn_movement,
 )
 from evosignal.sim.scenario import scheduled_bus_departures, scheduled_emergencies
 
@@ -242,10 +254,21 @@ class LaneObservation:
     vehicle_dist: float
 
 
-def _stopline_distances(link_state, movement=None) -> list[float]:
-    """Every vehicle's distance to the stop line, for one movement's
-    lane or (movement=None) the whole link. Queues start behind an
-    active blockage and stack at jam spacing."""
+def running_vehicles(link_state, movement=None) -> list:
+    """The running vehicles of one movement's lane of a link or
+    (movement=None) of the whole link."""
+    return [
+        vehicle
+        for m, lane in link_state.lanes.items()
+        if movement is None or m == movement
+        for vehicle in lane.running
+    ]
+
+
+def _stopline_distances(link_state, t: int, movement=None) -> list[float]:
+    """Every vehicle's distance to the stop line at step ``t``, for one
+    movement's lane or (movement=None) the whole link. Queues start
+    behind an active blockage and stack at jam spacing."""
     length = link_state.link.length
     out: list[float] = []
     for m, queue in link_state.queues.items():
@@ -255,9 +278,8 @@ def _stopline_distances(link_state, movement=None) -> list[float]:
         anchor = 0.0 if head is None else (length - head) + JAM_SPACING
         for i in range(len(queue)):
             out.append(anchor + i * JAM_SPACING)
-    for vehicle in link_state.running:
-        if movement is None or vehicle.movement == movement:
-            out.append(length - vehicle.pos)
+    for vehicle in running_vehicles(link_state, movement):
+        out.append(length - position(vehicle, t))
     return out
 
 
@@ -275,23 +297,24 @@ def reference_observe(episode, intersection_id: str):
     """Per-phase (inlane, outlane) observations of one intersection,
     from full distance lists sorted per lane-link."""
     node = episode.network.intersections[intersection_id]
+    t = episode.t
     out = []
     for k in range(NUM_PHASES):
         phase_obs = []
         for side, movement in sorted(PHASE_TABLE[k]):
             in_state = episode.links[node.approaches[side]]
             in_waiting = len(in_state.queues[movement]) + sum(
-                1 for v in in_state.running if v.frozen and v.movement == movement
+                1 for v in running_vehicles(in_state, movement) if v.frozen
             )
             inlane = _sorted_lane(
-                _stopline_distances(in_state, movement), in_waiting, in_state.link.length
+                _stopline_distances(in_state, t, movement), in_waiting, in_state.link.length
             )
             out_state = episode.links[node.exits[heading_after(opposite(side), movement)]]
             out_waiting = sum(len(q) for q in out_state.queues.values()) + sum(
-                1 for v in out_state.running if v.frozen
+                1 for v in running_vehicles(out_state) if v.frozen
             )
             outlane = _sorted_lane(
-                _stopline_distances(out_state), out_waiting, out_state.link.length
+                _stopline_distances(out_state, t), out_waiting, out_state.link.length
             )
             phase_obs.append((inlane, outlane))
         out.append(phase_obs)
@@ -302,7 +325,7 @@ def recount_link(link_state) -> tuple[int, dict[str, int]]:
     """The vehicles on a link, counted from its lists: all of them
     (running and queued), and per movement those in that movement's
     queue plus the running ones headed for it."""
-    running = link_state.running
+    running = running_vehicles(link_state)
     total = len(running) + sum(len(queue) for queue in link_state.queues.values())
     lanes = {
         movement: len(queue) + sum(1 for v in running if v.movement == movement)
@@ -327,6 +350,171 @@ def reference_max_pressure(observations) -> list[float]:
             pressure += inlane.num_waiting_vehicle - outlane.num_waiting_vehicle
         scores.append(pressure)
     return scores
+
+
+class _StepperVehicle:
+    __slots__ = ("id", "cruise", "route", "leg", "pos", "movement", "queued", "frozen", "exit_time")
+
+    def __init__(self, vid, vclass, route, movement):
+        self.id = vid
+        self.cruise = VCLASS_SPEED[vclass]
+        self.route = route
+        self.leg = 0
+        self.pos = 0.0
+        self.movement = movement
+        self.queued = False
+        self.frozen = False
+        self.exit_time = None
+
+
+class _StepperLink:
+    __slots__ = ("link", "running", "queues", "credit", "blocked", "blocked_head_pos")
+
+    def __init__(self, link):
+        self.link = link
+        self.running = []
+        self.queues = {m: [] for m in MOVEMENTS}
+        self.credit = {m: 0.0 for m in MOVEMENTS}
+        self.blocked = set()
+        self.blocked_head_pos = {}
+
+    def queue_anchor(self, movement):
+        head = self.blocked_head_pos.get(movement)
+        return 0.0 if head is None else (self.link.length - head) + JAM_SPACING
+
+
+class ReferenceStepper:
+    """The vehicle dynamics the per-second way, beside an Episode: call
+    ``after_step`` after every ``Episode.step``. Each step it spawns the
+    episode's arrivals and its incident blocker, serves the green
+    lane-links of the episode's signals (which the step has already set),
+    resolves each released vehicle's next movement from the link
+    headings, and then moves every running vehicle that is not frozen
+    one second on by adding its cruise speed to its position, testing
+    each for the queue join in the order it entered its link. Its
+    vehicles carry the episode's vehicle ids."""
+
+    def __init__(self, episode):
+        self.episode = episode
+        self.network = episode.network
+        self.links = {link_id: _StepperLink(link) for link_id, link in sorted(self.network.links.items())}
+        self.vehicles = []
+        self.blocker = None
+
+    def _movement_on(self, route, leg):
+        if leg + 1 >= len(route):
+            return None
+        links = self.network.links
+        return turn_movement(links[route[leg]].direction, links[route[leg + 1]].direction)
+
+    def _spawn(self, vclass, route):
+        vehicle = _StepperVehicle(len(self.vehicles), vclass, route, self._movement_on(route, 0))
+        self.vehicles.append(vehicle)
+        self.links[route[0]].running.append(vehicle)
+        return vehicle
+
+    def after_step(self) -> None:
+        episode = self.episode
+        t = episode.t - 1  # the second that step just simulated
+        for vclass, route in episode.arrivals.at(t):
+            self._spawn(vclass, route)
+        incident = episode.scenario.incident
+        if incident is not None:
+            state = self.links[incident.link]
+            if t == int(incident.start):
+                route = [incident.link]
+                link = self.network.links[incident.link]
+                while link.kind != "exit":
+                    link = self.network.links[self.network.intersections[link.dst].exits[link.direction]]
+                    route.append(link.id)
+                self.blocker = self._spawn("normal", tuple(route))
+                self.blocker.pos = max(0.0, state.link.length - incident.position_from_stopline)
+                self.blocker.frozen = True
+                self.blocker.movement = incident.movement
+                state.blocked.add(incident.movement)
+                state.blocked_head_pos[incident.movement] = self.blocker.pos
+            elif t == int(incident.end) and self.blocker is not None:
+                state.blocked.discard(incident.movement)
+                state.blocked_head_pos.pop(incident.movement, None)
+                self.blocker.frozen = False
+                self.blocker = None
+        for node_id in self.network.intersection_ids:
+            signal = episode.junctions[node_id].signal
+            if signal.yellow > 0:
+                continue
+            node = self.network.intersections[node_id]
+            for side, movement in sorted(PHASE_TABLE[signal.active]):
+                state = self.links[node.approaches[side]]
+                queue = state.queues[movement]
+                if movement in state.blocked:
+                    continue
+                if not queue:
+                    state.credit[movement] = 0.0
+                    continue
+                state.credit[movement] += SATURATION_FLOW
+                while state.credit[movement] >= 1.0 and queue:
+                    state.credit[movement] -= 1.0
+                    vehicle = queue.pop(0)
+                    vehicle.queued = False
+                    vehicle.leg += 1
+                    vehicle.pos = 0.0
+                    vehicle.movement = self._movement_on(vehicle.route, vehicle.leg)
+                    self.links[vehicle.route[vehicle.leg]].running.append(vehicle)
+        for state in self.links.values():
+            length = state.link.length
+            for vehicle in state.running:
+                if vehicle.frozen:
+                    continue
+                vehicle.pos += vehicle.cruise
+                if state.link.kind == "exit":
+                    if vehicle.pos >= length:
+                        vehicle.exit_time = t
+                    continue
+                queue = state.queues[vehicle.movement]
+                free = length - state.queue_anchor(vehicle.movement)
+                if vehicle.pos >= free - (len(queue) + 1) * JAM_SPACING:
+                    vehicle.queued = True
+                    queue.append(vehicle)
+            state.running = [v for v in state.running if not v.queued and v.exit_time is None]
+
+    def pressure_scores(self, node_id: str) -> list[int]:
+        """Each phase's pressure counted from the stepper's queue lists:
+        over its lane-links, the approach lane's queue plus a blocked
+        movement's blocker, less the queued and blocked vehicles of the
+        lane-link's exit link."""
+        node = self.network.intersections[node_id]
+        scores = []
+        for lane_links in PHASE_TABLE:
+            pressure = 0
+            for side, movement in sorted(lane_links):
+                state = self.links[node.approaches[side]]
+                out = self.links[node.exits[heading_after(opposite(side), movement)]]
+                pressure += len(state.queues[movement]) + (movement in state.blocked)
+                pressure -= sum(len(q) for q in out.queues.values()) + len(out.blocked)
+            scores.append(pressure)
+        return scores
+
+    def mismatches(self) -> list[str]:
+        """Where the episode differs from the stepper now: each vehicle's
+        position, ``queued`` and ``exit_time``, each queue's order, each
+        junction's kept pressures."""
+        episode = self.episode
+        found = []
+        if len(episode.vehicles) != len(self.vehicles):
+            return [f"{len(episode.vehicles)} vehicles against {len(self.vehicles)}"]
+        for vehicle, want in zip(episode.vehicles, self.vehicles):
+            got = (position(vehicle, episode.t), vehicle.queued, vehicle.exit_time)
+            if vehicle.id != want.id or got != (want.pos, want.queued, want.exit_time):
+                found.append(f"vehicle {vehicle.id}: {got} against {(want.pos, want.queued, want.exit_time)}")
+        for link_id, state in episode.links.items():
+            for movement, queue in state.queues.items():
+                want = [v.id for v in self.links[link_id].queues[movement]]
+                if [v.id for v in queue] != want:
+                    found.append(f"queue {link_id} {movement}: {[v.id for v in queue]} against {want}")
+        for node_id, junction in episode.junctions.items():
+            if junction.pressures != self.pressure_scores(node_id):
+                found.append(f"pressures {node_id}: {junction.pressures} against {self.pressure_scores(node_id)}")
+        return found
 
 
 class ReferenceAccrual:
@@ -354,11 +542,11 @@ class ReferenceAccrual:
             for link_id in node.approaches.values():
                 state = episode.links[link_id]
                 count += sum(len(q) for q in state.queues.values())
-                count += sum(1 for v in state.running if v.frozen)
+                count += sum(1 for v in running_vehicles(state) if v.frozen)
             self.queue_history[node_id].append(count)
         for state in episode.links.values():
-            present = list(state.running)
-            waiting = [v for v in state.running if v.frozen]
+            present = running_vehicles(state)
+            waiting = [v for v in present if v.frozen]
             for queue in state.queues.values():
                 present.extend(queue)
                 waiting.extend(queue)
@@ -395,8 +583,8 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
             anchor = 0.0 if head is None else (length - head) + JAM_SPACING
             for i, vehicle in enumerate(state.queues[movement]):
                 listed.append((vehicle, side, movement, anchor + i * JAM_SPACING))
-        for vehicle in state.running:
-            listed.append((vehicle, side, vehicle.movement or "s", length - vehicle.pos))
+        for vehicle in running_vehicles(state):
+            listed.append((vehicle, side, vehicle.movement, length - position(vehicle, episode.t)))
 
     emergencies = [(d, phase_of(side, m)) for v, side, m, d in listed
                    if v.vclass == "emergency" and d <= 200.0]

@@ -410,6 +410,27 @@ class TestRefusedInput:
         self.one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_an_evolve_out_without_a_name_is_refused(self, out, tmp_path, monkeypatch, capsys):
+        # the run's id is its directory's name; "" and "." name none
+        monkeypatch.chdir(tmp_path)
+        argv = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "1", "--out", out]
+        assert main(argv) == 2
+        assert "names none" in self.one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("run", ["", "."])
+    @pytest.mark.parametrize("command", [["inspect"], ["replay"], ["export"]])
+    def test_a_run_without_a_name_is_refused_by_the_reading_commands(self, command, run, tmp_path, monkeypatch,
+                                                                      capsys):
+        # even from inside a run, where "." and "" hold its files
+        out = tmp_path / "run"
+        assert main(["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(out)
+        assert main([*command, "--run", run]) == 2
+        assert "names none" in self.one_error_line(capsys)
+
     @pytest.mark.parametrize("duration", ["0", "-5"])
     @pytest.mark.parametrize("command", [
         ["baseline", "--method", "fixed_time", "--scenario", "T1"],

@@ -24,18 +24,20 @@ from evosignal.sim.engine import Episode, Vehicle
 from evosignal.skills import LIBRARY, Skill
 
 from ._reference import LaneObservation, ReferenceAccrual, brute_force_percentile, reference_detect
-from .test_sim import decisions_of, zero_demand
+from .test_sim import decisions_of, straight_vehicle, zero_demand
 
 
 def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
+    """A vehicle running straight on ``link_id``, held at a distance from
+    the stop line: off any position table, as the blocker is, so it
+    counts in the lane's ``odd``."""
     state = episode.links[link_id]
-    route = episode._straight_route_from(link_id)
-    vehicle = Vehicle(episode._next_vehicle_id, vclass, route, episode.t)
-    episode._next_vehicle_id += 1
-    episode.vehicles.append(vehicle)
-    vehicle.movement = "s"
+    vehicle = straight_vehicle(episode, link_id, vclass)
+    vehicle.table = None
     vehicle.pos = state.link.length - distance_from_stopline
-    state.running.append(vehicle)
+    lane = state.lanes["s"]
+    lane.running.append(vehicle)
+    lane.odd += 1
     state.count += 1
     state.lane_counts["s"] += 1
     return vehicle
@@ -99,7 +101,7 @@ class TestDetect:
         self.episode.t = 200
         vehicle = queue_vehicle(self.episode, self.node.approaches["E"], movement="s")
         state = self.episode.links[self.node.approaches["E"]]
-        state.queues["s"] = [Vehicle(90 + i, "normal", vehicle.route, 0) for i in range(2)]
+        state.queues["s"] = [Vehicle(90 + i, "normal", vehicle.route, vehicle.movements, 0) for i in range(2)]
         for v in state.queues["s"]:
             v.movement = "s"
             v.queued = True

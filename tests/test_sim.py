@@ -37,6 +37,7 @@ from evosignal.sim.engine import (
     PhaseDecision,
     Vehicle,
     mean_gap,
+    position,
     run_episode,
 )
 from evosignal.sim.network import (
@@ -50,6 +51,7 @@ from evosignal.sim.network import (
     canonical_route,
     grid_routes,
     reachable_exits,
+    route_movements,
 )
 from evosignal.sim.scenario import (
     FAMILIES,
@@ -64,7 +66,15 @@ from evosignal.sim.scenario import (
 )
 from evosignal.skills import LIBRARY, SEED_SKILL
 
-from ._reference import ReferenceAccrual, in_network_count, recount_link, reference_arrivals, reference_observe
+from ._reference import (
+    ReferenceAccrual,
+    ReferenceStepper,
+    in_network_count,
+    recount_link,
+    reference_arrivals,
+    reference_observe,
+    running_vehicles,
+)
 
 
 class HoldController:
@@ -335,12 +345,20 @@ def zero_demand(rows=1, cols=1, duration=60, **kw):
     return replace(scenario, demand={})
 
 
-def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
-    state = episode.links[link_id]
+def straight_vehicle(episode, link_id, vclass="normal"):
+    """A new vehicle of the episode on the straight route from
+    ``link_id``, in no lane or queue yet."""
     route = episode._straight_route_from(link_id)
-    vehicle = Vehicle(episode._next_vehicle_id, vclass, route, episode.t)
+    vehicle = Vehicle(episode._next_vehicle_id, vclass, route, route_movements(episode.network, route), episode.t)
     episode._next_vehicle_id += 1
     episode.vehicles.append(vehicle)
+    vehicle.table = episode._tables[vehicle.cruise]
+    return vehicle
+
+
+def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
+    state = episode.links[link_id]
+    vehicle = straight_vehicle(episode, link_id, vclass)
     vehicle.movement = movement
     vehicle.queued = True
     vehicle.stopped_since = episode.t
@@ -348,6 +366,8 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
     state.count += 1
     state.lane_counts[movement] += 1
     episode.junctions[state.link.dst].queued += 1
+    for pressures, k, term in state.lanes[movement].terms:
+        pressures[k] += term
     return vehicle
 
 
@@ -433,7 +453,7 @@ class TestEngine:
         moving = [
             v
             for state in episode.links.values()
-            for v in state.running
+            for v in running_vehicles(state)
         ]
         assert moving
         assert all(not (v.queued or v.frozen) for v in moving)
@@ -498,23 +518,30 @@ class TestEngine:
             episode.step(serve_blocked_lane)
         assert len(link.queues["s"]) == 0  # served after recovery
 
-    @pytest.mark.parametrize("family", ["T1", "I1"])
-    def test_a_link_keeps_its_running_vehicles_in_entry_order(self, family):
-        # Running lists are replaced only when a vehicle leaves them, and
-        # then filtered in order: vehicles of one speed that entered a
-        # link earlier stay ahead of those that entered later.
+    @pytest.mark.parametrize("family", ["T1", "I1", "E2"])
+    def test_a_lane_keeps_its_running_vehicles_in_entry_order(self, family):
+        # A lane's running list is one list all episode, changed in
+        # place; vehicles of one speed that entered a link earlier stay
+        # ahead of those that entered later, and ``odd`` counts the
+        # vehicles off the common table.
         scenario = make_scenario(family, rows=2, cols=2, duration=700, seed=2)
         episode = Episode(scenario)
         controller = MaxPressureController()
-        replaced = 0
+        lists = {(link_id, m): lane.running for link_id, state in episode.links.items() for m, lane in state.lanes.items()}
+        common = episode._common_table
+        odd_steps = 0
         for _ in range(scenario.duration):
-            before = {link_id: state.running for link_id, state in episode.links.items()}
             episode.step(decisions_of(episode, controller))
-            for link_id, state in episode.links.items():
-                replaced += state.running is not before[link_id]
-                positions = [v.pos for v in state.running if v.cruise == 13.9 and not v.frozen]
-                assert positions == sorted(positions, reverse=True), (episode.t, link_id)
-        assert 0 < replaced < scenario.duration * len(episode.links) / 10
+            for (link_id, m), running in lists.items():
+                lane = episode.links[link_id].lanes[m]
+                assert lane.running is running
+                assert lane.odd == sum(1 for v in running if v.table is not common)
+                odd_steps += lane.odd > 0
+                entered = [v.entered for v in running if v.table is common]
+                assert entered == sorted(entered), (episode.t, link_id, m)
+                positions = [position(v, episode.t) for v in running if v.cruise == 13.9 and not v.frozen]
+                assert positions == sorted(positions, reverse=True), (episode.t, link_id, m)
+        assert odd_steps > 0 if family != "T1" else odd_steps == 0
 
     def test_a_queue_behind_a_blockage_forms_behind_the_blocker(self):
         scenario = make_scenario("I1", rows=2, cols=2, duration=120, demand_scale=0.0, seed=3)
@@ -527,7 +554,8 @@ class TestEngine:
             episode.step({})
         head = link.blocked_head_pos[incident.movement]
         for _ in range(3):
-            episode._new_vehicle("normal", episode._straight_route_from(incident.link))
+            route = episode._straight_route_from(incident.link)
+            episode._new_vehicle("normal", route, route_movements(episode.network, route))
             for _ in range(4):
                 episode.step({})
         for _ in range(30):
@@ -536,7 +564,7 @@ class TestEngine:
         for i, vehicle in enumerate(queue):
             # joined at (head - JAM_SPACING) - (i + 1) * JAM_SPACING or later,
             # and one step of travel never carries it past the blocker
-            assert head - (i + 2) * JAM_SPACING <= vehicle.pos < head
+            assert head - (i + 2) * JAM_SPACING <= position(vehicle, episode.t) < head
 
     def test_bus_person_delay_matches_brute_force(self):
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.6, seed=5)
@@ -564,17 +592,23 @@ def assert_same_observations(got, want):
                 assert lane_got.vehicle_dist == lane_want.vehicle_dist
 
 
-def overtaken(link_state) -> bool:
-    """True when running order (entry order) differs from position
-    order, as it does once a faster vehicle passes a slower one."""
-    positions = [v.pos for v in link_state.running]
-    return positions != sorted(positions, reverse=True)
+def overtaken(link_state, t) -> bool:
+    """True when a lane's running order (entry order) differs from its
+    position order, as it does once a faster vehicle passes a slower
+    one."""
+    for lane in link_state.lanes.values():
+        positions = [position(v, t) for v in lane.running]
+        if positions != sorted(positions, reverse=True):
+            return True
+    return False
 
 
 class TestObservationOracle:
     """Episode.observe against sorted distance lists, at every
     intersection, every 5 s of max-pressure episodes and at every step
-    with a queue behind a blockage or an overtaken vehicle."""
+    with a queue behind a blockage, an overtaken vehicle or a lane that
+    holds a vehicle off the common position table (whose gap is scanned,
+    not read from the lane's two ends)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("size", [2, 3])
@@ -591,8 +625,10 @@ class TestObservationOracle:
             for state in episode.links.values():
                 if any(state.queues[m] for m in state.blocked_head_pos):
                     notable.add("queue behind blockage")
-                if overtaken(state):
+                if overtaken(state, episode.t):
                     notable.add("overtaken")
+                if any(lane.odd for lane in state.lanes.values()):
+                    notable.add("off the common table")
             if notable or episode.t % 5 == 0:
                 for node_id in episode.network.intersection_ids:
                     assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
@@ -601,7 +637,7 @@ class TestObservationOracle:
         if family == "I1":
             assert "queue behind blockage" in seen
         if family == "E2":
-            assert "overtaken" in seen
+            assert "off the common table" in seen
 
 
 class DecisionLog:
@@ -729,6 +765,9 @@ class TestLiveViews:
             ref = weakref.ref(episode)
             del episode
             assert ref() is None
+            # nor does any of its records (lanes, link states, junctions)
+            # wait for the collector in a reference cycle
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -765,6 +804,80 @@ class TestKeptCounts:
                         assert outlane.num_vehicle == recount_link(outlane._state)[0]
         assert in_network_count(episode) == len(episode.vehicles) - episode.completed > 0
         assert blocked_steps == (300 if scenario.incident else 0)
+
+
+def stepped_against_reference(scenario, controller, seed=None):
+    """Step an episode of ``scenario`` under ``controller`` beside a
+    ``ReferenceStepper``, comparing the two after every step; returns
+    the episode and the notable states seen on the way."""
+    episode = Episode(scenario, seed=seed)
+    stepper = ReferenceStepper(episode)
+    seen = set()
+    for _ in range(scenario.duration):
+        episode.step(decisions_of(episode, controller))
+        stepper.after_step()
+        assert stepper.mismatches() == [], episode.t
+        for state in episode.links.values():
+            if any(state.queues[m] for m in state.blocked_head_pos):
+                seen.add("queue behind blockage")
+            if any(lane.odd for lane in state.lanes.values()):
+                seen.add("off the common table")
+            if overtaken(state, episode.t):
+                seen.add("overtaken")
+        if any(v.exit_time == episode.t - 1 for v in episode.vehicles):
+            seen.add("exit")
+    return episode, seen
+
+
+class TestReferenceStepper:
+    """Positions from tables, lanes worked only at their wake steps, and
+    kept pressures, against the per-second stepper and the counted
+    pressures at every step: every vehicle's position, ``queued`` and
+    ``exit_time``, every queue's order, every junction's pressures."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("family", ["T1", "I1", "I1-left", "E2", "B2", "M1"])
+    def test_every_step_matches_the_reference(self, family, size):
+        # I1 and M1 block from 600 s to 900 s; I1-left blocks the left turn.
+        duration = 950 if family.startswith(("I1", "M1")) else 500
+        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration, seed=3)
+        if family == "I1-left":
+            scenario = replace(scenario, incident=replace(scenario.incident, movement="l"))
+        episode, seen = stepped_against_reference(scenario, MaxPressureController())
+        assert episode.completed > 0 and "exit" in seen
+        if scenario.incident is not None:
+            assert "queue behind blockage" in seen
+        if scenario.emergency is not None:
+            assert "off the common table" in seen
+
+    def test_fixed_time_keeps_the_pressures_too(self):
+        scenario = make_scenario("M1", rows=2, cols=2, duration=950, seed=5)
+        stepped_against_reference(scenario, FixedTimeController())
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        family=st.sampled_from(["T1", "T3", "I1", "E2", "B2", "M1"]),
+        rows=st.integers(1, 3),
+        cols=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+        link_length=st.sampled_from([60.0, 137.5, 300.0, 412.3]),
+        demand_scale=st.floats(0.3, 2.5),
+        incident=st.tuples(st.integers(0, 150), st.integers(1, 150), st.sampled_from(MOVEMENTS),
+                           st.floats(0.0, 500.0)),
+    )
+    def test_a_sweep_of_grids_and_seeds_matches_the_reference(
+        self, family, rows, cols, seed, link_length, demand_scale, incident
+    ):
+        scenario = make_scenario(family, rows=rows, cols=cols, duration=200, seed=seed,
+                                 link_length=link_length, demand_scale=demand_scale)
+        if scenario.incident is not None:
+            start, length, movement, from_stopline = incident
+            scenario = replace(scenario, incident=replace(
+                scenario.incident, start=float(start), duration=float(length), movement=movement,
+                position_from_stopline=from_stopline,
+            ))
+        controller = HandcraftedPreemptionController() if seed % 2 else MaxPressureController()
+        stepped_against_reference(scenario, controller)
 
 
 def decisions_of(episode, controller):
@@ -1002,9 +1115,9 @@ class TestHotLoops:
 
         build = Junction.__init__
 
-        def counted_build(junction, node, links):
+        def counted_build(junction, node, links, clock):
             records.append(node.id)
-            build(junction, node, links)
+            build(junction, node, links, clock)
 
         monkeypatch.setattr(Network, "intersection_ids", property(counted_ids))
         monkeypatch.setattr(Junction, "__init__", counted_build)
