@@ -161,17 +161,12 @@ def score_phases(
     return scores
 
 
-def pressure_scores(junction: Junction) -> list[int]:
-    """Upstream-minus-downstream queue pressure of each phase: the
-    junction's kept ``pressures``, which the engine changes at every
-    queue join, release and blockage change. Every figure is a count, so
-    the sums are exact. Event-blind by construction. The list is the
-    junction's own; do not modify it."""
-    return junction.pressures
-
-
 def max_pressure(junction: Junction) -> int:
-    """The phase of highest pressure, the lowest index among ties."""
+    """The phase of highest upstream-minus-downstream queue pressure, the
+    lowest index among ties. The pressures are the junction's kept
+    ``pressures``, which the engine changes at every queue join, release
+    and blockage change; every figure is a count, so the sums are exact.
+    Event-blind by construction."""
     pressures = junction.pressures
     return pressures.index(max(pressures))
 

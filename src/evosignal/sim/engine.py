@@ -54,9 +54,10 @@ A view is a ``LaneView`` per approach lane-link or a ``LinkView`` per
 exit link. It stores no figure; each of ``num_vehicle``,
 ``num_waiting_vehicle`` and ``vehicle_dist`` is read from the link state
 when it is asked for, so a controller pays only for the figures it
-reads, and a read after ``Episode.step`` sees the new state. Vehicle
-counts are kept by the link state as vehicles enter and leave it, so
-reading one is O(1); so is a lane's nearest and farthest running
+reads, and a read after ``Episode.step`` sees the new state. A link's
+vehicle count is kept by the link state as vehicles enter and leave
+it, and a lane's is the length of its queue and running lists, so
+reading either is O(1); so is a lane's nearest and farthest running
 vehicle while the lane holds only vehicles on the common table, the
 two ends of its list.
 """
@@ -267,19 +268,16 @@ class Lane:
 
 
 class LinkState:
-    """Vehicles on one link. The queue lists, the ``blocked`` set and
-    ``lane_counts`` are created once and only ever changed in place, so
-    views and records may hold them. ``lanes`` holds a ``Lane`` per
-    movement (l, s, r) of an approach link, or the one ``Lane`` (key
-    None) of an exit link.
+    """Vehicles on one link. The queue lists and the ``blocked`` set are
+    created once and only ever changed in place, so views and records
+    may hold them. ``lanes`` holds a ``Lane`` per movement (l, s, r) of
+    an approach link, or the one ``Lane`` (key None) of an exit link.
 
     ``count`` is the number of vehicles on the link (running and
-    queued), and ``lane_counts[m]`` the number whose movement is ``m``
-    (None on an exit link): those in ``queues[m]`` plus the running ones.
-    The episode changes them only where a vehicle enters the link or
-    leaves it."""
+    queued); the episode changes it only where a vehicle enters the link
+    or leaves it."""
 
-    __slots__ = ("link", "lanes", "queues", "count", "lane_counts", "blocked", "blocked_head_pos")
+    __slots__ = ("link", "lanes", "queues", "count", "blocked", "blocked_head_pos")
 
     def __init__(self, link: Link):
         self.link = link
@@ -288,7 +286,6 @@ class LinkState:
             m: Lane(m, self.queues.get(m), link.length) for m in ((None,) if link.kind == "exit" else MOVEMENTS)
         }
         self.count = 0
-        self.lane_counts: dict[str | None, int] = dict.fromkeys((*MOVEMENTS, None), 0)
         self.blocked: set[str] = set()
         # Position (m from link start) of a mid-link blockage, per movement.
         self.blocked_head_pos: dict[str, float] = {}
@@ -324,7 +321,7 @@ class LaneView:
     as waiting through ``blocked``: ``_update_incident`` sets both
     together."""
 
-    __slots__ = ("_lane", "_state", "_movement", "_queue", "_running", "_blocked", "_counts", "_clock")
+    __slots__ = ("_lane", "_state", "_movement", "_queue", "_running", "_blocked", "_clock")
 
     def __init__(self, state: LinkState, lane: Lane, clock: Clock):
         self._lane = lane
@@ -333,7 +330,6 @@ class LaneView:
         self._queue = lane.queue
         self._running = lane.running
         self._blocked = state.blocked
-        self._counts = state.lane_counts
         self._clock = clock
 
     @property
@@ -342,22 +338,22 @@ class LaneView:
 
     @property
     def num_vehicle(self) -> int:
-        return self._counts[self._movement]
+        return len(self._queue) + len(self._running)
 
     @property
     def vehicle_dist(self) -> float:
         state = self._state
         length = state.link.length
-        n = self._counts[self._movement]
+        k = len(self._queue)
+        running = self._running
+        n = k + len(running)
         if n <= 1:
             return length / (n + 1)
-        k = len(self._queue)
         if k:
             lo = state.queue_anchor(self._movement)
             hi = lo + (k - 1) * JAM_SPACING
         else:
             lo, hi = math.inf, -math.inf
-        running = self._running
         if running:
             t = self._clock.t
             if self._lane.odd:
@@ -731,7 +727,6 @@ class Episode:
         lane, state, _ = due
         lane.running.append(vehicle)
         state.count += 1
-        state.lane_counts[lane.movement] += 1
         table = vehicle.table
         if table is not self._common_table:
             lane.odd += 1
@@ -818,7 +813,6 @@ class Episode:
             lane.running.append(vehicle)
             lane.odd += 1
             state.count += 1
-            state.lane_counts[movement] += 1
             state.blocked.add(movement)
             state.blocked_head_pos[movement] = pos
             self._incident_vehicle = vehicle
@@ -912,7 +906,6 @@ class Episode:
                     lane.credit -= 1.0
                     junction.queued -= 1
                     state.count -= 1
-                    state.lane_counts[movement] -= 1
                     for pressures, k, term in lane.terms:
                         pressures[k] -= term
                     self._release(queue.pop(0))
@@ -965,7 +958,6 @@ class Episode:
             del running[:exited]
         self.completed += exited
         state.count -= exited
-        state.lane_counts[None] -= exited
 
     def _join(self, due: tuple[Lane, LinkState, Junction], t: int) -> None:
         """The per-second queue-join test of one approach lane at step

@@ -321,17 +321,10 @@ def reference_observe(episode, intersection_id: str):
     return out
 
 
-def recount_link(link_state) -> tuple[int, dict[str, int]]:
-    """The vehicles on a link, counted from its lists: all of them
-    (running and queued), and per movement those in that movement's
-    queue plus the running ones headed for it."""
-    running = running_vehicles(link_state)
-    total = len(running) + sum(len(queue) for queue in link_state.queues.values())
-    lanes = {
-        movement: len(queue) + sum(1 for v in running if v.movement == movement)
-        for movement, queue in link_state.queues.items()
-    }
-    return total, lanes
+def recount_link(link_state) -> int:
+    """The vehicles on a link, running and queued, counted from its
+    lists."""
+    return len(running_vehicles(link_state)) + sum(len(queue) for queue in link_state.queues.values())
 
 
 def in_network_count(episode) -> int:

@@ -26,7 +26,6 @@ from evosignal.control import (
     episode_pool,
     fixed_time_target,
     max_pressure,
-    pressure_scores,
     run_episodes,
     score_phases,
 )
@@ -419,7 +418,7 @@ class TestMaxPressure:
         # phase 0: (N, s) 5 queued into the S exit (1 waiting), and
         # (S, s) 3 queued into the N exit (2 waiting)
         episode, junction = centre_junction({("N", "s"): 5, ("S", "s"): 3}, {"S": 1, "N": 2})
-        scores = pressure_scores(junction)
+        scores = junction.pressures
         assert scores[0] == 5
         assert scores == reference_pressure(episode)
         assert max_pressure(junction) == 0
@@ -427,7 +426,7 @@ class TestMaxPressure:
     def test_symmetric_queues_tie_to_phase_zero(self):
         lanes = {(side, movement): 4 for side in "NESW" for movement in "lsr"}
         episode, junction = centre_junction(lanes, dict.fromkeys("NESW", 4))
-        assert pressure_scores(junction) == [0, 0, 0, 0] == reference_pressure(episode)
+        assert junction.pressures == [0, 0, 0, 0] == reference_pressure(episode)
         assert max_pressure(junction) == 0
 
     def test_event_blind_signature(self):
@@ -437,11 +436,11 @@ class TestMaxPressure:
         lanes = {("N", "s"): 2, ("E", "l"): 3, ("W", "r"): 1}
         exits = {"S": 1, "E": 2}
         _, plain = centre_junction(lanes, exits)
-        want = pressure_scores(plain)
+        want = list(plain.pressures)
         for vclass in ("emergency", "bus"):
             episode, junction = centre_junction(lanes, exits, vclass)
             place_running(episode, episode.network.intersections["x1_1"].approaches["E"], 20.0, "emergency")
-            assert pressure_scores(junction) == want
+            assert junction.pressures == want
             assert max_pressure(junction) == max_pressure(plain)
 
 
@@ -458,7 +457,7 @@ class CheckedPressure:
     def decide(self, episode, junction):
         want = reference_pressure(episode, junction.id)
         decision = self.inner.decide(episode, junction)
-        assert pressure_scores(junction) == want
+        assert junction.pressures == want
         if decision.override_min_green:
             self.overrides += 1
         else:

@@ -39,7 +39,6 @@ def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
     lane.running.append(vehicle)
     lane.odd += 1
     state.count += 1
-    state.lane_counts["s"] += 1
     return vehicle
 
 
