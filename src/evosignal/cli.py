@@ -238,16 +238,16 @@ def _run_over_seeds(args, command: str, label: str, spec: ControllerSpec) -> int
     with a mean±std row, its manifest, and the optional episode log."""
     scenario = _build_scenario(args.scenario, args)
     seeds = _parse_seeds(args.seeds)
-    tasks = [(spec, scenario, seed, None) for seed in seeds]
+    tasks = [(spec, Arrivals(scenario, seed)) for seed in seeds]
     with episode_pool(args.jobs, len(tasks)) as pool:
         if args.episode_log:
             # The first seed runs here and collects its step log on the way.
-            first = drive(spec, scenario, seed=seeds[0], collect_step_log=True)
+            first = drive(spec, scenario, seeds[0], collect_step_log=True)
             _write_episode_log(args.episode_log, first.step_log)
-            results = [(first.metrics, first.controller_faults)] + run_episodes(tasks[1:], pool)
+            results = [first] + run_episodes(tasks[1:], pool)
         else:
             results = run_episodes(tasks, pool)
-    rows = _summary_rows(scenario.name, label, seeds, [metrics for metrics, _ in results])
+    rows = _summary_rows(scenario.name, label, seeds, [result.metrics for result in results])
     _write_csv(args.out, _EVAL_HEADER, rows)
     _write_file_manifest(args.out, command, args)
     return 0
@@ -310,9 +310,9 @@ def cmd_compare(args) -> int:
 def _compare_scenario(scenario: ScenarioConfig, methods, seeds: list[int], pool) -> list[list]:
     """The comparison rows of one scenario. Its episodes run as one
     batch, and the methods share the traffic of each seed."""
-    arrivals = {seed: Arrivals(scenario, seed) for seed in seeds}
-    tasks = [(spec, scenario, seed, arrivals[seed]) for _, spec in methods for seed in seeds]
-    all_metrics = [metrics for metrics, _ in run_episodes(tasks, pool)]
+    arrivals = [Arrivals(scenario, seed) for seed in seeds]
+    tasks = [(spec, each) for _, spec in methods for each in arrivals]
+    all_metrics = [result.metrics for result in run_episodes(tasks, pool)]
     rows: list[list] = []
     samples: dict[str, dict[str, list[float]]] = {}
     for i, (label, _) in enumerate(methods):

@@ -50,7 +50,6 @@ from .sim.engine import (
     Junction,
     PhaseDecision,
     PhaseViews,
-    SimulationMetrics,
     run_episode,
 )
 from .sim.scenario import ScenarioConfig
@@ -304,26 +303,19 @@ class ControllerSpec:
 
 
 def drive(
-    spec: ControllerSpec,
-    scenario: ScenarioConfig,
-    seed: int | None = None,
-    *,
-    collect_step_log: bool = False,
-    arrivals: Arrivals | None = None,
+    spec: ControllerSpec, scenario: ScenarioConfig, seed: int, *, collect_step_log: bool = False
 ) -> EpisodeResult:
-    """Run one episode under a freshly built controller."""
-    controller = spec.build()
-    return run_episode(scenario, controller, seed, collect_step_log=collect_step_log, arrivals=arrivals)
+    """Run one episode of (scenario, seed) under a freshly built controller."""
+    return run_episode(Arrivals(scenario, seed), spec.build(), collect_step_log=collect_step_log)
 
 
-# (spec, scenario, seed, the Arrivals of (scenario, seed) to share, or None)
-Task = tuple[ControllerSpec, ScenarioConfig, int, Arrivals | None]
+# (spec, the traffic of its episode)
+Task = tuple[ControllerSpec, Arrivals]
 
 
-def _episode_metrics(task: Task) -> tuple[SimulationMetrics, int]:
-    spec, scenario, seed, arrivals = task
-    result = drive(spec, scenario, seed, arrivals=arrivals)
-    return result.metrics, result.controller_faults
+def _run_task(task: Task) -> EpisodeResult:
+    spec, arrivals = task
+    return run_episode(arrivals, spec.build())
 
 
 @contextmanager
@@ -340,15 +332,18 @@ def episode_pool(jobs: int, largest_batch: int) -> Iterator[futures.Executor | N
         yield pool
 
 
-def run_episodes(tasks: list[Task], pool: futures.Executor | None = None) -> list[tuple[SimulationMetrics, int]]:
-    """Run ``(spec, scenario, seed, arrivals)`` episodes and return each
-    one's metrics and controller-fault count, in task order with or
-    without a ``pool`` (see ``episode_pool``)."""
+def run_episodes(tasks: list[Task], pool: futures.Executor | None = None) -> list[EpisodeResult]:
+    """Run ``(spec, arrivals)`` episodes and return their results, in
+    task order with or without a ``pool`` (see ``episode_pool``)."""
     if pool is None or len(tasks) <= 1:
-        return [_episode_metrics(task) for task in tasks]
-    # Each task carries a copy of its arrivals to a worker: draw them
-    # here, once, so that no worker draws them again.
-    for _, scenario, _, arrivals in tasks:
-        if arrivals is not None:
-            arrivals.draw_until(scenario.duration)
-    return list(pool.map(_episode_metrics, tasks))
+        return [_run_task(task) for task in tasks]
+    # Each task carries a copy of its arrivals to a worker. Draw here,
+    # once, the arrivals that more than one task holds, so that no
+    # worker draws them again; a task's own go undrawn and are drawn in
+    # its worker.
+    seen: set[int] = set()
+    for _, arrivals in tasks:
+        if id(arrivals) in seen:
+            arrivals.draw_until(arrivals.scenario.duration)
+        seen.add(id(arrivals))
+    return list(pool.map(_run_task, tasks))

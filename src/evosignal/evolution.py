@@ -31,7 +31,7 @@ from . import generator as gen
 from . import metrics as met
 from .control import ControllerSpec, episode_pool, run_episodes
 from .dsl import parse
-from .sim.engine import Arrivals, SimulationMetrics
+from .sim.engine import Arrivals, EpisodeResult
 from .sim.scenario import ScenarioConfig
 from .skills import SEED_SKILL, Skill
 from .store import Checkpoint, RunStore
@@ -267,10 +267,9 @@ def _candidate_spec(cfg: EvolutionConfig, candidate: Skill, bank: ev.SkillBank |
     return ControllerSpec("dispatcher", bank_skills=bank.replaced(cfg.mode, candidate).skills)
 
 
-def _outcome(
-    cfg: EvolutionConfig, scenario: ScenarioConfig, seed: int, metrics: SimulationMetrics, faults: int
-) -> EpisodeOutcome:
+def _outcome(cfg: EvolutionConfig, arrivals: Arrivals, result: EpisodeResult) -> EpisodeOutcome:
     """Score one episode; any controller fault voids it with -inf."""
+    scenario, metrics, faults = arrivals.scenario, result.metrics, result.controller_faults
     if faults > 0:
         fitness = NEG_INFINITY
     elif cfg.mode == "routine":
@@ -279,7 +278,7 @@ def _outcome(
         fitness = met.event_fitness(metrics, cfg.mode, scenario.fitness_constant)
     return EpisodeOutcome(
         scenario_name=scenario.name,
-        seed=seed,
+        seed=arrivals.seed,
         fitness=fitness,
         faults=faults,
         avg_delay=metrics.avg_delay,
@@ -331,19 +330,12 @@ def evaluate_generation(
         if key not in index:
             index[key] = len(distinct)
             distinct.append(candidate)
-    tasks = [
-        (_candidate_spec(cfg, candidate, bank), each.scenario, each.seed, each)
-        for candidate in distinct
-        for each in arrivals
-    ]
+    tasks = [(_candidate_spec(cfg, candidate, bank), each) for candidate in distinct for each in arrivals]
     results = run_episodes(tasks, pool)
     n = len(arrivals)
     evaluations = []
     for i in range(len(distinct)):
-        chunk = [
-            _outcome(cfg, each.scenario, each.seed, metrics, faults)
-            for each, (metrics, faults) in zip(arrivals, results[i * n : (i + 1) * n])
-        ]
+        chunk = [_outcome(cfg, each, result) for each, result in zip(arrivals, results[i * n : (i + 1) * n])]
         evaluations.append((*_summarize(chunk), chunk))
     return [evaluations[index[key]] for key in keys]
 

@@ -9,8 +9,10 @@ exception). An episode is fully determined by (scenario, controller,
 seed): arrivals are Poisson draws and routes are choices from a single
 seeded generator consumed in a fixed order. No signal decision reaches
 that generator, so the vehicles entering at each step are a function of
-(scenario, seed) alone: ``Arrivals`` holds them, and every episode of
-one (scenario, seed) may spawn from the same ``Arrivals``.
+(scenario, seed) alone. ``Arrivals`` holds them, and an episode is built
+from an ``Arrivals`` and nothing else: it reads the scenario and the
+seed from there, and every episode of one (scenario, seed) may spawn
+from the same ``Arrivals``.
 
 Model constants follow common microsimulation practice: 7.5 m jam
 spacing, 0.5 veh/s/lane saturation flow, 13.9 m/s free-flow speed.
@@ -549,9 +551,9 @@ class Arrivals:
     carries them, the generator's state and the steps drawn so far, and
     draws the same stream past them."""
 
-    def __init__(self, scenario: ScenarioConfig, seed: int | None = None):
+    def __init__(self, scenario: ScenarioConfig, seed: int):
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
+        self.seed = seed
         self.grid = grid_routes(scenario.rows, scenario.cols, scenario.link_length)
         self.network = self.grid.network
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -622,29 +624,13 @@ class Arrivals:
 
 
 class Episode:
-    """Mutable state of one simulation run. Confine an instance to a
-    single thread; run several instances concurrently instead. Vehicles
-    enter from ``arrivals``, built here when none is given; one given
-    must be drawn for this scenario and seed."""
+    """Mutable state of one simulation run, whose vehicles enter from
+    ``arrivals``: the scenario and the seed are the ones it was drawn
+    for. Confine an instance to a single thread; run several instances
+    concurrently instead."""
 
-    def __init__(
-        self,
-        scenario: ScenarioConfig,
-        seed: int | None = None,
-        collect_step_log: bool = False,
-        arrivals: Arrivals | None = None,
-    ):
-        self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
-        if arrivals is None:
-            arrivals = Arrivals(scenario, self.seed)
-        elif arrivals.seed != self.seed or (
-            arrivals.scenario is not scenario and arrivals.scenario != scenario
-        ):
-            raise ValueError(
-                f"arrivals of scenario {arrivals.scenario.name!r} seed {arrivals.seed} cannot "
-                f"feed an episode of scenario {scenario.name!r} seed {self.seed}"
-            )
+    def __init__(self, arrivals: Arrivals, collect_step_log: bool = False):
+        self.scenario = scenario = arrivals.scenario
         self.arrivals = arrivals
         self.network = arrivals.network
         self._movements = arrivals.grid.movements
@@ -1110,26 +1096,20 @@ class Episode:
         )
 
 
-def run_episode(
-    scenario: ScenarioConfig,
-    controller,
-    seed: int | None = None,
-    *,
-    collect_step_log: bool = False,
-    arrivals: Arrivals | None = None,
-) -> EpisodeResult:
-    """Run a full episode under a controller.
+def run_episode(arrivals: Arrivals, controller, *, collect_step_log: bool = False) -> EpisodeResult:
+    """Run a full episode under a controller, on the traffic of
+    ``arrivals``.
 
     Each step, ``controller.decide(episode, junction) -> PhaseDecision |
     None`` is asked for every junction not in a yellow transition; it
     reports a runtime fault with ``episode.record_fault``. Identical
     (scenario, controller, seed) triples produce bit-identical results,
-    whether or not the episode spawns from a shared ``arrivals``.
+    whether or not other episodes spawn from the same ``arrivals``.
     """
-    episode = Episode(scenario, seed=seed, collect_step_log=collect_step_log, arrivals=arrivals)
+    episode = Episode(arrivals, collect_step_log=collect_step_log)
     junctions = tuple(episode.junctions.values())
     decide = controller.decide
-    for _ in range(scenario.duration):
+    for _ in range(arrivals.scenario.duration):
         decisions: dict[str, PhaseDecision | None] = {}
         for junction in junctions:
             if junction.signal.yellow > 0:

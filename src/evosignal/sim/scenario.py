@@ -5,8 +5,9 @@ T2 north-south heavy, T3 east-west with a mid-episode peak), their
 demand-perturbed validation variants (V1-V3), emergency injections
 (E1 sparse, E2 dense), bus lines (B1, B2), a lane-blocking incident
 (I1), and the mixed emergency+incident scenario (M1). Families accept
-overrides (grid size, duration, demand scale, seed) so the same
-configuration logic drives both full-size and desk-scale runs.
+overrides (grid size, duration, demand scale) so the same configuration
+logic drives both full-size and desk-scale runs. A scenario holds no
+seed: the traffic of an episode is drawn for a (scenario, seed) pair.
 
 Demand patterns are synthetic, so absolute delay figures are
 implementation-specific; cross-method orderings are what carries
@@ -95,14 +96,13 @@ def _rate(value, what: str) -> float:
     return _bounded(value, what, 0.0, MAX_RATE)
 
 
-def _checked_shape(rows, cols, duration, seed) -> tuple[int, int, int, int]:
-    """Grid rows and cols, duration and seed as ints within the bounds of
+def _checked_shape(rows, cols, duration) -> tuple[int, int, int]:
+    """Grid rows and cols and duration as ints within the bounds of
     ``load_scenario``, checked before either factory builds a network."""
     return (
         _bounded(rows, "grid rows", 1, MAX_GRID_SIDE, int),
         _bounded(cols, "grid cols", 1, MAX_GRID_SIDE, int),
         _bounded(duration, "duration", 1, MAX_DURATION, int),
-        _bounded(seed, "seed", 0, math.inf, int),
     )
 
 
@@ -110,6 +110,19 @@ def _field(mapping: dict, key: str, what: str):
     if key not in mapping:
         raise ConfigError(f"{what} needs a '{key}'")
     return mapping[key]
+
+
+def _known_keys(mapping: dict, keys, what: str) -> dict:
+    """``mapping``, once every key of it is one of ``keys``; ConfigError
+    naming the first that is not."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{what} has an unknown key {key!r} (known: {', '.join(keys)})")
+    return mapping
+
+
+# The fields of each event a scenario file may inject (see load_scenario).
+EVENT_FIELDS = {"emergency": ("period",), "bus_lines": ("count", "headway"), "incident": ("start", "duration")}
 
 
 def _require_type(value, kind: type, what: str):
@@ -144,7 +157,6 @@ class ScenarioConfig:
     bus_lines: tuple[BusLine, ...] = ()
     incident: IncidentInjection | None = None
     fitness_constant: float = 0.0
-    seed: int = 0
 
     def rate_at(self, entry_link: str, t: float) -> float:
         profile = self.demand.get(entry_link, ())
@@ -233,13 +245,12 @@ def make_scenario(
     link_length: float = 300.0,
     duration: int = DEFAULT_DURATION,
     demand_scale: float = 1.0,
-    seed: int = 0,
 ) -> ScenarioConfig:
     """Instantiate a stock scenario family with optional overrides."""
     family = family.upper()
     if family not in FAMILIES:
         raise ConfigError(f"unknown scenario family {family!r} (expected one of {FAMILIES})")
-    rows, cols, duration, seed = _checked_shape(rows, cols, duration, seed)
+    rows, cols, duration = _checked_shape(rows, cols, duration)
     network = build_network(rows, cols, link_length)
 
     emergency = None
@@ -289,7 +300,6 @@ def make_scenario(
         bus_lines=bus_lines,
         incident=incident,
         fitness_constant=constant,
-        seed=seed,
     )
 
 
@@ -317,7 +327,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         name: my-scenario
         grid: {rows: 2, cols: 2, link_length: 300}
         duration: 900
-        seed: 7
         fitness_constant: 60
         demand:
           default_rate: 0.05
@@ -331,14 +340,17 @@ def load_scenario(path: str) -> ScenarioConfig:
     Bounds: rows and cols from 1 to MAX_GRID_SIDE (32); duration from 1
     to MAX_DURATION (86,400 s); every rate from 0 to MAX_RATE (10
     veh/s); an emergency period and a bus headway of at least
-    MIN_INTERVAL (1 s); 0 to MAX_BUS_LINES (64) bus lines; a seed of 0
-    or more; an incident start and duration from 0 to MAX_DURATION.
+    MIN_INTERVAL (1 s); 0 to MAX_BUS_LINES (64) bus lines; an incident
+    start and duration from 0 to MAX_DURATION.
     Each second then admits Poisson arrivals of mean at most 10 per
     entry link (a grid has ``2 * (rows + cols)``), at most one emergency
     vehicle and at most one bus per line, so an episode's vehicle count
     is at most ``duration * (20 * (rows + cols) + 1 + lines) + 1`` in
     expectation (the last one is the incident's blocker).
-    Anything else raises ConfigError with a one-line message.
+    Anything else raises ConfigError with a one-line message, and so
+    does a key that the schema does not name, such as a misspelt one.
+    A scenario file has no seed: the command running it chooses the
+    traffic.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -348,24 +360,26 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"scenario file {path} is not valid YAML: {detail}") from None
     if not isinstance(raw, dict) or "name" not in raw:
         raise ConfigError(f"scenario file {path} must be a mapping with a 'name' key")
+    _known_keys(raw, ("name", "grid", "duration", "fitness_constant", "demand", "events"), f"scenario file {path}")
     for key in ("grid", "demand", "events"):
         if not isinstance(raw.get(key) or {}, dict):
             raise ConfigError(f"scenario file {path}: '{key}' must be a mapping")
 
-    grid = raw.get("grid") or {}
-    rows, cols, duration, seed = _checked_shape(
-        grid.get("rows", 4), grid.get("cols", 4), raw.get("duration", DEFAULT_DURATION), raw.get("seed", 0)
+    grid = _known_keys(raw.get("grid") or {}, ("rows", "cols", "link_length"), "grid")
+    rows, cols, duration = _checked_shape(
+        grid.get("rows", 4), grid.get("cols", 4), raw.get("duration", DEFAULT_DURATION)
     )
     link_length = _number(grid.get("link_length", 300.0), "grid link_length")
     network = build_network(rows, cols, link_length)
 
-    demand_spec = raw.get("demand") or {}
+    demand_spec = _known_keys(raw.get("demand") or {}, ("default_rate", "sources"), "demand")
     default_rate = _rate(demand_spec.get("default_rate", 0.0), "demand default_rate")
     demand: dict[str, RateProfile] = {
         link_id: _flat(default_rate) for link_id in network.entry_links
     }
     for source in _require_type(demand_spec.get("sources") or [], list, "demand sources"):
-        link_id = _field(_require_type(source, dict, "a demand source"), "link", "a demand source")
+        _known_keys(_require_type(source, dict, "a demand source"), ("link", "profile"), "a demand source")
+        link_id = _field(source, "link", "a demand source")
         if not isinstance(link_id, str) or link_id not in network.links or network.links[link_id].kind != "entry":
             raise ConfigError(f"demand source {link_id!r} is not an entry link")
         profile = []
@@ -377,9 +391,9 @@ def load_scenario(path: str) -> ScenarioConfig:
             profile.append((start, _rate(piece[1], f"a profile rate of {link_id}")))
         demand[link_id] = tuple(profile)
 
-    events = raw.get("events", {}) or {}
+    events = _known_keys(raw.get("events") or {}, EVENT_FIELDS, "events")
     for key, value in events.items():
-        _require_type(value, dict, f"events '{key}'")
+        _known_keys(_require_type(value, dict, f"events '{key}'"), EVENT_FIELDS[key], f"events '{key}'")
     emergency = None
     if "emergency" in events:
         period = _field(events["emergency"], "period", "events 'emergency'")
@@ -408,5 +422,4 @@ def load_scenario(path: str) -> ScenarioConfig:
         bus_lines=bus_lines,
         incident=incident,
         fitness_constant=_number(raw.get("fitness_constant", 0.0), "fitness_constant"),
-        seed=seed,
     )

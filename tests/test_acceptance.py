@@ -36,9 +36,8 @@ def report(number: int, label: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS  {label}")
 
 
-def desk_routine(family="T1", seed=5, duration=240, scale=1.2, rows=1):
-    return make_scenario(family, rows=rows, cols=rows, duration=duration,
-                         demand_scale=scale, seed=seed)
+def desk_routine(family="T1", duration=240, scale=1.2, rows=1):
+    return make_scenario(family, rows=rows, cols=rows, duration=duration, demand_scale=scale)
 
 
 def test_c01_interpreter_fidelity():
@@ -274,7 +273,7 @@ def test_c10_checkpoint_fidelity(tmp_path):
 def test_c11_cost_ledger(tmp_path):
     started = time.monotonic()
     scenarios = tuple(
-        make_scenario(name, rows=1, cols=1, duration=180, demand_scale=1.0, seed=3)
+        make_scenario(name, rows=1, cols=1, duration=180, demand_scale=1.0)
         for name in ("T1", "T2", "T3")
     )
     cfg = EvolutionConfig(scenarios=scenarios, population=8, generations=30, seed=21)
@@ -298,7 +297,7 @@ def test_c12_dispatcher_context_activation():
         outlane_code="value[0] -= num_vehicle * 0.4",
     )
     assert dsl.sandbox_check(candidate, EVENT).ok
-    scenario = make_scenario("B1", rows=2, cols=2, duration=600, demand_scale=0.6, seed=3)
+    scenario = make_scenario("B1", rows=2, cols=2, duration=600, demand_scale=0.6)
     spec = ControllerSpec(
         "dispatcher", bank_skills=bank.replaced("transit", candidate).skills
     )

@@ -206,9 +206,9 @@ class TestCompareAndBaseline:
         seeds_run = []
         real_run_episode = control.run_episode
 
-        def counting(scenario, controller, seed=None, **kwargs):
-            seeds_run.append(seed)
-            return real_run_episode(scenario, controller, seed, **kwargs)
+        def counting(arrivals, controller, **kwargs):
+            seeds_run.append(arrivals.seed)
+            return real_run_episode(arrivals, controller, **kwargs)
 
         monkeypatch.setattr(control, "run_episode", counting)
         base = ["baseline", "--method", "max_pressure", "--scenario", "T1", *DESK,

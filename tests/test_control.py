@@ -221,8 +221,7 @@ def engine_decisions(family="T1", duration=240, seed=6):
     """Yield (episode, intersection id) at every decision of a 2x2
     max-pressure episode, before the step it decides; the views are
     live, so read them before resuming."""
-    scenario = make_scenario(family, rows=2, cols=2, duration=duration, seed=seed)
-    episode = Episode(scenario)
+    episode = Episode(Arrivals(make_scenario(family, rows=2, cols=2, duration=duration), seed))
     controller = MaxPressureController()
     for _ in range(duration):
         decisions = {}
@@ -341,9 +340,9 @@ class TestScoreOracleOnEngineViews:
     def test_controller_fault_log_matches_the_reference_order(self, inlane, outlane):
         skill = Skill(id="p", description="", guidance="",
                       inlane_code=PARTIAL_INLANES[inlane], outlane_code=PARTIAL_OUTLANES[outlane])
-        scenario = make_scenario("T2", rows=2, cols=2, duration=300, seed=8)
-        ours = run_episode(scenario, SkillController(skill), collect_step_log=True)
-        theirs = run_episode(scenario, ReferenceSkillController(skill), collect_step_log=True)
+        scenario = make_scenario("T2", rows=2, cols=2, duration=300)
+        ours = run_episode(Arrivals(scenario, 8), SkillController(skill), collect_step_log=True)
+        theirs = run_episode(Arrivals(scenario, 8), ReferenceSkillController(skill), collect_step_log=True)
         assert ours.step_log == theirs.step_log
         assert ours.metrics == theirs.metrics
         # a fault holds the phase, so faults at every decision would be 1200
@@ -378,13 +377,13 @@ class TestWorstBody:
         assert validate(ast, event_whitelist()).ok
         worst = Skill(id="w", description="", guidance="", inlane_code=code, outlane_code=code)
         assert sandbox_check(worst, event_whitelist()).ok
-        scenario = make_scenario("T1", rows=2, cols=2, duration=600, seed=1)
+        scenario = make_scenario("T1", rows=2, cols=2, duration=600)
         arrivals = Arrivals(scenario, 1)
         arrivals.draw_until(scenario.duration)
 
         def timed(skill):
             start = time.perf_counter()
-            result = drive(ControllerSpec("skill", skill=skill), scenario, 1, arrivals=arrivals)
+            result = run_episode(arrivals, ControllerSpec("skill", skill=skill).build())
             return time.perf_counter() - start, result
 
         seed_s = sorted(timed(SEED_SKILL)[0] for _ in range(3))[1]
@@ -398,7 +397,7 @@ def centre_junction(waiting=None, exit_waiting=None, vclass="normal"):
     """A still 3x3 grid and the record of its centre, x1_1, with
     ``waiting[(side, movement)]`` vehicles queued on the approaches and
     ``exit_waiting[heading]`` on the exit links, all of ``vclass``."""
-    episode = Episode(zero_demand(rows=3, cols=3))
+    episode = Episode(Arrivals(zero_demand(rows=3, cols=3), 0))
     node = episode.network.intersections["x1_1"]
     for (side, movement), count in (waiting or {}).items():
         for _ in range(count):
@@ -474,9 +473,9 @@ class TestPressureOracle:
     def test_every_decision_matches_the_reference(self, controller, family, size, seed):
         # I1 blocks from 600 s; run into the blockage.
         duration = 700 if family == "I1" else 400
-        scenario = make_scenario(family, rows=size, cols=size, duration=duration, seed=seed)
+        scenario = make_scenario(family, rows=size, cols=size, duration=duration)
         checked = CheckedPressure(controller())
-        result = run_episode(scenario, checked, seed)
+        result = run_episode(Arrivals(scenario, seed), checked)
         assert checked.checked > duration
         assert result.metrics.vehicles_entered > 0
         if family == "E2" and controller is HandcraftedPreemptionController:
@@ -528,8 +527,8 @@ class TestFixedTime:
                 decided.append((episode.t, decision))
                 return decision
 
-        scenario = make_scenario("T1", rows=3, cols=2, duration=200, seed=1)
-        run_episode(scenario, Logged())
+        scenario = make_scenario("T1", rows=3, cols=2, duration=200)
+        run_episode(Arrivals(scenario, 1), Logged())
         assert len(decided) == 6 * len(targets) > 0
         assert targets == sorted({t for t, _ in decided})
         assert all(decision is PHASE_DECISIONS[fixed_time_target(t)] for t, decision in decided)
@@ -560,7 +559,7 @@ class AlternatingController:
 class TestDrive:
     def test_min_green_enforced(self):
         scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=0.0)
-        result = run_episode(scenario, AlternatingController(), seed=1, collect_step_log=True)
+        result = run_episode(Arrivals(scenario, 1), AlternatingController(), collect_step_log=True)
         changes = []
         last_phase = 0
         for record in result.step_log:
@@ -596,7 +595,7 @@ class TestDrive:
         assert result.metrics.avg_delay == 0.0  # episode still completes
 
     def test_handcrafted_preempts_immediately(self):
-        scenario = make_scenario("E2", rows=2, cols=2, duration=400, demand_scale=0.8, seed=2)
+        scenario = make_scenario("E2", rows=2, cols=2, duration=400, demand_scale=0.8)
         handcrafted = drive(ControllerSpec("handcrafted_preemption"), scenario, seed=2)
         blind = drive(ControllerSpec("max_pressure"), scenario, seed=2)
         assert handcrafted.metrics.emergency_delay is not None
@@ -630,15 +629,24 @@ class TestEpisodePool:
             pool.submit(int)
 
     def test_a_pool_and_shared_arrivals_do_not_change_a_result(self):
-        scenario = make_scenario("E2", rows=2, cols=2, duration=200, seed=1)
-        arrivals = {seed: Arrivals(scenario, seed) for seed in (3, 4)}
+        scenario = make_scenario("E2", rows=2, cols=2, duration=200)
         specs = [ControllerSpec("max_pressure"), ControllerSpec("skill", skill=SEED_SKILL)]
-        fresh = [(spec, scenario, seed, None) for spec in specs for seed in (3, 4)]
-        shared = [(spec, scenario, seed, arrivals[seed]) for spec in specs for seed in (3, 4)]
-        want = run_episodes(fresh)
+
+        def fresh():
+            """Tasks that each hold an Arrivals of their own."""
+            return [(spec, Arrivals(scenario, seed)) for spec in specs for seed in (3, 4)]
+
+        arrivals = {seed: Arrivals(scenario, seed) for seed in (3, 4)}
+        shared = [(spec, arrivals[seed]) for spec in specs for seed in (3, 4)]
+        want = run_episodes(fresh())
+        assert all(result.controller_faults == 0 and result.step_log == () for result in want)
         with episode_pool(2, len(shared)) as pool:
             assert run_episodes(shared, pool) == want
-            # the tasks were drawn here before they went to the workers
+            # the shared arrivals were drawn here, once, before they
+            # went to the workers
             assert all(len(a._steps) == scenario.duration for a in arrivals.values())
-            assert run_episodes(fresh, pool) == want
+            own = fresh()
+            assert run_episodes(own, pool) == want
+            # a task's own arrivals went undrawn, to be drawn in its worker
+            assert all(a._steps == [] for _, a in own)
         assert run_episodes(shared) == want

@@ -20,7 +20,7 @@ from evosignal.events import (
 )
 from evosignal.control import CompiledSkill, ControllerSpec, DispatcherController, drive, score_phases
 from evosignal.sim import make_scenario
-from evosignal.sim.engine import Episode, Vehicle
+from evosignal.sim.engine import Arrivals, Episode
 from evosignal.skills import LIBRARY, Skill
 
 from ._reference import LaneObservation, ReferenceAccrual, brute_force_percentile, reference_detect
@@ -45,14 +45,14 @@ def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
 def detect_with_history(history):
     """detect() at x0_0 of a fresh episode whose junction has ``history``
     as its queue history."""
-    episode = Episode(zero_demand())
+    episode = Episode(Arrivals(zero_demand(), 0))
     episode.junctions["x0_0"].history.extend(history)
     return detect(episode, "x0_0")
 
 
 class TestDetect:
     def setup_method(self):
-        self.episode = Episode(zero_demand())
+        self.episode = Episode(Arrivals(zero_demand(), 0))
         self.node = self.episode.network.intersections["x0_0"]
 
     def test_emergency_inside_radius(self):
@@ -80,7 +80,7 @@ class TestDetect:
         place_running(self.episode, self.node.approaches["N"], 200.0, vclass="emergency")
         event = next(e for e in detect(self.episode, "x0_0") if e.kind == "emergency")
         assert event.context["emergency_distance"] == 200.0
-        beyond = Episode(zero_demand())
+        beyond = Episode(Arrivals(zero_demand(), 0))
         place_running(beyond, self.node.approaches["N"], 200.5, vclass="emergency")
         assert not detect(beyond, "x0_0")
 
@@ -94,17 +94,13 @@ class TestDetect:
         assert event.context["bus_delay"] == 37.0
 
     def test_signal_wait_is_not_an_incident(self):
-        # stopped 130 s, 15 m from the stop line, on a red movement
+        # two vehicles stopped 130 s at the stop line of a red movement
         from .test_sim import queue_vehicle
 
         self.episode.t = 200
-        vehicle = queue_vehicle(self.episode, self.node.approaches["E"], movement="s")
-        state = self.episode.links[self.node.approaches["E"]]
-        state.queues["s"] = [Vehicle(90 + i, "normal", vehicle.route, vehicle.movements, 0) for i in range(2)]
-        for v in state.queues["s"]:
-            v.movement = "s"
-            v.queued = True
-            v.stopped_since = 70  # stopped 130 s
+        # queued in the live list, the one detect reads
+        for _ in range(2):
+            queue_vehicle(self.episode, self.node.approaches["E"], movement="s").stopped_since = 70
         # (E, s) is phase 2; active phase is 0, so the line is red
         assert self.episode.junctions["x0_0"].signal.active == 0
         assert not any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
@@ -173,8 +169,8 @@ class TestDetectOracle:
          ("B2", {"transit", "congestion"})],
     )
     def test_detect_matches_reference(self, family, expected):
-        scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=2)
-        episode = Episode(scenario)
+        scenario = make_scenario(family, rows=2, cols=2, duration=900)
+        episode = Episode(Arrivals(scenario, 2))
         accrual = ReferenceAccrual(episode)
         controller = DispatcherController(default_bank())
         kinds = set()
@@ -269,8 +265,8 @@ class TestInjectContext:
 
 class TestDetectorInEpisode:
     def test_emergencies_traverse_and_complete(self):
-        scenario = make_scenario("E2", rows=2, cols=2, duration=900, demand_scale=0.6, seed=2)
-        episode = Episode(scenario, seed=2)
+        scenario = make_scenario("E2", rows=2, cols=2, duration=900, demand_scale=0.6)
+        episode = Episode(Arrivals(scenario, 2))
         controller = ControllerSpec("dispatcher").build()
         for _ in range(scenario.duration):
             episode.step(decisions_of(episode, controller))
@@ -279,7 +275,7 @@ class TestDetectorInEpisode:
         assert any(v.exit_time is not None for v in ambulances)
 
     def test_mixed_scenario_dispatches_incident_skill_in_window(self):
-        scenario = make_scenario("M1", rows=2, cols=2, duration=1000, demand_scale=0.5, seed=4)
+        scenario = make_scenario("M1", rows=2, cols=2, duration=1000, demand_scale=0.5)
         result = drive(ControllerSpec("dispatcher"), scenario, seed=4, collect_step_log=True)
         incident_node = None
         for record in result.step_log:
@@ -294,11 +290,11 @@ class TestDetectorInEpisode:
         assert "incident" in window_activations
 
     def test_incident_scenario_produces_incident_events(self):
-        scenario = make_scenario("I1", rows=2, cols=2, duration=800, demand_scale=0.4, seed=7)
+        scenario = make_scenario("I1", rows=2, cols=2, duration=800, demand_scale=0.4)
         scenario = replace(
             scenario, incident=replace(scenario.incident, start=100.0, duration=400.0)
         )
-        episode = Episode(scenario)
+        episode = Episode(Arrivals(scenario, 7))
         saw_incident = False
         for _ in range(scenario.duration):
             episode.step({})

@@ -43,9 +43,8 @@ def agg(fitness=0.0, delay=0.0, queue=0.0, throughput=0.0):
                                throughput=throughput)
 
 
-def desk_scenario(seed=5, duration=240, scale=1.2):
-    return make_scenario("T1", rows=1, cols=1, duration=duration,
-                         demand_scale=scale, seed=seed)
+def desk_scenario(duration=240, scale=1.2):
+    return make_scenario("T1", rows=1, cols=1, duration=duration, demand_scale=scale)
 
 
 class TestExtractSignals:
@@ -276,7 +275,7 @@ class TestRunEvolution:
             run_evolution(cfg, ScriptedBackend(seed=1), RunStore(tmp_path / "empty"), resume=True)
 
     def test_parallel_jobs_do_not_change_a_byte(self, tmp_path):
-        scenarios = (desk_scenario(duration=120), desk_scenario(seed=6, duration=120))
+        scenarios = (desk_scenario(duration=120), desk_scenario(duration=120))
         cfg = EvolutionConfig(scenarios=scenarios, population=4, generations=3, seed=17)
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         run_evolution(cfg, ScriptedBackend(seed=17), RunStore(serial_dir, run_id="r"), jobs=1)
@@ -286,7 +285,7 @@ class TestRunEvolution:
 
     def test_parallel_event_mode_does_not_change_a_byte(self, tmp_path):
         # event candidates reach the workers inside a dispatcher spec
-        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5, seed=3)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
         cfg = EvolutionConfig(scenarios=(scenario,), population=3, generations=2,
                               mode="transit", seed=3)
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
@@ -326,9 +325,9 @@ def simulations(monkeypatch):
     runs = []
     real = control.run_episode
 
-    def counting(scenario, controller, seed=None, **kwargs):
-        runs.append((scenario.name, seed))
-        return real(scenario, controller, seed, **kwargs)
+    def counting(arrivals, controller, **kwargs):
+        runs.append((arrivals.scenario.name, arrivals.seed))
+        return real(arrivals, controller, **kwargs)
 
     monkeypatch.setattr(control, "run_episode", counting)
     return runs
@@ -344,7 +343,7 @@ class TestDistinctCandidates:
     once per scenario and share the outcomes."""
 
     CFG = EvolutionConfig(
-        scenarios=(desk_scenario(duration=120), make_scenario("T2", rows=1, cols=1, duration=120, seed=5)),
+        scenarios=(desk_scenario(duration=120), make_scenario("T2", rows=1, cols=1, duration=120)),
         population=4,
         seed=8,
     )
@@ -428,9 +427,9 @@ class TestSharedWork:
     @pytest.mark.parametrize("mode", ["routine", "transit"])
     def test_a_run_with_duplicates_writes_the_same_bytes_with_one_or_two_jobs(self, mode, tmp_path, simulations):
         if mode == "routine":
-            scenarios, bodies = (desk_scenario(duration=120), desk_scenario(seed=6, duration=120)), ROUTINE_BODIES
+            scenarios, bodies = (desk_scenario(duration=120), desk_scenario(duration=120)), ROUTINE_BODIES
         else:
-            scenarios = (make_scenario("B1", rows=2, cols=2, duration=200, demand_scale=0.5, seed=3),)
+            scenarios = (make_scenario("B1", rows=2, cols=2, duration=200, demand_scale=0.5),)
             bodies = TRANSIT_BODIES
         cfg = EvolutionConfig(scenarios=scenarios, population=4, generations=3, mode=mode, seed=2)
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
@@ -483,7 +482,7 @@ class TestDispatcherContext:
         from dataclasses import replace
 
         bank = default_bank()
-        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5, seed=3)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
         baseline = dispatcher_context_evaluate(
             bank["transit"], "transit", bank, [scenario], seed=3
         )
@@ -495,7 +494,7 @@ class TestDispatcherContext:
 
     def test_candidate_changes_fitness(self):
         bank = default_bank()
-        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5, seed=3)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
         baseline = dispatcher_context_evaluate(bank["transit"], "transit", bank, [scenario], seed=3)
         rigid = LIBRARY["saturation-response"]
         other = dispatcher_context_evaluate(rigid, "transit", bank, [scenario], seed=3)
@@ -505,7 +504,7 @@ class TestDispatcherContext:
         from evosignal.control import ControllerSpec, drive
 
         bank = default_bank()
-        scenario = make_scenario("B1", rows=2, cols=2, duration=400, demand_scale=0.5, seed=3)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=400, demand_scale=0.5)
         result = drive(
             ControllerSpec("dispatcher", bank_skills=bank.skills), scenario, seed=3,
             collect_step_log=True,
@@ -526,7 +525,7 @@ class TestDispatcherContext:
         from evosignal.metrics import MissingMetric
 
         bank = default_bank()
-        no_buses = make_scenario("T1", rows=1, cols=1, duration=60, demand_scale=0.5, seed=1)
+        no_buses = make_scenario("T1", rows=1, cols=1, duration=60, demand_scale=0.5)
         with pytest.raises(MissingMetric):
             dispatcher_context_evaluate(bank["transit"], "transit", bank, [no_buses], seed=1)
 
@@ -539,7 +538,7 @@ class TestDispatcherContext:
         bank = default_bank()
         inert = Skill(id="inert", description="", guidance="",
                       inlane_code="value[0] += 0", outlane_code="value[0] += 0")
-        scenario = make_scenario("E2", rows=2, cols=2, duration=600, demand_scale=0.8, seed=6)
+        scenario = make_scenario("E2", rows=2, cols=2, duration=600, demand_scale=0.8)
         evolved = drive(
             ControllerSpec("dispatcher", bank_skills=bank.skills), scenario, seed=6
         ).metrics

@@ -84,7 +84,7 @@ class HoldController:
 
 def held_episode(scenario, seed):
     """An episode of ``scenario`` run to its end with every signal held."""
-    episode = Episode(scenario, seed=seed)
+    episode = Episode(Arrivals(scenario, seed))
     for _ in range(scenario.duration):
         episode.step({})
     return episode
@@ -185,7 +185,6 @@ class TestScenarios:
             "name: desk\n"
             "grid: {rows: 2, cols: 2, link_length: 250}\n"
             "duration: 600\n"
-            "seed: 9\n"
             "demand:\n"
             "  default_rate: 0.02\n"
         )
@@ -193,7 +192,7 @@ class TestScenarios:
         assert scenario.name == "desk"
         assert scenario.duration == 600
         assert scenario.emergency is None and scenario.bus_lines == () and scenario.incident is None
-        result = run_episode(scenario, HoldController(), seed=9)
+        result = run_episode(Arrivals(scenario, 9), HoldController())
         assert result.metrics.vehicles_entered > 0
 
     def test_time_varying_profile(self):
@@ -234,7 +233,6 @@ def scenario_files():
         optional={
             "grid": mapping(rows=number, cols=number, link_length=number),
             "duration": number,
-            "seed": number,
             "fitness_constant": number,
             "demand": mapping(default_rate=number, sources=st.lists(source, max_size=3) | junk),
             "events": mapping(
@@ -264,7 +262,7 @@ class TestScenarioRanges:
         assert isinstance(scenario, ScenarioConfig)
         assert_within_bounds(scenario)
         assert 1 <= scenario.rows <= MAX_GRID_SIDE and 1 <= scenario.cols <= MAX_GRID_SIDE
-        assert 1 <= scenario.duration <= MAX_DURATION and scenario.seed >= 0
+        assert 1 <= scenario.duration <= MAX_DURATION
         assert len(scenario.bus_lines) <= MAX_BUS_LINES
         if scenario.incident is not None:
             assert 0 <= scenario.incident.start <= MAX_DURATION
@@ -294,7 +292,6 @@ class TestScenarioRanges:
             ("events: {emergency: {}}", "events 'emergency' needs a 'period'"),
             ("demand: {sources: [{link: [1]}]}", "is not an entry link"),
             ("events: {incident: {start: .inf, duration: 10}}", "incident start"),
-            ("seed: -1", "seed must be a number of at least 0"),
         ],
     )
     def test_out_of_range_fields_are_refused(self, events, message, tmp_path):
@@ -304,6 +301,30 @@ class TestScenarioRanges:
             load_scenario(str(path))
 
     @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("seed: 9", r"scenario file \S+ has an unknown key 'seed'"),
+            ("durration: 600", r"scenario file \S+ has an unknown key 'durration'"),
+            ("grid: {rows: 2, colz: 3}", "grid has an unknown key 'colz'"),
+            ("demand: {default_rat: 0.1}", "demand has an unknown key 'default_rat'"),
+            ("demand: {sources: [{link: tN_0_0>x0_0, profile: [], rate: 1}]}",
+             "a demand source has an unknown key 'rate'"),
+            ("events: {emergancy: {period: 30}}", "events has an unknown key 'emergancy'"),
+            ("events: {emergency: {period: 30, offset: 5}}", "events 'emergency' has an unknown key 'offset'"),
+            ("events: {bus_lines: {count: 1, headway: 60, first: 0}}",
+             "events 'bus_lines' has an unknown key 'first'"),
+            ("events: {incident: {start: 5, duration: 10, link: x}}", "events 'incident' has an unknown key 'link'"),
+        ],
+        ids=["seed", "file", "grid", "demand", "source", "events", "emergency", "bus_lines", "incident"],
+    )
+    def test_an_unknown_key_is_refused_in_one_line(self, field, message, tmp_path):
+        path = tmp_path / "typo.yaml"
+        path.write_text(f"name: x\n{field}\n")
+        with pytest.raises(ConfigError, match=message) as refused:
+            load_scenario(str(path))
+        assert len(str(refused.value).splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"duration": 0}, "duration must be a number from 1 to 86400, got 0"),
@@ -311,7 +332,6 @@ class TestScenarioRanges:
             ({"duration": MAX_DURATION + 1}, "duration must be a number from 1 to 86400"),
             ({"rows": MAX_GRID_SIDE + 1}, "grid rows must be a number from 1 to 32, got 33"),
             ({"cols": 0}, "grid cols must be a number from 1 to 32, got 0"),
-            ({"seed": -1}, "seed must be a number of at least 0"),
         ],
     )
     def test_a_family_out_of_bounds_is_refused_before_its_network(self, overrides, message, monkeypatch):
@@ -372,19 +392,19 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
 
 class TestEngine:
     def test_zero_demand_is_inert(self):
-        result = run_episode(zero_demand(), HoldController(), seed=1)
+        result = run_episode(Arrivals(zero_demand(), 1), HoldController())
         assert result.metrics.avg_delay == 0.0
         assert result.metrics.throughput == 0
         assert result.metrics.vehicles_entered == 0
 
     def test_clock_advances_per_step(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         episode.step({})
         episode.step({"x0_0": PhaseDecision(2)})
         assert episode.t == 2
 
     def test_queued_vehicle_departs_in_two_green_steps(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         node = episode.network.intersections["x0_0"]
         approach = node.approaches["N"]
         queue_vehicle(episode, approach, movement="s")
@@ -396,7 +416,7 @@ class TestEngine:
         assert len(episode.links[approach].queues["s"]) == 0
 
     def test_phase_change_takes_three_yellow_steps(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         signal = episode.junctions["x0_0"].signal
         for _ in range(6):  # satisfy min green
             episode.step({})
@@ -409,13 +429,13 @@ class TestEngine:
         assert signal.yellow == 0 and signal.active == 2
 
     def test_min_green_blocks_early_change(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         signal = episode.junctions["x0_0"].signal
         episode.step({"x0_0": PhaseDecision(2)})  # green_elapsed too small
         assert signal.yellow == 0 and signal.active == 0
 
     def test_invalid_decision_clamps_and_logs(self):
-        episode = Episode(zero_demand(), collect_step_log=True)
+        episode = Episode(Arrivals(zero_demand(), 0), collect_step_log=True)
         for _ in range(6):
             episode.step({})
         episode.step({"x0_0": PhaseDecision(17)})
@@ -423,7 +443,7 @@ class TestEngine:
         assert any(r["kind"] == "invalid_decision" for r in episode._step_log)
 
     def test_observation_of_empty_lane(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         obs = episode.observe("x0_0")
         inlane, outlane = obs[0][0]
         assert inlane.num_vehicle == 0
@@ -431,7 +451,7 @@ class TestEngine:
         assert inlane.vehicle_dist == episode.network.link_length
 
     def test_observation_of_jam_spaced_queue(self):
-        episode = Episode(zero_demand())
+        episode = Episode(Arrivals(zero_demand(), 0))
         node = episode.network.intersections["x0_0"]
         approach = node.approaches["N"]
         for _ in range(3):
@@ -445,8 +465,8 @@ class TestEngine:
         assert inlane.vehicle_dist == JAM_SPACING
 
     def test_moving_vehicle_is_not_waiting(self):
-        scenario = make_scenario("T1", rows=1, cols=1, duration=30, demand_scale=0.5, seed=4)
-        episode = Episode(scenario)
+        scenario = make_scenario("T1", rows=1, cols=1, duration=30, demand_scale=0.5)
+        episode = Episode(Arrivals(scenario, 4))
         episode.step({})
         episode.step({})
         moving = [
@@ -458,28 +478,28 @@ class TestEngine:
         assert all(not (v.queued or v.frozen) for v in moving)
 
     def test_determinism_same_seed(self):
-        scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0, seed=6)
-        a = run_episode(scenario, HoldController(), seed=6)
-        b = run_episode(scenario, HoldController(), seed=6)
+        scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0)
+        a = run_episode(Arrivals(scenario, 6), HoldController())
+        b = run_episode(Arrivals(scenario, 6), HoldController())
         assert a.metrics == b.metrics
         assert vehicle_records(held_episode(scenario, 6)) == vehicle_records(held_episode(scenario, 6))
 
     def test_distinct_seeds_differ(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0)
-        a = run_episode(scenario, HoldController(), seed=1)
-        b = run_episode(scenario, HoldController(), seed=2)
+        a = run_episode(Arrivals(scenario, 1), HoldController())
+        b = run_episode(Arrivals(scenario, 2), HoldController())
         assert a.metrics != b.metrics
 
     def test_vehicle_conservation_every_step(self):
-        scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5, seed=8)
-        episode = Episode(scenario)
+        scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5)
+        episode = Episode(Arrivals(scenario, 8))
         for _ in range(scenario.duration):
             episode.step({})
             assert len(episode.vehicles) == in_network_count(episode) + episode.completed
 
     def test_waiting_monotonicity(self):
-        scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5, seed=8)
-        episode = Episode(scenario)
+        scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5)
+        episode = Episode(Arrivals(scenario, 8))
         last: dict[int, float] = {}
         for _ in range(scenario.duration):
             episode.step({})
@@ -488,10 +508,10 @@ class TestEngine:
                 last[vehicle.id] = episode.delay_of(vehicle)
 
     def test_incident_blocks_service_then_recovers(self):
-        scenario = make_scenario("I1", rows=2, cols=2, duration=30, demand_scale=0.0, seed=3)
+        scenario = make_scenario("I1", rows=2, cols=2, duration=30, demand_scale=0.0)
         incident = replace(scenario.incident, start=5.0, duration=10.0)
         scenario = replace(scenario, incident=incident, demand={})
-        episode = Episode(scenario)
+        episode = Episode(Arrivals(scenario, 3))
         link = episode.links[scenario.incident.link]
         node_id = episode.network.links[scenario.incident.link].dst
         serve_blocked_lane = {node_id: PhaseDecision(2)}  # (W, s) sits in phase 2
@@ -523,8 +543,8 @@ class TestEngine:
         # place; vehicles of one speed that entered a link earlier stay
         # ahead of those that entered later, and ``odd`` counts the
         # vehicles off the common table.
-        scenario = make_scenario(family, rows=2, cols=2, duration=700, seed=2)
-        episode = Episode(scenario)
+        scenario = make_scenario(family, rows=2, cols=2, duration=700)
+        episode = Episode(Arrivals(scenario, 2))
         controller = MaxPressureController()
         lists = {(link_id, m): lane.running for link_id, state in episode.links.items() for m, lane in state.lanes.items()}
         common = episode._common_table
@@ -543,10 +563,10 @@ class TestEngine:
         assert odd_steps > 0 if family != "T1" else odd_steps == 0
 
     def test_a_queue_behind_a_blockage_forms_behind_the_blocker(self):
-        scenario = make_scenario("I1", rows=2, cols=2, duration=120, demand_scale=0.0, seed=3)
+        scenario = make_scenario("I1", rows=2, cols=2, duration=120, demand_scale=0.0)
         incident = replace(scenario.incident, start=1.0, duration=100.0)
         scenario = replace(scenario, incident=incident, demand={})
-        episode = Episode(scenario)
+        episode = Episode(Arrivals(scenario, 3))
         link = episode.links[incident.link]
         queue = link.queues[incident.movement]
         for _ in range(2):
@@ -566,7 +586,7 @@ class TestEngine:
             assert head - (i + 2) * JAM_SPACING <= position(vehicle, episode.t) < head
 
     def test_bus_person_delay_matches_brute_force(self):
-        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.6, seed=5)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.6)
         episode = held_episode(scenario, 5)
         vehicles = episode.vehicles
         assert any(v.vclass == "bus" for v in vehicles)
@@ -626,8 +646,8 @@ class TestObservationOracle:
     def test_observe_matches_sorted_distances(self, family, size, seed):
         # I1's blockage runs from 600 s to 900 s; check during and after it.
         duration = 1000 if family == "I1" else 400
-        scenario = make_scenario(family, rows=size, cols=size, duration=duration, seed=seed)
-        episode = Episode(scenario)
+        scenario = make_scenario(family, rows=size, cols=size, duration=duration)
+        episode = Episode(Arrivals(scenario, seed))
         controller = MaxPressureController()
         seen = set()
         for _ in range(duration):
@@ -694,13 +714,13 @@ class TestLiveViews:
         monkeypatch.setattr(control_module, "score_phases", counted_score)
         return counts, exit_reads
 
-    def scenario(self, family="T1"):
-        return make_scenario(family, rows=2, cols=2, duration=300, seed=4)
+    def arrivals(self, family="T1"):
+        return Arrivals(make_scenario(family, rows=2, cols=2, duration=300), 4)
 
     def test_fixed_time_reads_no_figure(self, reads):
         counts, _ = reads
         controller = DecisionLog(FixedTimeController())
-        run_episode(self.scenario(), controller)
+        run_episode(self.arrivals(), controller)
         assert controller.decided
         assert sum(counts.values()) == 0
 
@@ -717,13 +737,13 @@ class TestLiveViews:
 
         monkeypatch.setattr(Episode, "observe", counted)
         controller = DecisionLog(controller())
-        result = run_episode(self.scenario("E2"), controller)
+        result = run_episode(self.arrivals("E2"), controller)
         assert controller.decided and result.metrics.vehicles_entered > 0
         assert observed == [] and sum(counts.values()) == 0
 
     def test_seed_skill_reads_neither_count_nor_gap(self, reads):
         counts, _ = reads
-        result = run_episode(self.scenario(), SkillController(SEED_SKILL))
+        result = run_episode(self.arrivals(), SkillController(SEED_SKILL))
         assert result.controller_faults == 0
         assert set(counts) == {("LaneView", "num_waiting_vehicle")}
 
@@ -736,7 +756,7 @@ class TestLiveViews:
         # one that names index, so its body runs once per lane-link
         skill = LIBRARY[name] if outlane is None else replace(LIBRARY[name], outlane_code=outlane)
         counts, exit_reads = reads
-        result = run_episode(self.scenario(), SkillController(skill))
+        result = run_episode(self.arrivals(), SkillController(skill))
         assert result.controller_faults == 0
         assert counts[("LinkView", "vehicle_dist")] > 0
         assert len(exit_reads) == len(set(exit_reads))
@@ -745,8 +765,8 @@ class TestLiveViews:
     @pytest.mark.parametrize("family", ["T1", "I1", "E2"])
     def test_views_read_after_a_step_see_the_new_state(self, family):
         # I1's blockage runs from 600 s to 900 s; hold views across it.
-        scenario = make_scenario(family, rows=2, cols=2, duration=700, seed=1)
-        episode = Episode(scenario)
+        scenario = make_scenario(family, rows=2, cols=2, duration=700)
+        episode = Episode(Arrivals(scenario, 1))
         controller = MaxPressureController()
         views = {node_id: episode.observe(node_id) for node_id in episode.network.intersection_ids}
         for _ in range(scenario.duration):
@@ -757,12 +777,12 @@ class TestLiveViews:
                     assert_same_observations(held, reference_observe(episode, node_id))
 
     def test_a_finished_episode_is_freed_without_the_cycle_collector(self):
-        scenario = make_scenario("B2", rows=2, cols=2, duration=120, seed=2)
+        scenario = make_scenario("B2", rows=2, cols=2, duration=120)
         controller = SkillController(LIBRARY["bus-priority"])
         gc.collect()
         gc.disable()
         try:
-            episode = Episode(scenario)
+            episode = Episode(Arrivals(scenario, 2))
             while True:
                 decisions = {
                     node_id: controller.decide(episode, junction)
@@ -792,10 +812,10 @@ class TestKeptCounts:
         # I1 and M1 block from 600 s to 900 s; I1-left blocks the left
         # turn, so the blocker's movement is changed when it is placed.
         duration = 950 if family.startswith(("I1", "M1")) else 400
-        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration, seed=3)
+        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration)
         if family == "I1-left":
             scenario = replace(scenario, incident=replace(scenario.incident, movement="l"))
-        episode = Episode(scenario)
+        episode = Episode(Arrivals(scenario, 3))
         controller = MaxPressureController()
         views = [episode.observe(node_id) for node_id in episode.network.intersection_ids]
         blocked_steps = 0
@@ -812,14 +832,14 @@ class TestKeptCounts:
         assert blocked_steps == (300 if scenario.incident else 0)
 
 
-def stepped_against_reference(scenario, controller, seed=None, arrivals=None):
-    """Step an episode of ``scenario`` under ``controller`` beside a
+def stepped_against_reference(arrivals, controller):
+    """Step an episode on ``arrivals`` under ``controller`` beside a
     ``ReferenceStepper``, comparing the two after every step; returns
     the episode and the notable states seen on the way."""
-    episode = Episode(scenario, seed=seed, arrivals=arrivals)
+    episode = Episode(arrivals)
     stepper = ReferenceStepper(episode)
     seen = set()
-    for _ in range(scenario.duration):
+    for _ in range(episode.scenario.duration):
         episode.step(decisions_of(episode, controller))
         stepper.after_step()
         assert stepper.mismatches() == [], episode.t
@@ -846,10 +866,10 @@ class TestReferenceStepper:
     def test_every_step_matches_the_reference(self, family, size):
         # I1 and M1 block from 600 s to 900 s; I1-left blocks the left turn.
         duration = 950 if family.startswith(("I1", "M1")) else 500
-        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration, seed=3)
+        scenario = make_scenario(family[:2], rows=size, cols=size, duration=duration)
         if family == "I1-left":
             scenario = replace(scenario, incident=replace(scenario.incident, movement="l"))
-        episode, seen = stepped_against_reference(scenario, MaxPressureController())
+        episode, seen = stepped_against_reference(Arrivals(scenario, 3), MaxPressureController())
         assert episode.completed > 0 and "exit" in seen
         if scenario.incident is not None:
             assert "queue behind blockage" in seen
@@ -866,7 +886,7 @@ class TestReferenceStepper:
         # car and, released 2 s after it, passes it and the second car
         # on the exit link and leaves the network ahead of both.
         scenario = zero_demand(duration=160)
-        arrivals = Arrivals(scenario)
+        arrivals = Arrivals(scenario, 0)
         node = arrivals.network.intersections["x0_0"]
         entry = node.approaches["N"]
         route = arrivals.grid.routes[(entry, node.exits[arrivals.network.links[entry].direction])]
@@ -881,7 +901,7 @@ class TestReferenceStepper:
                 queue[:] = max(queue, [v.id for v in episode.links[entry].queues["s"]], key=len)
                 return PhaseDecision(0 if episode.t >= 100 else 1)
 
-        episode, seen = stepped_against_reference(scenario, RedUntil100(), arrivals=arrivals)
+        episode, seen = stepped_against_reference(arrivals, RedUntil100())
         assert "overtaken in lane" in seen
         assert queue == [0, 2, 1, 3, 4]
         _, second_car, _, third_car, second_emergency = episode.vehicles
@@ -889,8 +909,8 @@ class TestReferenceStepper:
         assert episode.completed == 5
 
     def test_fixed_time_keeps_the_pressures_too(self):
-        scenario = make_scenario("M1", rows=2, cols=2, duration=950, seed=5)
-        stepped_against_reference(scenario, FixedTimeController())
+        scenario = make_scenario("M1", rows=2, cols=2, duration=950)
+        stepped_against_reference(Arrivals(scenario, 5), FixedTimeController())
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -906,7 +926,7 @@ class TestReferenceStepper:
     def test_a_sweep_of_grids_and_seeds_matches_the_reference(
         self, family, rows, cols, seed, link_length, demand_scale, incident
     ):
-        scenario = make_scenario(family, rows=rows, cols=cols, duration=200, seed=seed,
+        scenario = make_scenario(family, rows=rows, cols=cols, duration=200,
                                  link_length=link_length, demand_scale=demand_scale)
         if scenario.incident is not None:
             start, length, movement, from_stopline = incident
@@ -915,7 +935,7 @@ class TestReferenceStepper:
                 position_from_stopline=from_stopline,
             ))
         controller = HandcraftedPreemptionController() if seed % 2 else MaxPressureController()
-        stepped_against_reference(scenario, controller)
+        stepped_against_reference(Arrivals(scenario, seed), controller)
 
 
 def decisions_of(episode, controller):
@@ -937,8 +957,8 @@ class TestAccrualOracle:
         # I1 and M1 block from 600 s to 900 s, and the window runs 300 s
         # past that; stop inside the tail so finish sees a cut window.
         duration = 1150 if family in ("I1", "M1") else 400
-        scenario = make_scenario(family, rows=2, cols=2, duration=duration, seed=seed)
-        episode = Episode(scenario)
+        scenario = make_scenario(family, rows=2, cols=2, duration=duration)
+        episode = Episode(Arrivals(scenario, seed))
         reference = ReferenceAccrual(episode)
         controller = MaxPressureController()
         for _ in range(duration):
@@ -961,8 +981,8 @@ class TestAccrualOracle:
             assert reference.window_wait > 0
 
     def test_finish_does_not_change_the_episode(self):
-        scenario = make_scenario("I1", rows=2, cols=2, duration=700, seed=0)
-        episode = Episode(scenario)
+        scenario = make_scenario("I1", rows=2, cols=2, duration=700)
+        episode = Episode(Arrivals(scenario, 0))
         controller = MaxPressureController()
         for _ in range(650):
             episode.step(decisions_of(episode, controller))
@@ -970,7 +990,7 @@ class TestAccrualOracle:
         assert episode.finish() == first
         for _ in range(50):
             episode.step(decisions_of(episode, controller))
-        fresh = run_episode(scenario, MaxPressureController())
+        fresh = run_episode(Arrivals(scenario, 0), MaxPressureController())
         assert episode.finish() == fresh
 
     def test_only_the_incident_freezes_a_vehicle(self):
@@ -994,8 +1014,8 @@ class TestSortedHistory:
     # Both episodes run past HISTORY_WINDOW = 300 steps, so values leave
     # the window as well as enter it.
     def test_window_matches_a_fresh_sort_every_step(self):
-        scenario = make_scenario("T1", rows=2, cols=2, duration=500, seed=3)
-        episode = Episode(scenario)
+        scenario = make_scenario("T1", rows=2, cols=2, duration=500)
+        episode = Episode(Arrivals(scenario, 3))
         controller = MaxPressureController()
         for _ in range(scenario.duration):
             episode.step(decisions_of(episode, controller))
@@ -1004,8 +1024,8 @@ class TestSortedHistory:
         assert len(set(episode.junctions["x0_0"].history[-HISTORY_WINDOW:])) > 1
 
     def test_catches_up_after_skipped_steps(self):
-        scenario = make_scenario("T1", rows=2, cols=2, duration=400, seed=5)
-        episode = Episode(scenario)
+        scenario = make_scenario("T1", rows=2, cols=2, duration=400)
+        episode = Episode(Arrivals(scenario, 5))
         junction = episode.junctions["x1_0"]
         for _ in range(400):
             episode.step({})
@@ -1014,11 +1034,11 @@ class TestSortedHistory:
         assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
 
 
-def vehicles_under(controller, scenario, seed, arrivals=None):
+def vehicles_under(controller, arrivals):
     """(id, vclass, entry_time, route) of every vehicle of one episode,
     and its metrics."""
-    episode = Episode(scenario, seed, arrivals=arrivals)
-    for _ in range(scenario.duration):
+    episode = Episode(arrivals)
+    for _ in range(episode.scenario.duration):
         episode.step(decisions_of(episode, controller))
     vehicles = [(v.id, v.vclass, v.entry_time, v.route) for v in episode.vehicles]
     return vehicles, episode.finish().metrics
@@ -1027,28 +1047,28 @@ def vehicles_under(controller, scenario, seed, arrivals=None):
 class TestArrivals:
     @pytest.mark.parametrize("family, seed", [("T3", 0), ("V1", 3), ("E2", 1), ("B2", 2), ("M1", 4)])
     def test_draws_the_stream_of_the_reference(self, family, seed):
-        scenario = make_scenario(family, rows=2, cols=3, duration=900, seed=seed)
-        arrivals = Arrivals(scenario)
+        scenario = make_scenario(family, rows=2, cols=3, duration=900)
+        arrivals = Arrivals(scenario, seed)
         assert [arrivals.at(t) for t in range(900)] == reference_arrivals(scenario, seed, 900)
 
     def test_rates_follow_unsorted_and_fractional_profile_starts(self):
         # rate_at takes the last piece before the first one that starts
         # later than t, so an out-of-order piece matters only once every
         # start before it has passed
-        scenario = make_scenario("T1", rows=2, cols=2, duration=600, seed=3)
+        scenario = make_scenario("T1", rows=2, cols=2, duration=600)
         entries = sorted(scenario.demand)
         profiles = [((0.0, 0.2), (150.5, 0.0), (100.0, 0.4), (400.0, 0.1)),
                     ((-5.0, 0.3), (250.25, 0.6), (math.nan, 0.9)),
                     ((300.0, 0.5),)]
         scenario = replace(scenario, demand=dict(zip(entries, profiles)))
-        arrivals = Arrivals(scenario)
+        arrivals = Arrivals(scenario, 3)
         assert [arrivals.at(t) for t in range(600)] == reference_arrivals(scenario, 3, 600)
 
     @pytest.mark.parametrize("family", ["T3", "E2", "B2", "M1"])
     def test_fixed_time_and_max_pressure_see_the_same_vehicles(self, family):
-        scenario = make_scenario(family, rows=2, cols=2, duration=900, seed=4)
-        fixed, fixed_metrics = vehicles_under(FixedTimeController(), scenario, 4)
-        pressure, pressure_metrics = vehicles_under(MaxPressureController(), scenario, 4)
+        scenario = make_scenario(family, rows=2, cols=2, duration=900)
+        fixed, fixed_metrics = vehicles_under(FixedTimeController(), Arrivals(scenario, 4))
+        pressure, pressure_metrics = vehicles_under(MaxPressureController(), Arrivals(scenario, 4))
         assert fixed == pressure
         assert fixed_metrics != pressure_metrics  # the signals did differ
         scheduled = {"E2": "emergency", "B2": "bus", "M1": "emergency"}.get(family, "normal")
@@ -1056,7 +1076,7 @@ class TestArrivals:
 
     @pytest.mark.parametrize("family", ["E2", "B2"])
     def test_a_pickled_partly_drawn_copy_continues_the_stream(self, family):
-        scenario = make_scenario(family, rows=2, cols=2, duration=600, seed=1)
+        scenario = make_scenario(family, rows=2, cols=2, duration=600)
         fresh = Arrivals(scenario, 8)
         partly = Arrivals(scenario, 8)
         partly.draw_until(250)
@@ -1067,21 +1087,10 @@ class TestArrivals:
         assert sum(map(len, want[250:])) > 0
 
     def test_a_shared_arrivals_gives_the_episodes_of_a_fresh_one(self):
-        scenario = make_scenario("M1", rows=2, cols=2, duration=900, seed=2)
+        scenario = make_scenario("M1", rows=2, cols=2, duration=900)
         shared = Arrivals(scenario, 5)
         for controller in (MaxPressureController(), FixedTimeController(), SkillController(SEED_SKILL)):
-            assert run_episode(scenario, controller, 5, arrivals=shared) == run_episode(scenario, controller, 5)
-
-    def test_an_episode_refuses_arrivals_of_another_scenario_or_seed(self):
-        scenario = make_scenario("T1", rows=2, cols=2, duration=60, seed=2)
-        with pytest.raises(ValueError, match="seed 3 cannot feed an episode of scenario 'T1' seed 4"):
-            Episode(scenario, 4, arrivals=Arrivals(scenario, 3))
-        other = make_scenario("T1", rows=2, cols=2, duration=61, seed=2)
-        with pytest.raises(ValueError):
-            Episode(scenario, 4, arrivals=Arrivals(other, 4))
-        equal = make_scenario("T1", rows=2, cols=2, duration=60, seed=2)
-        assert Episode(scenario, 4, arrivals=Arrivals(equal, 4)).arrivals.seed == 4
-        assert Episode(scenario, arrivals=Arrivals(scenario)).seed == 2
+            assert run_episode(shared, controller) == run_episode(Arrivals(scenario, 5), controller)
 
     def test_only_arrivals_calls_the_generator(self):
         """Every draw happens in Arrivals, so nothing a controller does
@@ -1111,14 +1120,14 @@ class TestArrivals:
 
         monkeypatch.setattr(network_module, "canonical_route", counted)
         grid_routes.cache_clear()
-        first = make_scenario("T3", rows=3, cols=2, duration=300, seed=1)
+        first = make_scenario("T3", rows=3, cols=2, duration=300)
         Arrivals(first, 1).draw_until(300)
         # a 3x2 grid has 10 entry and 10 exit links: each pair once
         assert len(searched) == len(set(searched)) == 100
         searched.clear()
         drawn = {}
         for family, seed in (("E2", 2), ("B2", 3), ("T3", 1)):
-            scenario = make_scenario(family, rows=3, cols=2, duration=300, seed=seed)
+            scenario = make_scenario(family, rows=3, cols=2, duration=300)
             arrivals = Arrivals(scenario, seed)
             drawn[family, seed] = [arrivals.at(t) for t in range(300)]
         copy = pickle.loads(pickle.dumps(Arrivals(first, 4)))
@@ -1126,7 +1135,7 @@ class TestArrivals:
         copy.draw_until(300)  # a pickled copy carries its routes
         assert searched == []
         for (family, seed), steps in drawn.items():
-            scenario = make_scenario(family, rows=3, cols=2, duration=300, seed=seed)
+            scenario = make_scenario(family, rows=3, cols=2, duration=300)
             assert steps == reference_arrivals(scenario, seed, 300)
 
     def test_the_route_memo_keeps_at_most_its_bound(self):
@@ -1163,9 +1172,9 @@ class TestHotLoops:
         for duration in (60, 600):
             sorts.clear()
             records.clear()
-            scenario = make_scenario("E2", rows=2, cols=3, duration=duration, seed=1)
+            scenario = make_scenario("E2", rows=2, cols=3, duration=duration)
             for controller in (FixedTimeController(), MaxPressureController(), SkillController(SEED_SKILL)):
-                run_episode(scenario, controller, 1)
+                run_episode(Arrivals(scenario, 1), controller)
             per_duration.append((len(sorts), sorted(records)))
         assert per_duration[0] == per_duration[1]
         sort_count, built = per_duration[0]

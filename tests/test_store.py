@@ -228,8 +228,7 @@ def line_ends(data: bytes) -> list[tuple[int, int]]:
     return out
 
 
-CRASH_SCENARIO = make_scenario("T1", rows=1, cols=1, duration=5, seed=1,
-                               demand_scale=4.0, link_length=30.0)
+CRASH_SCENARIO = make_scenario("T1", rows=1, cols=1, duration=5, demand_scale=4.0, link_length=30.0)
 CRASH_CONFIG = EvolutionConfig(scenarios=(CRASH_SCENARIO,), population=2, generations=2, seed=1)
 
 
