@@ -25,8 +25,8 @@ every lane-link, and a fault is reported where that order meets it
 first.
 
 The max-pressure baselines read the phase pressures the engine keeps
-on each junction instead of reading views. Controllers that log events
-and skill activations build those records only when the episode
+on each junction instead of reading lane figures. Controllers that log
+events and skill activations build those records only when the episode
 collects a step log.
 """
 
@@ -93,15 +93,16 @@ def score_phases(
     Each figure is read once and each result known in advance is not
     computed again, which leaves every score bit-identical:
 
-    - a lane feature a body does not name is never read from the view;
-      the body gets 0.0 for it, which it cannot see;
+    - a lane feature a body does not name is never read from the
+      record; the body gets 0.0 for it, which it cannot see;
     - a body's ``constant``, when it has one, is added without a call;
-    - up to three lane-links share an outlane view, so each outlane
-      view's figures are read once per call; an outlane body that does
-      not name ``index`` runs once per view, and its checked result
-      serves every lane-link with that view. The memo is keyed on the
-      view (an engine view hashes by identity) and filled at first use,
-      so bodies still run, and fault, in the order above.
+    - up to three lane-links share an outlane, their exit link's
+      ``LinkState``, so each outlane's figures are read once per call;
+      an outlane body that does not name ``index`` runs once per
+      outlane, and its checked result serves every lane-link that
+      leaves by it. The memo is keyed on the outlane record (a
+      ``LinkState`` hashes by identity) and filled at first use, so
+      bodies still run, and fault, in the order above.
     """
     e0, e1, e2, e3, e4, e5 = (
         tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
@@ -112,7 +113,7 @@ def score_phases(
     in_count, in_waiting, in_dist = inlane_body.reads
     out_count, out_waiting, out_dist = outlane_body.reads
     share_outlane = not outlane_body.names_index
-    # Per outlane view: its three figures, and its checked result when
+    # Per outlane record: its three figures, and its checked result when
     # the body does not name index.
     figures_of = {}
     results = {}

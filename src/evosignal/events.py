@@ -96,11 +96,13 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
     # nearest, the one tie-break below, is the same in any lane order,
     # and so is the bus delay, a sum of whole seconds.
     notable = []
-    for side, state, queues, runnings in junction.approaches:
-        for movement, queue in queues:
+    for side, state, lanes, runnings in junction.approaches:
+        for lane in lanes:
+            queue = lane.queue
             if not queue:
                 continue
-            anchor = state.queue_anchor(movement)
+            movement = lane.movement
+            anchor = lane.anchor()
             for i, vehicle in enumerate(queue):
                 since = vehicle.stopped_since
                 if vehicle.vclass != "normal" or (since is not None and t - since > stop_threshold):

@@ -359,7 +359,6 @@ def run_evolution(
     backend,
     store: RunStore,
     *,
-    bank: ev.SkillBank | None = None,
     stop_after: int | None = None,
     resume: bool = False,
     jobs: int = 1,
@@ -375,21 +374,20 @@ def run_evolution(
     if stop_after is not None and stop_after < 1:
         raise ValueError("stop_after must be None or at least 1")
     with episode_pool(jobs, cfg.population * len(cfg.scenarios)) as pool:
-        return _evolve(cfg, backend, store, bank, stop_after, resume, pool)
+        return _evolve(cfg, backend, store, stop_after, resume, pool)
 
 
 def _evolve(
     cfg: EvolutionConfig,
     backend,
     store: RunStore,
-    bank: ev.SkillBank | None,
     stop_after: int | None,
     resume: bool,
     pool,
 ) -> EvolutionResult:
     started = time.monotonic()
-    if cfg.event_kind and bank is None:
-        bank = ev.default_bank()
+    # An event mode evolves its slot inside the default bank.
+    bank = ev.default_bank() if cfg.event_kind else None
 
     aggregates: list[GenerationAggregate] = []
     fitness_history: list[float] = []

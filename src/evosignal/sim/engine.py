@@ -47,21 +47,21 @@ Each intersection has one ``Junction`` record, built once per episode
 and holding everything of that intersection: its signal, its
 queued-vehicle count and history with a rolling sorted window of the
 history, its approach links, each phase's lane-links, its kept phase
-pressures, and the live views that controllers observe. The step loop,
+pressures, and the records that controllers observe. The step loop,
 ``Episode.step``'s per-intersection passes, the controllers and the
 event detector iterate these records instead of looking up signals,
 nodes and links by id every step.
 
-A view is a ``LaneView`` per approach lane-link or a ``LinkView`` per
-exit link. It stores no figure; each of ``num_vehicle``,
-``num_waiting_vehicle`` and ``vehicle_dist`` is read from the link state
-when it is asked for, so a controller pays only for the figures it
-reads, and a read after ``Episode.step`` sees the new state. A link's
-vehicle count is kept by the link state as vehicles enter and leave
-it, and a lane's is the length of its queue and running lists, so
-reading either is O(1); so is a lane's nearest and farthest running
-vehicle while the lane holds only vehicles on the common table, the
-two ends of its list.
+A skill observes the engine's own records: the approach ``Lane`` is the
+inlane of a lane-link and the exit ``LinkState`` its outlane. Neither
+stores a figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
+``vehicle_dist`` is computed from the record's lists when it is asked
+for, so a controller pays only for the figures it reads, and a read
+after ``Episode.step`` sees the new state. A link's vehicle count is
+kept by the link state as vehicles enter and leave it, and a lane's is
+the length of its queue and running lists, so reading either is O(1);
+so is a lane's nearest and farthest running vehicle while the lane
+holds only vehicles on the common table, the two ends of its list.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ def position(vehicle: Vehicle, t: int) -> float:
 
 
 class Clock:
-    """The step an episode is at, shared with the views that read
-    positions at it."""
+    """The step an episode is at, shared with the lane and link records
+    that read positions at it."""
 
     __slots__ = ("t",)
 
@@ -242,9 +242,9 @@ class Lane:
     - ``odd``, how many of them do not run on the common table (the
       vehicles of another cruise speed, the incident blocker); while it
       is 0 the list is in position order, nearest the end first;
-    - ``free``, the link length less the queue anchor
-      (``LinkState.queue_anchor``), and ``wake``, the step at which the
-      lane is next due (``NEVER`` if none);
+    - ``free``, the link length less the queue anchor (``anchor``), and
+      ``wake``, the step at which the lane is next due (``NEVER`` if
+      none);
     - on an approach link, ``queue``, its movement's queue list,
       ``credit``, the saturation-flow credit its green has built up, and
       ``terms``, the (pressures, phase, sign) entries a change of its
@@ -252,114 +252,68 @@ class Lane:
       leads into and, on an interior link, the phase of each lane-link
       that feeds it at the junction upstream.
 
-    A lane refers to no link state or junction, so an episode's records
-    form no reference cycle and are freed with it. ``running`` is
-    changed only in place, so views may hold it."""
+    An approach lane is what a skill sees as the inlane of its
+    lane-link. A queued vehicle stands ``anchor() + i * JAM_SPACING``
+    from the stop line and a running one ``length - position``. The one
+    frozen vehicle, the incident blocker, is counted as waiting through
+    ``blocked``, its link's dict: ``_update_incident`` sets both
+    together.
 
-    __slots__ = ("movement", "queue", "running", "odd", "free", "wake", "terms", "credit")
+    A lane refers to no link state or junction, only to its link's
+    ``blocked`` dict and the episode's clock, which refer to nothing, so
+    an episode's records form no reference cycle and are freed with it.
+    ``running`` is changed only in place, so records may hold it."""
 
-    def __init__(self, movement: str | None, queue: list[Vehicle] | None, length: float):
+    __slots__ = ("movement", "queue", "running", "length", "blocked", "clock", "odd", "free", "wake", "terms",
+                 "credit")
+
+    def __init__(
+        self, movement: str | None, queue: list[Vehicle] | None, length: float, blocked: dict[str, float],
+        clock: Clock,
+    ):
         self.movement = movement
         self.queue = queue
         self.running: list[Vehicle] = []
+        self.length = length
+        self.blocked = blocked
+        self.clock = clock
         self.odd = 0
         self.free = length
         self.wake = NEVER
         self.terms: tuple[tuple[list[int], int, int], ...] = ()
         self.credit = 0.0
 
-
-class LinkState:
-    """Vehicles on one link. The queue lists and the ``blocked`` set are
-    created once and only ever changed in place, so views and records
-    may hold them. ``lanes`` holds a ``Lane`` per movement (l, s, r) of
-    an approach link, or the one ``Lane`` (key None) of an exit link.
-
-    ``count`` is the number of vehicles on the link (running and
-    queued); the episode changes it only where a vehicle enters the link
-    or leaves it."""
-
-    __slots__ = ("link", "lanes", "queues", "count", "blocked", "blocked_head_pos")
-
-    def __init__(self, link: Link):
-        self.link = link
-        self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
-        self.lanes = {
-            m: Lane(m, self.queues.get(m), link.length) for m in ((None,) if link.kind == "exit" else MOVEMENTS)
-        }
-        self.count = 0
-        self.blocked: set[str] = set()
-        # Position (m from link start) of a mid-link blockage, per movement.
-        self.blocked_head_pos: dict[str, float] = {}
-
-    def queue_anchor(self, movement: str) -> float:
-        """Distance from the stop line at which this movement's queue
-        starts (0 normally; behind the blockage while one is active)."""
-        head = self.blocked_head_pos.get(movement)
+    def anchor(self) -> float:
+        """Distance from the stop line at which this lane's queue starts
+        (0 normally; behind the blockage while one is active)."""
+        head = self.blocked.get(self.movement)
         if head is None:
             return 0.0
-        return (self.link.length - head) + JAM_SPACING
+        return (self.length - head) + JAM_SPACING
 
-
-def _scanned_span(running: list[Vehicle], t: int, length: float, lo: float, hi: float) -> tuple[float, float]:
-    """``(lo, hi)`` widened by the distance to the stop line of every
-    vehicle in ``running`` at step ``t``. A lane whose vehicles all run
-    on the common table needs only its two ends: the views read those
-    inline."""
-    for vehicle in running:
-        dist = length - position(vehicle, t)
-        if dist < lo:
-            lo = dist
-        if dist > hi:
-            hi = dist
-    return lo, hi
-
-
-class LaneView:
-    """Live figures of one movement's lane of a link: what a skill sees
-    as the inlane of a lane-link. A queued vehicle stands ``anchor + i *
-    JAM_SPACING`` from the stop line and a running one ``length -
-    position``. The one frozen vehicle, the incident blocker, is counted
-    as waiting through ``blocked``: ``_update_incident`` sets both
-    together."""
-
-    __slots__ = ("_lane", "_state", "_movement", "_queue", "_running", "_blocked", "_clock")
-
-    def __init__(self, state: LinkState, lane: Lane, clock: Clock):
-        self._lane = lane
-        self._state = state
-        self._movement = lane.movement
-        self._queue = lane.queue
-        self._running = lane.running
-        self._blocked = state.blocked
-        self._clock = clock
-
-    @property
-    def num_waiting_vehicle(self) -> int:
-        return len(self._queue) + (self._movement in self._blocked)
-
-    @property
-    def num_vehicle(self) -> int:
-        return len(self._queue) + len(self._running)
-
-    @property
-    def vehicle_dist(self) -> float:
-        state = self._state
-        length = state.link.length
-        k = len(self._queue)
-        running = self._running
-        n = k + len(running)
-        if n <= 1:
-            return length / (n + 1)
-        if k:
-            lo = state.queue_anchor(self._movement)
-            hi = lo + (k - 1) * JAM_SPACING
-        else:
-            lo, hi = math.inf, -math.inf
+    def span(self, t: int, lo: float, hi: float) -> tuple[float, float]:
+        """``(lo, hi)`` widened by the distance to the stop line, at step
+        ``t``, of this lane's queue ends and running vehicles. A lane
+        whose vehicles all run on the common table needs only the two
+        ends of its running list."""
+        queue = self.queue
+        if queue:
+            anchor = self.anchor()
+            if anchor < lo:
+                lo = anchor
+            far = anchor + (len(queue) - 1) * JAM_SPACING
+            if far > hi:
+                hi = far
+        running = self.running
         if running:
-            t = self._clock.t
-            if self._lane.odd:
-                lo, hi = _scanned_span(running, t, length, lo, hi)
+            length = self.length
+            if self.odd:
+                for vehicle in running:
+                    dist = length - position(vehicle, t)
+                    if dist < lo:
+                        lo = dist
+                    if dist > hi:
+                        hi = dist
             else:
                 # in position order: the nearest first, the farthest last
                 vehicle = running[0]
@@ -370,71 +324,79 @@ class LaneView:
                 dist = length - vehicle.table[t - vehicle.entered]
                 if dist > hi:
                     hi = dist
-        return mean_gap(n, lo, hi, length)
-
-
-class LinkView:
-    """Live figures of a whole link: what a skill sees as the outlane of
-    a lane-link. Up to three lane-links of an intersection share one exit
-    link; ``control.score_phases`` reads each exit's figures once per
-    decision."""
-
-    __slots__ = ("_state", "_queues", "_lanes", "_blocked", "_clock")
-
-    def __init__(self, state: LinkState, clock: Clock):
-        self._state = state
-        self._queues = tuple(state.queues.values())
-        self._lanes = tuple(state.lanes.values())
-        self._blocked = state.blocked
-        self._clock = clock
+        return lo, hi
 
     @property
     def num_waiting_vehicle(self) -> int:
-        left, straight, right = self._queues
-        return len(left) + len(straight) + len(right) + len(self._blocked)
+        return len(self.queue) + (self.movement in self.blocked)
 
     @property
     def num_vehicle(self) -> int:
-        return self._state.count
+        return len(self.queue) + len(self.running)
 
     @property
     def vehicle_dist(self) -> float:
-        state = self._state
-        length = state.link.length
-        n = state.count
+        n = len(self.queue) + len(self.running)
+        if n <= 1:
+            return self.length / (n + 1)
+        lo, hi = self.span(self.clock.t, math.inf, -math.inf)
+        return mean_gap(n, lo, hi, self.length)
+
+
+class LinkState:
+    """Vehicles on one link. The queue lists and the ``blocked`` dict are
+    created once and only ever changed in place, so records may hold
+    them. ``lanes`` holds a ``Lane`` per movement (l, s, r) of an
+    approach link, or the one ``Lane`` (key None) of an exit link.
+    ``blocked`` maps each blocked movement to the position (m from the
+    link start) of its blockage head.
+
+    ``count`` is the number of vehicles on the link (running and
+    queued); the episode changes it only where a vehicle enters the link
+    or leaves it.
+
+    A link state is what a skill sees as the outlane of a lane-link. Up
+    to three lane-links of an intersection share one exit link;
+    ``control.score_phases`` reads each exit's figures once per
+    decision."""
+
+    __slots__ = ("link", "lanes", "queues", "count", "blocked", "clock")
+
+    def __init__(self, link: Link, clock: Clock):
+        self.link = link
+        self.clock = clock
+        self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
+        self.blocked: dict[str, float] = {}
+        self.lanes = {
+            m: Lane(m, self.queues.get(m), link.length, self.blocked, clock)
+            for m in ((None,) if link.kind == "exit" else MOVEMENTS)
+        }
+        self.count = 0
+
+    @property
+    def num_waiting_vehicle(self) -> int:
+        left, straight, right = self.queues.values()
+        return len(left) + len(straight) + len(right) + len(self.blocked)
+
+    @property
+    def num_vehicle(self) -> int:
+        return self.count
+
+    @property
+    def vehicle_dist(self) -> float:
+        length = self.link.length
+        n = self.count
         if n <= 1:
             return length / (n + 1)
+        t = self.clock.t
         lo, hi = math.inf, -math.inf
-        for movement, queue in state.queues.items():
-            k = len(queue)
-            if k:
-                anchor = state.queue_anchor(movement)
-                if anchor < lo:
-                    lo = anchor
-                far = anchor + (k - 1) * JAM_SPACING
-                if far > hi:
-                    hi = far
-        t = self._clock.t
-        for lane in self._lanes:
-            running = lane.running
-            if not running:
-                continue
-            if lane.odd:
-                lo, hi = _scanned_span(running, t, length, lo, hi)
-                continue
-            vehicle = running[0]
-            dist = length - vehicle.table[t - vehicle.entered]
-            if dist < lo:
-                lo = dist
-            vehicle = running[-1]
-            dist = length - vehicle.table[t - vehicle.entered]
-            if dist > hi:
-                hi = dist
+        for lane in self.lanes.values():
+            lo, hi = lane.span(t, lo, hi)
         return mean_gap(n, lo, hi, length)
 
 
-# Per phase, the (inlane, outlane) views of its lane-links.
-PhaseViews = tuple[tuple[tuple[LaneView, LinkView], ...], ...]
+# Per phase, the (inlane, outlane) records of its lane-links.
+PhaseViews = tuple[tuple[tuple[Lane, LinkState], ...], ...]
 
 
 def mean_gap(n: int, lo: float, hi: float, link_length: float) -> float:
@@ -471,13 +433,13 @@ class Junction:
       ``HISTORY_WINDOW`` values ``sorted_history`` reads in ascending
       order;
     - ``approaches``, per approach link, sides in sorted order: (side,
-      ``LinkState``, its (movement, queue list) pairs in movement order,
-      its lanes' running lists);
+      ``LinkState``, its lanes in sorted movement order, its lanes'
+      running lists in lane order);
     - ``lanes``, per phase, each lane-link's (approach ``LinkState``,
       movement, queue list, ``Lane``) in evaluation order;
-    - ``views``, per phase, each lane-link's (inlane ``LaneView``,
-      outlane ``LinkView``) in the same order; the lane-links that
-      leave by one exit link share its one ``LinkView``;
+    - ``views``, per phase, each lane-link's (inlane, outlane) records
+      in the same order: its approach ``Lane`` and its exit link's
+      ``LinkState``, which the lane-links that leave by that exit share;
     - ``pressures``, the upstream-minus-downstream queue pressure of
       each phase: over its lane-links, the approach lane's waiting
       vehicles (its queue, plus the blocker while its movement is
@@ -485,23 +447,22 @@ class Junction:
       blocked movements). The episode keeps it through the lanes'
       ``terms``.
 
-    The lists and sets are the link states' own, changed only in place,
-    so the record stays valid for the whole episode."""
+    The lists and records are the link states' own, changed only in
+    place, so the junction stays valid for the whole episode."""
 
     __slots__ = ("id", "signal", "queued", "history", "approaches", "lanes", "views", "pressures",
                  "_sorted", "_consumed")
 
-    def __init__(self, node: Intersection, links: dict[str, LinkState], clock: Clock):
+    def __init__(self, node: Intersection, links: dict[str, LinkState]):
         self.id = node.id
         self.signal = SignalState()
         self.queued = 0
         self.history: list[int] = []
         self.approaches = tuple(
-            (side, state, tuple((m, state.queues[m]) for m in sorted(MOVEMENTS)),
+            (side, state, tuple(state.lanes[m] for m in sorted(MOVEMENTS)),
              tuple(lane.running for lane in state.lanes.values()))
             for side, state in ((side, links[node.approaches[side]]) for side in sorted(node.approaches))
         )
-        exit_views = {heading: LinkView(links[node.exits[heading]], clock) for heading in sorted(node.exits)}
         lanes = []
         views = []
         for lane_links in SORTED_PHASE_TABLE:
@@ -511,7 +472,7 @@ class Junction:
                 state = links[node.approaches[side]]
                 lane = state.lanes[movement]
                 phase_lanes.append((state, movement, lane.queue, lane))
-                phase_views.append((LaneView(state, lane, clock), exit_views[heading_after(opposite(side), movement)]))
+                phase_views.append((lane, links[node.exits[heading_after(opposite(side), movement)]]))
             lanes.append(tuple(phase_lanes))
             views.append(tuple(phase_views))
         self.lanes = tuple(lanes)
@@ -636,12 +597,12 @@ class Episode:
         self._movements = arrivals.grid.movements
         self.clock = Clock()
         self.links: dict[str, LinkState] = {
-            link_id: LinkState(link) for link_id, link in sorted(self.network.links.items())
+            link_id: LinkState(link, self.clock) for link_id, link in sorted(self.network.links.items())
         }
         # One record per intersection, in id order; every per-step loop
         # over intersections runs over these.
         self.junctions: dict[str, Junction] = {
-            node_id: Junction(self.network.intersections[node_id], self.links, self.clock)
+            node_id: Junction(self.network.intersections[node_id], self.links)
             for node_id in self.network.intersection_ids
         }
         # Per link id and movement, the (lane, link state, junction it
@@ -688,10 +649,6 @@ class Episode:
     def t(self) -> int:
         """The current step: the number of steps run so far."""
         return self.clock.t
-
-    @t.setter
-    def t(self, value: int) -> None:
-        self.clock.t = value
 
     # ------------------------------------------------------------------
     # spawning
@@ -771,10 +728,10 @@ class Episode:
         """Move the kept pressures by the blocker's ``sign`` and wake its
         lane again against the new queue anchor."""
         due = self._lanes[link_id][movement]
-        lane, state, _ = due
+        lane = due[0]
         for pressures, k, term in lane.terms:
             pressures[k] += sign * term
-        lane.free = state.link.length - state.queue_anchor(movement)
+        lane.free = lane.length - lane.anchor()
         self._rewake(due, lane.free - (len(lane.queue) + 1) * JAM_SPACING, self.clock.t)
 
     def _update_incident(self) -> None:
@@ -799,15 +756,13 @@ class Episode:
             lane.running.append(vehicle)
             lane.odd += 1
             state.count += 1
-            state.blocked.add(movement)
-            state.blocked_head_pos[movement] = pos
+            state.blocked[movement] = pos
             self._incident_vehicle = vehicle
             self._blockage_changed(incident.link, movement, 1)
             self.log_record({"kind": "incident_start", "time": t, "link": incident.link})
         elif t == int(incident.end) and self._incident_vehicle is not None:
             state = self.links[incident.link]
-            state.blocked.discard(incident.movement)
-            state.blocked_head_pos.pop(incident.movement, None)
+            del state.blocked[incident.movement]
             vehicle = self._incident_vehicle
             vehicle.frozen = False
             vehicle.entered = t
@@ -821,10 +776,10 @@ class Episode:
     # observation
 
     def observe(self, intersection_id: str) -> PhaseViews:
-        """Per-phase, per-lane-link (inlane, outlane) live views of one
-        intersection, its junction's ``views``. Their figures are read
-        from the current state, so they are valid until the next
-        ``step()``; a read after it sees the new state."""
+        """Per-phase, per-lane-link (inlane ``Lane``, outlane
+        ``LinkState``) records of one intersection, its junction's
+        ``views``. Their figures are computed from the current state
+        when read, so a read after ``step()`` sees the new state."""
         return self.junctions[intersection_id].views
 
     # ------------------------------------------------------------------

@@ -31,6 +31,10 @@ DEFAULT_DURATION = 3600
 ROUTINE_BASE_RATE = 0.085
 EVENT_BASE_RATE = 0.055
 
+# Validation variants (V1-V3) move alternate sources' demand up and
+# down by this fraction.
+VALIDATION_SWING = 0.15
+
 ROUTINE_FITNESS_CONSTANT = 0.0
 EVENT_FITNESS_CONSTANT = 60.0
 
@@ -48,13 +52,13 @@ RateProfile = tuple[tuple[float, float], ...]  # (start_time, rate) pieces
 
 @dataclass(frozen=True)
 class BusLine:
-    """A fixed-route transit line with a uniform headway."""
+    """A fixed-route transit line with a uniform headway; its first bus
+    departs at 0 s."""
 
     name: str
     entry_link: str
     exit_link: str
     headway: float
-    first_departure: float = 0.0
 
     def __post_init__(self):
         # a zero headway would schedule departures forever
@@ -203,11 +207,11 @@ def _routine_demand(network: Network, pattern: str, duration: int, scale: float)
     return demand
 
 
-def _perturb(demand: dict[str, RateProfile], swing: float = 0.15) -> dict[str, RateProfile]:
+def _perturb(demand: dict[str, RateProfile]) -> dict[str, RateProfile]:
     """Deterministic +/- demand shift: alternate sources up and down."""
     out: dict[str, RateProfile] = {}
     for i, link_id in enumerate(sorted(demand)):
-        factor = 1.0 + swing if i % 2 == 0 else 1.0 - swing
+        factor = 1.0 + VALIDATION_SWING if i % 2 == 0 else 1.0 - VALIDATION_SWING
         out[link_id] = tuple((start, rate * factor) for start, rate in demand[link_id])
     return out
 
@@ -313,7 +317,7 @@ def scheduled_emergencies(config: ScenarioConfig) -> tuple[float, ...]:
 
 def scheduled_bus_departures(config: ScenarioConfig, line: BusLine) -> tuple[float, ...]:
     times = []
-    t = line.first_departure
+    t = 0.0
     while t < config.duration:
         times.append(t)
         t += line.headway

@@ -274,7 +274,7 @@ def _stopline_distances(link_state, t: int, movement=None) -> list[float]:
     for m, queue in link_state.queues.items():
         if movement is not None and m != movement:
             continue
-        head = link_state.blocked_head_pos.get(m)
+        head = link_state.blocked.get(m)
         anchor = 0.0 if head is None else (length - head) + JAM_SPACING
         for i in range(len(queue)):
             out.append(anchor + i * JAM_SPACING)
@@ -572,7 +572,7 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
         state = episode.links[node.approaches[side]]
         length = state.link.length
         for movement in sorted(state.queues):
-            head = state.blocked_head_pos.get(movement)
+            head = state.blocked.get(movement)
             anchor = 0.0 if head is None else (length - head) + JAM_SPACING
             for i, vehicle in enumerate(state.queues[movement]):
                 listed.append((vehicle, side, movement, anchor + i * JAM_SPACING))

@@ -386,11 +386,16 @@ class TestWorstBody:
             result = run_episode(arrivals, ControllerSpec("skill", skill=skill).build())
             return time.perf_counter() - start, result
 
-        seed_s = sorted(timed(SEED_SKILL)[0] for _ in range(3))[1]
-        worst_s, result = timed(worst)
-        assert result.controller_faults == 0
+        # The reference reads figures through bodies that do not fold to
+        # a constant; the seed skill folds its outlane and reads one
+        # figure, so its episode is too cheap to bound anything by.
+        reference = LIBRARY["saturation-branch"]
+        reference_s = sorted(timed(reference)[0] for _ in range(3))[1]
+        runs = [timed(worst) for _ in range(3)]
+        worst_s = sorted(elapsed for elapsed, _ in runs)[1]
+        assert all(result.controller_faults == 0 for _, result in runs)
         # 4-8x on a 2-vCPU host; the bound leaves room for a noisy one
-        assert worst_s < 20 * seed_s, (worst_s, seed_s)
+        assert worst_s < 20 * reference_s, (worst_s, reference_s)
 
 
 def centre_junction(waiting=None, exit_waiting=None, vclass="normal"):

@@ -97,7 +97,7 @@ class TestDetect:
         # two vehicles stopped 130 s at the stop line of a red movement
         from .test_sim import queue_vehicle
 
-        self.episode.t = 200
+        self.episode.clock.t = 200
         # queued in the live list, the one detect reads
         for _ in range(2):
             queue_vehicle(self.episode, self.node.approaches["E"], movement="s").stopped_since = 70
@@ -106,7 +106,7 @@ class TestDetect:
         assert not any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
 
     def test_mid_link_stall_is_an_incident(self):
-        self.episode.t = 200
+        self.episode.clock.t = 200
         vehicle = place_running(self.episode, self.node.approaches["N"], 150.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60  # stopped 140 s, far from the stop line
@@ -117,7 +117,7 @@ class TestDetect:
     def test_green_stop_near_line_is_an_incident(self):
         # stopped long, near the line, but its movement is green: a
         # signal wait cannot explain it
-        self.episode.t = 200
+        self.episode.clock.t = 200
         vehicle = place_running(self.episode, self.node.approaches["N"], 20.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60

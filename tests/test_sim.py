@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from evosignal import control as control_module
 from evosignal.control import (
+    ControllerSpec,
     FixedTimeController,
     HandcraftedPreemptionController,
     MaxPressureController,
@@ -32,8 +33,8 @@ from evosignal.sim.engine import (
     HISTORY_WINDOW,
     JAM_SPACING,
     Junction,
-    LaneView,
-    LinkView,
+    Lane,
+    LinkState,
     PhaseDecision,
     Vehicle,
     mean_gap,
@@ -571,7 +572,7 @@ class TestEngine:
         queue = link.queues[incident.movement]
         for _ in range(2):
             episode.step({})
-        head = link.blocked_head_pos[incident.movement]
+        head = link.blocked[incident.movement]
         for _ in range(3):
             route = episode._straight_route_from(incident.link)
             episode._new_vehicle("normal", route, route_movements(episode.network, route))
@@ -653,7 +654,7 @@ class TestObservationOracle:
         for _ in range(duration):
             notable = set()
             for state in episode.links.values():
-                if any(state.queues[m] for m in state.blocked_head_pos):
+                if any(state.queues[m] for m in state.blocked):
                     notable.add("queue behind blockage")
                 if overtaken_on_link(state, episode.t):
                     notable.add("overtaken")
@@ -688,19 +689,20 @@ FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
 class TestLiveViews:
     @pytest.fixture()
     def reads(self, monkeypatch):
-        """Count every figure read from a view as (view class, figure),
-        and list every exit-link figure read as (decision, view, figure),
-        a decision being one ``score_phases`` call."""
+        """Count every figure read from a lane or link record as (record
+        class, figure), and list every exit-link figure read as
+        (decision, record, figure), a decision being one
+        ``score_phases`` call."""
         counts = Counter()
         exit_reads: list[tuple[int, int, str]] = []
         decision = {"n": 0}
-        for cls in (LaneView, LinkView):
+        for cls in (Lane, LinkState):
             for figure in FIGURES:
                 fget = vars(cls)[figure].fget
 
                 def counted(view, fget=fget, cls=cls, figure=figure):
                     counts[cls.__name__, figure] += 1
-                    if cls is LinkView:
+                    if cls is LinkState:
                         exit_reads.append((decision["n"], id(view), figure))
                     return fget(view)
 
@@ -745,7 +747,7 @@ class TestLiveViews:
         counts, _ = reads
         result = run_episode(self.arrivals(), SkillController(SEED_SKILL))
         assert result.controller_faults == 0
-        assert set(counts) == {("LaneView", "num_waiting_vehicle")}
+        assert set(counts) == {("Lane", "num_waiting_vehicle")}
 
     @pytest.mark.parametrize(
         "outlane", [None, "value[0] += index * outlane_0_num_vehicle - vehicle_dist"], ids=["library", "index"]
@@ -758,7 +760,9 @@ class TestLiveViews:
         counts, exit_reads = reads
         result = run_episode(self.arrivals(), SkillController(skill))
         assert result.controller_faults == 0
-        assert counts[("LinkView", "vehicle_dist")] > 0
+        assert counts[("LinkState", "vehicle_dist")] > 0
+        # each of these outlane bodies names the count and the gap only
+        assert {figure for _, _, figure in exit_reads} == {"num_vehicle", "vehicle_dist"}
         assert len(exit_reads) == len(set(exit_reads))
         assert len({view for _, view, _ in exit_reads}) > 4
 
@@ -801,6 +805,35 @@ class TestLiveViews:
         finally:
             gc.enable()
 
+    def test_episodes_leave_no_cyclic_garbage(self):
+        # A lane refers to no link state or junction, so no record of an
+        # episode is in a reference cycle: each is freed by reference
+        # counting when the episode is dropped, under every controller
+        # kind and in the middle of a blockage, and none waits for a
+        # full collection.
+        # The controllers are built first: compiling a body leaves the
+        # standard library's ast.fix_missing_locations closure behind.
+        runs = (
+            ("I1", ControllerSpec("max_pressure").build()),
+            ("M1", ControllerSpec("dispatcher").build()),
+            ("E2", ControllerSpec("skill", skill=LIBRARY["saturation-branch"]).build()),
+        )
+        blocked = make_scenario("I1", rows=3, cols=3, duration=950)
+        gc.collect()
+        gc.disable()
+        try:
+            for family, controller in runs:
+                scenario = make_scenario(family, rows=3, cols=3, duration=950)
+                assert run_episode(Arrivals(scenario, 2), controller).metrics.vehicles_entered > 0
+            episode = Episode(Arrivals(blocked, 2))
+            for _ in range(int(blocked.incident.start) + 1):
+                episode.step({})
+            assert episode.links[blocked.incident.link].blocked
+            del episode
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestKeptCounts:
     """The link counts the engine keeps as vehicles enter and leave,
@@ -827,7 +860,7 @@ class TestKeptCounts:
             for phases in views:
                 for lane_links in phases:
                     for _, outlane in lane_links:
-                        assert outlane.num_vehicle == recount_link(outlane._state)
+                        assert outlane.num_vehicle == recount_link(outlane)
         assert in_network_count(episode) == len(episode.vehicles) - episode.completed > 0
         assert blocked_steps == (300 if scenario.incident else 0)
 
@@ -844,7 +877,7 @@ def stepped_against_reference(arrivals, controller):
         stepper.after_step()
         assert stepper.mismatches() == [], episode.t
         for state in episode.links.values():
-            if any(state.queues[m] for m in state.blocked_head_pos):
+            if any(state.queues[m] for m in state.blocked):
                 seen.add("queue behind blockage")
             if any(lane.odd for lane in state.lanes.values()):
                 seen.add("off the common table")
@@ -1162,9 +1195,9 @@ class TestHotLoops:
 
         build = Junction.__init__
 
-        def counted_build(junction, node, links, clock):
+        def counted_build(junction, node, links):
             records.append(node.id)
-            build(junction, node, links, clock)
+            build(junction, node, links)
 
         monkeypatch.setattr(Network, "intersection_ids", property(counted_ids))
         monkeypatch.setattr(Junction, "__init__", counted_build)
