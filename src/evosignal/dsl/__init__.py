@@ -18,6 +18,8 @@ from .nodes import (
     SkillAst,
     UnaryOp,
     free_names,
+    render,
+    source_literal,
 )
 from .parser import parse
 from .validator import (
@@ -56,9 +58,11 @@ __all__ = [
     "Num",
     "parse",
     "Ref",
+    "render",
     "routine_whitelist",
     "sandbox_check",
     "SkillAst",
+    "source_literal",
     "STAGE_PARSE",
     "STAGE_SANDBOX",
     "STAGE_WHITELIST",

@@ -3,13 +3,15 @@
 The main interpreter lowers a SkillAst once to a real Python function
 (grammar and whitelist have already fenced it in) whose positional
 parameters are the ten canonical bindings: the three lane features,
-the phase ``index`` and the six event-context variables. A prologue
-assigns any lane-index aliases the body uses and sets the accumulator,
-a local float ``value``, to 0.0; each ``value[0] op= e`` becomes
-``value op= e`` (the same arithmetic, without a list to index), and the
-function returns ``value``. Its globals hold the
-whitelisted builtins and nothing else, so a call costs about as much as
-the arithmetic in it, which matters because an episode evaluates skill
+the phase ``index`` and the six event-context variables. The lowering
+is text, which Python compiles: a prologue assigns any lane-index
+aliases the body uses and sets the accumulator, a local float
+``value``, to 0.0; ``nodes.render`` then writes the body with ``value``
+as its accumulator and ``repr`` literals, so each ``value[0] op= e``
+becomes ``value op= e`` (the same arithmetic, without a list to index),
+and the function returns ``value``. Its globals hold the whitelisted
+builtins and nothing else, so a call costs about as much as the
+arithmetic in it, which matters because an episode evaluates skill
 bodies hundreds of thousands of times. ``CompiledBody.reads`` records
 which lane features a body names (aliases included), so a scorer reads
 from the simulator only those; ``names_index`` whether it names the
@@ -29,24 +31,10 @@ for that evaluation.
 
 from __future__ import annotations
 
-import ast as pyast
 import math
 from typing import Mapping
 
-from .nodes import (
-    AugAssign,
-    BinOp,
-    Call,
-    Compare,
-    CondChain,
-    Expr,
-    Num,
-    Ref,
-    SkillAst,
-    Stmt,
-    UnaryOp,
-    free_names,
-)
+from .nodes import SkillAst, free_names, render
 from . import whitelist as wl
 from .parser import parse
 from .validator import STAGE_PARSE, STAGE_SANDBOX, ValidationReport, validate
@@ -72,128 +60,47 @@ def _range_length(n) -> int:
     return max(0, count)
 
 
-def _range_sum(n) -> float:
-    """``sum(range(n))`` in closed form; exact, as the bound keeps it
-    below 2**53."""
-    t = _range_length(n)
+def _triangular(t: int) -> float:
+    """``sum(range(n))`` in closed form from ``t``, the length of
+    ``range(n)``; exact, as the bound keeps it below 2**53."""
     return float(t * (t - 1) // 2)
-
-
-def _range_len(n) -> float:
-    return float(_range_length(n))
 
 
 def _unbound(name: str):
     raise EvalError(f"variable '{name}' is unbound in this context")
 
 
+# The validator admits range(x) only as the one argument of sum or len,
+# so a body never sees what range returns: binding range to the length
+# of range(x), sum to the sum of a range of that length and len to its
+# length as a float gives exactly what the builtins would, with no
+# sequence built and no call mapping in the lowering.
 _EXEC_GLOBALS = {
     "__builtins__": {},
     "min": min,
     "max": max,
     "abs": abs,
-    "_range_sum": _range_sum,
-    "_range_len": _range_len,
+    "range": _range_length,
+    "sum": _triangular,
+    "len": float,
     "_unbound": _unbound,
 }
 
-# sum(range(x)) and len(range(x)) lower to these closed forms.
-_RANGE_FORMS = {"sum": "_range_sum", "len": "_range_len"}
 
-_PY_BINOPS = {
-    "+": pyast.Add,
-    "-": pyast.Sub,
-    "*": pyast.Mult,
-    "/": pyast.Div,
-    "//": pyast.FloorDiv,
-    "%": pyast.Mod,
-    "**": pyast.Pow,
-}
-
-_PY_CMPOPS = {
-    ">": pyast.Gt,
-    "<": pyast.Lt,
-    ">=": pyast.GtE,
-    "<=": pyast.LtE,
-    "==": pyast.Eq,
-    "!=": pyast.NotEq,
-}
-
-
-def _lower_expr(node: Expr) -> pyast.expr:
-    if isinstance(node, Num):
-        return pyast.Constant(node.value)
-    if isinstance(node, Ref):
-        return pyast.Name(node.name, pyast.Load())
-    if isinstance(node, UnaryOp):
-        op = pyast.USub() if node.op == "-" else pyast.UAdd()
-        return pyast.UnaryOp(op, _lower_expr(node.operand))
-    if isinstance(node, BinOp):
-        return pyast.BinOp(_lower_expr(node.left), _PY_BINOPS[node.op](), _lower_expr(node.right))
-    if isinstance(node, Compare):
-        return pyast.Compare(
-            _lower_expr(node.operands[0]),
-            [_PY_CMPOPS[op]() for op in node.ops],
-            [_lower_expr(operand) for operand in node.operands[1:]],
-        )
-    if isinstance(node, Call):
-        func, args = node.func, node.args
-        inner = args[0] if len(args) == 1 else None
-        if (
-            func in _RANGE_FORMS
-            and isinstance(inner, Call)
-            and inner.func == "range"
-            and len(inner.args) == 1
-        ):
-            func, args = _RANGE_FORMS[func], inner.args
-        return pyast.Call(pyast.Name(func, pyast.Load()), [_lower_expr(a) for a in args], [])
-    raise TypeError(f"unknown expression node {node!r}")
-
-
-def _accumulator_target() -> pyast.expr:
-    return pyast.Name("value", pyast.Store())
-
-
-def _lower_stmt(node: Stmt) -> pyast.stmt:
-    if isinstance(node, AugAssign):
-        return pyast.AugAssign(_accumulator_target(), _PY_BINOPS[node.op](), _lower_expr(node.expr))
-    if isinstance(node, CondChain):
-        lowered: list[pyast.stmt] = [_lower_stmt(s) for s in node.orelse]
-        for test, body in reversed(node.branches):
-            lowered = [
-                pyast.If(_lower_expr(test), [_lower_stmt(s) for s in body], lowered)
-            ]
-        return lowered[0]
-    raise TypeError(f"unknown statement node {node!r}")
-
-
-def _name(name: str, ctx=None) -> pyast.Name:
-    return pyast.Name(name, ctx or pyast.Load())
-
-
-def _lower_function(ast: SkillAst) -> pyast.Module:
-    """``def skill(<BODY_PARAMETERS>)``: alias prologue, accumulator,
-    the body, ``return value``. A name that no canonical binding can
-    supply raises EvalError before the body runs."""
-    prologue: list[pyast.stmt] = []
+def _lower_function(ast: SkillAst) -> str:
+    """The text ``def skill(<BODY_PARAMETERS>):`` of a body: alias
+    prologue, accumulator, the rendered body, ``return value``. A name
+    that no canonical binding can supply raises EvalError before the
+    body runs."""
+    lines = []
     for name in sorted(free_names(ast)):
         canonical = wl.canonical_binding(name)
         if canonical not in BODY_PARAMETERS:
-            prologue.append(pyast.Expr(pyast.Call(_name("_unbound"), [pyast.Constant(name)], [])))
+            lines.append(f"_unbound({name!r})")
         elif name != canonical:
-            prologue.append(pyast.Assign([_name(name, pyast.Store())], _name(canonical)))
-    body = [
-        *prologue,
-        pyast.Assign([_name("value", pyast.Store())], pyast.Constant(0.0)),
-        *(_lower_stmt(s) for s in ast.statements),
-        pyast.Return(_name("value")),
-    ]
-    params = pyast.arguments(
-        posonlyargs=[], args=[pyast.arg(p) for p in BODY_PARAMETERS],
-        kwonlyargs=[], kw_defaults=[], defaults=[],
-    )
-    function = pyast.FunctionDef("skill", params, body, [], None, None)
-    return pyast.fix_missing_locations(pyast.Module([function], []))
+            lines.append(f"{name} = {canonical}")
+    lines += ("value = 0.0", render(ast, "value", repr), "return value")
+    return f"def skill({', '.join(BODY_PARAMETERS)}):\n    " + "\n".join(lines).replace("\n", "\n    ")
 
 
 def finite_result(result) -> float:
@@ -209,10 +116,11 @@ def finite_result(result) -> float:
 
 class CompiledBody:
     """A skill code body lowered to a Python function of the
-    ``BODY_PARAMETERS``. ``function`` returns the raw accumulator and
-    may raise ArithmeticError, TypeError or ValueError; callers map
-    those to EvalError and check the result with ``finite_result``, as
-    ``run`` does.
+    ``BODY_PARAMETERS``: ``_lower_function`` renders the body as the
+    text of that function, which Python compiles once, here. ``function``
+    returns the raw accumulator and may raise ArithmeticError, TypeError
+    or ValueError; callers map those to EvalError and check the result
+    with ``finite_result``, as ``run`` does.
 
     What the body names, for a caller that wants to skip work:
 

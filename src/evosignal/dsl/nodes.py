@@ -6,13 +6,16 @@ Expressions are arithmetic over whitelisted variables, numeric literals,
 comparisons, and calls to a handful of builtins. Nothing else parses.
 
 All nodes are frozen dataclasses; a parsed program is immutable and safe
-to share across threads.
+to share across threads. ``render`` writes a tree back as text: as skill
+source for the scripted mutator, and as the body of a Python function
+for the interpreter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 ARITH_OPS = ("+", "-", "*", "/", "//", "%", "**")
 
@@ -147,3 +150,66 @@ def iter_calls(ast: SkillAst):
             for node in iter_exprs(root):
                 if isinstance(node, Call):
                     yield node
+
+
+def source_literal(value: float) -> str:
+    """The skill-source spelling of a non-negative finite literal: a
+    whole number below 1e9 without a fraction, any other by ``repr``."""
+    return str(int(value)) if value < 1e9 and value == int(value) else repr(value)
+
+
+def _render_expr(node: Expr, literal: Callable[[float], str]) -> str:
+    if isinstance(node, Num):
+        value = node.value
+        text = "1e999" if math.isinf(value) else literal(abs(value))
+        return f"(-{text})" if math.copysign(1.0, value) < 0 else text
+    if isinstance(node, Ref):
+        return node.name
+    if isinstance(node, UnaryOp):
+        return f"({node.op}{_render_expr(node.operand, literal)})"
+    if isinstance(node, BinOp):
+        return f"({_render_expr(node.left, literal)} {node.op} {_render_expr(node.right, literal)})"
+    if isinstance(node, Compare):
+        parts = [_render_expr(node.operands[0], literal)]
+        for op, operand in zip(node.ops, node.operands[1:]):
+            parts += (op, _render_expr(operand, literal))
+        return "(" + " ".join(parts) + ")"
+    if isinstance(node, Call):
+        return f"{node.func}(" + ", ".join(_render_expr(a, literal) for a in node.args) + ")"
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def _render_lines(
+    statements: tuple[Stmt, ...], accumulator: str, literal: Callable[[float], str]
+) -> list[str]:
+    lines: list[str] = []
+    for stmt in statements:
+        if isinstance(stmt, AugAssign):
+            lines.append(f"{accumulator} {stmt.op}= {_render_expr(stmt.expr, literal)}")
+        elif isinstance(stmt, CondChain):
+            blocks = [
+                (f"{'elif' if i else 'if'} {_render_expr(test, literal)}:", body)
+                for i, (test, body) in enumerate(stmt.branches)
+            ]
+            if stmt.orelse:
+                blocks.append(("else:", stmt.orelse))
+            for header, body in blocks:
+                lines.append(header)
+                lines += ("    " + line for line in _render_lines(body, accumulator, literal))
+        else:
+            raise TypeError(f"unknown statement node {stmt!r}")
+    return lines
+
+
+def render(ast: SkillAst, accumulator: str, literal: Callable[[float], str]) -> str:
+    """``ast`` as text that parses back to it: one statement a line,
+    four spaces an indentation level, each operation in parentheses.
+
+    Two spellings are the caller's: the ``accumulator`` each statement
+    augments (``value[0]`` in skill source, a local ``value`` in the
+    interpreter's function) and ``literal``, which spells a non-negative
+    finite number (``source_literal`` for skill source, ``repr`` for
+    Python). An infinite literal is written ``1e999``, and a negative
+    one (``-0.0`` too) in parentheses with its sign, so that ``(-2) ** x``
+    stays a power of minus two."""
+    return "\n".join(_render_lines(ast.statements, accumulator, literal))

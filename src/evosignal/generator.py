@@ -295,59 +295,12 @@ REWRITE_PROB_INNOVATE = 0.8
 REWRITE_PROB_BASE = 0.15
 
 
-def _render_expr(node) -> str:
-    if isinstance(node, dsl.Num):
-        value = node.value
-        if value == int(value) and abs(value) < 1e9:
-            return str(int(value))
-        return repr(value)
-    if isinstance(node, dsl.Ref):
-        return node.name
-    if isinstance(node, dsl.UnaryOp):
-        return f"({node.op}{_render_expr(node.operand)})"
-    if isinstance(node, dsl.BinOp):
-        return f"({_render_expr(node.left)} {node.op} {_render_expr(node.right)})"
-    if isinstance(node, dsl.Compare):
-        parts = [_render_expr(node.operands[0])]
-        for op, operand in zip(node.ops, node.operands[1:]):
-            parts.append(op)
-            parts.append(_render_expr(operand))
-        return "(" + " ".join(parts) + ")"
-    if isinstance(node, dsl.Call):
-        return f"{node.func}(" + ", ".join(_render_expr(a) for a in node.args) + ")"
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _render_stmts(statements, indent: int = 0) -> list[str]:
-    pad = "    " * indent
-    lines: list[str] = []
-    for stmt in statements:
-        if isinstance(stmt, dsl.AugAssign):
-            lines.append(f"{pad}value[0] {stmt.op}= {_render_expr(stmt.expr)}")
-        elif isinstance(stmt, dsl.CondChain):
-            for i, (test, body) in enumerate(stmt.branches):
-                keyword = "if" if i == 0 else "elif"
-                lines.append(f"{pad}{keyword} {_render_expr(test)}:")
-                lines.extend(_render_stmts(body, indent + 1))
-            if stmt.orelse:
-                lines.append(f"{pad}else:")
-                lines.extend(_render_stmts(stmt.orelse, indent + 1))
-        else:
-            raise TypeError(f"unknown statement {stmt!r}")
-    return lines
-
-
-def render_code(ast: dsl.SkillAst) -> str:
-    """Skill AST back to source text (used by the scripted mutator)."""
-    return "\n".join(_render_stmts(ast.statements))
-
-
 def _mutate_literal(code: str, rng: random.Random, kind: str) -> str | None:
     """Nudge one numeric literal (coefficient) or one comparison bound
     (threshold). Render-then-edit keeps the edit site simple: find the
     numbers in the canonical rendering, pick one, shift it. The
     accumulator's subscript is not a literal (hence the `[` exclusion)."""
-    rendered = render_code(dsl.parse(code))
+    rendered = dsl.render(dsl.parse(code), "value[0]", dsl.source_literal)
     matches = list(re.finditer(r"(?<![\w.\[])(\d+(?:\.\d+)?)", rendered))
     if not matches:
         return None
@@ -371,7 +324,6 @@ def _scale_accumulation(code: str, rng: random.Random) -> str:
     """Coefficient mutation for bodies with no literal to perturb:
     multiply each top-level accumulation by a drawn factor."""
     factor = rng.choice((2.0, 0.5))
-    text = str(int(factor)) if factor == int(factor) else f"{factor:g}"
     ast = dsl.parse(code)
     statements = []
     for stmt in ast.statements:
@@ -381,7 +333,7 @@ def _scale_accumulation(code: str, rng: random.Random) -> str:
             )
         else:
             statements.append(stmt)
-    return render_code(dsl.SkillAst(tuple(statements)))
+    return dsl.render(dsl.SkillAst(tuple(statements)), "value[0]", dsl.source_literal)
 
 
 def _wrap_in_conditional(code: str, rng: random.Random) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evosignal import dsl
@@ -14,6 +14,7 @@ from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 
 from ._reference import reference_evaluate, reference_node_count
+from ._trees import trees
 
 ROUTINE = dsl.routine_whitelist()
 EVENT = dsl.event_whitelist()
@@ -248,6 +249,30 @@ class TestEvaluate:
                 assert dsl.compile_body(ast).run(bindings) == (
                     reference_evaluate(ast, bindings)
                 )
+
+    @example(dsl.parse("value[0] += (-2) ** num_vehicle"), [3.0] * 10)
+    @example(dsl.parse("value[0] += sum(range(num_vehicle)) - len(range(-0.0 * bus_count))"), [7.5] * 10)
+    @given(
+        ast=trees,
+        values=st.lists(
+            st.one_of(st.integers(-5, 60).map(float), st.floats(-1e4, 1e4), st.sampled_from((-0.0, 1e300))),
+            min_size=10,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_reference_on_generated_trees(self, ast, values):
+        # Bit-equal results, or a fault on both sides.
+        bindings = dict(zip(EVENT.canonical_names(), values))
+        try:
+            expected = reference_evaluate(ast, bindings).hex()
+        except dsl.EvalError:
+            expected = "fault"
+        try:
+            got = dsl.compile_body(ast).run(bindings).hex()
+        except dsl.EvalError:
+            got = "fault"
+        assert got == expected
 
     def test_concurrent_callers_with_distinct_contexts(self):
         import threading

@@ -22,13 +22,13 @@ from evosignal.generator import (
     build_prompts,
     extract_draft_json,
     generate,
-    render_code,
     scripted_mutate,
 )
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
 from ._backends import EliteCopyBackend
 from ._reference import reference_extract_draft_json
+from ._trees import trees
 
 ROUTINE = dsl.routine_whitelist()
 EVENT = dsl.event_whitelist()
@@ -198,7 +198,32 @@ class TestScriptedMutate:
         assert "Scripted mutation" in draft["description"]
 
 
+def render_code(ast: dsl.SkillAst) -> str:
+    return dsl.render(ast, "value[0]", dsl.source_literal)
+
+
+def with_library_examples(test):
+    """``test`` with each library body as an explicit example."""
+    for skill in [SEED_SKILL, *LIBRARY.values()]:
+        for code in (skill.inlane_code, skill.outlane_code):
+            test = example(dsl.parse(code))(test)
+    return test
+
+
 class TestRenderCode:
+    @with_library_examples
+    @example(dsl.parse("value[0] += (-2) ** num_vehicle"))
+    @example(dsl.parse("value[0] += 1e999 - -1e999 * -0.0"))
+    @given(trees)
+    @settings(max_examples=300, deadline=None)
+    def test_render_parses_back_to_the_tree(self, ast):
+        text = render_code(ast)
+        again = dsl.parse(text)
+        assert again == ast
+        # == takes -0.0 for 0.0; repr literals tell the two apart
+        assert dsl.render(again, "value", repr) == dsl.render(ast, "value", repr)
+        assert render_code(again) == text
+
     def test_round_trip_preserves_semantics(self):
         for skill in [SEED_SKILL, *LIBRARY.values()]:
             for code in (skill.inlane_code, skill.outlane_code):

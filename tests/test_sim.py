@@ -24,6 +24,7 @@ from evosignal.control import (
     MaxPressureController,
     SkillController,
 )
+from evosignal.dsl import interpreter
 from evosignal.sim import make_scenario
 from evosignal.sim import network as network_module
 from evosignal.sim import scenario as scenario_module
@@ -811,18 +812,17 @@ class TestLiveViews:
         # counting when the episode is dropped, under every controller
         # kind and in the middle of a blockage, and none waits for a
         # full collection.
-        # The controllers are built first: compiling a body leaves the
-        # standard library's ast.fix_missing_locations closure behind.
-        runs = (
-            ("I1", ControllerSpec("max_pressure").build()),
-            ("M1", ControllerSpec("dispatcher").build()),
-            ("E2", ControllerSpec("skill", skill=LIBRARY["saturation-branch"]).build()),
-        )
         blocked = make_scenario("I1", rows=3, cols=3, duration=950)
+        interpreter._COMPILE_CACHE.clear()
         gc.collect()
         gc.disable()
         try:
-            for family, controller in runs:
+            for family, spec in (
+                ("I1", ControllerSpec("max_pressure")),
+                ("M1", ControllerSpec("dispatcher")),
+                ("E2", ControllerSpec("skill", skill=LIBRARY["saturation-branch"])),
+            ):
+                controller = spec.build()
                 scenario = make_scenario(family, rows=3, cols=3, duration=950)
                 assert run_episode(Arrivals(scenario, 2), controller).metrics.vehicles_entered > 0
             episode = Episode(Arrivals(blocked, 2))
@@ -830,6 +830,18 @@ class TestLiveViews:
                 episode.step({})
             assert episode.links[blocked.incident.link].blocked
             del episode
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_compiling_the_dispatcher_bank_leaves_no_cyclic_garbage(self):
+        # Bodies are compiled from rendered text; the lowering builds no
+        # tree of its own that needs the collector to free it.
+        interpreter._COMPILE_CACHE.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            ControllerSpec("dispatcher").build()
             assert gc.collect() == 0
         finally:
             gc.enable()
