@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from . import metrics as met
 from .control import ControllerSpec, drive, episode_pool, run_episodes
-from .dsl import event_whitelist, sandbox_check
+from .dsl import EVENT_NAMES, sandbox_check
 from .evolution import EvolutionConfig, generation_records, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.engine import Arrivals
@@ -86,7 +86,7 @@ class RejectedSkill(Exception):
 
 def _checked(skill: Skill) -> Skill:
     """``skill``, once it passes the sandbox check that every loaded skill passes before it runs."""
-    report = sandbox_check(skill, event_whitelist())
+    report = sandbox_check(skill, EVENT_NAMES)
     if not report.ok:
         raise RejectedSkill(f"skill failed validation at stage={report.stage}: {report.message}")
     return skill

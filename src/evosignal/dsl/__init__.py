@@ -1,6 +1,5 @@
 """The restricted skill-code language: parse, validate, run, measure."""
 
-from .complexity import complexity
 from .interpreter import (
     EvalError,
     CompiledBody,
@@ -17,6 +16,7 @@ from .nodes import (
     Ref,
     SkillAst,
     UnaryOp,
+    complexity,
     free_names,
     render,
     source_literal,
@@ -31,12 +31,12 @@ from .validator import (
 )
 from .whitelist import (
     BUILTINS,
+    EVENT_NAMES,
     EVENT_VARIABLES,
     LANE_VARIABLES,
-    VariableWhitelist,
+    ROUTINE_NAMES,
     canonical_binding,
-    event_whitelist,
-    routine_whitelist,
+    whitelist_for,
 )
 
 __all__ = [
@@ -51,15 +51,15 @@ __all__ = [
     "CondChain",
     "canonical_binding",
     "EvalError",
+    "EVENT_NAMES",
     "EVENT_VARIABLES",
-    "event_whitelist",
     "free_names",
     "LANE_VARIABLES",
     "Num",
     "parse",
     "Ref",
     "render",
-    "routine_whitelist",
+    "ROUTINE_NAMES",
     "sandbox_check",
     "SkillAst",
     "source_literal",
@@ -69,5 +69,5 @@ __all__ = [
     "UnaryOp",
     "validate",
     "ValidationReport",
-    "VariableWhitelist",
+    "whitelist_for",
 ]

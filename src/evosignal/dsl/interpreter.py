@@ -2,7 +2,7 @@
 
 The main interpreter lowers a SkillAst once to a real Python function
 (grammar and whitelist have already fenced it in) whose positional
-parameters are the ten canonical bindings: the three lane features,
+parameters are the ten ``EVENT_NAMES``: the three lane features,
 the phase ``index`` and the six event-context variables. The lowering
 is text, which Python compiles: a prologue assigns any lane-index
 aliases the body uses and sets the accumulator, a local float
@@ -35,14 +35,11 @@ import math
 from typing import Mapping
 
 from .nodes import SkillAst, free_names, render
-from . import whitelist as wl
 from .parser import parse
 from .validator import STAGE_PARSE, STAGE_SANDBOX, ValidationReport, validate
+from .whitelist import EVENT_NAMES, LANE_VARIABLES, canonical_binding
 
 MAX_RANGE_LENGTH = 1_000_000
-
-# Positional parameters of every lowered body, in call order.
-BODY_PARAMETERS = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist", wl.PHASE_INDEX, *wl.EVENT_VARIABLES)
 
 
 class EvalError(Exception):
@@ -88,19 +85,19 @@ _EXEC_GLOBALS = {
 
 
 def _lower_function(ast: SkillAst) -> str:
-    """The text ``def skill(<BODY_PARAMETERS>):`` of a body: alias
+    """The text ``def skill(<EVENT_NAMES>):`` of a body: alias
     prologue, accumulator, the rendered body, ``return value``. A name
     that no canonical binding can supply raises EvalError before the
     body runs."""
     lines = []
     for name in sorted(free_names(ast)):
-        canonical = wl.canonical_binding(name)
-        if canonical not in BODY_PARAMETERS:
+        canonical = canonical_binding(name)
+        if canonical not in EVENT_NAMES:
             lines.append(f"_unbound({name!r})")
         elif name != canonical:
             lines.append(f"{name} = {canonical}")
     lines += ("value = 0.0", render(ast, "value", repr), "return value")
-    return f"def skill({', '.join(BODY_PARAMETERS)}):\n    " + "\n".join(lines).replace("\n", "\n    ")
+    return f"def skill({', '.join(EVENT_NAMES)}):\n    " + "\n".join(lines).replace("\n", "\n    ")
 
 
 def finite_result(result) -> float:
@@ -116,7 +113,7 @@ def finite_result(result) -> float:
 
 class CompiledBody:
     """A skill code body lowered to a Python function of the
-    ``BODY_PARAMETERS``: ``_lower_function`` renders the body as the
+    ``EVENT_NAMES``: ``_lower_function`` renders the body as the
     text of that function, which Python compiles once, here. ``function``
     returns the raw accumulator and may raise ArithmeticError, TypeError
     or ValueError; callers map those to EvalError and check the result
@@ -124,10 +121,10 @@ class CompiledBody:
 
     What the body names, for a caller that wants to skip work:
 
-    - ``reads`` tells, for each of the three lane features in
-      ``BODY_PARAMETERS`` order, whether the body names it directly or
-      through an alias; the function never reads a feature it does not
-      name, so a caller may pass anything for it;
+    - ``reads`` tells, for each of the ``LANE_VARIABLES`` in order,
+      whether the body names it directly or through an alias; the
+      function never reads a feature it does not name, so a caller may
+      pass anything for it;
     - ``names_index`` tells whether it names the phase ``index``; if
       not, its result is a function of the lane features and the event
       context alone;
@@ -145,14 +142,14 @@ class CompiledBody:
         namespace: dict[str, object] = {}
         exec(compile(_lower_function(ast), "<skill>", "exec"), _EXEC_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
         self.function = namespace["skill"]
-        self.name_map = tuple((name, wl.canonical_binding(name)) for name in sorted(free_names(ast)))
+        self.name_map = tuple((name, canonical_binding(name)) for name in sorted(free_names(ast)))
         named = {canonical for _, canonical in self.name_map}
-        self.reads = tuple(feature in named for feature in BODY_PARAMETERS[:3])
-        self.names_index = wl.PHASE_INDEX in named
+        self.reads = tuple(feature in named for feature in LANE_VARIABLES)
+        self.names_index = "index" in named
         self.constant = None
         if not named:
             try:
-                self.constant = finite_result(self.function(*[0.0] * len(BODY_PARAMETERS)))
+                self.constant = finite_result(self.function(*[0.0] * len(EVENT_NAMES)))
             except (ArithmeticError, TypeError, ValueError, EvalError):
                 pass
 
@@ -163,7 +160,7 @@ class CompiledBody:
             if canonical not in bindings:
                 raise EvalError(f"variable '{src}' is unbound in this context")
         try:
-            result = self.function(*[bindings.get(name) for name in BODY_PARAMETERS])
+            result = self.function(*[bindings.get(name) for name in EVENT_NAMES])
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise EvalError(str(exc)) from exc
         return finite_result(result)
@@ -183,21 +180,21 @@ def compile_body(ast: SkillAst) -> CompiledBody:
     return body
 
 
-def sandbox_check(skill, whitelist: wl.VariableWhitelist) -> ValidationReport:
+def sandbox_check(skill, names: tuple[str, ...]) -> ValidationReport:
     """Full three-stage pipeline over both code bodies of a skill.
 
-    Stage 1 parses, stage 2 enforces the whitelist, stage 3 executes
-    with every whitelisted variable bound to 1.0 and requires a finite
-    result. ``skill`` needs ``inlane_code`` and ``outlane_code``
+    Stage 1 parses, stage 2 admits only ``names`` and the builtins,
+    stage 3 executes with each of ``names`` bound to 1.0 and requires a
+    finite result. ``skill`` needs ``inlane_code`` and ``outlane_code``
     attributes; the report carries the first failing stage.
     """
-    dummy = whitelist.dummy_bindings()
+    dummy = dict.fromkeys(names, 1.0)
     for label, code in (("inlane", skill.inlane_code), ("outlane", skill.outlane_code)):
         try:
             ast = parse(code)
         except SyntaxError as exc:
             return ValidationReport.failed(STAGE_PARSE, f"{label}: {exc.msg} (line {exc.lineno})")
-        report = validate(ast, whitelist)
+        report = validate(ast, names)
         if not report.ok:
             return ValidationReport.failed(report.stage, f"{label}: {report.message}")
         try:

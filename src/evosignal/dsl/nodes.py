@@ -6,16 +6,17 @@ Expressions are arithmetic over whitelisted variables, numeric literals,
 comparisons, and calls to a handful of builtins. Nothing else parses.
 
 All nodes are frozen dataclasses; a parsed program is immutable and safe
-to share across threads. ``render`` writes a tree back as text: as skill
-source for the scripted mutator, and as the body of a Python function
-for the interpreter.
+to share across threads. ``walk`` visits every node of a tree, and the
+names a tree reads and its ``complexity`` are read from that walk.
+``render`` writes a tree back as text: as skill source for the scripted
+mutator, and as the body of a Python function for the interpreter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 ARITH_OPS = ("+", "-", "*", "/", "//", "%", "**")
 
@@ -96,60 +97,65 @@ class SkillAst:
     statements: tuple[Stmt, ...]
 
 
-def iter_exprs(expr: Expr):
-    """Yield ``expr`` and every sub-expression, depth first."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from iter_exprs(expr.operand)
-    elif isinstance(expr, BinOp):
-        yield from iter_exprs(expr.left)
-        yield from iter_exprs(expr.right)
-    elif isinstance(expr, Compare):
-        for operand in expr.operands:
-            yield from iter_exprs(operand)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from iter_exprs(arg)
+def _children(node: Union[Expr, Stmt]) -> tuple:
+    if isinstance(node, AugAssign):
+        return (node.expr,)
+    if isinstance(node, CondChain):
+        tests = tuple(test for test, _ in node.branches)
+        return tests + tuple(stmt for _, body in node.branches for stmt in body) + node.orelse
+    if isinstance(node, UnaryOp):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Compare):
+        return node.operands
+    if isinstance(node, Call):
+        return node.args
+    return ()
 
 
-def iter_statements(statements: tuple[Stmt, ...]):
-    """Yield every statement in the tree, entering chain branches."""
-    for stmt in statements:
-        yield stmt
-        if isinstance(stmt, CondChain):
-            for _, body in stmt.branches:
-                yield from iter_statements(body)
-            yield from iter_statements(stmt.orelse)
+def walk(ast: SkillAst) -> Iterator[Union[Expr, Stmt]]:
+    """Yield every statement and expression of ``ast``, depth first: a
+    statement, then its expression or all of its chain's tests, then the
+    statements of the chain's branches and of its else-body."""
+    stack = list(reversed(ast.statements))
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def free_names(ast: SkillAst) -> set[str]:
     """All variable names referenced anywhere in the program."""
-    names: set[str] = set()
-    for stmt in iter_statements(ast.statements):
-        exprs: list[Expr] = []
-        if isinstance(stmt, AugAssign):
-            exprs.append(stmt.expr)
-        elif isinstance(stmt, CondChain):
-            exprs.extend(test for test, _ in stmt.branches)
-        for root in exprs:
-            for node in iter_exprs(root):
-                if isinstance(node, Ref):
-                    names.add(node.name)
-    return names
+    return {node.name for node in walk(ast) if isinstance(node, Ref)}
 
 
-def iter_calls(ast: SkillAst):
-    """Yield every Call node in the program."""
-    for stmt in iter_statements(ast.statements):
-        roots: list[Expr] = []
-        if isinstance(stmt, AugAssign):
-            roots.append(stmt.expr)
-        elif isinstance(stmt, CondChain):
-            roots.extend(test for test, _ in stmt.branches)
-        for root in roots:
-            for node in iter_exprs(root):
-                if isinstance(node, Call):
-                    yield node
+# What a node adds to ``complexity``'s count, by type; any other adds 1.
+_NODE_WEIGHT = {AugAssign: 2, CondChain: 0, Num: 0}
+
+
+def _branch_depth(statements: tuple[Stmt, ...]) -> int:
+    depth = 0
+    for stmt in statements:
+        if isinstance(stmt, CondChain):
+            bodies = [body for _, body in stmt.branches] + [stmt.orelse]
+            depth = max(depth, 1 + max(map(_branch_depth, bodies)))
+    return depth
+
+
+def complexity(ast: SkillAst) -> tuple[int, int]:
+    """(node_count, branch_depth) of one code body.
+
+    The count is calibrated so that the minimal baseline skill
+    (``value[0] += num_waiting_vehicle``) measures exactly 3 nodes: the
+    statement, the accumulator target and the variable reference.
+    Operators (arithmetic, comparison, unary), calls and variable
+    references count 1 each, numeric literals 0, and a chain header
+    nothing: its tests and branch bodies carry the weight. The depth
+    counts an if/elif/else chain as one level; only a chain nested
+    inside a branch body goes deeper."""
+    nodes = sum(_NODE_WEIGHT.get(type(node), 1) for node in walk(ast))
+    return nodes, _branch_depth(ast.statements)
 
 
 def source_literal(value: float) -> str:

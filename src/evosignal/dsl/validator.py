@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexity import complexity
-from .nodes import Call, SkillAst, free_names, iter_calls
-from .whitelist import BUILTINS, VariableWhitelist
+from .nodes import Call, SkillAst, complexity, free_names, walk
+from .whitelist import BUILTINS, canonical_binding
 
 STAGE_PARSE = "parse"
 STAGE_WHITELIST = "whitelist"
@@ -36,7 +35,7 @@ class ValidationReport:
         return cls(ok=False, stage=stage, message=message)
 
 
-def _check_call_shapes(ast: SkillAst) -> str | None:
+def _check_call_shapes(calls: list[Call]) -> str | None:
     """Arity and composition rules for the builtins.
 
     min/max are variadic over numbers (>= 2 args), abs takes one.
@@ -45,14 +44,14 @@ def _check_call_shapes(ast: SkillAst) -> str | None:
     and sum/len accept nothing else.
     """
     allowed_range_parents: set[int] = set()
-    for call in iter_calls(ast):
+    for call in calls:
         if call.func in ("sum", "len"):
             if len(call.args) != 1 or not (
                 isinstance(call.args[0], Call) and call.args[0].func == "range"
             ):
                 return f"{call.func}() takes exactly one range(...) argument"
             allowed_range_parents.add(id(call.args[0]))
-    for call in iter_calls(ast):
+    for call in calls:
         if call.func == "range":
             if id(call) not in allowed_range_parents:
                 return "range(...) may only appear inside sum(...) or len(...)"
@@ -67,23 +66,27 @@ def _check_call_shapes(ast: SkillAst) -> str | None:
     return None
 
 
-def validate(ast: SkillAst, whitelist: VariableWhitelist) -> ValidationReport:
-    """Check every name and call against the whitelist.
+def validate(ast: SkillAst, names: tuple[str, ...]) -> ValidationReport:
+    """Check every variable against ``names`` (lane-index aliases resolve
+    onto theirs) and every call against the builtins.
 
     Failures are reported, never raised: a ValidationReport with
-    ok=False and stage="whitelist" names the first offending construct.
+    ok=False and stage="whitelist" names the first offending construct,
+    looked for in this order: variables by name, calls in ``walk``
+    order, call shapes, size.
     """
     for name in sorted(free_names(ast)):
-        if whitelist.resolve(name) is None:
+        if canonical_binding(name) not in names:
             return ValidationReport.failed(
                 STAGE_WHITELIST, f"variable '{name}' is not in the sandbox whitelist"
             )
-    for call in iter_calls(ast):
+    calls = [node for node in walk(ast) if isinstance(node, Call)]
+    for call in calls:
         if call.func not in BUILTINS:
             return ValidationReport.failed(
                 STAGE_WHITELIST, f"call to '{call.func}' is not a whitelisted builtin"
             )
-    shape_error = _check_call_shapes(ast)
+    shape_error = _check_call_shapes(calls)
     if shape_error is not None:
         return ValidationReport.failed(STAGE_WHITELIST, shape_error)
     nodes, depth = complexity(ast)

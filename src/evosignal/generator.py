@@ -532,12 +532,12 @@ def generate(
     on_attempt=None,
 ) -> list[Skill]:
     """Request ``count`` drafts, validating each through the full
-    pipeline, under the whitelist of ``event_kind``, with up to three
-    re-prompts; exhausted drafts are dropped.
+    pipeline on the names skills of ``event_kind`` may read, with up to
+    three re-prompts; exhausted drafts are dropped.
     ``on_attempt(index, attempt, draft_or_none, report_or_none)`` is the
     audit hook - called once per backend invocation."""
     signals = signals or {}
-    whitelist = whitelist_for(event_kind)
+    names = whitelist_for(event_kind)
     accepted: list[Skill] = []
     for i in range(count):
         error: str | None = None
@@ -564,7 +564,7 @@ def generate(
             except (ValueError, KeyError, TypeError) as exc:
                 error = f"draft is not a skill JSON object: {exc}"
             if draft is not None:
-                report = dsl.sandbox_check(draft, whitelist)
+                report = dsl.sandbox_check(draft, names)
                 if report.ok:
                     if on_attempt:
                         on_attempt(i, attempt, draft, report)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import yaml
-
 from .network import ConfigError, Network, build_network
 
 FAMILIES = ("T1", "T2", "T3", "V1", "V2", "V3", "E1", "E2", "B1", "B2", "I1", "M1")
@@ -356,6 +354,10 @@ def load_scenario(path: str) -> ScenarioConfig:
     A scenario file has no seed: the command running it chooses the
     traffic.
     """
+    # Imported here, not at module level, so that a command that reads
+    # no scenario file does not pay for importing yaml.
+    import yaml
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle) or {}

@@ -92,12 +92,13 @@ class Checkpoint:
 
 
 class RunStore:
-    """Single-writer append-only store for one evolution run."""
+    """Single-writer append-only store for one evolution run; the run id
+    in every record is the name of ``run_dir``."""
 
-    def __init__(self, run_dir: str | Path, run_id: str | None = None):
+    def __init__(self, run_dir: str | Path):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.run_id = run_id or self.run_dir.name
+        self.run_id = self.run_dir.name
         self._counts: dict[str, int] = {}
         self._sequence = self._recover_state()
 

@@ -2,8 +2,9 @@
 
 These are deliberately separate implementations from the package:
 a tree-walking evaluator for skill code (the package lowers each body to
-a Python function instead) and a phase scorer built on it, a node
-counter, a brute-force percentile, observations built from sorted
+a Python function instead) and a phase scorer built on it, a node and
+branch-depth counter by structural recursion (the package weighs the
+nodes of one flat walk), a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
 counts and extremes from live views when they are asked for),
 max-pressure scored from observations (the package keeps each
@@ -210,22 +211,51 @@ def reference_score_phases(inlane_ast, outlane_ast, observations, context=None) 
     return scores
 
 
-def reference_node_count(ast: nodes.SkillAst) -> int:
-    """Same convention as the package counter, implemented over the
-    generic tree iterators instead of structural recursion."""
-    count = 0
-    for stmt in nodes.iter_statements(ast.statements):
-        roots = []
-        if isinstance(stmt, nodes.AugAssign):
-            count += 2  # statement + accumulator target reference
-            roots.append(stmt.expr)
-        elif isinstance(stmt, nodes.CondChain):
-            roots.extend(test for test, _ in stmt.branches)
-        for root in roots:
-            for sub in nodes.iter_exprs(root):
-                if not isinstance(sub, nodes.Num):
-                    count += 1
-    return count
+def _reference_expr_nodes(expr) -> int:
+    if isinstance(expr, nodes.Num):
+        return 0
+    if isinstance(expr, nodes.Ref):
+        return 1
+    if isinstance(expr, nodes.UnaryOp):
+        return 1 + _reference_expr_nodes(expr.operand)
+    if isinstance(expr, nodes.BinOp):
+        return 1 + _reference_expr_nodes(expr.left) + _reference_expr_nodes(expr.right)
+    if isinstance(expr, nodes.Compare):
+        return 1 + sum(_reference_expr_nodes(operand) for operand in expr.operands)
+    if isinstance(expr, nodes.Call):
+        return 1 + sum(_reference_expr_nodes(arg) for arg in expr.args)
+    raise AssertionError(expr)
+
+
+def _reference_stmt_complexity(stmt) -> tuple[int, int]:
+    if isinstance(stmt, nodes.AugAssign):
+        return 2 + _reference_expr_nodes(stmt.expr), 0  # statement + accumulator target
+    if isinstance(stmt, nodes.CondChain):
+        count, inner = 0, 0
+        for test, body in stmt.branches:
+            count += _reference_expr_nodes(test)
+            for sub in body:
+                sub_count, sub_depth = _reference_stmt_complexity(sub)
+                count += sub_count
+                inner = max(inner, sub_depth)
+        for sub in stmt.orelse:
+            sub_count, sub_depth = _reference_stmt_complexity(sub)
+            count += sub_count
+            inner = max(inner, sub_depth)
+        return count, 1 + inner
+    raise AssertionError(stmt)
+
+
+def reference_complexity(ast: nodes.SkillAst) -> tuple[int, int]:
+    """(node count, branch depth) by the package's convention, counted
+    by structural recursion over statements and expressions (the package
+    sums weights over one flat walk and recurses over chains alone)."""
+    count, depth = 0, 0
+    for stmt in ast.statements:
+        stmt_count, stmt_depth = _reference_stmt_complexity(stmt)
+        count += stmt_count
+        depth = max(depth, stmt_depth)
+    return count, depth
 
 
 def brute_force_percentile(values, q: float) -> float:

@@ -1,24 +1,39 @@
 """Hypothesis strategies for skill trees as the parser makes them.
 
-A generated tree is valid under the event whitelist and is in the form
+A generated tree is valid on the event names and is in the form
 ``dsl.parse`` returns: a signed literal is one ``Num`` (never a unary
 operation on one), an ``else`` body is never a single chain (that is an
 ``elif``), and ``range`` appears only as the one argument of ``sum`` or
 ``len``. The trees reach negative literal bases of ``**``, infinite
 literals, ``-0.0``, comparison chains and nested if/elif/else chains.
+``with_library_examples`` adds every library body to a test as an
+explicit example.
 """
 
 from __future__ import annotations
 
+from hypothesis import example
 from hypothesis import strategies as st
 
+from evosignal import dsl
 from evosignal.dsl import nodes
-from evosignal.dsl.whitelist import event_whitelist
+from evosignal.skills import LIBRARY, SEED_SKILL
 
 INF = float("inf")
 
+# Every name an event body may read, in a fixed order (the order decides
+# which trees a seed draws), and three lane-index aliases.
 NAMES = (
-    *event_whitelist().canonical_names(),
+    "num_vehicle",
+    "num_waiting_vehicle",
+    "vehicle_dist",
+    "emergency_distance",
+    "emergency_phase",
+    "bus_count",
+    "bus_delay",
+    "incident_blocked",
+    "congestion_level",
+    "index",
     "inlane_2_num_vehicle",
     "inlane_0_num_waiting_vehicle",
     "outlane_1_vehicle_dist",
@@ -87,3 +102,11 @@ trees = st.recursive(
     _blocks,
     max_leaves=6,
 ).map(nodes.SkillAst)
+
+
+def with_library_examples(test):
+    """``test`` with each library body as an explicit example."""
+    for skill in [SEED_SKILL, *LIBRARY.values()]:
+        for code in (skill.inlane_code, skill.outlane_code):
+            test = example(dsl.parse(code))(test)
+    return test

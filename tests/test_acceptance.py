@@ -28,8 +28,8 @@ from evosignal.util import mix_seed, percentile
 from ._backends import EliteCopyBackend
 from ._reference import brute_force_percentile, reference_evaluate
 
-ROUTINE = dsl.routine_whitelist()
-EVENT = dsl.event_whitelist()
+ROUTINE = dsl.ROUTINE_NAMES
+EVENT = dsl.EVENT_NAMES
 
 
 def report(number: int, label: str) -> None:
@@ -62,7 +62,7 @@ def test_c02_oracle_equivalence():
         ("transit", LIBRARY["bus-priority"]),
         ("incident", LIBRARY["incident-diversion"]),
     ]
-    names = EVENT.canonical_names()
+    names = EVENT
     rng = random.Random(2024)
     programs: list[dsl.SkillAst] = []
     i = 0
@@ -253,13 +253,13 @@ def test_c10_checkpoint_fidelity(tmp_path):
     scenario = desk_routine(duration=180)
     cfg = EvolutionConfig(scenarios=(scenario,), population=6, generations=10, seed=9)
 
-    straight = tmp_path / "straight"
-    result_straight = run_evolution(cfg, ScriptedBackend(seed=9), RunStore(straight, run_id="r"))
+    straight = tmp_path / "straight" / "r"
+    result_straight = run_evolution(cfg, ScriptedBackend(seed=9), RunStore(straight))
 
-    resumed = tmp_path / "resumed"
-    run_evolution(cfg, ScriptedBackend(seed=9), RunStore(resumed, run_id="r"), stop_after=4)
+    resumed = tmp_path / "resumed" / "r"
+    run_evolution(cfg, ScriptedBackend(seed=9), RunStore(resumed), stop_after=4)
     result_resumed = run_evolution(
-        cfg, ScriptedBackend(seed=9), RunStore(resumed, run_id="r"), resume=True
+        cfg, ScriptedBackend(seed=9), RunStore(resumed), resume=True
     )
     elapsed = time.monotonic() - started
     for name in ("events.jsonl", "capsules.jsonl", "skills.jsonl"):

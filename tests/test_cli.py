@@ -276,11 +276,14 @@ class TestInspectReplayExport:
         assert main(["export", "--run", str(tmp_path / "nothing")]) != 0
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def test_importing_the_cli_loads_neither_yaml_nor_scipy():
+    # Each is imported where it is used: yaml by load_scenario, scipy by
+    # metrics.welch_and_cohen.
     src = str(Path(evosignal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, evosignal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        [sys.executable, "-c",
+         "import sys, evosignal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', 'scipy')))"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -29,8 +29,7 @@ from evosignal.control import (
     run_episodes,
     score_phases,
 )
-from evosignal.dsl import EvalError, compile_body, complexity, event_whitelist, parse, sandbox_check, validate
-from evosignal.dsl.interpreter import BODY_PARAMETERS
+from evosignal.dsl import EVENT_NAMES, EvalError, compile_body, complexity, parse, sandbox_check, validate
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.generator import scripted_mutate
 from evosignal.sim import make_scenario
@@ -355,14 +354,14 @@ def worst_body() -> str:
     statements that read every parameter through ``abs`` calls, to
     exactly MAX_BODY_NODES nodes."""
     lines = [
-        "    " * depth + f"if {BODY_PARAMETERS[depth % len(BODY_PARAMETERS)]} >= 0:"
+        "    " * depth + f"if {EVENT_NAMES[depth % len(EVENT_NAMES)]} >= 0:"
         for depth in range(MAX_BRANCH_DEPTH)
     ]
     budget = MAX_BODY_NODES - 2 * MAX_BRANCH_DEPTH  # each test: compare + name
     named = 0
     while budget:
         k = min(10, (budget - 2) // 3)  # statement + target + k abs calls and names + k - 1 adds + 1 product
-        terms = " + ".join(f"abs({BODY_PARAMETERS[(named + j) % len(BODY_PARAMETERS)]})" for j in range(k))
+        terms = " + ".join(f"abs({EVENT_NAMES[(named + j) % len(EVENT_NAMES)]})" for j in range(k))
         lines.append("    " * MAX_BRANCH_DEPTH + f"value[0] += ({terms}) * 0.001")
         budget -= 3 * k + 2
         named += k
@@ -374,9 +373,9 @@ class TestWorstBody:
         code = worst_body()
         ast = parse(code)
         assert complexity(ast) == (MAX_BODY_NODES, MAX_BRANCH_DEPTH)
-        assert validate(ast, event_whitelist()).ok
+        assert validate(ast, EVENT_NAMES).ok
         worst = Skill(id="w", description="", guidance="", inlane_code=code, outlane_code=code)
-        assert sandbox_check(worst, event_whitelist()).ok
+        assert sandbox_check(worst, EVENT_NAMES).ok
         scenario = make_scenario("T1", rows=2, cols=2, duration=600)
         arrivals = Arrivals(scenario, 1)
         arrivals.draw_until(scenario.duration)

@@ -13,11 +13,11 @@ from evosignal.dsl.parser import MAX_EXPR_DEPTH
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
 
-from ._reference import reference_evaluate, reference_node_count
-from ._trees import trees
+from ._reference import reference_complexity, reference_evaluate
+from ._trees import trees, with_library_examples
 
-ROUTINE = dsl.routine_whitelist()
-EVENT = dsl.event_whitelist()
+ROUTINE = dsl.ROUTINE_NAMES
+EVENT = dsl.EVENT_NAMES
 
 
 def make_skill(inlane: str, outlane: str = "value[0] += 0") -> Skill:
@@ -122,6 +122,22 @@ class TestValidate:
         assert not dsl.validate(dsl.parse("value[0] += sum(num_vehicle)"), ROUTINE).ok
         assert not dsl.validate(dsl.parse("value[0] += min(range(3), 1)"), ROUTINE).ok
 
+    def test_a_chain_test_is_checked_before_the_branch_bodies(self):
+        ast = dsl.parse(
+            "if num_vehicle > 1:\n"
+            "    value[0] += foo(1)\n"
+            "elif baz(2) > 0:\n"
+            "    value[0] += 1\n"
+        )
+        report = dsl.validate(ast, ROUTINE)
+        assert report.message == "call to 'baz' is not a whitelisted builtin"
+
+    def test_the_two_name_sets(self):
+        assert dsl.ROUTINE_NAMES == ("num_vehicle", "num_waiting_vehicle", "vehicle_dist", "index")
+        assert dsl.EVENT_NAMES == (*dsl.ROUTINE_NAMES, *dsl.EVENT_VARIABLES)
+        assert dsl.whitelist_for(None) is dsl.ROUTINE_NAMES
+        assert dsl.whitelist_for("transit") is dsl.EVENT_NAMES
+
     def test_min_needs_two_args(self):
         assert not dsl.validate(dsl.parse("value[0] += min(num_vehicle)"), ROUTINE).ok
         assert dsl.validate(dsl.parse("value[0] += min(num_vehicle, 3, 4)"), ROUTINE).ok
@@ -138,7 +154,7 @@ class TestValidate:
             assert keyword.iskeyword(name)
             return
         report = dsl.validate(ast, ROUTINE)
-        assert report.ok == (ROUTINE.resolve(name) is not None)
+        assert report.ok == (dsl.canonical_binding(name) in ROUTINE)
 
 
 class TestEvaluate:
@@ -242,7 +258,7 @@ class TestEvaluate:
         assert a == b
 
     def test_agrees_with_reference_on_library(self):
-        bindings = {name: 3.0 for name in EVENT.canonical_names()}
+        bindings = dict.fromkeys(EVENT, 3.0)
         for skill in [SEED_SKILL, *LIBRARY.values()]:
             for code in (skill.inlane_code, skill.outlane_code):
                 ast = dsl.parse(code)
@@ -263,7 +279,7 @@ class TestEvaluate:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_reference_on_generated_trees(self, ast, values):
         # Bit-equal results, or a fault on both sides.
-        bindings = dict(zip(EVENT.canonical_names(), values))
+        bindings = dict(zip(EVENT, values))
         try:
             expected = reference_evaluate(ast, bindings).hex()
         except dsl.EvalError:
@@ -454,11 +470,14 @@ class TestComplexity:
         nodes, depth = skill_complexity(LIBRARY["saturation-branch"])
         assert 15 <= nodes <= 20 and depth == 1
 
-    def test_matches_reference_counter_on_library(self):
-        for skill in [SEED_SKILL, *LIBRARY.values()]:
-            for code in (skill.inlane_code, skill.outlane_code):
-                ast = dsl.parse(code)
-                assert dsl.complexity(ast)[0] == reference_node_count(ast)
+    @with_library_examples
+    @example(dsl.parse(nested(3)))
+    @example(dsl.parse("if index > 1:\n    value[0] += 1\nelse:\n    value[0] += 2\n    if index > 0:\n        value[0] += 3"))
+    @given(trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_counter_on_library(self, ast):
+        # On every library body and on drawn trees.
+        assert dsl.complexity(ast) == reference_complexity(ast)
 
 
 class TestSkillSerialization:

@@ -227,15 +227,15 @@ class TestRunEvolution:
     def test_checkpoint_resume_is_byte_identical(self, tmp_path):
         cfg = EvolutionConfig(scenarios=(desk_scenario(),), population=3, generations=6, seed=9)
 
-        straight_dir = tmp_path / "straight"
-        run_evolution(cfg, ScriptedBackend(seed=9), RunStore(straight_dir, run_id="r"))
+        straight_dir = tmp_path / "straight" / "r"
+        run_evolution(cfg, ScriptedBackend(seed=9), RunStore(straight_dir))
 
-        resumed_dir = tmp_path / "resumed"
-        resumed_store = RunStore(resumed_dir, run_id="r")
+        resumed_dir = tmp_path / "resumed" / "r"
+        resumed_store = RunStore(resumed_dir)
         partial = run_evolution(cfg, ScriptedBackend(seed=9), resumed_store, stop_after=2)
         assert partial.interrupted
         final = run_evolution(
-            cfg, ScriptedBackend(seed=9), RunStore(resumed_dir, run_id="r"), resume=True
+            cfg, ScriptedBackend(seed=9), RunStore(resumed_dir), resume=True
         )
         assert not final.interrupted
 
@@ -247,24 +247,23 @@ class TestRunEvolution:
     def test_resume_writes_session_marker_outside_the_trail(self, tmp_path):
         cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=2,
                               generations=4, seed=8)
-        store = RunStore(tmp_path / "run", run_id="r")
+        store = RunStore(tmp_path / "r")
         run_evolution(cfg, ScriptedBackend(seed=8), store, stop_after=2)
-        run_evolution(cfg, ScriptedBackend(seed=8), RunStore(tmp_path / "run", run_id="r"),
-                      resume=True)
-        sessions = (tmp_path / "run" / "sessions.jsonl").read_text().splitlines()
+        run_evolution(cfg, ScriptedBackend(seed=8), RunStore(tmp_path / "r"), resume=True)
+        sessions = (tmp_path / "r" / "sessions.jsonl").read_text().splitlines()
         assert len(sessions) == 1
         assert json.loads(sessions[0]) == {"event": "resumed", "generation": 2, "run": "r"}
-        events = (tmp_path / "run" / "events.jsonl").read_text()
+        events = (tmp_path / "r" / "events.jsonl").read_text()
         assert "resumed" not in events
 
     def test_resume_of_a_completed_run_is_a_noop(self, tmp_path):
         cfg = EvolutionConfig(scenarios=(desk_scenario(duration=60),), population=2,
                               generations=3, seed=8)
-        store = RunStore(tmp_path / "run", run_id="r")
+        store = RunStore(tmp_path / "run")
         first = run_evolution(cfg, ScriptedBackend(seed=8), store)
         before = (tmp_path / "run" / "events.jsonl").read_bytes()
         again = run_evolution(cfg, ScriptedBackend(seed=8),
-                              RunStore(tmp_path / "run", run_id="r"), resume=True)
+                              RunStore(tmp_path / "run"), resume=True)
         assert again.best == first.best
         assert again.fitness_history == first.fitness_history
         assert (tmp_path / "run" / "events.jsonl").read_bytes() == before
@@ -277,9 +276,9 @@ class TestRunEvolution:
     def test_parallel_jobs_do_not_change_a_byte(self, tmp_path):
         scenarios = (desk_scenario(duration=120), desk_scenario(duration=120))
         cfg = EvolutionConfig(scenarios=scenarios, population=4, generations=3, seed=17)
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        run_evolution(cfg, ScriptedBackend(seed=17), RunStore(serial_dir, run_id="r"), jobs=1)
-        run_evolution(cfg, ScriptedBackend(seed=17), RunStore(parallel_dir, run_id="r"), jobs=2)
+        serial_dir, parallel_dir = tmp_path / "serial" / "r", tmp_path / "parallel" / "r"
+        run_evolution(cfg, ScriptedBackend(seed=17), RunStore(serial_dir), jobs=1)
+        run_evolution(cfg, ScriptedBackend(seed=17), RunStore(parallel_dir), jobs=2)
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
 
@@ -288,9 +287,9 @@ class TestRunEvolution:
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
         cfg = EvolutionConfig(scenarios=(scenario,), population=3, generations=2,
                               mode="transit", seed=3)
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        serial_dir, parallel_dir = tmp_path / "serial" / "r", tmp_path / "parallel" / "r"
         for jobs, run_dir in ((1, serial_dir), (2, parallel_dir)):
-            run_evolution(cfg, ScriptedBackend(seed=3), RunStore(run_dir, run_id="r"), jobs=jobs)
+            run_evolution(cfg, ScriptedBackend(seed=3), RunStore(run_dir), jobs=jobs)
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
 
@@ -432,12 +431,12 @@ class TestSharedWork:
             scenarios = (make_scenario("B1", rows=2, cols=2, duration=200, demand_scale=0.5),)
             bodies = TRANSIT_BODIES
         cfg = EvolutionConfig(scenarios=scenarios, population=4, generations=3, mode=mode, seed=2)
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        run_evolution(cfg, RepeatingBackend(bodies), RunStore(serial_dir, run_id="r"), jobs=1)
+        serial_dir, parallel_dir = tmp_path / "serial" / "r", tmp_path / "parallel" / "r"
+        run_evolution(cfg, RepeatingBackend(bodies), RunStore(serial_dir), jobs=1)
         evaluations = len([e for e in RunStore(serial_dir).events() if e["event"] == "evaluated"])
         assert evaluations == 4 * 3 * len(scenarios)
         assert len(simulations) < evaluations  # duplicates were simulated once
-        run_evolution(cfg, RepeatingBackend(bodies), RunStore(parallel_dir, run_id="r"), jobs=2)
+        run_evolution(cfg, RepeatingBackend(bodies), RunStore(parallel_dir), jobs=2)
         for name in ("events.jsonl", "skills.jsonl", "capsules.jsonl"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
 

@@ -28,10 +28,10 @@ from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
 from ._backends import EliteCopyBackend
 from ._reference import reference_extract_draft_json
-from ._trees import trees
+from ._trees import trees, with_library_examples
 
-ROUTINE = dsl.routine_whitelist()
-EVENT = dsl.event_whitelist()
+ROUTINE = dsl.ROUTINE_NAMES
+EVENT = dsl.EVENT_NAMES
 
 
 class TestBuildPrompts:
@@ -202,14 +202,6 @@ def render_code(ast: dsl.SkillAst) -> str:
     return dsl.render(ast, "value[0]", dsl.source_literal)
 
 
-def with_library_examples(test):
-    """``test`` with each library body as an explicit example."""
-    for skill in [SEED_SKILL, *LIBRARY.values()]:
-        for code in (skill.inlane_code, skill.outlane_code):
-            test = example(dsl.parse(code))(test)
-    return test
-
-
 class TestRenderCode:
     @with_library_examples
     @example(dsl.parse("value[0] += (-2) ** num_vehicle"))
@@ -230,7 +222,7 @@ class TestRenderCode:
                 ast = dsl.parse(code)
                 rendered = render_code(ast)
                 again = dsl.parse(rendered)
-                bindings = {name: 2.0 for name in EVENT.canonical_names()}
+                bindings = dict.fromkeys(EVENT, 2.0)
                 assert dsl.compile_body(again).run(bindings) == (
                     dsl.compile_body(ast).run(bindings)
                 )

@@ -234,7 +234,7 @@ CRASH_CONFIG = EvolutionConfig(scenarios=(CRASH_SCENARIO,), population=2, genera
 
 def crash_run(run_dir, **kw):
     return run_evolution(CRASH_CONFIG, LastGenerationImproves(CRASH_CONFIG.population),
-                         RunStore(run_dir, run_id="r"), **kw)
+                         RunStore(run_dir), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +242,12 @@ def two_generations(tmp_path_factory):
     """Store files of an uninterrupted two-generation run, and the
     files and checkpoint after its first generation."""
     base = tmp_path_factory.mktemp("crash")
-    crash_run(base / "straight")
-    crash_run(base / "partial", stop_after=1)
-    want = {name: (base / "straight" / name).read_bytes() for name in STORE_FILES}
-    kept = {name: (base / "partial" / name).read_bytes() for name in STORE_FILES}
-    return want, kept, (base / "partial" / "checkpoint.json").read_bytes()
+    # Every run directory is named "r", so every record carries the same run id.
+    crash_run(base / "straight" / "r")
+    crash_run(base / "partial" / "r", stop_after=1)
+    want = {name: (base / "straight" / "r" / name).read_bytes() for name in STORE_FILES}
+    kept = {name: (base / "partial" / "r" / name).read_bytes() for name in STORE_FILES}
+    return want, kept, (base / "partial" / "r" / "checkpoint.json").read_bytes()
 
 
 class TestCrashAtAnyByte:
@@ -268,8 +269,8 @@ class TestCrashAtAnyByte:
         offsets = {*range(ends[name][-2][0], len(whole))}
         offsets |= {end for end, _ in ends[name] if end >= len(kept[name])}
         for i, offset in enumerate(sorted(offsets)):
-            run_dir = tmp_path / f"cut{i}"
-            run_dir.mkdir()
+            run_dir = tmp_path / f"cut{i}" / "r"
+            run_dir.mkdir(parents=True)
             (run_dir / "checkpoint.json").write_bytes(checkpoint)
             crash_seq = min([seq for end, seq in ends[name] if end > offset], default=math.inf)
             for other in STORE_FILES:
