@@ -21,12 +21,12 @@ from . import __version__
 from . import metrics as met
 from .control import ControllerSpec, drive, episode_pool, run_episodes
 from .dsl import EVENT_NAMES, sandbox_check
-from .evolution import EvolutionConfig, generation_records, run_evolution
+from .evolution import MODES, EvolutionConfig, NoViableCandidate, generation_records, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.engine import Arrivals
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
 from .skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
-from .store import CHECKPOINT_FILE, SKILLS_FILE, RunStore, StorageError, UnknownRun
+from .store import CHECKPOINT_FILE, SKILLS_FILE, RunStore, UnknownRun
 
 BASELINE_KINDS = ("fixed_time", "max_pressure", "handcrafted_preemption", "dispatcher")
 METRIC_COLUMNS = ("avg_delay", "avg_queue", "throughput", "emergency_delay", "bus_person_delay")
@@ -443,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run a skill evolution")
     _add_scenario_args(p, many=True)
-    p.add_argument("--mode", choices=("routine", "emergency", "transit", "incident"),
-                   default="routine")
+    p.add_argument("--mode", choices=MODES, default="routine")
     p.add_argument("--generator", choices=("scripted", "remote"), default="scripted")
     p.add_argument("--pop", type=int, default=8)
     p.add_argument("--gens", type=int, default=30)
@@ -514,10 +513,10 @@ def main(argv=None) -> int:
     except GeneratorUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RejectedSkill as exc:
+    except (RejectedSkill, NoViableCandidate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FileNotFoundError, StorageError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,9 @@ comparisons are real comparisons and a copied elite reproduces its
 fitness exactly. The traffic of each (scenario, seed) is drawn once per
 run (``Arrivals``), and one worker pool serves the whole run.
 
-Everything is checkpointed after each generation; a resumed run replays
-into byte-identical store files.
+A run's state is one ``Checkpoint``: a fresh run starts from an empty
+one, a resumed run from the one in its store, and each generation writes
+a new one. A resumed run replays into byte-identical store files.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .store import Checkpoint, RunStore
 from .util import mix_seed, percentile
 
 NEG_INFINITY = float("-inf")
+
+# The modes a run can evolve: routine control, or one event kind's skill
+# inside the default bank.
+MODES = ("routine", *met.EVENT_WEIGHTS)
 
 SIGNAL_ORDER = (
     "force_innovation",
@@ -78,47 +83,25 @@ class EvolutionSignals:
         return {name: getattr(self, name) for name in SIGNAL_ORDER}
 
 
-@dataclass(frozen=True)
-class GenerationAggregate:
-    """Per-generation record of the best candidate's performance; the
-    percentile histories run over these."""
-
-    fitness: float
-    avg_delay: float
-    avg_queue: float
-    throughput: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "fitness": self.fitness,
-            "avg_delay": self.avg_delay,
-            "avg_queue": self.avg_queue,
-            "throughput": self.throughput,
-        }
-
-
 def extract_signals(
-    history: list[GenerationAggregate],
-    current: GenerationAggregate | None,
+    history: list[dict[str, float]],
+    current: dict[str, float] | None,
     stagnation: int,
     tau: int,
 ) -> EvolutionSignals:
-    """Diagnostics for the upcoming generation. ``history`` holds the
-    aggregates of generations strictly before ``current`` (percentile
-    signals stay off until it is non-empty); trend signals compare the
-    last two best fitnesses; force_innovation fires at stagnation >= tau.
-    """
-    high_queue = low_throughput = high_delay = False
+    """Diagnostics for the upcoming generation. An aggregate is the dict
+    a checkpoint stores per generation (``fitness``, ``avg_delay``,
+    ``avg_queue``, ``throughput``). ``history`` holds the aggregates of
+    generations strictly before ``current``; the percentile signals and
+    the trend signals, which compare the last two best fitnesses, stay
+    off until it is non-empty. force_innovation fires at stagnation >=
+    tau."""
+    high_queue = low_throughput = high_delay = gain = decline = False
     if history and current is not None:
-        queues = [h.avg_queue for h in history]
-        delays = [h.avg_delay for h in history]
-        throughputs = [h.throughput for h in history]
-        high_queue = current.avg_queue > percentile(queues, 75)
-        high_delay = current.avg_delay > percentile(delays, 75)
-        low_throughput = current.throughput < percentile(throughputs, 25)
-    gain = decline = False
-    if history and current is not None:
-        delta = current.fitness - history[-1].fitness
+        high_queue = current["avg_queue"] > percentile([h["avg_queue"] for h in history], 75)
+        high_delay = current["avg_delay"] > percentile([h["avg_delay"] for h in history], 75)
+        low_throughput = current["throughput"] < percentile([h["throughput"] for h in history], 25)
+        delta = current["fitness"] - history[-1]["fitness"]
         gain = delta > 0
         decline = delta < 0
     return EvolutionSignals(
@@ -169,7 +152,7 @@ class EvolutionConfig:
     population: int = 8  # candidates generated and evaluated per generation
     generations: int = 30
     tau: int = 3  # stagnation threshold for force_innovation
-    mode: str = "routine"  # routine | emergency | transit | incident
+    mode: str = "routine"  # one of MODES
     seed: int = 0
 
     def __post_init__(self):
@@ -179,7 +162,7 @@ class EvolutionConfig:
             raise ValueError("population must be at least 2 (elite plus one candidate)")
         if self.tau < 1:
             raise ValueError("tau must be at least 1")
-        if self.mode not in ("routine", "emergency", "transit", "incident"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown evolution mode {self.mode!r}")
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
@@ -187,6 +170,11 @@ class EvolutionConfig:
     @property
     def event_kind(self) -> str | None:
         return None if self.mode == "routine" else self.mode
+
+
+class NoViableCandidate(RuntimeError):
+    """Every generation so far ended without a candidate that ran all
+    its episodes without a fault; the checkpoint of each is written."""
 
 
 @dataclass(frozen=True)
@@ -259,6 +247,14 @@ class EpisodeOutcome:
     avg_delay: float
     avg_queue: float
     throughput: float
+
+
+def _swap_inf_null(fitness: float | None) -> float | None:
+    """A fitness in its other form: the store writes -inf (a faulted
+    candidate, or no best yet) as null. Maps -inf and None to each other."""
+    if fitness is None:
+        return NEG_INFINITY
+    return None if fitness == NEG_INFINITY else fitness
 
 
 def _candidate_spec(cfg: EvolutionConfig, candidate: Skill, bank: ev.SkillBank | None) -> ControllerSpec:
@@ -385,89 +381,55 @@ def _evolve(
     resume: bool,
     pool,
 ) -> EvolutionResult:
-    started = time.monotonic()
     # An event mode evolves its slot inside the default bank.
     bank = ev.default_bank() if cfg.event_kind else None
-
-    aggregates: list[GenerationAggregate] = []
-    fitness_history: list[float] = []
-    stagnation = 0
-    best_skill: Skill | None = None
-    best_fitness = NEG_INFINITY
-    start_generation = 0
-    elapsed_before = 0.0
-
     if resume:
         checkpoint = store.read_checkpoint()
         if checkpoint is None:
             raise ValueError(f"no checkpoint to resume in {store.run_dir}")
         store.truncate_to(checkpoint.record_counts, checkpoint.sequence)
-        skills = store.skills()
-        start_generation = checkpoint.generations_done
-        fitness_history = list(checkpoint.fitness_history)
-        stagnation = checkpoint.stagnation
-        best_fitness = checkpoint.best_fitness if checkpoint.best_fitness is not None else NEG_INFINITY
-        best_skill = skills.get(checkpoint.best_skill_id) if checkpoint.best_skill_id else None
-        aggregates = [GenerationAggregate(**a) for a in checkpoint.aggregates]
-        elapsed_before = checkpoint.elapsed_seconds
-        if hasattr(backend, "calls"):
-            backend.calls = checkpoint.generator_calls
         store.append_session_event(
-            {"event": "resumed", "generation": start_generation, "run": store.run_id}
+            {"event": "resumed", "generation": checkpoint.generations_done, "run": store.run_id}
         )
     else:
+        checkpoint = Checkpoint(generations_done=0, fitness_history=(), stagnation=0, best_skill_id=None,
+                                best_fitness=None, generator_calls=0, record_counts={}, sequence=0,
+                                aggregates=(), elapsed_seconds=0.0)
         # Archive the seed first so every candidate's parent chain
         # resolves inside this run's store.
         store.append_skill(SEED_SKILL)
 
-    generations_this_session = 0
-    interrupted = False
+    started = time.monotonic() - checkpoint.elapsed_seconds
+    best_skill = store.skills().get(checkpoint.best_skill_id) if checkpoint.best_skill_id else None
+    best_fitness = _swap_inf_null(checkpoint.best_fitness)
+    stagnation = checkpoint.stagnation
+    aggregates = list(checkpoint.aggregates)
+    fitness_history = list(checkpoint.fitness_history)
+    backend.calls = checkpoint.generator_calls
+    first = checkpoint.generations_done
+    end = cfg.generations if stop_after is None else min(cfg.generations, first + stop_after)
     arrivals = run_arrivals(cfg)
 
-    for g in range(start_generation, cfg.generations):
-        if stop_after is not None and generations_this_session >= stop_after:
-            interrupted = True
-            break
-        current = aggregates[-1] if aggregates else None
-        history = aggregates[:-1] if len(aggregates) > 1 else []
-        signals = (
-            extract_signals(list(history), current, stagnation, cfg.tau)
-            if g > 0
-            else EvolutionSignals()
-        )
+    for g in range(first, end):
+        signals = extract_signals(aggregates[:-1], aggregates[-1] if aggregates else None, stagnation, cfg.tau)
         direction = direction_text(signals)
         elite = best_skill if best_skill is not None else SEED_SKILL
-        elite_metrics = elite.metrics_snapshot
-
-        prompts = gen.build_prompts(elite, elite_metrics, direction, cfg.event_kind)
-
-        def log_attempt(index: int, attempt: int, draft, report):
-            store.append_event(
-                "generated",
-                {"generation": g, "candidate": index, "attempt": attempt},
-            )
-            if draft is not None and report is not None and report.ok:
-                store.append_event(
-                    "validated", {"generation": g, "candidate": index, "attempt": attempt}
-                )
-            else:
-                stage = report.stage if report is not None else "parse"
-                message = report.message if report is not None else "not a skill JSON object"
-                store.append_event(
-                    "rejected",
-                    {"generation": g, "candidate": index, "attempt": attempt,
-                     "stage": stage, "message": message},
-                )
-
-        drafts = gen.generate(
+        prompts = gen.build_prompts(elite, elite.metrics_snapshot, direction, cfg.event_kind)
+        drafts, attempts = gen.generate(
             backend,
             prompts,
             cfg.population,
             elite=elite,
             signals=signals.as_dict(),
             event_kind=cfg.event_kind,
-            on_attempt=log_attempt,
         )
+        for index, attempt, report in attempts:
+            where = {"generation": g, "candidate": index, "attempt": attempt}
+            store.append_event("generated", where)
+            if report.ok:
+                store.append_event("validated", where)
+            else:
+                store.append_event("rejected", {**where, "stage": report.stage, "message": report.message})
 
         candidates = [
             draft.with_lineage(id=f"g{g:03d}c{i}", parent_id=elite.id, generation=g)
@@ -477,8 +439,6 @@ def _evolve(
 
         gen_best: Skill | None = None
         gen_best_fitness = NEG_INFINITY
-        gen_best_summary: dict[str, float] | None = None
-        candidate_ids = []
         for skill, (fitness, summary, outcomes) in zip(candidates, evaluations):
             for outcome in outcomes:
                 store.append_event(
@@ -488,41 +448,28 @@ def _evolve(
                         "skill_id": skill.id,
                         "scenario": outcome.scenario_name,
                         "seed": outcome.seed,
-                        "fitness": None if outcome.fitness == NEG_INFINITY else outcome.fitness,
+                        "fitness": _swap_inf_null(outcome.fitness),
                         "faults": outcome.faults,
                     },
                 )
-            skill = replace(skill, fitness=None if fitness == NEG_INFINITY else fitness,
-                            metrics_snapshot=summary)
+            skill = replace(skill, fitness=_swap_inf_null(fitness), metrics_snapshot=summary)
             store.append_skill(skill)
-            candidate_ids.append(skill.id)
             if fitness > gen_best_fitness:
                 gen_best = skill
                 gen_best_fitness = fitness
-                gen_best_summary = summary
 
-        improved = gen_best is not None and gen_best_fitness > best_fitness
-        if improved:
+        if gen_best_fitness > best_fitness:
             best_skill = gen_best
             best_fitness = gen_best_fitness
             stagnation = 0
-            solidify(gen_best, gen_best_fitness, gen_best_summary or {}, store, g)
+            solidify(gen_best, gen_best_fitness, gen_best.metrics_snapshot, store, g)
         else:
             stagnation += 1
-
-        if gen_best is not None and gen_best_fitness > NEG_INFINITY:
-            aggregates.append(
-                GenerationAggregate(
-                    fitness=gen_best_fitness,
-                    avg_delay=gen_best_summary["avg_delay"],
-                    avg_queue=gen_best_summary["avg_queue"],
-                    throughput=gen_best_summary["throughput"],
-                )
-            )
-        elif aggregates:
-            aggregates.append(aggregates[-1])
+        if gen_best is not None:
+            aggregates.append({"fitness": gen_best_fitness, **gen_best.metrics_snapshot})
         else:
-            aggregates.append(GenerationAggregate(0.0, 0.0, 0.0, 0.0))
+            aggregates.append(aggregates[-1] if aggregates else
+                              {"fitness": 0.0, "avg_delay": 0.0, "avg_queue": 0.0, "throughput": 0.0})
         fitness_history.append(best_fitness)
 
         seq = store.append_event(
@@ -531,8 +478,8 @@ def _evolve(
                 "generation": g,
                 "best_id": best_skill.id if best_skill else None,
                 "best_fitness": best_fitness,
-                "generation_best": None if gen_best_fitness == NEG_INFINITY else gen_best_fitness,
-                "candidates": candidate_ids,
+                "generation_best": _swap_inf_null(gen_best_fitness),
+                "candidates": [c.id for c in candidates],
                 "stagnation": stagnation,
                 "signals": signals.as_dict(),
                 "direction": direction,
@@ -544,31 +491,26 @@ def _evolve(
                 fitness_history=tuple(fitness_history),
                 stagnation=stagnation,
                 best_skill_id=best_skill.id if best_skill else None,
-                best_fitness=None if best_fitness == NEG_INFINITY else best_fitness,
-                generator_calls=getattr(backend, "calls", 0),
+                best_fitness=_swap_inf_null(best_fitness),
+                generator_calls=backend.calls,
                 record_counts=store.record_counts(),
                 sequence=seq,
-                aggregates=tuple(a.as_dict() for a in aggregates),
-                elapsed_seconds=elapsed_before + (time.monotonic() - started),
+                aggregates=tuple(aggregates),
+                elapsed_seconds=time.monotonic() - started,
             )
         )
-        generations_this_session += 1
 
     if best_skill is None:
-        raise RuntimeError("no candidate ever evaluated; evolution produced nothing")
-
-    initial = aggregates[0].fitness if aggregates else best_fitness
-    best_generation = 0
-    for i, value in enumerate(fitness_history):
-        if value == best_fitness:
-            best_generation = i
-            break
+        raise NoViableCandidate(
+            f"no candidate ran without a fault in {len(fitness_history)} generation(s): "
+            "every draft was rejected or its episodes faulted"
+        )
     return EvolutionResult(
         best=best_skill,
         best_fitness=best_fitness,
-        initial_fitness=initial,
-        best_generation=best_generation,
+        initial_fitness=aggregates[0]["fitness"] if aggregates else best_fitness,
+        best_generation=fitness_history.index(best_fitness),
         fitness_history=tuple(fitness_history),
         generations_done=len(fitness_history),
-        interrupted=interrupted,
+        interrupted=end < cfg.generations,
     )

@@ -2,10 +2,15 @@
 
 Two interchangeable backends produce skill drafts from (elite, metrics,
 direction): a remote chat-completions model, and a deterministic
-scripted mutator for offline runs and tests. Either way a draft is a
-JSON object with description / guidance / inlane_code / outlane_code;
-drafts that fail the three-stage validation pipeline are re-prompted
-with the error attached, at most three retries, then dropped.
+scripted mutator for offline runs and tests. A backend is any object
+with ``propose(request) -> str`` and an integer ``calls``, the number of
+``propose`` calls it has answered; a checkpoint stores ``calls`` and a
+resumed run sets it back. Either way a draft is a JSON object with
+description / guidance / inlane_code / outlane_code; drafts that fail
+the three-stage validation pipeline are re-prompted with the error
+attached, at most three retries, then dropped. ``generate`` returns the
+accepted drafts together with one validation report per attempt, which
+the evolution loop writes to the audit trail.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ class GeneratorUnavailable(RuntimeError):
 
 # What the prompt says when no diagnostic signal is active.
 NEUTRAL_DIRECTION = "Optimize performance."
+
+# The rejection message of a reply that holds no skill object.
+NOT_A_SKILL = "not a skill JSON object"
 
 
 @dataclass(frozen=True)
@@ -529,16 +537,17 @@ def generate(
     elite: Skill,
     signals: dict[str, bool] | None = None,
     event_kind: str | None = None,
-    on_attempt=None,
-) -> list[Skill]:
+) -> tuple[list[Skill], list[tuple[int, int, dsl.ValidationReport]]]:
     """Request ``count`` drafts, validating each through the full
     pipeline on the names skills of ``event_kind`` may read, with up to
-    three re-prompts; exhausted drafts are dropped.
-    ``on_attempt(index, attempt, draft_or_none, report_or_none)`` is the
-    audit hook - called once per backend invocation."""
+    three re-prompts; exhausted drafts are dropped. Returns the accepted
+    drafts and, in call order, one ``(index, attempt, report)`` per
+    backend call; a reply that holds no skill object is reported at
+    stage ``parse`` as ``NOT_A_SKILL``."""
     signals = signals or {}
     names = whitelist_for(event_kind)
     accepted: list[Skill] = []
+    attempts: list[tuple[int, int, dsl.ValidationReport]] = []
     for i in range(count):
         error: str | None = None
         for attempt in range(1 + MAX_VALIDATION_RETRIES):
@@ -550,8 +559,6 @@ def generate(
                 previous_error=error,
             )
             raw = backend.propose(request)
-            draft: Skill | None = None
-            report = None
             try:
                 data = extract_draft_json(raw)
                 draft = Skill(
@@ -562,16 +569,14 @@ def generate(
                     outlane_code=str(data["outlane_code"]),
                 )
             except (ValueError, KeyError, TypeError) as exc:
-                error = f"draft is not a skill JSON object: {exc}"
-            if draft is not None:
+                report = dsl.ValidationReport.failed(dsl.STAGE_PARSE, NOT_A_SKILL)
+                error = f"draft is {NOT_A_SKILL}: {exc}"
+            else:
                 report = dsl.sandbox_check(draft, names)
-                if report.ok:
-                    if on_attempt:
-                        on_attempt(i, attempt, draft, report)
-                    accepted.append(draft)
-                    break
                 error = f"{report.stage}: {report.message}"
-            if on_attempt:
-                on_attempt(i, attempt, draft, report)
+            attempts.append((i, attempt, report))
+            if report.ok:
+                accepted.append(draft)
+                break
         # falling through all attempts drops the draft
-    return accepted
+    return accepted, attempts

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .skills import Skill
@@ -50,6 +50,9 @@ class UnknownRun(FileNotFoundError):
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """The state of an evolution run after its last whole generation; a
+    fresh run starts from an empty one."""
+
     generations_done: int
     fitness_history: tuple[float, ...]
     stagnation: int
@@ -58,22 +61,8 @@ class Checkpoint:
     generator_calls: int
     record_counts: dict[str, int]  # file -> line count at checkpoint
     sequence: int
-    aggregates: tuple[dict, ...] = ()
-    elapsed_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "generations_done": self.generations_done,
-            "fitness_history": list(self.fitness_history),
-            "stagnation": self.stagnation,
-            "best_skill_id": self.best_skill_id,
-            "best_fitness": self.best_fitness,
-            "generator_calls": self.generator_calls,
-            "record_counts": dict(self.record_counts),
-            "sequence": self.sequence,
-            "aggregates": [dict(a) for a in self.aggregates],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+    aggregates: tuple[dict, ...]  # per generation: fitness, avg_delay, avg_queue, throughput
+    elapsed_seconds: float
 
     @classmethod
     def from_dict(cls, data: dict) -> "Checkpoint":
@@ -223,7 +212,7 @@ class RunStore:
                 _fsync(self._path(name))
         tmp = self._path(CHECKPOINT_FILE + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(checkpoint.to_dict(), handle, sort_keys=True, indent=1)
+            json.dump(asdict(checkpoint), handle, sort_keys=True, indent=1)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._path(CHECKPOINT_FILE))

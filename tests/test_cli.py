@@ -17,6 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import evosignal
+from evosignal import cli
 from evosignal.cli import main
 from evosignal.sim import engine
 from evosignal.skills import LIBRARY, SEED_SKILL
@@ -70,6 +71,50 @@ class TestEvolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 3
         assert "EVOSIGNAL_API_BASE" in capsys.readouterr().err
+
+
+class FaultingDrafts:
+    """Drafts that pass validation but fault in every episode (a lane
+    with no waiting vehicle divides by zero), up to call ``sound_after``;
+    sound drafts afterwards."""
+
+    def __init__(self, sound_after=None):
+        self.calls = 0
+        self.sound_after = sound_after
+
+    def propose(self, request):
+        self.calls += 1
+        faulting = self.sound_after is None or self.calls <= self.sound_after
+        inlane = "value[0] += 1 / num_waiting_vehicle" if faulting else "value[0] += num_waiting_vehicle"
+        return json.dumps({"description": "d", "guidance": "g",
+                           "inlane_code": inlane, "outlane_code": "value[0] += 0"})
+
+
+class TestNoViableCandidate:
+    """A run whose every candidate faults ends in one error line and exit
+    1, with its checkpoint written."""
+
+    def test_a_run_of_faulting_candidates_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ScriptedBackend", lambda seed: FaultingDrafts())
+        out = tmp_path / "run"
+        assert main(["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "no candidate ran without a fault in 2 generation(s)" in err
+        assert json.loads((out / "checkpoint.json").read_text())["generations_done"] == 2
+
+    def test_resume_continues_after_it(self, tmp_path, capsys, monkeypatch):
+        # the first generation's two drafts fault, later ones are sound
+        monkeypatch.setattr(cli, "ScriptedBackend", lambda seed: FaultingDrafts(sound_after=2))
+        out = tmp_path / "run"
+        base = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "3", "--out", str(out)]
+        assert main(base + ["--stop-after", "1"]) == 1
+        assert "in 1 generation(s)" in capsys.readouterr().err
+        assert main(base + ["--resume"]) == 0
+        assert capsys.readouterr().out.startswith("done: gens=3 ")
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        assert checkpoint["generations_done"] == 3 and checkpoint["generator_calls"] == 6
+        assert checkpoint["best_skill_id"].startswith("g001")
 
 
 class TestEvaluateCommand:
@@ -375,8 +420,8 @@ class TestResumeRefusal:
 
 class TestRefusedInput:
     """Commands that read a run refuse a missing one without creating
-    it, and seed lists need a seed; each prints one error line and
-    exits 2."""
+    it, seed lists need a seed, and an output path must be writable;
+    each prints one error line and exits 2."""
 
     def one_error_line(self, capsys) -> str:
         err = capsys.readouterr().err
@@ -445,6 +490,19 @@ class TestRefusedInput:
                      "--out", str(out)]) == 2
         assert "duration must be a number from 1 to 86400" in self.one_error_line(capsys)
         assert not out.exists()
+
+    def test_a_baseline_out_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        argv = ["baseline", "--method", "fixed_time", "--scenario", "T1", *DESK, "--seeds", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        self.one_error_line(capsys)
+
+    def test_an_evolve_out_under_a_file_is_refused(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        argv = ["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "1",
+                "--out", str(tmp_path / "file" / "run")]
+        assert main(argv) == 2
+        self.one_error_line(capsys)
 
     def test_export_of_a_run_without_generations_names_it(self, tmp_path, capsys):
         run = tmp_path / "seeded"

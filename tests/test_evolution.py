@@ -15,7 +15,6 @@ from evosignal.evolution import (
     DIRECTIONS,
     EvolutionConfig,
     EvolutionSignals,
-    GenerationAggregate,
     NEUTRAL_DIRECTION,
     NotAnImprovement,
     direction_text,
@@ -39,8 +38,7 @@ from .test_dsl import DEEP_BODIES
 
 
 def agg(fitness=0.0, delay=0.0, queue=0.0, throughput=0.0):
-    return GenerationAggregate(fitness=fitness, avg_delay=delay, avg_queue=queue,
-                               throughput=throughput)
+    return {"fitness": fitness, "avg_delay": delay, "avg_queue": queue, "throughput": throughput}
 
 
 def desk_scenario(duration=240, scale=1.2):
@@ -181,6 +179,7 @@ class TestRunEvolution:
         assert len(generated) == 4  # 1 + 3 retries
         rejected = [e for e in events if e["event"] == "rejected" and e["candidate"] == 1]
         assert len(rejected) == 4
+        assert {(e["stage"], e["message"]) for e in rejected} == {("parse", "not a skill JSON object")}
         evaluated_ids = {e["skill_id"] for e in events if e["event"] == "evaluated"}
         assert evaluated_ids == {"g000c0", "g000c1"}  # two accepted drafts only
 

@@ -405,7 +405,7 @@ class TestRemoteLoopback:
             backend = RemoteBackend(
                 api_base=f"http://127.0.0.1:{server.server_port}/v1", model="m"
             )
-            drafts = generate(
+            drafts, _ = generate(
                 backend,
                 build_prompts(SEED_SKILL, None, "x"),
                 2,
@@ -445,17 +445,11 @@ class RejectingBackend:
 class TestGenerate:
     def test_retry_then_drop_accounting(self):
         backend = RejectingBackend(good_calls=1)
-        attempts = []
-        drafts = generate(
-            backend,
-            PromptBundle("s", "u"),
-            2,
-            elite=SEED_SKILL,
-            on_attempt=lambda i, attempt, draft, report: attempts.append((i, attempt)),
-        )
+        drafts, attempts = generate(backend, PromptBundle("s", "u"), 2, elite=SEED_SKILL)
         assert len(drafts) == 1  # candidate 1 dropped after retries
         # candidate 0: one call; candidate 1: 1 + 3 retries
-        assert attempts == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
+        assert [(i, attempt) for i, attempt, _ in attempts] == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
+        assert [report.ok for _, _, report in attempts] == [True, False, False, False, False]
         assert backend.calls == 5
 
     def test_invalid_code_triggers_reprompt_with_error(self):
@@ -480,11 +474,11 @@ class TestGenerate:
                 )
 
         backend = EventuallyValid()
-        drafts = generate(backend, PromptBundle("s", "u"), 1, elite=SEED_SKILL)
+        drafts, _ = generate(backend, PromptBundle("s", "u"), 1, elite=SEED_SKILL)
         assert len(drafts) == 1
         assert backend.seen_errors[0] is None
         assert "secret_var" in backend.seen_errors[1]
 
     def test_count_zero_is_empty(self):
         assert generate(ScriptedBackend(seed=1), PromptBundle("s", "u"), 0,
-                        elite=SEED_SKILL) == []
+                        elite=SEED_SKILL) == ([], [])

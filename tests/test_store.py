@@ -197,7 +197,7 @@ class TestShortStore:
 
         monkeypatch.setattr(store_module, "_fsync", record_fsync)
         monkeypatch.setattr(os, "replace", record_replace)
-        store.write_checkpoint(Checkpoint(1, (0.0,), 0, None, None, 0, store.record_counts(), 2))
+        store.write_checkpoint(Checkpoint(1, (0.0,), 0, None, None, 0, store.record_counts(), 2, (), 0.0))
         renamed = synced.index(("replace", "checkpoint.json"))
         assert sorted(synced[:renamed]) == ["events.jsonl", "skills.jsonl"]
         assert synced[renamed + 1:] == ["run"]
