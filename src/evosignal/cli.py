@@ -21,7 +21,7 @@ from . import __version__
 from . import metrics as met
 from .control import ControllerSpec, drive, episode_pool, run_episodes
 from .dsl import EVENT_NAMES, sandbox_check
-from .evolution import MODES, EvolutionConfig, NoViableCandidate, generation_records, run_evolution
+from .evolution import MODES, EvolutionConfig, NoViableCandidate, generation_records, refuse_eventless, run_evolution
 from .generator import GeneratorUnavailable, RemoteBackend, ScriptedBackend
 from .sim.engine import Arrivals
 from .sim.scenario import ScenarioConfig, load_scenario, make_scenario
@@ -154,6 +154,7 @@ def cmd_evolve(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
+    refuse_eventless(cfg)
     if args.generator == "scripted":
         backend = ScriptedBackend(seed=args.seed)
     else:
@@ -422,7 +423,7 @@ def cmd_export(args) -> int:
         active = "+".join(name for name, on in record.signals.items() if on) or "none"
         rows.append([
             record.index,
-            f"{record.best_fitness:.6f}",
+            f"{record.best_fitness:.6f}" if record.best_fitness is not None else "",
             f"{mean_fitness:.6f}" if mean_fitness != "" else "",
             active,
         ])

@@ -14,15 +14,21 @@ index and the active event's context injected alongside. Argmax with
 the lowest index winning ties - ties must break the same way no matter
 what order phases were evaluated in.
 
-``score_phases`` is the one scorer, and it computes nothing twice: a
-body that names no parameter is folded to a constant when it is
-compiled and never called; an outlane body that does not name ``index``
-runs once per exit link (4 calls per decision, not 12), since up to
-three lane-links share one; and each exit link's figures are read once.
-The engine keeps the vehicle counts of every link and lane, so a count
-is read in O(1). Scores are bit-identical to calling both bodies at
-every lane-link, and a fault is reported where that order meets it
-first.
+``score_phases`` is the one scorer, and it computes nothing twice. It
+calls the skill's generated scorer: one Python function per (inlane,
+outlane) pair of parsed bodies, compiled once and cached, whose text
+(``_scorer_source``) holds both bodies as ``dsl.render`` writes them,
+inside one loop over the junction's lane-links. For each body the text
+holds only the reads of the lane features it names, straight from the
+engine's records: an approach ``Lane``'s queue and running lists, its
+blockage and ``Lane.span`` for the gap, and an exit ``LinkState``'s
+kept count, queue lists and lanes. A body that names no parameter is
+folded to a constant when it is compiled and added as a literal; an
+outlane body that does not name ``index`` runs once per exit link (4
+runs per decision, not 12), since up to three lane-links share one.
+Scores are bit-identical to calling both bodies at every lane-link, and
+a fault is reported where that order meets it first, with the same
+message.
 
 The max-pressure baselines read the phase pressures the engine keeps
 on each junction instead of reading lane figures. Controllers that log
@@ -32,14 +38,14 @@ collects a step log.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent import futures
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import events as ev
-from .dsl import EvalError, compile_body, parse
-from .dsl.interpreter import finite_result
+from .dsl import EvalError, SkillAst, compile_body, parse
+from .dsl.interpreter import _EXEC_GLOBALS, body_lines, finite_result
 from .dsl.whitelist import EVENT_VARIABLES
 from .sim.engine import (
     PHASE_DECISIONS,
@@ -64,14 +70,144 @@ def _argmax_lowest(scores) -> int:
     return best
 
 
-class CompiledSkill:
-    """A skill with both code bodies compiled once for the episode."""
+# The globals of a generated scorer: the body globals, and the
+# builtins its own lines call under names no body can spell
+# (``_EXEC_GLOBALS`` binds ``len`` to ``float`` for the bodies).
+_SCORER_GLOBALS = {**_EXEC_GLOBALS, "_len": len, "_float": float, "_type": type, "_finite": finite_result}
 
-    __slots__ = ("inlane", "outlane")
+
+# Lines that check the raw result ``value`` of a body exactly as
+# ``finite_result`` would; v - v is 0.0 exactly for a finite float.
+_CHECKED = (
+    "if _type(value) is not _float or value - value != 0.0:",
+    "    value = _finite(value)",
+)
+
+
+def _lane_reads(reads: tuple[bool, bool, bool]) -> list[str]:
+    """Lines that set the figures ``reads`` names of the inlane ``_lane``,
+    an approach ``Lane``, as ``Lane``'s properties compute them."""
+    count, waiting, dist = reads
+    lines = ["_q = _len(_lane.queue)"] if any(reads) else []
+    if count or dist:
+        lines.append("_n = _q + _len(_lane.running)")
+    if count:
+        lines.append("num_vehicle = _n + 0.0")
+    if waiting:
+        lines.append("num_waiting_vehicle = _q + (_lane.movement in _lane.blocked) + 0.0")
+    if dist:
+        lines += [
+            "if _n <= 1:",
+            "    vehicle_dist = _lane.length / (_n + 1)",
+            "else:",
+            "    _lo, _hi = _lane.span(_lane.clock.t, 1e999, -1e999)",
+            "    vehicle_dist = (_hi - _lo) / (_n - 1)",
+        ]
+    return lines
+
+
+def _link_reads(reads: tuple[bool, bool, bool]) -> list[str]:
+    """Lines that set the figures ``reads`` names of the outlane ``_out``,
+    an exit ``LinkState``, as ``LinkState``'s properties compute them."""
+    count, waiting, dist = reads
+    lines = []
+    if count or dist:
+        lines.append("_n = _out.count")
+    if count:
+        lines.append("num_vehicle = _n + 0.0")
+    if waiting:
+        lines += [
+            "_left, _straight, _right = _out.queues.values()",
+            "num_waiting_vehicle = _len(_left) + _len(_straight) + _len(_right) + _len(_out.blocked) + 0.0",
+        ]
+    if dist:
+        lines += [
+            "if _n <= 1:",
+            "    vehicle_dist = _out.link.length / (_n + 1)",
+            "else:",
+            "    _t = _out.clock.t",
+            "    _lo, _hi = 1e999, -1e999",
+            "    for _part in _out.lanes.values():",
+            "        _lo, _hi = _part.span(_t, _lo, _hi)",
+            "    vehicle_dist = (_hi - _lo) / (_n - 1)",
+        ]
+    return lines
+
+
+def _indented(lines: list[str], depth: int) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _scorer_source(inlane: SkillAst, outlane: SkillAst) -> str:
+    """The text of ``def score(views, <EVENT_VARIABLES>)``, which
+    returns each phase's score under the two bodies. An outlane body
+    that does not name ``index`` runs at the first lane-link that leaves
+    by an exit, and its checked result is kept in ``_shared``, keyed by
+    the exit's ``LinkState`` (which hashes by identity), for the
+    others."""
+    inlane_body, outlane_body = compile_body(inlane), compile_body(outlane)
+    share = outlane_body.constant is None and not outlane_body.names_index
+    per_lane_link = []
+    for body, ast, reads, shared in (
+        (inlane_body, inlane, _lane_reads, False),
+        (outlane_body, outlane, _link_reads, share),
+    ):
+        if body.constant is not None:
+            # The total starts at 0.0 and so is never -0.0, and adding a
+            # zero to it leaves it as it is.
+            if body.constant != 0.0:
+                per_lane_link.append(f"_total += {body.constant!r}")
+        elif shared:
+            per_lane_link += [
+                "_result = _shared.get(_out)",
+                "if _result is None:",
+                *_indented([*reads(body.reads), *body_lines(ast), *_CHECKED], 1),
+                "    _shared[_out] = _result = value",
+                "_total += _result",
+            ]
+        else:
+            per_lane_link += [*reads(body.reads), *body_lines(ast), *_CHECKED, "_total += value"]
+    lines = [
+        f"def score(views, {', '.join(EVENT_VARIABLES)}):",
+        "    _scores = []",
+        *(["    _shared = {}"] if share else []),
+        "    index = 0.0",
+        "    for _phase in views:",
+        "        _total = 0.0",
+        "        for _lane, _out in _phase:",
+        *_indented(per_lane_link or ["pass"], 3),
+        "        _scores.append(_total)",
+        "        index += 1.0",
+        "    return _scores",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+_SCORER_CACHE: dict[tuple[SkillAst, SkillAst], Callable[..., list[float]]] = {}
+
+
+def scorer(inlane: SkillAst, outlane: SkillAst) -> Callable[..., list[float]]:
+    """The generated scorer of two parsed bodies, compiled once per
+    (inlane, outlane) pair: parsed ASTs are immutable and hashable."""
+    key = (inlane, outlane)
+    score = _SCORER_CACHE.get(key)
+    if score is None:
+        namespace: dict[str, object] = {}
+        exec(compile(_scorer_source(inlane, outlane), "<scorer>", "exec"), _SCORER_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
+        score = namespace["score"]
+        if len(_SCORER_CACHE) > 4096:
+            _SCORER_CACHE.clear()
+        _SCORER_CACHE[key] = score
+    return score
+
+
+class CompiledSkill:
+    """A skill whose two bodies are fused into one generated scorer."""
+
+    __slots__ = ("score",)
 
     def __init__(self, skill: Skill):
-        self.inlane = compile_body(parse(skill.inlane_code))
-        self.outlane = compile_body(parse(skill.outlane_code))
+        self.score = scorer(parse(skill.inlane_code), parse(skill.outlane_code))
 
 
 # The event context of a decision with no active event.
@@ -80,85 +216,26 @@ _NO_EVENT = (0.0,) * len(EVENT_VARIABLES)
 
 def score_phases(
     compiled: CompiledSkill,
-    observations: PhaseViews,
+    views: PhaseViews,
     ctx_extra: dict[str, float] | None = None,
 ) -> list[float]:
     """Each phase's score under a compiled skill, with the event
     variables ``ctx_extra`` names bound to its values and every other
     one to 0.0; raises EvalError if any lane-link evaluation faults
     (callers hold the current phase and record it).
-    Each lane-link adds its inlane result, checked, then its outlane
-    result, so the first fault in that order is the one reported.
 
-    Each figure is read once and each result known in advance is not
-    computed again, which leaves every score bit-identical:
-
-    - a lane feature a body does not name is never read from the
-      record; the body gets 0.0 for it, which it cannot see;
-    - a body's ``constant``, when it has one, is added without a call;
-    - up to three lane-links share an outlane, their exit link's
-      ``LinkState``, so each outlane's figures are read once per call;
-      an outlane body that does not name ``index`` runs once per
-      outlane, and its checked result serves every lane-link that
-      leaves by it. The memo is keyed on the outlane record (a
-      ``LinkState`` hashes by identity) and filled at first use, so
-      bodies still run, and fault, in the order above.
+    The work is the skill's generated scorer's (see the module
+    docstring): each lane-link adds its inlane result, checked, then its
+    outlane result, so the first fault in that order is the one
+    reported, with the message the body's own function would give, and
+    every score is bit-identical to running both bodies at every
+    lane-link on the figures the records' properties give.
     """
-    e0, e1, e2, e3, e4, e5 = (
-        tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
-    )
-    inlane_body, outlane_body = compiled.inlane, compiled.outlane
-    fin, fout = inlane_body.function, outlane_body.function
-    in_constant, out_constant = inlane_body.constant, outlane_body.constant
-    in_count, in_waiting, in_dist = inlane_body.reads
-    out_count, out_waiting, out_dist = outlane_body.reads
-    share_outlane = not outlane_body.names_index
-    # Per outlane record: its three figures, and its checked result when
-    # the body does not name index.
-    figures_of = {}
-    results = {}
-    scores = []
+    context = tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
     try:
-        for k, lane_links in enumerate(observations):
-            total = 0.0
-            index = float(k)
-            for inlane, outlane in lane_links:
-                if in_constant is None:
-                    result = fin(
-                        float(inlane.num_vehicle) if in_count else 0.0,
-                        float(inlane.num_waiting_vehicle) if in_waiting else 0.0,
-                        float(inlane.vehicle_dist) if in_dist else 0.0,
-                        index, e0, e1, e2, e3, e4, e5,
-                    )
-                    # r - r is 0.0 exactly for a finite float
-                    if type(result) is not float or result - result != 0.0:
-                        result = finite_result(result)
-                    total += result
-                else:
-                    total += in_constant
-                if out_constant is not None:
-                    total += out_constant
-                    continue
-                result = results.get(outlane) if share_outlane else None
-                if result is None:
-                    figures = figures_of.get(outlane)
-                    if figures is None:
-                        figures = figures_of[outlane] = (
-                            float(outlane.num_vehicle) if out_count else 0.0,
-                            float(outlane.num_waiting_vehicle) if out_waiting else 0.0,
-                            float(outlane.vehicle_dist) if out_dist else 0.0,
-                        )
-                    count, waiting, dist = figures
-                    result = fout(count, waiting, dist, index, e0, e1, e2, e3, e4, e5)
-                    if type(result) is not float or result - result != 0.0:
-                        result = finite_result(result)
-                    if share_outlane:
-                        results[outlane] = result
-                total += result
-            scores.append(total)
+        return compiled.score(views, *context)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise EvalError(str(exc)) from exc
-    return scores
 
 
 def max_pressure(junction: Junction) -> int:

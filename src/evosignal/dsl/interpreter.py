@@ -4,20 +4,26 @@ The main interpreter lowers a SkillAst once to a real Python function
 (grammar and whitelist have already fenced it in) whose positional
 parameters are the ten ``EVENT_NAMES``: the three lane features,
 the phase ``index`` and the six event-context variables. The lowering
-is text, which Python compiles: a prologue assigns any lane-index
-aliases the body uses and sets the accumulator, a local float
-``value``, to 0.0; ``nodes.render`` then writes the body with ``value``
-as its accumulator and ``repr`` literals, so each ``value[0] op= e``
-becomes ``value op= e`` (the same arithmetic, without a list to index),
-and the function returns ``value``. Its globals hold the whitelisted
-builtins and nothing else, so a call costs about as much as the
-arithmetic in it, which matters because an episode evaluates skill
-bodies hundreds of thousands of times. ``CompiledBody.reads`` records
-which lane features a body names (aliases included), so a scorer reads
-from the simulator only those; ``names_index`` whether it names the
-phase ``index``, so a scorer may share one result among lane-links with
-the same features; and ``constant`` the result of a body that names no
-parameter at all, so a scorer need not call it.
+is text, which Python compiles: ``body_lines`` writes a prologue that
+assigns any lane-index aliases the body uses and sets the accumulator,
+a local float ``value``, to 0.0; ``nodes.render`` then writes the body
+with ``value`` as its accumulator and ``repr`` literals, so each
+``value[0] op= e`` becomes ``value op= e`` (the same arithmetic, without
+a list to index), and the function returns ``value``. Its globals hold
+the whitelisted builtins and nothing else, so a call costs about as
+much as the arithmetic in it. ``CompiledBody.run`` calls it on
+bindings by name; this is how the sandbox check runs a body.
+
+Episodes run bodies hundreds of thousands of times, and not through
+this function: ``control`` generates one scorer per skill around the
+same ``body_lines`` of both bodies (with these globals, plus the
+builtins its own lines call). It reads what a ``CompiledBody`` knows of
+a body: ``reads``, which lane features the body names (aliases
+included), so the scorer reads from the simulator only those;
+``names_index``, whether it names the phase ``index``, so the scorer
+may share one result among the lane-links of one exit link; and
+``constant``, the result of a body that names no parameter at all,
+which the scorer adds as a literal.
 
 Semantics are plain double precision: all literals are floats, ``//`` is
 floor division, ``%`` takes the sign of the divisor, ``**`` is real
@@ -84,11 +90,12 @@ _EXEC_GLOBALS = {
 }
 
 
-def _lower_function(ast: SkillAst) -> str:
-    """The text ``def skill(<EVENT_NAMES>):`` of a body: alias
-    prologue, accumulator, the rendered body, ``return value``. A name
-    that no canonical binding can supply raises EvalError before the
-    body runs."""
+def body_lines(ast: SkillAst) -> list[str]:
+    """The statements that run a body where each of the ``EVENT_NAMES``
+    it names is a local: the alias prologue, the accumulator ``value =
+    0.0`` and the rendered body, after which ``value`` holds the raw
+    result. A name that no canonical binding can supply raises EvalError
+    (through ``_unbound``) where the body would start."""
     lines = []
     for name in sorted(free_names(ast)):
         canonical = canonical_binding(name)
@@ -96,8 +103,14 @@ def _lower_function(ast: SkillAst) -> str:
             lines.append(f"_unbound({name!r})")
         elif name != canonical:
             lines.append(f"{name} = {canonical}")
-    lines += ("value = 0.0", render(ast, "value", repr), "return value")
-    return f"def skill({', '.join(EVENT_NAMES)}):\n    " + "\n".join(lines).replace("\n", "\n    ")
+    return [*lines, "value = 0.0", *render(ast, "value", repr).split("\n")]
+
+
+def _lower_function(ast: SkillAst) -> str:
+    """The text ``def skill(<EVENT_NAMES>):`` of a body: its
+    ``body_lines`` and ``return value``."""
+    lines = [*body_lines(ast), "return value"]
+    return f"def skill({', '.join(EVENT_NAMES)}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def finite_result(result) -> float:

@@ -33,7 +33,7 @@ from . import metrics as met
 from .control import ControllerSpec, episode_pool, run_episodes
 from .dsl import parse
 from .sim.engine import Arrivals, EpisodeResult
-from .sim.scenario import ScenarioConfig
+from .sim.scenario import ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
 from .skills import SEED_SKILL, Skill
 from .store import Checkpoint, RunStore
 from .util import mix_seed, percentile
@@ -196,7 +196,7 @@ class GenerationRecord:
     candidate_ids: tuple[str, ...]
     fitness_vector: tuple[float | None, ...]  # per candidate, scenario mean
     best_id: str | None
-    best_fitness: float  # best-so-far after this generation
+    best_fitness: float | None  # best-so-far after this generation; None until a candidate runs without a fault
     signals: dict[str, bool]
     direction: str
 
@@ -204,7 +204,8 @@ class GenerationRecord:
 def generation_records(store: RunStore) -> list[GenerationRecord]:
     """Rebuild the per-generation records from a run's events. Best
     fitness is nondecreasing across the returned list (elite
-    preservation)."""
+    preservation), after the leading generations, if any, in which no
+    candidate ran without a fault, whose best fitness is None."""
     per_candidate: dict[int, dict[str, list[float | None]]] = {}
     checkpoints: dict[int, dict] = {}
     for event in store.events():
@@ -263,6 +264,29 @@ def _candidate_spec(cfg: EvolutionConfig, candidate: Skill, bank: ev.SkillBank |
     return ControllerSpec("dispatcher", bank_skills=bank.replaced(cfg.mode, candidate).skills)
 
 
+def _schedules(scenario: ScenarioConfig, kind: str) -> bool:
+    """Whether every episode of ``scenario`` carries the delay metric of
+    ``kind``: an emergency vehicle or a bus is due to enter in it, or an
+    incident is configured (its window delay is measured even when the
+    blockage starts after the end)."""
+    if kind == "emergency":
+        return bool(scheduled_emergencies(scenario))
+    if kind == "transit":
+        return any(scheduled_bus_departures(scenario, line) for line in scenario.bus_lines)
+    return scenario.incident is not None
+
+
+def refuse_eventless(cfg: EvolutionConfig) -> None:
+    """Raise ValueError, naming the scenario and the mode, if an event
+    mode's event never occurs in one of the config's scenarios: its
+    episodes would carry no metric for the mode's fitness to read."""
+    kind = cfg.event_kind
+    for scenario in cfg.scenarios:
+        if kind and not _schedules(scenario, kind):
+            raise ValueError(f"mode {cfg.mode} cannot score scenario {scenario.name}: "
+                             f"it schedules no {cfg.mode} event in its {scenario.duration} s")
+
+
 def _outcome(cfg: EvolutionConfig, arrivals: Arrivals, result: EpisodeResult) -> EpisodeOutcome:
     """Score one episode; any controller fault voids it with -inf."""
     scenario, metrics, faults = arrivals.scenario, result.metrics, result.controller_faults
@@ -271,7 +295,10 @@ def _outcome(cfg: EvolutionConfig, arrivals: Arrivals, result: EpisodeResult) ->
     elif cfg.mode == "routine":
         fitness = met.routine_fitness(metrics, scenario.fitness_constant)
     else:
-        fitness = met.event_fitness(metrics, cfg.mode, scenario.fitness_constant)
+        try:
+            fitness = met.event_fitness(metrics, cfg.mode, scenario.fitness_constant)
+        except met.MissingMetric as exc:
+            raise met.MissingMetric(f"mode {cfg.mode} cannot score scenario {scenario.name}: {exc}") from None
     return EpisodeOutcome(
         scenario_name=scenario.name,
         seed=arrivals.seed,
@@ -477,7 +504,7 @@ def _evolve(
             {
                 "generation": g,
                 "best_id": best_skill.id if best_skill else None,
-                "best_fitness": best_fitness,
+                "best_fitness": _swap_inf_null(best_fitness),
                 "generation_best": _swap_inf_null(gen_best_fitness),
                 "candidates": [c.id for c in candidates],
                 "stagnation": stagnation,

@@ -20,7 +20,7 @@ EVENT_WEIGHTS = {
 }
 
 
-class MissingMetric(KeyError):
+class MissingMetric(ValueError):
     """The scenario never produced the event-specific metric."""
 
 

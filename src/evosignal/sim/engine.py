@@ -55,9 +55,11 @@ nodes and links by id every step.
 A skill observes the engine's own records: the approach ``Lane`` is the
 inlane of a lane-link and the exit ``LinkState`` its outlane. Neither
 stores a figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
-``vehicle_dist`` is computed from the record's lists when it is asked
-for, so a controller pays only for the figures it reads, and a read
-after ``Episode.step`` sees the new state. A link's vehicle count is
+``vehicle_dist`` is a property computed from the record's lists when it
+is asked for, so a read after ``Episode.step`` sees the new state. The
+properties define the figures; a skill's generated scorer
+(``control.score_phases``) computes the ones its bodies name inline, in
+the same way, and the tests hold the two to each other. A link's vehicle count is
 kept by the link state as vehicles enter and leave it, and a lane's is
 the length of its queue and running lists, so reading either is O(1);
 so is a lane's nearest and farthest running vehicle while the lane
@@ -357,8 +359,8 @@ class LinkState:
 
     A link state is what a skill sees as the outlane of a lane-link. Up
     to three lane-links of an intersection share one exit link;
-    ``control.score_phases`` reads each exit's figures once per
-    decision."""
+    ``control.score_phases`` runs an outlane body that does not name the
+    phase index once per exit per decision."""
 
     __slots__ = ("link", "lanes", "queues", "count", "blocked", "clock")
 

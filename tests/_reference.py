@@ -6,7 +6,10 @@ a Python function instead) and a phase scorer built on it, a node and
 branch-depth counter by structural recursion (the package weighs the
 nodes of one flat walk), a brute-force percentile, observations built from sorted
 distance lists as frozen ``LaneObservation`` values (the package reads
-counts and extremes from live views when they are asked for),
+counts and extremes from live views when they are asked for), lane and
+link stand-ins that carry the attributes the package's generated
+scorer reads and compute their figures as properties of their own,
+which is how the reference scorer reads every record,
 max-pressure scored from observations (the package keeps each
 junction's phase pressures as queues change), link and lane vehicle
 counts recounted from a link's lists (the package keeps them as
@@ -193,7 +196,9 @@ def reference_score_phases(inlane_ast, outlane_ast, observations, context=None) 
     """Per-phase scores: for each lane-link in turn, the inlane body on
     the inlane features, then the outlane body on the outlane features,
     each with the phase index and the event context (zeros by default)
-    bound by name and evaluated by tree walking."""
+    bound by name and evaluated by tree walking. Every figure is read
+    from the record's property at every lane-link: an engine ``Lane``'s
+    or ``LinkState``'s, or a stand-in's."""
     event = {name: 0.0 for name in _EVENT_NAMES}
     event.update(context or {})
     scores = []
@@ -282,6 +287,98 @@ class LaneObservation:
     num_vehicle: int
     num_waiting_vehicle: int
     vehicle_dist: float
+
+
+class StandInClock:
+    __slots__ = ("t",)
+
+    def __init__(self):
+        self.t = 0
+
+
+class StandInLane:
+    """An approach lane as the scorer reads it, with no engine behind it:
+    ``queued`` vehicles in its queue, ``running`` ones on the way, its
+    movement blocked or not, and ``span`` widening a range by the given
+    nearest and farthest distance to the stop line. Its figures are
+    properties computed here from those attributes, which is how the
+    reference scorer reads them. It hashes by identity, as a ``Lane``
+    does."""
+
+    def __init__(self, queued=0, running=0, blocked=False, near=0.0, far=0.0, length=300.0, movement="s"):
+        self.movement = movement
+        self.queue = [None] * queued
+        self.running = [None] * running
+        self.blocked = {movement: 0.0} if blocked else {}
+        self.length = length
+        self.clock = StandInClock()
+        self.ends = (near, far)
+
+    def span(self, t, lo, hi):
+        if not self.queue and not self.running:
+            return lo, hi
+        near, far = self.ends
+        return min(lo, near), max(hi, far)
+
+    @property
+    def num_vehicle(self):
+        return len(self.queue) + len(self.running)
+
+    @property
+    def num_waiting_vehicle(self):
+        return len(self.queue) + len(self.blocked)
+
+    @property
+    def vehicle_dist(self):
+        n = self.num_vehicle
+        if n <= 1:
+            return self.length / (n + 1)
+        near, far = self.ends
+        return (far - near) / (n - 1)
+
+
+class _StandInRoad:
+    __slots__ = ("length",)
+
+    def __init__(self, length):
+        self.length = length
+
+
+class StandInLink:
+    """An exit link as the scorer reads it: up to three ``StandInLane``s
+    (one per movement l, s, r, in that order) and what a ``LinkState``
+    keeps of them, its vehicle ``count``, its three ``queues`` and its
+    ``blocked`` movements. Its figures are properties computed from its
+    lanes, which is how the reference scorer reads them. It hashes by
+    identity, as a ``LinkState`` does."""
+
+    def __init__(self, *lanes, length=300.0):
+        lanes = lanes or (StandInLane(length=length),)
+        self.link = _StandInRoad(length)
+        self.clock = StandInClock()
+        self.lanes = {movement: lane for movement, lane in zip(MOVEMENTS, lanes)}
+        self.queues = {movement: [] for movement in MOVEMENTS}
+        self.blocked = {}
+        for movement, lane in self.lanes.items():
+            self.queues[movement] = lane.queue
+            self.blocked.update({movement: head for head in lane.blocked.values()})
+        self.count = sum(len(lane.queue) + len(lane.running) for lane in self.lanes.values())
+
+    @property
+    def num_vehicle(self):
+        return sum(lane.num_vehicle for lane in self.lanes.values())
+
+    @property
+    def num_waiting_vehicle(self):
+        return sum(lane.num_waiting_vehicle for lane in self.lanes.values())
+
+    @property
+    def vehicle_dist(self):
+        n = self.num_vehicle
+        if n <= 1:
+            return self.link.length / (n + 1)
+        occupied = [lane.ends for lane in self.lanes.values() if lane.num_vehicle]
+        return (max(far for _, far in occupied) - min(near for near, _ in occupied)) / (n - 1)
 
 
 def running_vehicles(link_state, movement=None) -> list:

@@ -117,6 +117,48 @@ class TestNoViableCandidate:
         assert checkpoint["best_skill_id"].startswith("g001")
 
 
+    def test_a_run_with_no_best_writes_strict_json_and_exports(self, tmp_path, capsys, monkeypatch):
+        # until a candidate runs without a fault there is no best
+        # fitness, which the trail writes as null, not as -Infinity
+        monkeypatch.setattr(cli, "ScriptedBackend", lambda seed: FaultingDrafts())
+        out = tmp_path / "run"
+        assert main(["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "1", "--out", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        lines = (out / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line, parse_constant=refuse) for line in lines]
+        (checkpointed,) = [e for e in events if e["event"] == "checkpointed"]
+        assert checkpointed["best_fitness"] is None and checkpointed["best_id"] is None
+        curves = tmp_path / "curves.csv"
+        assert main(["export", "--run", str(out), "--out", str(curves)]) == 0
+        assert read_csv(curves)[1] == ["0", "", "", "none"]
+
+
+class TestEventModeScenarios:
+    """An event mode refuses a scenario in which its event never occurs,
+    before anything is written; a missing metric found later names the
+    scenario and the mode."""
+
+    # E1's emergency period is 300 s, so 200 s schedule none
+    EVENTLESS = ["evolve", "--mode", "emergency", "--scenarios", "E1", "--rows", "2", "--cols", "2",
+                 "--duration", "200", "--pop", "2", "--gens", "1"]
+
+    def test_a_scenario_without_the_modes_event_is_refused_first(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([*self.EVENTLESS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mode emergency cannot score scenario E1: it schedules no emergency event in its 200 s\n"
+        assert not out.exists()
+
+    def test_a_missing_metric_names_the_scenario_and_the_mode(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "refuse_eventless", lambda cfg: None)
+        assert main([*self.EVENTLESS, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mode emergency cannot score scenario E1: episode has no emergency delay metric\n"
+
+
 class TestEvaluateCommand:
     def test_deterministic_csv(self, tmp_path):
         skill_path = tmp_path / "skill.json"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosignal import control
 from evosignal.control import (
     CompiledSkill,
     ControllerSpec,
@@ -28,6 +29,7 @@ from evosignal.control import (
     max_pressure,
     run_episodes,
     score_phases,
+    scorer,
 )
 from evosignal.dsl import EVENT_NAMES, EvalError, compile_body, complexity, parse, sandbox_check, validate
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
@@ -36,13 +38,18 @@ from evosignal.sim import make_scenario
 from evosignal.sim.engine import PHASE_DECISIONS, Arrivals, Episode, run_episode
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill
 
-from ._reference import LaneObservation, reference_max_pressure, reference_observe, reference_score_phases
+from ._reference import (
+    StandInLane,
+    StandInLink,
+    reference_max_pressure,
+    reference_observe,
+    reference_score_phases,
+)
 from .test_events import place_running
 from .test_sim import queue_vehicle, zero_demand
 
 
-def lane(num=0, waiting=0, dist=300.0):
-    return LaneObservation(num_vehicle=num, num_waiting_vehicle=waiting, vehicle_dist=dist)
+lane, link = StandInLane, StandInLink
 
 
 def observations(per_phase):
@@ -51,17 +58,17 @@ def observations(per_phase):
     return [list(phase) for phase in per_phase]
 
 
-EMPTY = observations([[(lane(), lane())] for _ in range(4)])
+EMPTY = observations([[(lane(), link())] for _ in range(4)])
 
 
 class TestScorePhases:
     def test_seed_sums_waiting_counts(self):
         obs = observations(
             [
-                [(lane(waiting=3), lane()), (lane(waiting=2), lane())],
-                [(lane(), lane())],
-                [(lane(), lane())],
-                [(lane(), lane())],
+                [(lane(queued=3), link()), (lane(queued=2), link())],
+                [(lane(), link())],
+                [(lane(), link())],
+                [(lane(), link())],
             ]
         )
         scores = score_phases(CompiledSkill(SEED_SKILL), obs)
@@ -75,7 +82,7 @@ class TestScorePhases:
 
     def test_emergency_context_dominates_its_phase(self):
         skill = LIBRARY["preempt-approach"]
-        obs = observations([[(lane(waiting=1), lane())] for _ in range(4)])
+        obs = observations([[(lane(queued=1), link())] for _ in range(4)])
         ctx = {"emergency_distance": 100.0, "emergency_phase": 2.0}
         scores = score_phases(CompiledSkill(skill), obs, ctx)
         assert _argmax_lowest(scores) == 2
@@ -84,7 +91,7 @@ class TestScorePhases:
 
     def test_event_variables_default_to_zero(self):
         skill = LIBRARY["preempt-approach"]
-        obs = observations([[(lane(waiting=2), lane())] for _ in range(4)])
+        obs = observations([[(lane(queued=2), link())] for _ in range(4)])
         scores = score_phases(CompiledSkill(skill), obs)
         # no emergency: falls to the waiting * 3 branch everywhere
         assert all(s == scores[0] for s in scores)
@@ -103,10 +110,10 @@ class TestScorePhases:
                        outlane_code=f"value[0] -= num_vehicle * 0.5 * {scale!r}")
         obs = observations(
             [
-                [(lane(num=n, waiting=w), lane(num=1))],
-                [(lane(num=w, waiting=n % 7), lane())],
-                [(lane(num=3, waiting=1), lane(num=n, waiting=2))],
-                [(lane(), lane())],
+                [(lane(queued=w, running=n), link(lane(running=1)))],
+                [(lane(queued=n % 7, running=w), link())],
+                [(lane(queued=1, running=2), link(lane(queued=2, running=n)))],
+                [(lane(), link())],
             ]
         )
         assert _argmax_lowest(score_phases(CompiledSkill(base), obs)) == _argmax_lowest(
@@ -116,10 +123,10 @@ class TestScorePhases:
     def test_chosen_is_lowest_index_of_max(self):
         obs = observations(
             [
-                [(lane(waiting=4), lane())],
-                [(lane(waiting=7), lane())],
-                [(lane(waiting=7), lane())],
-                [(lane(waiting=2), lane())],
+                [(lane(queued=4), link())],
+                [(lane(queued=7), link())],
+                [(lane(queued=7), link())],
+                [(lane(queued=2), link())],
             ]
         )
         scores = score_phases(CompiledSkill(SEED_SKILL), obs)
@@ -150,10 +157,28 @@ def _scoring_bodies() -> list[str]:
 
 SCORING_BODIES = _scoring_bodies()
 
-lane_pairs = st.tuples(
-    *[st.builds(LaneObservation, st.integers(0, 40), st.integers(0, 40),
-                st.floats(0.0, 600.0, allow_nan=False)) for _ in range(2)]
+stand_in_lanes = st.builds(
+    lambda queued, running, blocked, ends, length: StandInLane(queued, running, blocked, *sorted(ends), length),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.booleans(),
+    st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 600.0)),
+    st.sampled_from([300.0, 37.5, 601.3]),
 )
+stand_in_links = st.lists(stand_in_lanes, min_size=1, max_size=3).map(lambda lanes: StandInLink(*lanes))
+
+
+@st.composite
+def stand_in_views(draw):
+    """Four phases of one to three lane-links each, whose outlanes are
+    drawn from a pool of up to four links, so lane-links share them as
+    they share an exit link."""
+    exits = draw(st.lists(stand_in_links, min_size=1, max_size=4))
+    pick = st.integers(0, len(exits) - 1)
+    return [
+        [(draw(stand_in_lanes), exits[draw(pick)]) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(4)
+    ]
 
 
 class TestScoreOracle:
@@ -170,7 +195,7 @@ class TestScoreOracle:
     @given(
         inlane=st.sampled_from(SCORING_BODIES),
         outlane=st.sampled_from(SCORING_BODIES),
-        obs=st.lists(st.lists(lane_pairs, min_size=1, max_size=3), min_size=4, max_size=4),
+        obs=stand_in_views(),
         context=st.fixed_dictionaries({}, optional={
             name: st.sampled_from([0.0, 1.0, 2.0, 37.5, 150.0])
             for name in ("emergency_distance", "emergency_phase", "bus_count",
@@ -188,31 +213,27 @@ class TestScoreOracle:
         skill = Skill(id="f", description="", guidance="",
                       inlane_code="value[0] += 1e308\nvalue[0] += 1e308",
                       outlane_code="value[0] += num_vehicle / 0")
-        obs = observations([[(lane(), lane())] for _ in range(4)])
+        obs = observations([[(lane(), link())] for _ in range(4)])
         with pytest.raises(EvalError, match="non-finite result: inf"):
             score_phases(CompiledSkill(skill), obs)
         with pytest.raises(EvalError, match="non-finite result: inf"):
             reference_score_phases(parse(skill.inlane_code), parse(skill.outlane_code), obs)
 
 
-class CountedBody:
-    """A compiled body whose calls are counted in ``calls[key]``."""
-
-    def __init__(self, body, calls, key):
-        self.reads, self.names_index, self.constant = body.reads, body.names_index, body.constant
-        function = body.function
-
-        def counted(*args):
-            calls[key] += 1
-            return function(*args)
-
-        self.function = counted
-
-
-def counted_skill(inlane, outlane, calls):
+def counted_skill(inlane, outlane, calls, monkeypatch):
+    """The compiled skill of two bodies, the inlane one calling ``max``
+    and the outlane one ``abs`` once per run: the calls its generated
+    scorer makes to each are counted in ``calls["inlane"]`` and
+    ``calls["outlane"]``. (A body is folded to a constant when it is
+    compiled, through the body globals, which are not counted.)"""
     compiled = CompiledSkill(Skill(id="c", description="", guidance="", inlane_code=inlane, outlane_code=outlane))
-    compiled.inlane = CountedBody(compiled.inlane, calls, "inlane")
-    compiled.outlane = CountedBody(compiled.outlane, calls, "outlane")
+    scorer_globals = compiled.score.__globals__
+    for name, key in (("max", "inlane"), ("abs", "outlane")):
+        def counted(*args, builtin=scorer_globals[name], key=key):
+            calls[key] += 1
+            return builtin(*args)
+
+        monkeypatch.setitem(scorer_globals, name, counted)
     return compiled
 
 
@@ -230,24 +251,63 @@ def engine_decisions(family="T1", duration=240, seed=6):
         episode.step(decisions)
 
 
-class TestBodyCalls:
-    """How often one decision calls each body, on engine views: a body
-    naming no parameter never, an outlane body that does not name index
-    once per exit link (4), any other body once per lane-link (12)."""
+# (inlane, outlane, inlane runs, outlane runs) per decision; each
+# inlane body calls max once per run and each outlane body abs.
+BODY_RUNS = [
+    ("value[0] += max(num_waiting_vehicle, 0)", "value[0] += abs(0)", 12, 0),
+    ("value[0] += max(1, 0)", "value[0] += abs(2.5 * 4 - 3)", 0, 0),
+    ("value[0] += max(1, 0)", "value[0] += abs(num_vehicle * 2 - vehicle_dist / 100)", 0, 4),
+    ("value[0] += max(index, 0)", "value[0] += abs(outlane_1_num_vehicle * (1 + emergency_distance))", 12, 4),
+    ("value[0] += max(vehicle_dist, 0)", "value[0] += abs(index * num_vehicle - vehicle_dist)", 12, 12),
+]
 
-    @pytest.mark.parametrize(
-        ("inlane", "outlane", "inlane_calls", "outlane_calls"),
-        [
-            ("value[0] += num_waiting_vehicle", "value[0] += 0", 12, 0),
-            ("value[0] += 1", "value[0] += 2.5 * 4 - 3", 0, 0),
-            ("value[0] += 1", "value[0] += num_vehicle * 2 - vehicle_dist / 100", 0, 4),
-            ("value[0] += index", "value[0] += outlane_1_num_vehicle * (1 + emergency_distance)", 12, 4),
-            ("value[0] += vehicle_dist", "value[0] += index * num_vehicle - vehicle_dist", 12, 12),
-        ],
-    )
-    def test_calls_per_decision(self, inlane, outlane, inlane_calls, outlane_calls):
+
+class ReadCounted:
+    """Counts each read of a public attribute of the record (a property
+    or a method included) in ``reads[(id(record), name)]`` while
+    ``reads`` is set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None and not name.startswith("_"):
+            reads[id(self), name] += 1
+        return object.__getattribute__(self, name)
+
+
+class ReadCountedLane(ReadCounted, StandInLane):
+    pass
+
+
+class ReadCountedLink(ReadCounted, StandInLink):
+    pass
+
+
+def junction_like_views():
+    """Views shaped like a junction's: four phases of three lane-links,
+    each with an inlane of its own, leaving by four exit links that
+    three lane-links share each. Every lane holds two queued and two
+    running vehicles, so a gap is always read through ``span``."""
+    def full_lane():
+        return ReadCountedLane(queued=2, running=2, near=7.5, far=120.0)
+
+    exits = [ReadCountedLink(full_lane(), full_lane(), full_lane()) for _ in range(4)]
+    views = [[(full_lane(), exits[(k + j) % 4]) for j in range(3)] for k in range(4)]
+    return views, exits
+
+
+class TestBodyCalls:
+    """How often one decision runs each body, and which figures it reads
+    for them: a body naming no parameter never runs, an outlane body
+    that does not name index once per exit link (4), any other body
+    once per lane-link (12); and only the figures a body names are read,
+    each shared outlane's once per decision."""
+
+    @pytest.mark.parametrize(("inlane", "outlane", "inlane_calls", "outlane_calls"), BODY_RUNS)
+    def test_calls_per_decision(self, inlane, outlane, inlane_calls, outlane_calls, monkeypatch):
         calls = Counter()
-        compiled = counted_skill(inlane, outlane, calls)
+        compiled = counted_skill(inlane, outlane, calls, monkeypatch)
         decisions = 0
         for episode, node_id in engine_decisions():
             calls.clear()
@@ -255,6 +315,39 @@ class TestBodyCalls:
             assert (calls["inlane"], calls["outlane"]) == (inlane_calls, outlane_calls)
             decisions += 1
         assert decisions == 240 * 4
+
+    @pytest.mark.parametrize(("inlane", "outlane", "inlane_calls", "outlane_calls"), BODY_RUNS)
+    def test_reads_per_decision(self, inlane, outlane, inlane_calls, outlane_calls, monkeypatch):
+        compiled = CompiledSkill(Skill(id="r", description="", guidance="", inlane_code=inlane, outlane_code=outlane))
+        views, exits = junction_like_views()
+        reads = Counter()
+        monkeypatch.setattr(ReadCounted, "reads", reads)
+        score_phases(compiled, views)
+        monkeypatch.setattr(ReadCounted, "reads", None)
+        # Each record attribute, and which figure's reading it shows: a
+        # lane's running list its count or gap, a lane's blockage its
+        # waiting count, a link's kept count its count or gap, a link's
+        # queue lists its waiting count, and a span call a gap.
+        shows = {"running": (0, 2), "blocked": (1,), "span": (2,), "count": (0, 2), "queues": (1,), "lanes": (2,)}
+        names = {"inlane": compile_body(parse(inlane)).reads, "outlane": compile_body(parse(outlane)).reads}
+        runs = {"inlane": inlane_calls // 12, "outlane": outlane_calls // 4}
+        records = {
+            "inlane": [inlane for phase in views for inlane, _ in phase],
+            "outlane": exits,
+            "exit lane": [part for state in exits for part in state.lanes.values()],
+        }
+        for side, attributes in (("inlane", ("running", "blocked", "span")), ("outlane", ("count", "queues", "lanes")),
+                                 ("exit lane", ("span",))):
+            body = "inlane" if side == "inlane" else "outlane"
+            for attribute in attributes:
+                named = any(names[body][figure] for figure in shows[attribute])
+                want = runs[body] if named else 0
+                got = {reads[id(record), attribute] for record in records[side]}
+                assert got == {want}, (side, attribute)
+        # nothing else of an exit link's, and no figure property, is read
+        for record in records["inlane"] + records["outlane"] + records["exit lane"]:
+            for figure in ("num_vehicle", "num_waiting_vehicle", "vehicle_dist"):
+                assert reads[id(record), figure] == 0
 
     def test_only_a_body_that_names_nothing_and_runs_is_folded(self):
         assert compile_body(parse("value[0] += 0")).constant == 0.0
@@ -265,14 +358,48 @@ class TestBodyCalls:
         assert compile_body(parse("value[0] += index * 2")).names_index
         assert not compile_body(parse("value[0] += outlane_3_vehicle_dist")).names_index
 
-    def test_a_faulting_constant_body_is_called_and_faults_in_order(self):
+    @pytest.mark.parametrize(
+        ("inlane", "outlane", "runs"),
+        [
+            ("value[0] += max(zed, 0)", "value[0] += abs(num_vehicle)", (0, 0)),
+            ("value[0] += max(num_vehicle, 0)", "value[0] += abs(zed)", (1, 0)),
+        ],
+    )
+    def test_an_unbound_name_faults_where_its_body_would_start(self, inlane, outlane, runs, monkeypatch):
         calls = Counter()
-        compiled = counted_skill("value[0] += 1", "value[0] += 1 / 0", calls)
+        compiled = counted_skill(inlane, outlane, calls, monkeypatch)
+        for episode, node_id in engine_decisions(duration=3):
+            calls.clear()
+            with pytest.raises(EvalError, match="^variable 'zed' is unbound in this context$"):
+                score_phases(compiled, episode.observe(node_id))
+            assert (calls["inlane"], calls["outlane"]) == runs
+
+    def test_a_faulting_constant_body_is_called_and_faults_in_order(self, monkeypatch):
+        calls = Counter()
+        compiled = counted_skill("value[0] += max(1, 0)", "value[0] += abs(1) / 0", calls, monkeypatch)
         for episode, node_id in engine_decisions(duration=3):
             calls.clear()
             with pytest.raises(EvalError, match="division by zero"):
                 score_phases(compiled, episode.observe(node_id))
             assert (calls["inlane"], calls["outlane"]) == (0, 1)
+
+
+class TestScorerCache:
+    def test_an_equal_pair_gets_the_same_scorer_and_the_cache_stays_bounded(self):
+        control._SCORER_CACHE.clear()
+        pair = ("value[0] += num_vehicle", "value[0] += 0")
+        first = scorer(*map(parse, pair))
+        assert scorer(*map(parse, pair)) is first
+        assert CompiledSkill(Skill(id="a", description="", guidance="", inlane_code=pair[0],
+                                   outlane_code=pair[1])).score is first
+        # a different pair, even with the same bodies swapped, is another scorer
+        assert scorer(*map(parse, reversed(pair))) is not first
+        sizes = set()
+        for i in range(4200):
+            scorer(parse(pair[0]), parse(f"value[0] += {i + 1}"))
+            sizes.add(len(control._SCORER_CACHE))
+        assert max(sizes) == 4097 and min(sizes) == 1
+        control._SCORER_CACHE.clear()
 
 
 # Bodies that fault on some figures only, and bodies that name index.

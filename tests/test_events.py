@@ -23,7 +23,7 @@ from evosignal.sim import make_scenario
 from evosignal.sim.engine import Arrivals, Episode
 from evosignal.skills import LIBRARY, Skill
 
-from ._reference import LaneObservation, ReferenceAccrual, brute_force_percentile, reference_detect
+from ._reference import ReferenceAccrual, StandInLane, StandInLink, brute_force_percentile, reference_detect
 from .test_sim import decisions_of, straight_vehicle, zero_demand
 
 
@@ -237,8 +237,7 @@ def context_scores(context):
                     " + bus_delay * 1000 + incident_blocked * 10000 + congestion_level * 100000",
         outlane_code="value[0] += 0",
     )
-    empty = LaneObservation(num_vehicle=0, num_waiting_vehicle=0, vehicle_dist=300.0)
-    return score_phases(CompiledSkill(skill), [[(empty, empty)]] * 4, context)
+    return score_phases(CompiledSkill(skill), [[(StandInLane(), StandInLink())]] * 4, context)
 
 
 class TestInjectContext:

@@ -24,7 +24,7 @@ from evosignal.control import (
     MaxPressureController,
     SkillController,
 )
-from evosignal.dsl import interpreter
+from evosignal.dsl import interpreter, parse
 from evosignal.sim import make_scenario
 from evosignal.sim import network as network_module
 from evosignal.sim import scenario as scenario_module
@@ -686,51 +686,88 @@ class DecisionLog:
 
 FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
 
+# What the generated scorer reads from an inlane ``Lane`` (``_lane``)
+# and an outlane ``LinkState`` (``_out``) for each figure a body names.
+FIGURE_READS = {
+    "_lane": {"num_vehicle": {"queue", "running"}, "num_waiting_vehicle": {"queue", "movement", "blocked"},
+              "vehicle_dist": {"queue", "running", "length", "span", "clock"}},
+    "_out": {"num_vehicle": {"count"}, "num_waiting_vehicle": {"queues", "blocked"},
+             "vehicle_dist": {"count", "link", "clock", "lanes"}},
+}
+
+
+def emitted_reads(skill) -> dict[str, set[str]]:
+    """The attributes the emitted text of ``skill``'s generated scorer
+    reads from its inlane record and from its outlane record."""
+    source = control_module._scorer_source(parse(skill.inlane_code), parse(skill.outlane_code))
+    found = {"_lane": set(), "_out": set()}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in found:
+            found[node.value.id].add(node.attr)
+    return found
+
+
+def named_reads(record: str, figures) -> set[str]:
+    return set().union(*(FIGURE_READS[record][figure] for figure in figures))
+
 
 class TestLiveViews:
     @pytest.fixture()
     def reads(self, monkeypatch):
-        """Count every figure read from a lane or link record as (record
-        class, figure), and list every exit-link figure read as
-        (decision, record, figure), a decision being one
-        ``score_phases`` call."""
+        """Count every figure property read from a lane or link record
+        as (record class, figure), and list every ``Lane.span`` call
+        made while a decision is scored as (decision, side, lane), a
+        decision being one ``score_phases`` call and the side "inlane"
+        for a lane of the decision's lane-links and "exit" for a lane of
+        one of their exit links."""
         counts = Counter()
-        exit_reads: list[tuple[int, int, str]] = []
-        decision = {"n": 0}
+        spans: list[tuple[int, str, int]] = []
+        decision = {"n": 0, "inlanes": None}
         for cls in (Lane, LinkState):
             for figure in FIGURES:
                 fget = vars(cls)[figure].fget
 
                 def counted(view, fget=fget, cls=cls, figure=figure):
                     counts[cls.__name__, figure] += 1
-                    if cls is LinkState:
-                        exit_reads.append((decision["n"], id(view), figure))
                     return fget(view)
 
                 monkeypatch.setattr(cls, figure, property(counted))
+        span = Lane.span
+
+        def counted_span(lane, *args):
+            if decision["inlanes"] is not None:
+                side = "inlane" if id(lane) in decision["inlanes"] else "exit"
+                spans.append((decision["n"], side, id(lane)))
+            return span(lane, *args)
+
+        monkeypatch.setattr(Lane, "span", counted_span)
         score = control_module.score_phases
 
-        def counted_score(*args, **kwargs):
+        def counted_score(compiled, views, *args):
             decision["n"] += 1
-            return score(*args, **kwargs)
+            decision["inlanes"] = {id(inlane) for lane_links in views for inlane, _ in lane_links}
+            try:
+                return score(compiled, views, *args)
+            finally:
+                decision["inlanes"] = None
 
         monkeypatch.setattr(control_module, "score_phases", counted_score)
-        return counts, exit_reads
+        return counts, spans
 
     def arrivals(self, family="T1"):
         return Arrivals(make_scenario(family, rows=2, cols=2, duration=300), 4)
 
     def test_fixed_time_reads_no_figure(self, reads):
-        counts, _ = reads
+        counts, spans = reads
         controller = DecisionLog(FixedTimeController())
         run_episode(self.arrivals(), controller)
         assert controller.decided
-        assert sum(counts.values()) == 0
+        assert sum(counts.values()) == 0 and spans == []
 
     @pytest.mark.parametrize("controller", [MaxPressureController, HandcraftedPreemptionController])
     def test_max_pressure_reads_no_view(self, reads, monkeypatch, controller):
         # it counts the junction's queue lists instead
-        counts, _ = reads
+        counts, spans = reads
         observed = []
         observe = Episode.observe
 
@@ -742,30 +779,40 @@ class TestLiveViews:
         controller = DecisionLog(controller())
         result = run_episode(self.arrivals("E2"), controller)
         assert controller.decided and result.metrics.vehicles_entered > 0
-        assert observed == [] and sum(counts.values()) == 0
+        assert observed == [] and sum(counts.values()) == 0 and spans == []
 
     def test_seed_skill_reads_neither_count_nor_gap(self, reads):
-        counts, _ = reads
+        # its inlane names the waiting count, its outlane nothing
+        assert emitted_reads(SEED_SKILL) == {"_lane": named_reads("_lane", ["num_waiting_vehicle"]), "_out": set()}
+        counts, spans = reads
         result = run_episode(self.arrivals(), SkillController(SEED_SKILL))
         assert result.controller_faults == 0
-        assert set(counts) == {("Lane", "num_waiting_vehicle")}
+        # the scorer reads figures inline, never through a property
+        assert sum(counts.values()) == 0 and spans == []
 
     @pytest.mark.parametrize(
         "outlane", [None, "value[0] += index * outlane_0_num_vehicle - vehicle_dist"], ids=["library", "index"]
     )
     @pytest.mark.parametrize("name", ["saturation-branch", "bus-priority"])
-    def test_each_exits_figures_are_read_at_most_once_per_decision(self, reads, name, outlane):
-        # with the library outlane (which does not name index) and with
-        # one that names index, so its body runs once per lane-link
+    def test_each_exit_is_scanned_once_per_decision_unless_its_body_names_index(self, reads, name, outlane):
+        # with the library outlane (which does not name index), whose
+        # result each exit link's lane-links share, and with one that
+        # names index, so its body runs, and scans the exit, once per
+        # lane-link: at most the three that leave by it
         skill = LIBRARY[name] if outlane is None else replace(LIBRARY[name], outlane_code=outlane)
-        counts, exit_reads = reads
+        # each of these bodies names every inlane figure, and the outlane
+        # count and gap only
+        assert emitted_reads(skill) == {"_lane": named_reads("_lane", FIGURES),
+                                        "_out": named_reads("_out", ["num_vehicle", "vehicle_dist"])}
+        counts, spans = reads
         result = run_episode(self.arrivals(), SkillController(skill))
         assert result.controller_faults == 0
-        assert counts[("LinkState", "vehicle_dist")] > 0
-        # each of these outlane bodies names the count and the gap only
-        assert {figure for _, _, figure in exit_reads} == {"num_vehicle", "vehicle_dist"}
-        assert len(exit_reads) == len(set(exit_reads))
-        assert len({view for _, view, _ in exit_reads}) > 4
+        assert sum(counts.values()) == 0
+        scans = Counter(spans)
+        assert {n for (_, side, _), n in scans.items() if side == "inlane"} == {1}
+        exit_scans = {n for (_, side, _), n in scans.items() if side == "exit"}
+        assert exit_scans == ({1} if outlane is None else {3})
+        assert len({lane for _, side, lane in scans if side == "exit"}) > 4
 
     @pytest.mark.parametrize("family", ["T1", "I1", "E2"])
     def test_views_read_after_a_step_see_the_new_state(self, family):
@@ -814,6 +861,7 @@ class TestLiveViews:
         # full collection.
         blocked = make_scenario("I1", rows=3, cols=3, duration=950)
         interpreter._COMPILE_CACHE.clear()
+        control_module._SCORER_CACHE.clear()
         gc.collect()
         gc.disable()
         try:
@@ -835,13 +883,18 @@ class TestLiveViews:
             gc.enable()
 
     def test_compiling_the_dispatcher_bank_leaves_no_cyclic_garbage(self):
-        # Bodies are compiled from rendered text; the lowering builds no
-        # tree of its own that needs the collector to free it.
+        # Bodies and the scorers around them are compiled from rendered
+        # text; neither lowering builds a tree of its own that needs the
+        # collector to free it.
         interpreter._COMPILE_CACHE.clear()
+        control_module._SCORER_CACHE.clear()
         gc.collect()
         gc.disable()
         try:
-            ControllerSpec("dispatcher").build()
+            controller = ControllerSpec("dispatcher").build()
+            assert len(control_module._SCORER_CACHE) == len({
+                (parse(skill.inlane_code), parse(skill.outlane_code)) for skill in controller.bank.skills.values()
+            }) > 1
             assert gc.collect() == 0
         finally:
             gc.enable()
