@@ -1,6 +1,9 @@
 """Controllers: skills and classical baselines turned into per-step
 phase decisions: ``decide(episode, junction)`` returns one junction's
-``PhaseDecision`` for the step, or None to hold.
+``PhaseDecision`` for the step, or None to hold. ``Episode.step(controller)``
+asks each junction outside its yellow transition once per step, in id
+order, and applies the answer before it asks the next; a controller
+reads only the junction it is asked about.
 
 Common discipline for every controller: the simulator inserts a 3 s
 all-red transition on each phase change and holds a new phase for at

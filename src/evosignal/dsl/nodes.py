@@ -21,13 +21,24 @@ from typing import Callable, Iterator, Union
 ARITH_OPS = ("+", "-", "*", "/", "//", "%", "**")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num:
     """Numeric literal. Always stored as float: the language has one
     numeric domain (double precision) regardless of how the literal
-    was written."""
+    was written. Two literals are equal, and hash alike, only when
+    their floats have the same bits: ``0.0 == -0.0``, but a tree that
+    holds one compiles to other results than a tree that holds the
+    other, and trees key the compile caches."""
 
     value: float
+
+    def __eq__(self, other):
+        if other.__class__ is not Num:
+            return NotImplemented
+        return self.value.hex() == other.value.hex()
+
+    def __hash__(self):
+        return hash(self.value.hex())
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
         if vehicle.stopped_since is not None:
             stopped_for = t - vehicle.stopped_since
             if stopped_for > stop_threshold:
-                red = signal.in_transition or phase_of(side, movement) != signal.active
+                red = signal.yellow > 0 or phase_of(side, movement) != signal.active
                 if not (distance <= SIGNAL_STOP_RADIUS and red):
                     blocked_lanes.add((side, movement))
 

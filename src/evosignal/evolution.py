@@ -363,20 +363,6 @@ def evaluate_generation(
     return [evaluations[index[key]] for key in keys]
 
 
-def dispatcher_context_evaluate(
-    candidate: Skill,
-    kind: str,
-    bank: ev.SkillBank,
-    scenarios,
-    *,
-    seed: int = 0,
-) -> float:
-    """Fitness of a candidate event skill inside the full detect +
-    dispatch pipeline, all other bank slots held fixed."""
-    cfg = EvolutionConfig(scenarios=tuple(scenarios), mode=kind, seed=seed)
-    return evaluate_generation(cfg, [candidate], bank, run_arrivals(cfg))[0][0]
-
-
 def run_evolution(
     cfg: EvolutionConfig,
     backend,

@@ -47,10 +47,12 @@ Each intersection has one ``Junction`` record, built once per episode
 and holding everything of that intersection: its signal, its
 queued-vehicle count and history with a rolling sorted window of the
 history, its approach links, each phase's lane-links, its kept phase
-pressures, and the records that controllers observe. The step loop,
-``Episode.step``'s per-intersection passes, the controllers and the
-event detector iterate these records instead of looking up signals,
-nodes and links by id every step.
+pressures, and the records that controllers observe. ``Episode.step``
+makes one pass over them that asks each junction's controller and sets
+its signal, then passes that serve the green lanes and accrue the
+waits; they, the controllers and the event detector iterate these
+records instead of looking up signals, nodes and links by id every
+step.
 
 A skill observes the engine's own records: the approach ``Lane`` is the
 inlane of a lane-link and the exit ``LinkState`` its outlane. Neither
@@ -419,10 +421,6 @@ class SignalState:
         self.yellow = 0
         self.green_elapsed = 0
 
-    @property
-    def in_transition(self) -> bool:
-        return self.yellow > 0
-
 
 class Junction:
     """One intersection's record, built once per episode, so that the
@@ -787,21 +785,18 @@ class Episode:
     # ------------------------------------------------------------------
     # dynamics
 
-    def step(self, decisions: dict[str, PhaseDecision | None]) -> None:
-        """Advance one second. ``decisions`` maps intersection id to the
-        requested phase (None or current phase holds)."""
-        movements = self._movements
-        for vclass, route in self.arrivals.at(self.clock.t):
-            self._new_vehicle(vclass, route, movements[route])
-        self._update_incident()
-        self._apply_decisions(decisions)
-        self._serve_green()
-        self._advance_vehicles()
-        self._accrue()
-        self.clock.t += 1
-
-    def _apply_decisions(self, decisions: dict[str, PhaseDecision | None]) -> None:
-        get = decisions.get
+    def step(self, controller) -> None:
+        """Advance one second under ``controller``. One pass over the
+        junctions in id order: one in yellow counts it down and takes its
+        pending phase at the end; any other is asked
+        ``controller.decide(self, junction) -> PhaseDecision | None``,
+        adds a second to its green and applies the answer. None or the
+        current phase holds, a phase out of range holds and is logged as
+        ``invalid_decision``, and a change waits for min-green unless the
+        decision overrides it. A decision writes only its own junction's
+        signal, and no controller reads another's. Then the step spawns,
+        updates the incident, serves, advances and accrues."""
+        decide = controller.decide
         for junction in self.junctions.values():
             signal = junction.signal
             if signal.yellow > 0:
@@ -811,19 +806,14 @@ class Episode:
                     signal.pending = None
                     signal.green_elapsed = 0
                 continue
+            decision = decide(self, junction)
             signal.green_elapsed += 1
-            decision = get(junction.id)
             if decision is None:
                 continue
             target = decision.phase
             if not 0 <= target < NUM_PHASES:
                 self.log_record(
-                    {
-                        "kind": "invalid_decision",
-                        "time": self.clock.t,
-                        "intersection": junction.id,
-                        "phase": target,
-                    }
+                    {"kind": "invalid_decision", "time": self.clock.t, "intersection": junction.id, "phase": target}
                 )
                 continue
             if target == signal.active:
@@ -832,6 +822,14 @@ class Episode:
                 continue
             signal.pending = target
             signal.yellow = YELLOW_STEPS
+        movements = self._movements
+        for vclass, route in self.arrivals.at(self.clock.t):
+            self._new_vehicle(vclass, route, movements[route])
+        self._update_incident()
+        self._serve_green()
+        self._advance_vehicles()
+        self._accrue()
+        self.clock.t += 1
 
     def _serve_green(self) -> None:
         for junction in self.junctions.values():
@@ -1055,22 +1053,13 @@ class Episode:
 
 def run_episode(arrivals: Arrivals, controller, *, collect_step_log: bool = False) -> EpisodeResult:
     """Run a full episode under a controller, on the traffic of
-    ``arrivals``.
-
-    Each step, ``controller.decide(episode, junction) -> PhaseDecision |
-    None`` is asked for every junction not in a yellow transition; it
-    reports a runtime fault with ``episode.record_fault``. Identical
-    (scenario, controller, seed) triples produce bit-identical results,
-    whether or not other episodes spawn from the same ``arrivals``.
+    ``arrivals``: ``Episode.step(controller)`` once per second of the
+    scenario. A controller reports a runtime fault with
+    ``episode.record_fault``. Identical (scenario, controller, seed)
+    triples produce bit-identical results, whether or not other episodes
+    spawn from the same ``arrivals``.
     """
     episode = Episode(arrivals, collect_step_log=collect_step_log)
-    junctions = tuple(episode.junctions.values())
-    decide = controller.decide
     for _ in range(arrivals.scenario.duration):
-        decisions: dict[str, PhaseDecision | None] = {}
-        for junction in junctions:
-            if junction.signal.yellow > 0:
-                continue
-            decisions[junction.id] = decide(episode, junction)
-        episode.step(decisions)
+        episode.step(controller)
     return episode.finish()

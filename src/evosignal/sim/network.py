@@ -216,15 +216,6 @@ def canonical_route(network: Network, entry_link_id: str, exit_link_id: str) -> 
     return None
 
 
-def reachable_exits(network: Network, entry_link_id: str) -> tuple[str, ...]:
-    """Exit links reachable from an entry without U-turns, in id order."""
-    return tuple(
-        exit_id
-        for exit_id in network.exit_links
-        if canonical_route(network, entry_link_id, exit_id) is not None
-    )
-
-
 def route_movements(network: Network, route) -> tuple[str | None, ...]:
     """The movement a vehicle on ``route`` makes at the end of each leg:
     the turn onto the next link, and None on the last (exit) link."""

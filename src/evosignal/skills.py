@@ -49,9 +49,6 @@ class Skill:
             out["metrics"] = dict(self.metrics_snapshot)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict[str, Any], *, default_id: str = "unnamed") -> "Skill":
         return cls(

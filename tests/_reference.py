@@ -23,6 +23,10 @@ addition, with each junction's pressures counted from its queue lists
 (the package reads positions from tables, works only on the lanes where
 something happens, and keeps the pressures). They exist so the main
 implementations have something to disagree with.
+
+Two stand-in controllers let a test step an episode through the
+engine's own signal rules, which no test copies: ``HOLD`` answers None
+everywhere, and ``DecisionMap`` answers each intersection from a map.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from evosignal.sim.network import (
     heading_after,
     opposite,
     phase_of,
-    reachable_exits,
     turn_movement,
 )
 from evosignal.sim.scenario import scheduled_bus_departures, scheduled_emergencies
@@ -712,7 +715,7 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
     blocked = set()
     for vehicle, side, movement, distance in listed:
         if vehicle.stopped_since is not None and episode.t - vehicle.stopped_since > 120.0:
-            red = signal.in_transition or phase_of(side, movement) != signal.active
+            red = signal.yellow > 0 or phase_of(side, movement) != signal.active
             if not (distance <= 50.0 and red):
                 blocked.add((side, movement))
 
@@ -738,6 +741,37 @@ def reference_detect(episode, intersection_id: str, accrual: ReferenceAccrual) -
             level = min(3, int((current - threshold) / band)) if band > 0 else 3
             events.append(("congestion", {"congestion_level": float(level)}))
     return events
+
+
+class HoldController:
+    """Holds every signal: asked like any controller, it answers None."""
+
+    def decide(self, episode, junction):
+        return None
+
+
+HOLD = HoldController()
+
+
+class DecisionMap:
+    """Answers each junction it is asked about with its entry in
+    ``decisions``, a map of intersection id to ``PhaseDecision``; a
+    junction the map does not name holds."""
+
+    def __init__(self, decisions):
+        self.decisions = decisions
+
+    def decide(self, episode, junction):
+        return self.decisions.get(junction.id)
+
+
+def reachable_exits(network, entry_link_id: str) -> tuple[str, ...]:
+    """Exit links reachable from an entry without U-turns, in id order."""
+    return tuple(
+        exit_id
+        for exit_id in network.exit_links
+        if canonical_route(network, entry_link_id, exit_id) is not None
+    )
 
 
 def reference_arrivals(scenario, seed: int, steps: int) -> list[tuple]:

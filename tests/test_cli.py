@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -162,7 +163,7 @@ class TestEventModeScenarios:
 class TestEvaluateCommand:
     def test_deterministic_csv(self, tmp_path):
         skill_path = tmp_path / "skill.json"
-        skill_path.write_text(LIBRARY["distance-weighted"].to_json())
+        skill_path.write_text(json.dumps(LIBRARY["distance-weighted"].to_json_dict()))
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         args = ["evaluate", "--skill", str(skill_path), "--scenario", "T1", *DESK,
@@ -241,7 +242,7 @@ class TestCompareAndBaseline:
     @pytest.mark.parametrize("command", ["evaluate", "baseline", "compare"])
     def test_parallel_jobs_match_serial_output(self, tmp_path, command):
         skill_path = tmp_path / "skill.json"
-        skill_path.write_text(LIBRARY["ratio-saturation"].to_json())
+        skill_path.write_text(json.dumps(LIBRARY["ratio-saturation"].to_json_dict()))
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         method = {
@@ -286,6 +287,19 @@ class TestCompareAndBaseline:
         assert any(r["kind"] == "event" for r in records)
         assert any(r["kind"] == "activation" for r in records)
 
+    # The sha256 of each whole episode log: a change that moves, adds or
+    # drops one record of either run changes its digest. Record a digest
+    # again only for a change meant to move the log, and say why.
+    @pytest.mark.parametrize("method, scenario, digest", [
+        ("dispatcher", "M1", "2d595f8d149e190918bb053efe077b147afe7051fc7f19f528b8f7d0e517bf38"),
+        ("handcrafted_preemption", "E2", "8dd64e050fc42efd81ae2907ad290d1ea36be8662a6d49ae9652d903a7e4ce6d"),
+    ])
+    def test_episode_logs_keep_their_digests(self, tmp_path, method, scenario, digest):
+        log_path = tmp_path / "episode.jsonl"
+        assert main(["baseline", "--method", method, "--scenario", scenario, "--rows", "2", "--cols", "2",
+                     "--duration", "300", "--seeds", "1", "--out", str(tmp_path / "b.csv"),
+                     "--episode-log", str(log_path)]) == 0
+        assert hashlib.sha256(log_path.read_bytes()).hexdigest() == digest
 
     def test_episode_log_runs_each_seed_once(self, tmp_path, monkeypatch):
         from evosignal import control
@@ -559,7 +573,7 @@ class TestRefusedInput:
     ])
     def test_an_empty_seed_list_is_refused(self, command, log, tmp_path, capsys):
         skill = tmp_path / "seed.json"
-        skill.write_text(LIBRARY["distance-weighted"].to_json())
+        skill.write_text(json.dumps(LIBRARY["distance-weighted"].to_json_dict()))
         out = tmp_path / "out.csv"
         argv = [str(skill) if part == "SKILL" else part for part in command]
         argv += [*DESK, "--seeds", " , ", "--out", str(out)]
@@ -610,7 +624,7 @@ class TestArgvFuzz:
     a path inside a fresh directory (or to one evolved run)."""
 
     SKILLS = {
-        "good": SEED_SKILL.to_json(),
+        "good": json.dumps(SEED_SKILL.to_json_dict()),
         "faulty": json.dumps({"description": "", "guidance": "",
                               "inlane_code": "value[0] += 1 / (num_waiting_vehicle - 2)",
                               "outlane_code": "value[0] += 0"}),

@@ -238,17 +238,15 @@ def counted_skill(inlane, outlane, calls, monkeypatch):
 
 
 def engine_decisions(family="T1", duration=240, seed=6):
-    """Yield (episode, intersection id) at every decision of a 2x2
-    max-pressure episode, before the step it decides; the views are
-    live, so read them before resuming."""
+    """Yield (episode, intersection id) for every intersection, in its
+    yellow transition or not, before each step of a 2x2 max-pressure
+    episode; the views are live, so read them before resuming."""
     episode = Episode(Arrivals(make_scenario(family, rows=2, cols=2, duration=duration), seed))
     controller = MaxPressureController()
     for _ in range(duration):
-        decisions = {}
-        for node_id, junction in episode.junctions.items():
+        for node_id in episode.junctions:
             yield episode, node_id
-            decisions[node_id] = controller.decide(episode, junction)
-        episode.step(decisions)
+        episode.step(controller)
 
 
 # (inlane, outlane, inlane runs, outlane runs) per decision; each

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evosignal import dsl
+from evosignal.control import scorer
 from evosignal.dsl.parser import MAX_EXPR_DEPTH
 from evosignal.dsl.validator import MAX_BODY_NODES, MAX_BRANCH_DEPTH
 from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
@@ -290,6 +292,19 @@ class TestEvaluate:
             got = "fault"
         assert got == expected
 
+    def test_a_negative_zero_literal_is_a_body_of_its_own(self):
+        # 0.0 == -0.0 as floats, but the two bodies give results of
+        # other signs; compiled in this order, the second must not be
+        # served the first's code from the compile or scorer cache.
+        zeros = dict.fromkeys(EVENT, 0.0)
+        positive = dsl.parse("value[0] *= 0.0")
+        negative = dsl.parse("value[0] *= -0.0")
+        for ast, want in ((positive, "0x0.0p+0"), (negative, "-0x0.0p+0")):
+            assert reference_evaluate(ast, zeros).hex() == want
+            assert dsl.compile_body(ast).run(zeros).hex() == want
+        assert positive != negative and hash(positive) != hash(negative)
+        assert scorer(negative, negative) is not scorer(positive, positive)
+
     def test_concurrent_callers_with_distinct_contexts(self):
         import threading
 
@@ -483,7 +498,7 @@ class TestComplexity:
 class TestSkillSerialization:
     def test_round_trip(self):
         skill = LIBRARY["bus-priority"].with_lineage(id="g01-c2", parent_id="seed", generation=1)
-        again = Skill.from_json(skill.to_json())
+        again = Skill.from_json(json.dumps(skill.to_json_dict()))
         assert again == skill
 
     def test_json_carries_wire_fields(self):

@@ -23,8 +23,8 @@ from evosignal.sim import make_scenario
 from evosignal.sim.engine import Arrivals, Episode
 from evosignal.skills import LIBRARY, Skill
 
-from ._reference import ReferenceAccrual, StandInLane, StandInLink, brute_force_percentile, reference_detect
-from .test_sim import decisions_of, straight_vehicle, zero_demand
+from ._reference import HOLD, ReferenceAccrual, StandInLane, StandInLink, brute_force_percentile, reference_detect
+from .test_sim import straight_vehicle, zero_demand
 
 
 def place_running(episode, link_id, distance_from_stopline, vclass="normal"):
@@ -175,16 +175,13 @@ class TestDetectOracle:
         controller = DispatcherController(default_bank())
         kinds = set()
         for _ in range(scenario.duration):
-            decisions = {}
-            for node_id, junction in episode.junctions.items():
+            for node_id in episode.junctions:
                 events = detect(episode, node_id)
                 assert [(e.kind, e.context) for e in events] == reference_detect(
                     episode, node_id, accrual
                 )
                 kinds.update(e.kind for e in events)
-                if not junction.signal.in_transition:
-                    decisions[node_id] = controller.decide(episode, junction)
-            episode.step(decisions)
+            episode.step(controller)
             accrual.after_step()
         assert expected <= kinds
 
@@ -268,7 +265,7 @@ class TestDetectorInEpisode:
         episode = Episode(Arrivals(scenario, 2))
         controller = ControllerSpec("dispatcher").build()
         for _ in range(scenario.duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
         ambulances = [v for v in episode.vehicles if v.vclass == "emergency"]
         assert len(ambulances) == 7  # one per 120 s over 900 s
         assert any(v.exit_time is not None for v in ambulances)
@@ -296,7 +293,7 @@ class TestDetectorInEpisode:
         episode = Episode(Arrivals(scenario, 7))
         saw_incident = False
         for _ in range(scenario.duration):
-            episode.step({})
+            episode.step(HOLD)
             if episode.t == 100 + 130:  # threshold passed well inside the window
                 node_id = episode.network.links[scenario.incident.link].dst
                 events = detect(episode, node_id)

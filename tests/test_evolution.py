@@ -18,7 +18,6 @@ from evosignal.evolution import (
     NEUTRAL_DIRECTION,
     NotAnImprovement,
     direction_text,
-    dispatcher_context_evaluate,
     evaluate_generation,
     extract_signals,
     run_arrivals,
@@ -473,6 +472,14 @@ class TestSharedWork:
         assert len(pools) == 1
         with pytest.raises(RuntimeError, match="after shutdown"):
             pools[0].submit(int)
+
+
+def dispatcher_context_evaluate(candidate, kind, bank, scenarios, *, seed):
+    """Fitness of a candidate event skill inside the full detect +
+    dispatch pipeline, all other bank slots held fixed: an event-mode
+    run's evaluation of one candidate."""
+    cfg = EvolutionConfig(scenarios=tuple(scenarios), mode=kind, seed=seed)
+    return evaluate_generation(cfg, [candidate], bank, run_arrivals(cfg))[0][0]
 
 
 class TestDispatcherContext:

@@ -52,7 +52,6 @@ from evosignal.sim.network import (
     build_network,
     canonical_route,
     grid_routes,
-    reachable_exits,
     route_movements,
 )
 from evosignal.sim.scenario import (
@@ -69,26 +68,24 @@ from evosignal.sim.scenario import (
 from evosignal.skills import LIBRARY, SEED_SKILL
 
 from ._reference import (
+    HOLD,
+    DecisionMap,
     ReferenceAccrual,
     ReferenceStepper,
     in_network_count,
     recount_link,
     reference_arrivals,
     reference_observe,
+    reachable_exits,
     running_vehicles,
 )
-
-
-class HoldController:
-    def decide(self, episode, junction):
-        return None
 
 
 def held_episode(scenario, seed):
     """An episode of ``scenario`` run to its end with every signal held."""
     episode = Episode(Arrivals(scenario, seed))
     for _ in range(scenario.duration):
-        episode.step({})
+        episode.step(HOLD)
     return episode
 
 
@@ -194,7 +191,7 @@ class TestScenarios:
         assert scenario.name == "desk"
         assert scenario.duration == 600
         assert scenario.emergency is None and scenario.bus_lines == () and scenario.incident is None
-        result = run_episode(Arrivals(scenario, 9), HoldController())
+        result = run_episode(Arrivals(scenario, 9), HOLD)
         assert result.metrics.vehicles_entered > 0
 
     def test_time_varying_profile(self):
@@ -394,15 +391,15 @@ def queue_vehicle(episode, link_id, movement="s", vclass="normal"):
 
 class TestEngine:
     def test_zero_demand_is_inert(self):
-        result = run_episode(Arrivals(zero_demand(), 1), HoldController())
+        result = run_episode(Arrivals(zero_demand(), 1), HOLD)
         assert result.metrics.avg_delay == 0.0
         assert result.metrics.throughput == 0
         assert result.metrics.vehicles_entered == 0
 
     def test_clock_advances_per_step(self):
         episode = Episode(Arrivals(zero_demand(), 0))
-        episode.step({})
-        episode.step({"x0_0": PhaseDecision(2)})
+        episode.step(HOLD)
+        episode.step(DecisionMap({"x0_0": PhaseDecision(2)}))
         assert episode.t == 2
 
     def test_queued_vehicle_departs_in_two_green_steps(self):
@@ -412,37 +409,60 @@ class TestEngine:
         queue_vehicle(episode, approach, movement="s")
         # N-straight belongs to phase 0, already active; saturation flow
         # 0.5 veh/s means the head leaves on the second green step.
-        episode.step({})
+        episode.step(HOLD)
         assert len(episode.links[approach].queues["s"]) == 1
-        episode.step({})
+        episode.step(HOLD)
         assert len(episode.links[approach].queues["s"]) == 0
 
     def test_phase_change_takes_three_yellow_steps(self):
         episode = Episode(Arrivals(zero_demand(), 0))
         signal = episode.junctions["x0_0"].signal
         for _ in range(6):  # satisfy min green
-            episode.step({})
-        episode.step({"x0_0": PhaseDecision(2)})
+            episode.step(HOLD)
+        episode.step(DecisionMap({"x0_0": PhaseDecision(2)}))
         assert signal.yellow == 3 and signal.active == 0
-        episode.step({})
-        episode.step({})
+        episode.step(HOLD)
+        episode.step(HOLD)
         assert signal.yellow == 1 and signal.active == 0
-        episode.step({})
+        episode.step(HOLD)
         assert signal.yellow == 0 and signal.active == 2
 
     def test_min_green_blocks_early_change(self):
         episode = Episode(Arrivals(zero_demand(), 0))
         signal = episode.junctions["x0_0"].signal
-        episode.step({"x0_0": PhaseDecision(2)})  # green_elapsed too small
+        episode.step(DecisionMap({"x0_0": PhaseDecision(2)}))  # green_elapsed too small
         assert signal.yellow == 0 and signal.active == 0
 
-    def test_invalid_decision_clamps_and_logs(self):
-        episode = Episode(Arrivals(zero_demand(), 0), collect_step_log=True)
+    @pytest.mark.parametrize("phase", [17, -1])
+    def test_invalid_decision_clamps_and_logs(self, phase):
+        # A decision is applied when its junction is asked, at the start
+        # of the step, so its record comes before the step's incident.
+        scenario = make_scenario("I1", rows=2, cols=2, duration=30, demand_scale=0.0)
+        scenario = replace(scenario, incident=replace(scenario.incident, start=6.0), demand={})
+        episode = Episode(Arrivals(scenario, 0), collect_step_log=True)
         for _ in range(6):
-            episode.step({})
-        episode.step({"x0_0": PhaseDecision(17)})
-        assert episode.junctions["x0_0"].signal.active == 0
-        assert any(r["kind"] == "invalid_decision" for r in episode._step_log)
+            episode.step(HOLD)
+        episode.step(DecisionMap({"x1_1": PhaseDecision(phase)}))
+        assert episode.junctions["x1_1"].signal.active == 0
+        records = [r for r in episode._step_log if r["kind"] != "step"]
+        assert records == [
+            {"kind": "invalid_decision", "time": 6, "intersection": "x1_1", "phase": phase},
+            {"kind": "incident_start", "time": 6, "link": scenario.incident.link},
+        ]
+
+    @pytest.mark.parametrize("controller", [FixedTimeController, MaxPressureController])
+    def test_a_junction_is_asked_once_per_step_outside_yellow(self, controller):
+        scenario = make_scenario("T1", rows=2, cols=2, duration=300)
+        episode = Episode(Arrivals(scenario, 3))
+        controller = DecisionLog(controller())
+        yellow_steps = 0
+        for t in range(scenario.duration):
+            outside_yellow = [node_id for node_id, junction in episode.junctions.items() if not junction.signal.yellow]
+            yellow_steps += len(episode.junctions) - len(outside_yellow)
+            episode.step(controller)
+            assert [node_id for at, node_id in controller.decided if at == t] == outside_yellow
+        assert len(controller.decided) == scenario.duration * len(episode.junctions) - yellow_steps
+        assert yellow_steps > 0
 
     def test_observation_of_empty_lane(self):
         episode = Episode(Arrivals(zero_demand(), 0))
@@ -469,8 +489,8 @@ class TestEngine:
     def test_moving_vehicle_is_not_waiting(self):
         scenario = make_scenario("T1", rows=1, cols=1, duration=30, demand_scale=0.5)
         episode = Episode(Arrivals(scenario, 4))
-        episode.step({})
-        episode.step({})
+        episode.step(HOLD)
+        episode.step(HOLD)
         moving = [
             v
             for state in episode.links.values()
@@ -481,22 +501,22 @@ class TestEngine:
 
     def test_determinism_same_seed(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0)
-        a = run_episode(Arrivals(scenario, 6), HoldController())
-        b = run_episode(Arrivals(scenario, 6), HoldController())
+        a = run_episode(Arrivals(scenario, 6), HOLD)
+        b = run_episode(Arrivals(scenario, 6), HOLD)
         assert a.metrics == b.metrics
         assert vehicle_records(held_episode(scenario, 6)) == vehicle_records(held_episode(scenario, 6))
 
     def test_distinct_seeds_differ(self):
         scenario = make_scenario("T1", rows=2, cols=2, duration=150, demand_scale=1.0)
-        a = run_episode(Arrivals(scenario, 1), HoldController())
-        b = run_episode(Arrivals(scenario, 2), HoldController())
+        a = run_episode(Arrivals(scenario, 1), HOLD)
+        b = run_episode(Arrivals(scenario, 2), HOLD)
         assert a.metrics != b.metrics
 
     def test_vehicle_conservation_every_step(self):
         scenario = make_scenario("T1", rows=1, cols=1, duration=120, demand_scale=1.5)
         episode = Episode(Arrivals(scenario, 8))
         for _ in range(scenario.duration):
-            episode.step({})
+            episode.step(HOLD)
             assert len(episode.vehicles) == in_network_count(episode) + episode.completed
 
     def test_waiting_monotonicity(self):
@@ -504,7 +524,7 @@ class TestEngine:
         episode = Episode(Arrivals(scenario, 8))
         last: dict[int, float] = {}
         for _ in range(scenario.duration):
-            episode.step({})
+            episode.step(HOLD)
             for vehicle in episode.vehicles:
                 assert episode.delay_of(vehicle) >= last.get(vehicle.id, 0.0)
                 last[vehicle.id] = episode.delay_of(vehicle)
@@ -516,7 +536,7 @@ class TestEngine:
         episode = Episode(Arrivals(scenario, 3))
         link = episode.links[scenario.incident.link]
         node_id = episode.network.links[scenario.incident.link].dst
-        serve_blocked_lane = {node_id: PhaseDecision(2)}  # (W, s) sits in phase 2
+        serve_blocked_lane = DecisionMap({node_id: PhaseDecision(2)})  # (W, s) sits in phase 2
         for _ in range(5):
             episode.step(serve_blocked_lane)
         assert not link.blocked
@@ -552,7 +572,7 @@ class TestEngine:
         common = episode._common_table
         odd_steps = 0
         for _ in range(scenario.duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
             for (link_id, m), running in lists.items():
                 lane = episode.links[link_id].lanes[m]
                 assert lane.running is running
@@ -572,15 +592,15 @@ class TestEngine:
         link = episode.links[incident.link]
         queue = link.queues[incident.movement]
         for _ in range(2):
-            episode.step({})
+            episode.step(HOLD)
         head = link.blocked[incident.movement]
         for _ in range(3):
             route = episode._straight_route_from(incident.link)
             episode._new_vehicle("normal", route, route_movements(episode.network, route))
             for _ in range(4):
-                episode.step({})
+                episode.step(HOLD)
         for _ in range(30):
-            episode.step({})
+            episode.step(HOLD)
         assert len(queue) == 3 and link.blocked
         for i, vehicle in enumerate(queue):
             # joined at (head - JAM_SPACING) - (i + 1) * JAM_SPACING or later,
@@ -665,7 +685,7 @@ class TestObservationOracle:
                 for node_id in episode.network.intersection_ids:
                     assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
             seen |= notable
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
         if family == "I1":
             assert "queue behind blockage" in seen
         if family == "E2":
@@ -822,7 +842,7 @@ class TestLiveViews:
         controller = MaxPressureController()
         views = {node_id: episode.observe(node_id) for node_id in episode.network.intersection_ids}
         for _ in range(scenario.duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
             if episode.t % 7 == 0 or 595 <= episode.t <= 610:
                 for node_id, held in views.items():
                     assert episode.observe(node_id) is held
@@ -835,14 +855,8 @@ class TestLiveViews:
         gc.disable()
         try:
             episode = Episode(Arrivals(scenario, 2))
-            while True:
-                decisions = {
-                    node_id: controller.decide(episode, junction)
-                    for node_id, junction in episode.junctions.items()
-                }
-                if episode.t == scenario.duration:
-                    break
-                episode.step(decisions)
+            for _ in range(scenario.duration):
+                episode.step(controller)
             episode.finish()
             ref = weakref.ref(episode)
             del episode
@@ -875,7 +889,7 @@ class TestLiveViews:
                 assert run_episode(Arrivals(scenario, 2), controller).metrics.vehicles_entered > 0
             episode = Episode(Arrivals(blocked, 2))
             for _ in range(int(blocked.incident.start) + 1):
-                episode.step({})
+                episode.step(HOLD)
             assert episode.links[blocked.incident.link].blocked
             del episode
             assert gc.collect() == 0
@@ -918,7 +932,7 @@ class TestKeptCounts:
         views = [episode.observe(node_id) for node_id in episode.network.intersection_ids]
         blocked_steps = 0
         for _ in range(scenario.duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
             blocked_steps += episode._incident_vehicle is not None
             for state in episode.links.values():
                 assert state.count == recount_link(state)
@@ -938,7 +952,7 @@ def stepped_against_reference(arrivals, controller):
     stepper = ReferenceStepper(episode)
     seen = set()
     for _ in range(episode.scenario.duration):
-        episode.step(decisions_of(episode, controller))
+        episode.step(controller)
         stepper.after_step()
         assert stepper.mismatches() == [], episode.t
         for state in episode.links.values():
@@ -1036,16 +1050,6 @@ class TestReferenceStepper:
         stepped_against_reference(Arrivals(scenario, seed), controller)
 
 
-def decisions_of(episode, controller):
-    """What ``controller`` decides for every junction not in a yellow
-    transition, as ``run_episode`` asks it."""
-    return {
-        node_id: controller.decide(episode, junction)
-        for node_id, junction in episode.junctions.items()
-        if not junction.signal.in_transition
-    }
-
-
 class TestAccrualOracle:
     """Waits banked when they end, against the per-second loops."""
 
@@ -1060,7 +1064,7 @@ class TestAccrualOracle:
         reference = ReferenceAccrual(episode)
         controller = MaxPressureController()
         for _ in range(duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
             reference.after_step()
             for vehicle in episode.vehicles:
                 assert episode.delay_of(vehicle) == reference.delay(vehicle), vehicle.id
@@ -1083,11 +1087,11 @@ class TestAccrualOracle:
         episode = Episode(Arrivals(scenario, 0))
         controller = MaxPressureController()
         for _ in range(650):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
         first = episode.finish()
         assert episode.finish() == first
         for _ in range(50):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
         fresh = run_episode(Arrivals(scenario, 0), MaxPressureController())
         assert episode.finish() == fresh
 
@@ -1116,7 +1120,7 @@ class TestSortedHistory:
         episode = Episode(Arrivals(scenario, 3))
         controller = MaxPressureController()
         for _ in range(scenario.duration):
-            episode.step(decisions_of(episode, controller))
+            episode.step(controller)
             for junction in episode.junctions.values():
                 assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
         assert len(set(episode.junctions["x0_0"].history[-HISTORY_WINDOW:])) > 1
@@ -1126,7 +1130,7 @@ class TestSortedHistory:
         episode = Episode(Arrivals(scenario, 5))
         junction = episode.junctions["x1_0"]
         for _ in range(400):
-            episode.step({})
+            episode.step(HOLD)
             if episode.t % 97 == 0:
                 assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
         assert junction.sorted_history() == sorted(junction.history[-HISTORY_WINDOW:])
@@ -1137,7 +1141,7 @@ def vehicles_under(controller, arrivals):
     and its metrics."""
     episode = Episode(arrivals)
     for _ in range(episode.scenario.duration):
-        episode.step(decisions_of(episode, controller))
+        episode.step(controller)
     vehicles = [(v.id, v.vclass, v.entry_time, v.route) for v in episode.vehicles]
     return vehicles, episode.finish().metrics
 
