@@ -282,7 +282,9 @@ def _method_spec(name: str) -> tuple[str, ControllerSpec]:
         skill = _load_skill(name.split(":", 1)[1])
         return f"skill:{skill.id}", ControllerSpec("skill", skill=skill)
     if name.startswith("library:"):
-        skill = LIBRARY[name.split(":", 1)[1]]
+        skill = LIBRARY.get(name.split(":", 1)[1])
+        if skill is None:
+            raise ValueError(f"unknown method {name!r}: the library has {', '.join(LIBRARY)}")
         return name, ControllerSpec("skill", skill=skill)
     if name == "seed":
         return name, ControllerSpec("skill", skill=SEED_SKILL)

@@ -19,19 +19,23 @@ what order phases were evaluated in.
 
 ``score_phases`` is the one scorer, and it computes nothing twice. It
 calls the skill's generated scorer: one Python function per (inlane,
-outlane) pair of parsed bodies, compiled once and cached, whose text
-(``_scorer_source``) holds both bodies as ``dsl.render`` writes them,
-inside one loop over the junction's lane-links. For each body the text
-holds only the reads of the lane features it names, straight from the
-engine's records: an approach ``Lane``'s queue and running lists, its
-blockage and ``Lane.span`` for the gap, and an exit ``LinkState``'s
-kept count, queue lists and lanes. A body that names no parameter is
-folded to a constant when it is compiled and added as a literal; an
-outlane body that does not name ``index`` runs once per exit link (4
-runs per decision, not 12), since up to three lane-links share one.
-Scores are bit-identical to calling both bodies at every lane-link, and
-a fault is reported where that order meets it first, with the same
-message.
+outlane) pair of bodies, compiled once and cached by the pair of code
+texts, whose text (``_scorer_source``) holds both bodies as
+``dsl.render`` writes them, inside one loop over the junction's
+lane-links. For each body the text holds only the reads of the lane
+features it names, straight from the engine's records at the step it
+is given: an approach ``Lane``'s queue and running lists, its blockage
+and ``Lane.span`` for the gap, and an exit ``LinkState``'s kept count,
+queue lists and lanes. Those lines, ``_lane_reads`` and
+``_link_reads``, are the one definition of the three lane features;
+``tests/_reference.py`` computes them independently from sorted
+distance lists, as the oracle the tests hold them to. A body that names
+no parameter is folded to a constant when it is compiled and added as
+a literal; an outlane body that does not name ``index`` runs once per
+exit link (4 runs per decision, not 12), since up to three lane-links
+share one. Scores are bit-identical to calling both bodies at every
+lane-link, and a fault is reported where that order meets it first,
+with the same message.
 
 The max-pressure baselines read the phase pressures the engine keeps
 on each junction instead of reading lane figures. Controllers that log
@@ -89,7 +93,12 @@ _CHECKED = (
 
 def _lane_reads(reads: tuple[bool, bool, bool]) -> list[str]:
     """Lines that set the figures ``reads`` names of the inlane ``_lane``,
-    an approach ``Lane``, as ``Lane``'s properties compute them."""
+    an approach ``Lane``, at step ``_t``: ``num_vehicle``, its queued
+    and running vehicles; ``num_waiting_vehicle``, its queued ones plus
+    the incident blocker while its movement is blocked; and
+    ``vehicle_dist``, the spread of their distances to the stop line
+    over one less than their number, or ``length / (n + 1)`` for
+    ``n <= 1`` vehicles."""
     count, waiting, dist = reads
     lines = ["_q = _len(_lane.queue)"] if any(reads) else []
     if count or dist:
@@ -103,7 +112,7 @@ def _lane_reads(reads: tuple[bool, bool, bool]) -> list[str]:
             "if _n <= 1:",
             "    vehicle_dist = _lane.length / (_n + 1)",
             "else:",
-            "    _lo, _hi = _lane.span(_lane.clock.t, 1e999, -1e999)",
+            "    _lo, _hi = _lane.span(_t, 1e999, -1e999)",
             "    vehicle_dist = (_hi - _lo) / (_n - 1)",
         ]
     return lines
@@ -111,7 +120,10 @@ def _lane_reads(reads: tuple[bool, bool, bool]) -> list[str]:
 
 def _link_reads(reads: tuple[bool, bool, bool]) -> list[str]:
     """Lines that set the figures ``reads`` names of the outlane ``_out``,
-    an exit ``LinkState``, as ``LinkState``'s properties compute them."""
+    an exit ``LinkState``, at step ``_t``, as ``_lane_reads`` does for a
+    lane but over the whole link: its kept count, the queues of its
+    three movements plus its blocked movements, and the spread over all
+    its lanes."""
     count, waiting, dist = reads
     lines = []
     if count or dist:
@@ -128,7 +140,6 @@ def _link_reads(reads: tuple[bool, bool, bool]) -> list[str]:
             "if _n <= 1:",
             "    vehicle_dist = _out.link.length / (_n + 1)",
             "else:",
-            "    _t = _out.clock.t",
             "    _lo, _hi = 1e999, -1e999",
             "    for _part in _out.lanes.values():",
             "        _lo, _hi = _part.span(_t, _lo, _hi)",
@@ -142,12 +153,12 @@ def _indented(lines: list[str], depth: int) -> list[str]:
 
 
 def _scorer_source(inlane: SkillAst, outlane: SkillAst) -> str:
-    """The text of ``def score(views, <EVENT_VARIABLES>)``, which
-    returns each phase's score under the two bodies. An outlane body
-    that does not name ``index`` runs at the first lane-link that leaves
-    by an exit, and its checked result is kept in ``_shared``, keyed by
-    the exit's ``LinkState`` (which hashes by identity), for the
-    others."""
+    """The text of ``def score(views, _t, <EVENT_VARIABLES>)``, which
+    returns each phase's score under the two bodies at step ``_t``. An
+    outlane body that does not name ``index`` runs at the first
+    lane-link that leaves by an exit, and its checked result is kept in
+    ``_shared``, keyed by the exit's ``LinkState`` (which hashes by
+    identity), for the others."""
     inlane_body, outlane_body = compile_body(inlane), compile_body(outlane)
     share = outlane_body.constant is None and not outlane_body.names_index
     per_lane_link = []
@@ -171,7 +182,7 @@ def _scorer_source(inlane: SkillAst, outlane: SkillAst) -> str:
         else:
             per_lane_link += [*reads(body.reads), *body_lines(ast), *_CHECKED, "_total += value"]
     lines = [
-        f"def score(views, {', '.join(EVENT_VARIABLES)}):",
+        f"def score(views, _t, {', '.join(EVENT_VARIABLES)}):",
         "    _scores = []",
         *(["    _shared = {}"] if share else []),
         "    index = 0.0",
@@ -186,17 +197,19 @@ def _scorer_source(inlane: SkillAst, outlane: SkillAst) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_SCORER_CACHE: dict[tuple[SkillAst, SkillAst], Callable[..., list[float]]] = {}
+_SCORER_CACHE: dict[tuple[str, str], Callable[..., list[float]]] = {}
 
 
-def scorer(inlane: SkillAst, outlane: SkillAst) -> Callable[..., list[float]]:
-    """The generated scorer of two parsed bodies, compiled once per
-    (inlane, outlane) pair: parsed ASTs are immutable and hashable."""
-    key = (inlane, outlane)
+def scorer(inlane_code: str, outlane_code: str) -> Callable[..., list[float]]:
+    """The generated scorer of two bodies, cached by their code texts:
+    the bodies are parsed and the scorer compiled only the first time a
+    pair is asked for."""
+    key = (inlane_code, outlane_code)
     score = _SCORER_CACHE.get(key)
     if score is None:
         namespace: dict[str, object] = {}
-        exec(compile(_scorer_source(inlane, outlane), "<scorer>", "exec"), _SCORER_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
+        source = _scorer_source(parse(inlane_code), parse(outlane_code))
+        exec(compile(source, "<scorer>", "exec"), _SCORER_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
         score = namespace["score"]
         if len(_SCORER_CACHE) > 4096:
             _SCORER_CACHE.clear()
@@ -204,39 +217,31 @@ def scorer(inlane: SkillAst, outlane: SkillAst) -> Callable[..., list[float]]:
     return score
 
 
-class CompiledSkill:
-    """A skill whose two bodies are fused into one generated scorer."""
-
-    __slots__ = ("score",)
-
-    def __init__(self, skill: Skill):
-        self.score = scorer(parse(skill.inlane_code), parse(skill.outlane_code))
-
-
 # The event context of a decision with no active event.
 _NO_EVENT = (0.0,) * len(EVENT_VARIABLES)
 
 
 def score_phases(
-    compiled: CompiledSkill,
+    score: Callable[..., list[float]],
     views: PhaseViews,
+    t: int,
     ctx_extra: dict[str, float] | None = None,
 ) -> list[float]:
-    """Each phase's score under a compiled skill, with the event
-    variables ``ctx_extra`` names bound to its values and every other
-    one to 0.0; raises EvalError if any lane-link evaluation faults
-    (callers hold the current phase and record it).
+    """Each phase's score at step ``t`` under a skill's generated
+    ``score``, with the event variables ``ctx_extra`` names bound to its
+    values and every other one to 0.0; raises EvalError if any lane-link
+    evaluation faults (callers hold the current phase and record it).
 
     The work is the skill's generated scorer's (see the module
     docstring): each lane-link adds its inlane result, checked, then its
     outlane result, so the first fault in that order is the one
     reported, with the message the body's own function would give, and
     every score is bit-identical to running both bodies at every
-    lane-link on the figures the records' properties give.
+    lane-link on the figures that lane-link reads.
     """
     context = tuple(ctx_extra.get(name, 0.0) for name in EVENT_VARIABLES) if ctx_extra else _NO_EVENT
     try:
-        return compiled.score(views, *context)
+        return score(views, t, *context)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise EvalError(str(exc)) from exc
 
@@ -299,11 +304,11 @@ class SkillController:
     the candidate's fitness at the evolution layer)."""
 
     def __init__(self, skill: Skill):
-        self.compiled = CompiledSkill(skill)
+        self.score = scorer(skill.inlane_code, skill.outlane_code)
 
     def decide(self, episode: Episode, junction: Junction) -> PhaseDecision | None:
         try:
-            return PHASE_DECISIONS[_argmax_lowest(score_phases(self.compiled, junction.views))]
+            return PHASE_DECISIONS[_argmax_lowest(score_phases(self.score, junction.views, episode.t))]
         except EvalError as exc:
             episode.record_fault(junction, str(exc))
             return None
@@ -337,7 +342,7 @@ class DispatcherController:
 
     def __init__(self, bank: ev.SkillBank):
         self.bank = bank
-        self.compiled = {kind: CompiledSkill(skill) for kind, skill in bank.skills.items()}
+        self.scorers = {kind: scorer(skill.inlane_code, skill.outlane_code) for kind, skill in bank.skills.items()}
 
     def decide(self, episode: Episode, junction: Junction) -> PhaseDecision | None:
         events = ev.detect(episode, junction.id)
@@ -350,7 +355,7 @@ class DispatcherController:
         event = ev.active_event(events, active_kind)
         context = None if event is None else event.context
         try:
-            scores = score_phases(self.compiled[active_kind], junction.views, context)
+            scores = score_phases(self.scorers[active_kind], junction.views, episode.t, context)
         except EvalError as exc:
             episode.record_fault(junction, str(exc))
             return None

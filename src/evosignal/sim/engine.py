@@ -56,16 +56,16 @@ step.
 
 A skill observes the engine's own records: the approach ``Lane`` is the
 inlane of a lane-link and the exit ``LinkState`` its outlane. Neither
-stores a figure; each of ``num_vehicle``, ``num_waiting_vehicle`` and
-``vehicle_dist`` is a property computed from the record's lists when it
-is asked for, so a read after ``Episode.step`` sees the new state. The
-properties define the figures; a skill's generated scorer
-(``control.score_phases``) computes the ones its bodies name inline, in
-the same way, and the tests hold the two to each other. A link's vehicle count is
-kept by the link state as vehicles enter and leave it, and a lane's is
-the length of its queue and running lists, so reading either is O(1);
-so is a lane's nearest and farthest running vehicle while the lane
-holds only vehicles on the common table, the two ends of its list.
+stores or computes a figure. ``num_vehicle``, ``num_waiting_vehicle``
+and ``vehicle_dist`` are defined once, by the lines of a skill's
+generated scorer (``control._lane_reads`` and ``control._link_reads``),
+which read them from the records' lists at the step the scorer is given;
+``tests/_reference.py`` computes them independently, as the oracle the
+tests hold the scorer to. A link's vehicle count is kept by the link
+state as vehicles enter and leave it, and a lane's is the length of its
+queue and running lists, so reading either is O(1); so is a lane's
+nearest and farthest running vehicle while the lane holds only vehicles
+on the common table, the two ends of its list.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from .network import (
     phase_of,
     route_movements,
 )
-from .scenario import ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
+from .scenario import INCIDENT_FROM_STOPLINE, ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
 
 JAM_SPACING = 7.5  # m between queued vehicles
 SATURATION_FLOW = 0.5  # veh/s per lane-link under green
@@ -228,16 +228,6 @@ def position(vehicle: Vehicle, t: int) -> float:
     return vehicle.table[t - entered]
 
 
-class Clock:
-    """The step an episode is at, shared with the lane and link records
-    that read positions at it."""
-
-    __slots__ = ("t",)
-
-    def __init__(self):
-        self.t = 0
-
-
 class Lane:
     """The running vehicles of one movement of a link (of an exit link,
     all its vehicles, whose movement is None), in the order they entered
@@ -257,30 +247,26 @@ class Lane:
       that feeds it at the junction upstream.
 
     An approach lane is what a skill sees as the inlane of its
-    lane-link. A queued vehicle stands ``anchor() + i * JAM_SPACING``
-    from the stop line and a running one ``length - position``. The one
-    frozen vehicle, the incident blocker, is counted as waiting through
-    ``blocked``, its link's dict: ``_update_incident`` sets both
-    together.
+    lane-link; its figures are defined by ``control._lane_reads``, and
+    ``tests/_reference.py`` is their oracle. A queued vehicle stands
+    ``anchor() + i * JAM_SPACING`` from the stop line and a running one
+    ``length - position``. The one frozen vehicle, the incident blocker,
+    is counted as waiting through ``blocked``, its link's dict:
+    ``_update_incident`` sets both together.
 
     A lane refers to no link state or junction, only to its link's
-    ``blocked`` dict and the episode's clock, which refer to nothing, so
-    an episode's records form no reference cycle and are freed with it.
+    ``blocked`` dict, which refers to nothing, so an episode's records
+    form no reference cycle and are freed with it.
     ``running`` is changed only in place, so records may hold it."""
 
-    __slots__ = ("movement", "queue", "running", "length", "blocked", "clock", "odd", "free", "wake", "terms",
-                 "credit")
+    __slots__ = ("movement", "queue", "running", "length", "blocked", "odd", "free", "wake", "terms", "credit")
 
-    def __init__(
-        self, movement: str | None, queue: list[Vehicle] | None, length: float, blocked: dict[str, float],
-        clock: Clock,
-    ):
+    def __init__(self, movement: str | None, queue: list[Vehicle] | None, length: float, blocked: dict[str, float]):
         self.movement = movement
         self.queue = queue
         self.running: list[Vehicle] = []
         self.length = length
         self.blocked = blocked
-        self.clock = clock
         self.odd = 0
         self.free = length
         self.wake = NEVER
@@ -330,22 +316,6 @@ class Lane:
                     hi = dist
         return lo, hi
 
-    @property
-    def num_waiting_vehicle(self) -> int:
-        return len(self.queue) + (self.movement in self.blocked)
-
-    @property
-    def num_vehicle(self) -> int:
-        return len(self.queue) + len(self.running)
-
-    @property
-    def vehicle_dist(self) -> float:
-        n = len(self.queue) + len(self.running)
-        if n <= 1:
-            return self.length / (n + 1)
-        lo, hi = self.span(self.clock.t, math.inf, -math.inf)
-        return mean_gap(n, lo, hi, self.length)
-
 
 class LinkState:
     """Vehicles on one link. The queue lists and the ``blocked`` dict are
@@ -359,57 +329,28 @@ class LinkState:
     queued); the episode changes it only where a vehicle enters the link
     or leaves it.
 
-    A link state is what a skill sees as the outlane of a lane-link. Up
-    to three lane-links of an intersection share one exit link;
-    ``control.score_phases`` runs an outlane body that does not name the
-    phase index once per exit per decision."""
+    A link state is what a skill sees as the outlane of a lane-link; its
+    figures are defined by ``control._link_reads``, and
+    ``tests/_reference.py`` is their oracle. Up to three lane-links of an
+    intersection share one exit link; ``control.score_phases`` runs an
+    outlane body that does not name the phase index once per exit per
+    decision."""
 
-    __slots__ = ("link", "lanes", "queues", "count", "blocked", "clock")
+    __slots__ = ("link", "lanes", "queues", "count", "blocked")
 
-    def __init__(self, link: Link, clock: Clock):
+    def __init__(self, link: Link):
         self.link = link
-        self.clock = clock
         self.queues: dict[str, list[Vehicle]] = {m: [] for m in MOVEMENTS}
         self.blocked: dict[str, float] = {}
         self.lanes = {
-            m: Lane(m, self.queues.get(m), link.length, self.blocked, clock)
+            m: Lane(m, self.queues.get(m), link.length, self.blocked)
             for m in ((None,) if link.kind == "exit" else MOVEMENTS)
         }
         self.count = 0
 
-    @property
-    def num_waiting_vehicle(self) -> int:
-        left, straight, right = self.queues.values()
-        return len(left) + len(straight) + len(right) + len(self.blocked)
-
-    @property
-    def num_vehicle(self) -> int:
-        return self.count
-
-    @property
-    def vehicle_dist(self) -> float:
-        length = self.link.length
-        n = self.count
-        if n <= 1:
-            return length / (n + 1)
-        t = self.clock.t
-        lo, hi = math.inf, -math.inf
-        for lane in self.lanes.values():
-            lo, hi = lane.span(t, lo, hi)
-        return mean_gap(n, lo, hi, length)
-
 
 # Per phase, the (inlane, outlane) records of its lane-links.
 PhaseViews = tuple[tuple[tuple[Lane, LinkState], ...], ...]
-
-
-def mean_gap(n: int, lo: float, hi: float, link_length: float) -> float:
-    """Mean inter-vehicle gap of ``n`` vehicles whose distances to the
-    stop line span ``[lo, hi]``; for <=1 vehicle, length/(n+1) keeps the
-    figure bounded and monotone in occupancy."""
-    if n <= 1:
-        return link_length / (n + 1)
-    return (hi - lo) / (n - 1)
 
 
 class SignalState:
@@ -595,9 +536,10 @@ class Episode:
         self.arrivals = arrivals
         self.network = arrivals.network
         self._movements = arrivals.grid.movements
-        self.clock = Clock()
+        # The current step: the number of steps run so far.
+        self.t = 0
         self.links: dict[str, LinkState] = {
-            link_id: LinkState(link, self.clock) for link_id, link in sorted(self.network.links.items())
+            link_id: LinkState(link) for link_id, link in sorted(self.network.links.items())
         }
         # One record per intersection, in id order; every per-step loop
         # over intersections runs over these.
@@ -645,16 +587,11 @@ class Episode:
             self.junctions[self.network.links[scenario.incident.link].dst] if scenario.incident else None
         )
 
-    @property
-    def t(self) -> int:
-        """The current step: the number of steps run so far."""
-        return self.clock.t
-
     # ------------------------------------------------------------------
     # spawning
 
     def _new_vehicle(self, vclass: str, route: tuple[str, ...], movements: tuple[str | None, ...]) -> Vehicle:
-        vehicle = Vehicle(self._next_vehicle_id, vclass, route, movements, self.clock.t)
+        vehicle = Vehicle(self._next_vehicle_id, vclass, route, movements, self.t)
         self._next_vehicle_id += 1
         self.vehicles.append(vehicle)
         vehicle.table = self._tables[vehicle.cruise]
@@ -665,7 +602,7 @@ class Episode:
         """Start ``vehicle`` running in a lane, given as its ``_lanes``
         triple, at the current step, and make the lane due no later than
         it needs to be."""
-        t = self.clock.t
+        t = self.t
         vehicle.entered = t
         lane, state, _ = due
         lane.running.append(vehicle)
@@ -732,16 +669,16 @@ class Episode:
         for pressures, k, term in lane.terms:
             pressures[k] += sign * term
         lane.free = lane.length - lane.anchor()
-        self._rewake(due, lane.free - (len(lane.queue) + 1) * JAM_SPACING, self.clock.t)
+        self._rewake(due, lane.free - (len(lane.queue) + 1) * JAM_SPACING, self.t)
 
     def _update_incident(self) -> None:
         incident = self.scenario.incident
         if incident is None:
             return
-        t = self.clock.t
+        t = self.t
         if t == int(incident.start):
             state = self.links[incident.link]
-            pos = max(0.0, state.link.length - incident.position_from_stopline)
+            pos = max(0.0, state.link.length - INCIDENT_FROM_STOPLINE)
             route = self._straight_route_from(incident.link)
             vehicle = Vehicle(self._next_vehicle_id, "normal", route, route_movements(self.network, route), t)
             self._next_vehicle_id += 1
@@ -778,8 +715,11 @@ class Episode:
     def observe(self, intersection_id: str) -> PhaseViews:
         """Per-phase, per-lane-link (inlane ``Lane``, outlane
         ``LinkState``) records of one intersection, its junction's
-        ``views``. Their figures are computed from the current state
-        when read, so a read after ``step()`` sees the new state."""
+        ``views``. The records store no figure: a skill's generated
+        scorer computes the figures from their lists at the step it is
+        given (``control._lane_reads`` and ``_link_reads`` are the one
+        definition, ``tests/_reference.py`` the oracle), so views held
+        across ``step()`` see the new state."""
         return self.junctions[intersection_id].views
 
     # ------------------------------------------------------------------
@@ -813,7 +753,7 @@ class Episode:
             target = decision.phase
             if not 0 <= target < NUM_PHASES:
                 self.log_record(
-                    {"kind": "invalid_decision", "time": self.clock.t, "intersection": junction.id, "phase": target}
+                    {"kind": "invalid_decision", "time": self.t, "intersection": junction.id, "phase": target}
                 )
                 continue
             if target == signal.active:
@@ -823,13 +763,13 @@ class Episode:
             signal.pending = target
             signal.yellow = YELLOW_STEPS
         movements = self._movements
-        for vclass, route in self.arrivals.at(self.clock.t):
+        for vclass, route in self.arrivals.at(self.t):
             self._new_vehicle(vclass, route, movements[route])
         self._update_incident()
         self._serve_green()
         self._advance_vehicles()
         self._accrue()
-        self.clock.t += 1
+        self.t += 1
 
     def _serve_green(self) -> None:
         for junction in self.junctions.values():
@@ -853,7 +793,7 @@ class Episode:
 
     def _release(self, vehicle: Vehicle) -> None:
         vehicle.queued = False
-        vehicle.cumulative_wait += self.clock.t - vehicle.stopped_since
+        vehicle.cumulative_wait += self.t - vehicle.stopped_since
         vehicle.stopped_since = None
         vehicle.leg = leg = vehicle.leg + 1
         vehicle.movement = movement = vehicle.movements[leg]
@@ -864,7 +804,7 @@ class Episode:
         now: each exit lane with a vehicle reaching the end of its link,
         and each approach lane at its wake step. A lane's other vehicles
         are where their tables put them without being touched."""
-        t = self.clock.t
+        t = self.t
         bucket = self._due.pop(t, None)
         if bucket is None:
             return
@@ -956,7 +896,7 @@ class Episode:
         if self._incident_vehicle is not None:
             self._incident_junction.history[-1] += 1
             total_waiting += 1
-        t = self.clock.t
+        t = self.t
         incident = self.scenario.incident
         if incident is not None and incident.start <= t <= incident.end + INCIDENT_TAIL:
             self._window_wait += total_waiting

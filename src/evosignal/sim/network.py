@@ -45,8 +45,6 @@ _PHASE_OF = {
     lane_link: k for k, lane_links in enumerate(PHASE_TABLE) for lane_link in lane_links
 }
 
-DEFAULT_LINK_LENGTH = 300.0  # m
-
 
 def opposite(direction: str) -> str:
     return _OPPOSITE[direction]
@@ -124,9 +122,7 @@ def _node_id(row: int, col: int) -> str:
     return f"x{row}_{col}"
 
 
-def build_network(
-    rows: int, cols: int, link_length: float = DEFAULT_LINK_LENGTH
-) -> Network:
+def build_network(rows: int, cols: int, link_length: float) -> Network:
     """Build the grid. Every perimeter side gets one entry and one exit
     link, so sources and sinks ring the whole boundary."""
     if rows < 1 or cols < 1:

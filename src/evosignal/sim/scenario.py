@@ -45,6 +45,10 @@ MAX_GRID_SIDE = 32
 MAX_DURATION = 86_400  # s
 MAX_BUS_LINES = 64
 
+# Metres from the stop line at which an incident's blocker stands (at the
+# link start on a shorter link).
+INCIDENT_FROM_STOPLINE = 150.0
+
 RateProfile = tuple[tuple[float, float], ...]  # (start_time, rate) pieces
 
 
@@ -140,7 +144,6 @@ class IncidentInjection:
     duration: float
     link: str  # approach link carrying the blockage
     movement: str = "s"
-    position_from_stopline: float = 150.0
 
     @property
     def end(self) -> float:

@@ -5,11 +5,13 @@ a tree-walking evaluator for skill code (the package lowers each body to
 a Python function instead) and a phase scorer built on it, a node and
 branch-depth counter by structural recursion (the package weighs the
 nodes of one flat walk), a brute-force percentile, observations built from sorted
-distance lists as frozen ``LaneObservation`` values (the package reads
-counts and extremes from live views when they are asked for), lane and
-link stand-ins that carry the attributes the package's generated
-scorer reads and compute their figures as properties of their own,
-which is how the reference scorer reads every record,
+distance lists as frozen ``LaneObservation`` values (the package's
+generated scorer reads counts and extremes from live views, in the
+lines of ``control._lane_reads`` and ``_link_reads``, the one
+definition of the figures in the package), lane and link stand-ins that
+carry the attributes the package's generated scorer reads and compute
+their figures as properties of their own, which is how the reference
+scorer reads them,
 max-pressure scored from observations (the package keeps each
 junction's phase pressures as queues change), link and lane vehicle
 counts recounted from a link's lists (the package keeps them as
@@ -27,6 +29,9 @@ implementations have something to disagree with.
 Two stand-in controllers let a test step an episode through the
 engine's own signal rules, which no test copies: ``HOLD`` answers None
 everywhere, and ``DecisionMap`` answers each intersection from a map.
+And ``scored_figures`` reads the figures of engine records the one way
+the package can, through its generated scorer, for the tests to hold
+to ``reference_observe``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from evosignal.control import score_phases, scorer
 from evosignal.dsl import nodes
 from evosignal.dsl.interpreter import EvalError
 from evosignal.dsl.whitelist import canonical_binding
@@ -59,7 +65,7 @@ from evosignal.sim.network import (
     phase_of,
     turn_movement,
 )
-from evosignal.sim.scenario import scheduled_bus_departures, scheduled_emergencies
+from evosignal.sim.scenario import INCIDENT_FROM_STOPLINE, scheduled_bus_departures, scheduled_emergencies
 
 
 def _apply_binop(op: str, left, right):
@@ -200,8 +206,9 @@ def reference_score_phases(inlane_ast, outlane_ast, observations, context=None) 
     the inlane features, then the outlane body on the outlane features,
     each with the phase index and the event context (zeros by default)
     bound by name and evaluated by tree walking. Every figure is read
-    from the record's property at every lane-link: an engine ``Lane``'s
-    or ``LinkState``'s, or a stand-in's."""
+    from the observation's attribute at every lane-link: a
+    ``LaneObservation``'s (``reference_observe`` gives those of engine
+    records) or a stand-in's property."""
     event = {name: 0.0 for name in _EVENT_NAMES}
     event.update(context or {})
     scores = []
@@ -292,13 +299,6 @@ class LaneObservation:
     vehicle_dist: float
 
 
-class StandInClock:
-    __slots__ = ("t",)
-
-    def __init__(self):
-        self.t = 0
-
-
 class StandInLane:
     """An approach lane as the scorer reads it, with no engine behind it:
     ``queued`` vehicles in its queue, ``running`` ones on the way, its
@@ -314,7 +314,6 @@ class StandInLane:
         self.running = [None] * running
         self.blocked = {movement: 0.0} if blocked else {}
         self.length = length
-        self.clock = StandInClock()
         self.ends = (near, far)
 
     def span(self, t, lo, hi):
@@ -358,7 +357,6 @@ class StandInLink:
     def __init__(self, *lanes, length=300.0):
         lanes = lanes or (StandInLane(length=length),)
         self.link = _StandInRoad(length)
-        self.clock = StandInClock()
         self.lanes = {movement: lane for movement, lane in zip(MOVEMENTS, lanes)}
         self.queues = {movement: [] for movement in MOVEMENTS}
         self.blocked = {}
@@ -449,6 +447,38 @@ def reference_observe(episode, intersection_id: str):
             phase_obs.append((inlane, outlane))
         out.append(phase_obs)
     return out
+
+
+FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
+
+
+def scored_figure(inlane, outlane, t: int, side: int, figure: str) -> float:
+    """One figure of one lane-link's (inlane, outlane) records at step
+    ``t``, as the package's generated scorer reads it: the score of a
+    one-lane-link view under the body ``value[0] += <figure>`` on
+    ``side`` (0 the inlane, 1 the outlane) and ``value[0] += 0`` on the
+    other."""
+    bodies = ["value[0] += 0", "value[0] += 0"]
+    bodies[side] = f"value[0] += {figure}"
+    return score_phases(scorer(*bodies), [[(inlane, outlane)]], t)[0]
+
+
+def scored_figures(inlane, outlane, t: int) -> tuple[LaneObservation, LaneObservation]:
+    """The (inlane, outlane) figures of one lane-link at step ``t`` by
+    ``scored_figure``, as ``LaneObservation`` values."""
+    return tuple(
+        LaneObservation(*(scored_figure(inlane, outlane, t, side, figure) for figure in FIGURES))
+        for side in (0, 1)
+    )
+
+
+def scored_observe(episode, intersection_id: str):
+    """``reference_observe``'s observations of one intersection, read by
+    ``scored_figures`` from the engine's views."""
+    return [
+        [scored_figures(inlane, outlane, episode.t) for inlane, outlane in lane_links]
+        for lane_links in episode.observe(intersection_id)
+    ]
 
 
 def recount_link(link_state) -> int:
@@ -551,7 +581,7 @@ class ReferenceStepper:
                     link = self.network.links[self.network.intersections[link.dst].exits[link.direction]]
                     route.append(link.id)
                 self.blocker = self._spawn("normal", tuple(route))
-                self.blocker.pos = max(0.0, state.link.length - incident.position_from_stopline)
+                self.blocker.pos = max(0.0, state.link.length - INCIDENT_FROM_STOPLINE)
                 self.blocker.frozen = True
                 self.blocker.movement = incident.movement
                 state.blocked.add(incident.movement)

@@ -239,6 +239,15 @@ class TestCompareAndBaseline:
         assert delay_rows
         float(delay_rows[0][8])  # t parses as a number
 
+    def test_an_unknown_library_skill_is_named_with_the_library(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--methods", "library:nope,seed", "--scenarios", "T1",
+                     *DESK, "--seeds", "1,2", "--out", str(out)])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: unknown method 'library:nope': the library has {', '.join(LIBRARY)}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "baseline", "compare"])
     def test_parallel_jobs_match_serial_output(self, tmp_path, command):
         skill_path = tmp_path / "skill.json"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from evosignal import control
 from evosignal.control import (
-    CompiledSkill,
     ControllerSpec,
     FIXED_TIME_CYCLE,
     FixedTimeController,
@@ -61,6 +60,12 @@ def observations(per_phase):
 EMPTY = observations([[(lane(), link())] for _ in range(4)])
 
 
+def skill_scores(skill, views, context=None):
+    """The phase scores of ``skill`` on stand-in ``views``, whose span
+    ignores the step."""
+    return score_phases(scorer(skill.inlane_code, skill.outlane_code), views, 0, context)
+
+
 class TestScorePhases:
     def test_seed_sums_waiting_counts(self):
         obs = observations(
@@ -71,12 +76,12 @@ class TestScorePhases:
                 [(lane(), link())],
             ]
         )
-        scores = score_phases(CompiledSkill(SEED_SKILL), obs)
+        scores = skill_scores(SEED_SKILL, obs)
         assert scores[0] == 5.0
         assert _argmax_lowest(scores) == 0
 
     def test_all_zero_ties_break_to_lowest_index(self):
-        scores = score_phases(CompiledSkill(SEED_SKILL), EMPTY)
+        scores = skill_scores(SEED_SKILL, EMPTY)
         assert len(set(scores)) == 1
         assert _argmax_lowest(scores) == 0
 
@@ -84,7 +89,7 @@ class TestScorePhases:
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(queued=1), link())] for _ in range(4)])
         ctx = {"emergency_distance": 100.0, "emergency_phase": 2.0}
-        scores = score_phases(CompiledSkill(skill), obs, ctx)
+        scores = skill_scores(skill, obs, ctx)
         assert _argmax_lowest(scores) == 2
         # (200 - 100) * 10 per lane-link on the matching phase
         assert scores[2] >= 1000.0
@@ -92,7 +97,7 @@ class TestScorePhases:
     def test_event_variables_default_to_zero(self):
         skill = LIBRARY["preempt-approach"]
         obs = observations([[(lane(queued=2), link())] for _ in range(4)])
-        scores = score_phases(CompiledSkill(skill), obs)
+        scores = skill_scores(skill, obs)
         # no emergency: falls to the waiting * 3 branch everywhere
         assert all(s == scores[0] for s in scores)
 
@@ -116,9 +121,7 @@ class TestScorePhases:
                 [(lane(), link())],
             ]
         )
-        assert _argmax_lowest(score_phases(CompiledSkill(base), obs)) == _argmax_lowest(
-            score_phases(CompiledSkill(scaled), obs)
-        )
+        assert _argmax_lowest(skill_scores(base, obs)) == _argmax_lowest(skill_scores(scaled, obs))
 
     def test_chosen_is_lowest_index_of_max(self):
         obs = observations(
@@ -129,7 +132,7 @@ class TestScorePhases:
                 [(lane(queued=2), link())],
             ]
         )
-        scores = score_phases(CompiledSkill(SEED_SKILL), obs)
+        scores = skill_scores(SEED_SKILL, obs)
         assert scores[1] == scores[2]
         assert _argmax_lowest(scores) == 1
 
@@ -205,7 +208,7 @@ class TestScoreOracle:
     @settings(max_examples=400, deadline=None)
     def test_scores_match_reference(self, inlane, outlane, obs, context):
         skill = Skill(id="h", description="", guidance="", inlane_code=inlane, outlane_code=outlane)
-        ours = self.outcome(lambda: score_phases(CompiledSkill(skill), obs, context))
+        ours = self.outcome(lambda: skill_scores(skill, obs, context))
         theirs = self.outcome(lambda: reference_score_phases(parse(inlane), parse(outlane), obs, context))
         assert ours == theirs
 
@@ -215,26 +218,26 @@ class TestScoreOracle:
                       outlane_code="value[0] += num_vehicle / 0")
         obs = observations([[(lane(), link())] for _ in range(4)])
         with pytest.raises(EvalError, match="non-finite result: inf"):
-            score_phases(CompiledSkill(skill), obs)
+            skill_scores(skill, obs)
         with pytest.raises(EvalError, match="non-finite result: inf"):
             reference_score_phases(parse(skill.inlane_code), parse(skill.outlane_code), obs)
 
 
 def counted_skill(inlane, outlane, calls, monkeypatch):
-    """The compiled skill of two bodies, the inlane one calling ``max``
-    and the outlane one ``abs`` once per run: the calls its generated
-    scorer makes to each are counted in ``calls["inlane"]`` and
-    ``calls["outlane"]``. (A body is folded to a constant when it is
-    compiled, through the body globals, which are not counted.)"""
-    compiled = CompiledSkill(Skill(id="c", description="", guidance="", inlane_code=inlane, outlane_code=outlane))
-    scorer_globals = compiled.score.__globals__
+    """The generated scorer of two bodies, the inlane one calling ``max``
+    and the outlane one ``abs`` once per run: the calls it makes to each
+    are counted in ``calls["inlane"]`` and ``calls["outlane"]``. (A body
+    is folded to a constant when it is compiled, through the body
+    globals, which are not counted.)"""
+    score = scorer(inlane, outlane)
+    scorer_globals = score.__globals__
     for name, key in (("max", "inlane"), ("abs", "outlane")):
         def counted(*args, builtin=scorer_globals[name], key=key):
             calls[key] += 1
             return builtin(*args)
 
         monkeypatch.setitem(scorer_globals, name, counted)
-    return compiled
+    return score
 
 
 def engine_decisions(family="T1", duration=240, seed=6):
@@ -305,22 +308,22 @@ class TestBodyCalls:
     @pytest.mark.parametrize(("inlane", "outlane", "inlane_calls", "outlane_calls"), BODY_RUNS)
     def test_calls_per_decision(self, inlane, outlane, inlane_calls, outlane_calls, monkeypatch):
         calls = Counter()
-        compiled = counted_skill(inlane, outlane, calls, monkeypatch)
+        score = counted_skill(inlane, outlane, calls, monkeypatch)
         decisions = 0
         for episode, node_id in engine_decisions():
             calls.clear()
-            score_phases(compiled, episode.observe(node_id))
+            score_phases(score, episode.observe(node_id), episode.t)
             assert (calls["inlane"], calls["outlane"]) == (inlane_calls, outlane_calls)
             decisions += 1
         assert decisions == 240 * 4
 
     @pytest.mark.parametrize(("inlane", "outlane", "inlane_calls", "outlane_calls"), BODY_RUNS)
     def test_reads_per_decision(self, inlane, outlane, inlane_calls, outlane_calls, monkeypatch):
-        compiled = CompiledSkill(Skill(id="r", description="", guidance="", inlane_code=inlane, outlane_code=outlane))
+        score = scorer(inlane, outlane)
         views, exits = junction_like_views()
         reads = Counter()
         monkeypatch.setattr(ReadCounted, "reads", reads)
-        score_phases(compiled, views)
+        score_phases(score, views, 0)
         monkeypatch.setattr(ReadCounted, "reads", None)
         # Each record attribute, and which figure's reading it shows: a
         # lane's running list its count or gap, a lane's blockage its
@@ -365,20 +368,20 @@ class TestBodyCalls:
     )
     def test_an_unbound_name_faults_where_its_body_would_start(self, inlane, outlane, runs, monkeypatch):
         calls = Counter()
-        compiled = counted_skill(inlane, outlane, calls, monkeypatch)
+        score = counted_skill(inlane, outlane, calls, monkeypatch)
         for episode, node_id in engine_decisions(duration=3):
             calls.clear()
             with pytest.raises(EvalError, match="^variable 'zed' is unbound in this context$"):
-                score_phases(compiled, episode.observe(node_id))
+                score_phases(score, episode.observe(node_id), episode.t)
             assert (calls["inlane"], calls["outlane"]) == runs
 
     def test_a_faulting_constant_body_is_called_and_faults_in_order(self, monkeypatch):
         calls = Counter()
-        compiled = counted_skill("value[0] += max(1, 0)", "value[0] += abs(1) / 0", calls, monkeypatch)
+        score = counted_skill("value[0] += max(1, 0)", "value[0] += abs(1) / 0", calls, monkeypatch)
         for episode, node_id in engine_decisions(duration=3):
             calls.clear()
             with pytest.raises(EvalError, match="division by zero"):
-                score_phases(compiled, episode.observe(node_id))
+                score_phases(score, episode.observe(node_id), episode.t)
             assert (calls["inlane"], calls["outlane"]) == (0, 1)
 
 
@@ -386,17 +389,38 @@ class TestScorerCache:
     def test_an_equal_pair_gets_the_same_scorer_and_the_cache_stays_bounded(self):
         control._SCORER_CACHE.clear()
         pair = ("value[0] += num_vehicle", "value[0] += 0")
-        first = scorer(*map(parse, pair))
-        assert scorer(*map(parse, pair)) is first
-        assert CompiledSkill(Skill(id="a", description="", guidance="", inlane_code=pair[0],
-                                   outlane_code=pair[1])).score is first
+        first = scorer(*pair)
+        assert scorer(*pair) is first
+        assert SkillController(Skill(id="a", description="", guidance="", inlane_code=pair[0],
+                                     outlane_code=pair[1])).score is first
         # a different pair, even with the same bodies swapped, is another scorer
-        assert scorer(*map(parse, reversed(pair))) is not first
+        assert scorer(*reversed(pair)) is not first
         sizes = set()
         for i in range(4200):
-            scorer(parse(pair[0]), parse(f"value[0] += {i + 1}"))
+            scorer(pair[0], f"value[0] += {i + 1}")
             sizes.add(len(control._SCORER_CACHE))
         assert max(sizes) == 4097 and min(sizes) == 1
+        control._SCORER_CACHE.clear()
+
+    @pytest.mark.parametrize(
+        ("spec", "first_parses"),
+        [(ControllerSpec("skill", skill=LIBRARY["saturation-branch"]), 2), (ControllerSpec("dispatcher"), 10)],
+        ids=["skill", "dispatcher"],
+    )
+    def test_building_a_controller_again_parses_nothing(self, spec, first_parses, monkeypatch):
+        control._SCORER_CACHE.clear()
+        parsed = []
+
+        def counted(code):
+            parsed.append(code)
+            return parse(code)
+
+        monkeypatch.setattr(control, "parse", counted)
+        spec.build()
+        assert len(parsed) == first_parses
+        parsed.clear()
+        spec.build()
+        assert parsed == []
         control._SCORER_CACHE.clear()
 
 
@@ -425,7 +449,7 @@ class ReferenceSkillController:
 
     def decide(self, episode, junction):
         try:
-            scores = reference_score_phases(self.inlane, self.outlane, junction.views)
+            scores = reference_score_phases(self.inlane, self.outlane, reference_observe(episode, junction.id))
         except EvalError as exc:
             episode.record_fault(junction, str(exc))
             return None
@@ -439,17 +463,17 @@ class TestScoreOracleOnEngineViews:
 
     def test_scores_and_first_faults_match_the_reference(self):
         pairs = [(i, o) for i in PARTIAL_INLANES for o in PARTIAL_OUTLANES]
-        compiled = [CompiledSkill(Skill(id="p", description="", guidance="", inlane_code=i, outlane_code=o))
-                    for i, o in pairs]
+        scores = [scorer(i, o) for i, o in pairs]
         parsed = [(parse(i), parse(o)) for i, o in pairs]
         contexts = (None, {"emergency_distance": 40.0, "emergency_phase": 2.0, "bus_count": 3.0})
         faults = Counter()
         for n, (episode, node_id) in enumerate(engine_decisions("E2", duration=200)):
             views = episode.observe(node_id)
+            observed = reference_observe(episode, node_id)
             context = contexts[n % 2]
-            for pair, skill, (inlane, outlane) in zip(pairs, compiled, parsed):
-                ours = TestScoreOracle.outcome(lambda: score_phases(skill, views, context))
-                theirs = TestScoreOracle.outcome(lambda: reference_score_phases(inlane, outlane, views, context))
+            for pair, score, (inlane, outlane) in zip(pairs, scores, parsed):
+                ours = TestScoreOracle.outcome(lambda: score_phases(score, views, episode.t, context))
+                theirs = TestScoreOracle.outcome(lambda: reference_score_phases(inlane, outlane, observed, context))
                 assert ours == theirs, (pair, episode.t, node_id)
                 faults[pair, ours[0] == "EvalError"] += 1
         for inlane, outlane in pairs:

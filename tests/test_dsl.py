@@ -303,7 +303,7 @@ class TestEvaluate:
             assert reference_evaluate(ast, zeros).hex() == want
             assert dsl.compile_body(ast).run(zeros).hex() == want
         assert positive != negative and hash(positive) != hash(negative)
-        assert scorer(negative, negative) is not scorer(positive, positive)
+        assert scorer("value[0] *= -0.0", "value[0] *= -0.0") is not scorer("value[0] *= 0.0", "value[0] *= 0.0")
 
     def test_concurrent_callers_with_distinct_contexts(self):
         import threading

@@ -18,7 +18,7 @@ from evosignal.events import (
     detect,
     dispatch,
 )
-from evosignal.control import CompiledSkill, ControllerSpec, DispatcherController, drive, score_phases
+from evosignal.control import ControllerSpec, DispatcherController, drive, score_phases, scorer
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import Arrivals, Episode
 from evosignal.skills import LIBRARY, Skill
@@ -97,7 +97,7 @@ class TestDetect:
         # two vehicles stopped 130 s at the stop line of a red movement
         from .test_sim import queue_vehicle
 
-        self.episode.clock.t = 200
+        self.episode.t = 200
         # queued in the live list, the one detect reads
         for _ in range(2):
             queue_vehicle(self.episode, self.node.approaches["E"], movement="s").stopped_since = 70
@@ -106,7 +106,7 @@ class TestDetect:
         assert not any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
 
     def test_mid_link_stall_is_an_incident(self):
-        self.episode.clock.t = 200
+        self.episode.t = 200
         vehicle = place_running(self.episode, self.node.approaches["N"], 150.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60  # stopped 140 s, far from the stop line
@@ -117,7 +117,7 @@ class TestDetect:
     def test_green_stop_near_line_is_an_incident(self):
         # stopped long, near the line, but its movement is green: a
         # signal wait cannot explain it
-        self.episode.clock.t = 200
+        self.episode.t = 200
         vehicle = place_running(self.episode, self.node.approaches["N"], 20.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60
@@ -234,7 +234,8 @@ def context_scores(context):
                     " + bus_delay * 1000 + incident_blocked * 10000 + congestion_level * 100000",
         outlane_code="value[0] += 0",
     )
-    return score_phases(CompiledSkill(skill), [[(StandInLane(), StandInLink())]] * 4, context)
+    return score_phases(scorer(skill.inlane_code, skill.outlane_code), [[(StandInLane(), StandInLink())]] * 4, 0,
+                        context)
 
 
 class TestInjectContext:

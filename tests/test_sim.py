@@ -35,10 +35,8 @@ from evosignal.sim.engine import (
     JAM_SPACING,
     Junction,
     Lane,
-    LinkState,
     PhaseDecision,
     Vehicle,
-    mean_gap,
     position,
     run_episode,
 )
@@ -68,16 +66,22 @@ from evosignal.sim.scenario import (
 from evosignal.skills import LIBRARY, SEED_SKILL
 
 from ._reference import (
+    FIGURES,
     HOLD,
     DecisionMap,
     ReferenceAccrual,
     ReferenceStepper,
+    StandInLane,
+    StandInLink,
     in_network_count,
     recount_link,
     reference_arrivals,
     reference_observe,
     reachable_exits,
     running_vehicles,
+    scored_figure,
+    scored_figures,
+    scored_observe,
 )
 
 
@@ -120,7 +124,7 @@ class TestNetwork:
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ConfigError):
-            build_network(0, 3)
+            build_network(0, 3, 300.0)
         with pytest.raises(ConfigError):
             build_network(2, 2, -5)
 
@@ -132,7 +136,7 @@ class TestNetwork:
         assert len(seen) == 12
 
     def test_canonical_routes_avoid_u_turns(self):
-        net = build_network(3, 3)
+        net = build_network(3, 3, 300.0)
         for entry in net.entry_links:
             exits = reachable_exits(net, entry)
             assert exits, entry
@@ -466,8 +470,7 @@ class TestEngine:
 
     def test_observation_of_empty_lane(self):
         episode = Episode(Arrivals(zero_demand(), 0))
-        obs = episode.observe("x0_0")
-        inlane, outlane = obs[0][0]
+        inlane, _ = scored_figures(*episode.observe("x0_0")[0][0], episode.t)
         assert inlane.num_vehicle == 0
         assert inlane.num_waiting_vehicle == 0
         assert inlane.vehicle_dist == episode.network.link_length
@@ -478,10 +481,9 @@ class TestEngine:
         approach = node.approaches["N"]
         for _ in range(3):
             queue_vehicle(episode, approach, movement="s")
-        obs = episode.observe("x0_0")
         # (N, s) is in phase 0; find its observation
         index = sorted(PHASE_TABLE[0]).index(("N", "s"))
-        inlane, _ = obs[0][index]
+        inlane, _ = scored_figures(*episode.observe("x0_0")[0][index], episode.t)
         assert inlane.num_vehicle == 3
         assert inlane.num_waiting_vehicle == 3
         assert inlane.vehicle_dist == JAM_SPACING
@@ -616,21 +618,15 @@ class TestEngine:
         assert episode.finish().metrics.bus_person_delay == pytest.approx(expected, rel=1e-12)
 
     def test_mean_gap_conventions(self):
-        # (n, nearest, farthest, link length)
-        assert mean_gap(0, math.inf, -math.inf, 300.0) == 300.0
-        assert mean_gap(1, 40.0, 40.0, 300.0) == 150.0
-        assert mean_gap(3, 0.0, 15.0, 300.0) == 7.5
-
-
-def assert_same_observations(got, want):
-    assert len(got) == len(want) == NUM_PHASES
-    for phase_got, phase_want in zip(got, want):
-        assert len(phase_got) == len(phase_want)
-        for pair_got, pair_want in zip(phase_got, phase_want):
-            for lane_got, lane_want in zip(pair_got, pair_want):
-                assert lane_got.num_vehicle == lane_want.num_vehicle
-                assert lane_got.num_waiting_vehicle == lane_want.num_waiting_vehicle
-                assert lane_got.vehicle_dist == lane_want.vehicle_dist
+        # (queued, running, nearest, farthest, gap) on a 300 m lane: for
+        # n <= 1 vehicles the gap is length / (n + 1), for more the
+        # spread over n - 1, on an inlane and on an outlane alike
+        for queued, running, near, far, gap in (
+            (0, 0, 0.0, 0.0, 300.0), (0, 1, 40.0, 40.0, 150.0), (1, 0, 0.0, 0.0, 150.0), (2, 1, 0.0, 15.0, 7.5),
+        ):
+            lane = StandInLane(queued, running, near=near, far=far, length=300.0)
+            assert scored_figure(lane, StandInLink(), 0, 0, "vehicle_dist") == gap
+            assert scored_figure(StandInLane(), StandInLink(lane, length=300.0), 0, 1, "vehicle_dist") == gap
 
 
 def overtaken_in_lane(link_state, t) -> bool:
@@ -656,11 +652,12 @@ def overtaken_on_link(link_state, t) -> bool:
 
 
 class TestObservationOracle:
-    """Episode.observe against sorted distance lists, at every
-    intersection, every 5 s of max-pressure episodes and at every step
-    with a queue behind a blockage, an overtaken vehicle or a lane that
-    holds a vehicle off the common position table (whose gap is scanned,
-    not read from the lane's two ends)."""
+    """The figures the generated scorer reads from Episode.observe's
+    views, against sorted distance lists, at every intersection, every
+    5 s of max-pressure episodes and at every step with a queue behind a
+    blockage, an overtaken vehicle or a lane that holds a vehicle off the
+    common position table (whose gap is scanned, not read from the lane's
+    two ends); and at every step of 2x2 episodes with events."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("size", [2, 3])
@@ -683,13 +680,28 @@ class TestObservationOracle:
                     notable.add("off the common table")
             if notable or episode.t % 5 == 0:
                 for node_id in episode.network.intersection_ids:
-                    assert_same_observations(episode.observe(node_id), reference_observe(episode, node_id))
+                    assert scored_observe(episode, node_id) == reference_observe(episode, node_id)
             seen |= notable
             episode.step(controller)
         if family == "I1":
             assert "queue behind blockage" in seen
         if family == "E2":
             assert "overtaken" in seen
+
+    @pytest.mark.parametrize("family", ["I1", "M1", "E2", "B2"])
+    def test_scored_figures_match_sorted_distances_at_every_step(self, family):
+        # I1 and M1 block from 600 s to 900 s; run past the blockage.
+        duration = 950 if family in ("I1", "M1") else 400
+        scenario = make_scenario(family, rows=2, cols=2, duration=duration)
+        episode = Episode(Arrivals(scenario, 0))
+        controller = MaxPressureController()
+        blocked = 0
+        for _ in range(duration):
+            for node_id in episode.network.intersection_ids:
+                assert scored_observe(episode, node_id) == reference_observe(episode, node_id), (episode.t, node_id)
+            blocked += any(state.queues[m] for state in episode.links.values() for m in state.blocked)
+            episode.step(controller)
+        assert (blocked > 0) == (scenario.incident is not None)
 
 
 class DecisionLog:
@@ -704,15 +716,13 @@ class DecisionLog:
         return self.inner.decide(episode, junction)
 
 
-FIGURES = ("num_vehicle", "num_waiting_vehicle", "vehicle_dist")
-
 # What the generated scorer reads from an inlane ``Lane`` (``_lane``)
 # and an outlane ``LinkState`` (``_out``) for each figure a body names.
 FIGURE_READS = {
     "_lane": {"num_vehicle": {"queue", "running"}, "num_waiting_vehicle": {"queue", "movement", "blocked"},
-              "vehicle_dist": {"queue", "running", "length", "span", "clock"}},
+              "vehicle_dist": {"queue", "running", "length", "span"}},
     "_out": {"num_vehicle": {"count"}, "num_waiting_vehicle": {"queues", "blocked"},
-             "vehicle_dist": {"count", "link", "clock", "lanes"}},
+             "vehicle_dist": {"count", "link", "lanes"}},
 }
 
 
@@ -733,25 +743,13 @@ def named_reads(record: str, figures) -> set[str]:
 
 class TestLiveViews:
     @pytest.fixture()
-    def reads(self, monkeypatch):
-        """Count every figure property read from a lane or link record
-        as (record class, figure), and list every ``Lane.span`` call
-        made while a decision is scored as (decision, side, lane), a
-        decision being one ``score_phases`` call and the side "inlane"
-        for a lane of the decision's lane-links and "exit" for a lane of
-        one of their exit links."""
-        counts = Counter()
+    def spans(self, monkeypatch):
+        """List every ``Lane.span`` call made while a decision is scored
+        as (decision, side, lane), a decision being one ``score_phases``
+        call and the side "inlane" for a lane of the decision's
+        lane-links and "exit" for a lane of one of their exit links."""
         spans: list[tuple[int, str, int]] = []
         decision = {"n": 0, "inlanes": None}
-        for cls in (Lane, LinkState):
-            for figure in FIGURES:
-                fget = vars(cls)[figure].fget
-
-                def counted(view, fget=fget, cls=cls, figure=figure):
-                    counts[cls.__name__, figure] += 1
-                    return fget(view)
-
-                monkeypatch.setattr(cls, figure, property(counted))
         span = Lane.span
 
         def counted_span(lane, *args):
@@ -763,31 +761,29 @@ class TestLiveViews:
         monkeypatch.setattr(Lane, "span", counted_span)
         score = control_module.score_phases
 
-        def counted_score(compiled, views, *args):
+        def counted_score(skill_score, views, *args):
             decision["n"] += 1
             decision["inlanes"] = {id(inlane) for lane_links in views for inlane, _ in lane_links}
             try:
-                return score(compiled, views, *args)
+                return score(skill_score, views, *args)
             finally:
                 decision["inlanes"] = None
 
         monkeypatch.setattr(control_module, "score_phases", counted_score)
-        return counts, spans
+        return spans
 
     def arrivals(self, family="T1"):
         return Arrivals(make_scenario(family, rows=2, cols=2, duration=300), 4)
 
-    def test_fixed_time_reads_no_figure(self, reads):
-        counts, spans = reads
+    def test_fixed_time_reads_no_figure(self, spans):
         controller = DecisionLog(FixedTimeController())
         run_episode(self.arrivals(), controller)
         assert controller.decided
-        assert sum(counts.values()) == 0 and spans == []
+        assert spans == []
 
     @pytest.mark.parametrize("controller", [MaxPressureController, HandcraftedPreemptionController])
-    def test_max_pressure_reads_no_view(self, reads, monkeypatch, controller):
+    def test_max_pressure_reads_no_view(self, spans, monkeypatch, controller):
         # it counts the junction's queue lists instead
-        counts, spans = reads
         observed = []
         observe = Episode.observe
 
@@ -799,22 +795,20 @@ class TestLiveViews:
         controller = DecisionLog(controller())
         result = run_episode(self.arrivals("E2"), controller)
         assert controller.decided and result.metrics.vehicles_entered > 0
-        assert observed == [] and sum(counts.values()) == 0 and spans == []
+        assert observed == [] and spans == []
 
-    def test_seed_skill_reads_neither_count_nor_gap(self, reads):
+    def test_seed_skill_reads_neither_count_nor_gap(self, spans):
         # its inlane names the waiting count, its outlane nothing
         assert emitted_reads(SEED_SKILL) == {"_lane": named_reads("_lane", ["num_waiting_vehicle"]), "_out": set()}
-        counts, spans = reads
         result = run_episode(self.arrivals(), SkillController(SEED_SKILL))
         assert result.controller_faults == 0
-        # the scorer reads figures inline, never through a property
-        assert sum(counts.values()) == 0 and spans == []
+        assert spans == []
 
     @pytest.mark.parametrize(
         "outlane", [None, "value[0] += index * outlane_0_num_vehicle - vehicle_dist"], ids=["library", "index"]
     )
     @pytest.mark.parametrize("name", ["saturation-branch", "bus-priority"])
-    def test_each_exit_is_scanned_once_per_decision_unless_its_body_names_index(self, reads, name, outlane):
+    def test_each_exit_is_scanned_once_per_decision_unless_its_body_names_index(self, spans, name, outlane):
         # with the library outlane (which does not name index), whose
         # result each exit link's lane-links share, and with one that
         # names index, so its body runs, and scans the exit, once per
@@ -824,10 +818,8 @@ class TestLiveViews:
         # count and gap only
         assert emitted_reads(skill) == {"_lane": named_reads("_lane", FIGURES),
                                         "_out": named_reads("_out", ["num_vehicle", "vehicle_dist"])}
-        counts, spans = reads
         result = run_episode(self.arrivals(), SkillController(skill))
         assert result.controller_faults == 0
-        assert sum(counts.values()) == 0
         scans = Counter(spans)
         assert {n for (_, side, _), n in scans.items() if side == "inlane"} == {1}
         exit_scans = {n for (_, side, _), n in scans.items() if side == "exit"}
@@ -846,7 +838,8 @@ class TestLiveViews:
             if episode.t % 7 == 0 or 595 <= episode.t <= 610:
                 for node_id, held in views.items():
                     assert episode.observe(node_id) is held
-                    assert_same_observations(held, reference_observe(episode, node_id))
+                    scored = [[scored_figures(*pair, episode.t) for pair in lane_links] for lane_links in held]
+                    assert scored == reference_observe(episode, node_id)
 
     def test_a_finished_episode_is_freed_without_the_cycle_collector(self):
         scenario = make_scenario("B2", rows=2, cols=2, duration=120)
@@ -907,7 +900,7 @@ class TestLiveViews:
         try:
             controller = ControllerSpec("dispatcher").build()
             assert len(control_module._SCORER_CACHE) == len({
-                (parse(skill.inlane_code), parse(skill.outlane_code)) for skill in controller.bank.skills.values()
+                (skill.inlane_code, skill.outlane_code) for skill in controller.bank.skills.values()
             }) > 1
             assert gc.collect() == 0
         finally:
@@ -929,17 +922,17 @@ class TestKeptCounts:
             scenario = replace(scenario, incident=replace(scenario.incident, movement="l"))
         episode = Episode(Arrivals(scenario, 3))
         controller = MaxPressureController()
-        views = [episode.observe(node_id) for node_id in episode.network.intersection_ids]
+        # one lane-link leaving by each exit link a junction views
+        exits = list({id(outlane): (inlane, outlane) for node_id in episode.network.intersection_ids
+                      for lane_links in episode.observe(node_id) for inlane, outlane in lane_links}.values())
         blocked_steps = 0
         for _ in range(scenario.duration):
             episode.step(controller)
             blocked_steps += episode._incident_vehicle is not None
             for state in episode.links.values():
                 assert state.count == recount_link(state)
-            for phases in views:
-                for lane_links in phases:
-                    for _, outlane in lane_links:
-                        assert outlane.num_vehicle == recount_link(outlane)
+            for inlane, outlane in exits:
+                assert scored_figure(inlane, outlane, episode.t, 1, "num_vehicle") == recount_link(outlane)
         assert in_network_count(episode) == len(episode.vehicles) - episode.completed > 0
         assert blocked_steps == (300 if scenario.incident else 0)
 
@@ -1032,8 +1025,7 @@ class TestReferenceStepper:
         seed=st.integers(0, 2**31),
         link_length=st.sampled_from([60.0, 137.5, 300.0, 412.3]),
         demand_scale=st.floats(0.3, 2.5),
-        incident=st.tuples(st.integers(0, 150), st.integers(1, 150), st.sampled_from(MOVEMENTS),
-                           st.floats(0.0, 500.0)),
+        incident=st.tuples(st.integers(0, 150), st.integers(1, 150), st.sampled_from(MOVEMENTS)),
     )
     def test_a_sweep_of_grids_and_seeds_matches_the_reference(
         self, family, rows, cols, seed, link_length, demand_scale, incident
@@ -1041,10 +1033,9 @@ class TestReferenceStepper:
         scenario = make_scenario(family, rows=rows, cols=cols, duration=200,
                                  link_length=link_length, demand_scale=demand_scale)
         if scenario.incident is not None:
-            start, length, movement, from_stopline = incident
+            start, length, movement = incident
             scenario = replace(scenario, incident=replace(
                 scenario.incident, start=float(start), duration=float(length), movement=movement,
-                position_from_stopline=from_stopline,
             ))
         controller = HandcraftedPreemptionController() if seed % 2 else MaxPressureController()
         stepped_against_reference(Arrivals(scenario, seed), controller)
