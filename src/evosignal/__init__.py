@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from . import control, dsl, events, evolution, generator, metrics, skills, store
 from .control import ControllerSpec, drive, max_pressure, score_phases
-from .events import SkillBank, TrafficEvent, default_bank, detect, dispatch
+from .events import TrafficEvent, detect, dispatch
 from .evolution import EvolutionConfig, direction_text, extract_signals, run_evolution
 from .metrics import event_fitness, routine_fitness, welch_and_cohen
 from .sim import ScenarioConfig, SimulationMetrics, make_scenario, run_episode
@@ -20,7 +20,6 @@ from .store import RunStore
 __all__ = [
     "control",
     "ControllerSpec",
-    "default_bank",
     "detect",
     "direction_text",
     "dispatch",

@@ -13,9 +13,16 @@ allowed to override min-green (it still pays the yellow transition).
 Phase scoring follows one rule everywhere: a phase's score is the sum,
 over its lane-links, of the inlane body evaluated on the inlane features
 plus the outlane body evaluated on the outlane features, with the phase
-index and the active event's context injected alongside. Argmax with
-the lowest index winning ties - ties must break the same way no matter
-what order phases were evaluated in.
+index and the event context injected alongside. Argmax with the lowest
+index winning ties - ties must break the same way no matter what order
+phases were evaluated in.
+
+The dispatcher and the handcrafted preemption rule each take one event
+per decision, ``events.dispatch`` of the junction's detected events.
+The dispatcher scores with its bank's skill of that event's kind and
+binds that event's context; a step with no event runs the ``normal``
+skill with every event variable 0.0. The preemption rule acts only on
+an event of kind ``emergency``.
 
 ``score_phases`` is the one scorer, and it computes nothing twice. It
 calls the skill's generated scorer: one Python function per (inlane,
@@ -37,14 +44,16 @@ share one. Scores are bit-identical to calling both bodies at every
 lane-link, and a fault is reported where that order meets it first,
 with the same message.
 
-The max-pressure baselines read the phase pressures the engine keeps
-on each junction instead of reading lane figures. Controllers that log
-events and skill activations build those records only when the episode
-collects a step log.
+The generated scorers and the compiled bodies in them are each kept in
+a bounded ``functools.lru_cache``. The max-pressure baselines read the
+phase pressures the engine keeps on each junction instead of reading
+lane figures. Controllers that log events and skill activations build
+those records only when the episode collects a step log.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterator
 from concurrent import futures
 from contextlib import contextmanager
@@ -66,7 +75,7 @@ from .sim.engine import (
     run_episode,
 )
 from .sim.scenario import ScenarioConfig
-from .skills import Skill
+from .skills import DEFAULT_BANK, Skill
 
 
 def _argmax_lowest(scores) -> int:
@@ -197,24 +206,15 @@ def _scorer_source(inlane: SkillAst, outlane: SkillAst) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_SCORER_CACHE: dict[tuple[str, str], Callable[..., list[float]]] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def scorer(inlane_code: str, outlane_code: str) -> Callable[..., list[float]]:
     """The generated scorer of two bodies, cached by their code texts:
     the bodies are parsed and the scorer compiled only the first time a
     pair is asked for."""
-    key = (inlane_code, outlane_code)
-    score = _SCORER_CACHE.get(key)
-    if score is None:
-        namespace: dict[str, object] = {}
-        source = _scorer_source(parse(inlane_code), parse(outlane_code))
-        exec(compile(source, "<scorer>", "exec"), _SCORER_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
-        score = namespace["score"]
-        if len(_SCORER_CACHE) > 4096:
-            _SCORER_CACHE.clear()
-        _SCORER_CACHE[key] = score
-    return score
+    namespace: dict[str, object] = {}
+    source = _scorer_source(parse(inlane_code), parse(outlane_code))
+    exec(compile(source, "<scorer>", "exec"), _SCORER_GLOBALS, namespace)  # noqa: S102 - grammar+whitelist fenced
+    return namespace["score"]
 
 
 # The event context of a decision with no active event.
@@ -322,40 +322,41 @@ def _log_events(episode: Episode, junction: Junction, events) -> None:
 
 class HandcraftedPreemptionController:
     """Max-pressure plus a deterministic preemption rule fed by the same
-    event detector as the dispatcher: an active emergency immediately
-    claims its phase, overriding min-green."""
+    event detector and dispatch as the dispatcher: a dispatched
+    emergency immediately claims its phase, overriding min-green."""
 
     def decide(self, episode: Episode, junction: Junction) -> PhaseDecision:
-        events = ev.detect(episode, junction.id)
+        events = ev.detect(episode, junction)
         if episode.collect_step_log:
             _log_events(episode, junction, events)
-        emergency = ev.active_event(events, "emergency")
-        if emergency is not None:
-            return PhaseDecision(int(emergency.context["emergency_phase"]), override_min_green=True)
+        event = ev.dispatch(events)
+        if event is not None and event.kind == "emergency":
+            return PhaseDecision(int(event.context["emergency_phase"]), override_min_green=True)
         return PHASE_DECISIONS[max_pressure(junction)]
 
 
 class DispatcherController:
-    """The full event-aware pipeline: detect, pick the highest-priority
-    skill from the bank, score with the event context injected. Detected
-    events and skill activations are logged so runs can be audited."""
+    """The full event-aware pipeline: detect, dispatch one event, score
+    with the bank's skill of its kind (``normal`` when there is none)
+    and its context injected. ``bank`` maps each of ``BANK_KINDS`` to a
+    skill; a bank without one of them raises KeyError here, so every
+    dispatched kind has a scorer. Detected events and skill activations
+    are logged so runs can be audited."""
 
-    def __init__(self, bank: ev.SkillBank):
-        self.bank = bank
-        self.scorers = {kind: scorer(skill.inlane_code, skill.outlane_code) for kind, skill in bank.skills.items()}
+    def __init__(self, bank: dict[str, Skill]):
+        self.scorers = {kind: scorer(bank[kind].inlane_code, bank[kind].outlane_code) for kind in ev.BANK_KINDS}
 
     def decide(self, episode: Episode, junction: Junction) -> PhaseDecision | None:
-        events = ev.detect(episode, junction.id)
-        active_kind, _ = ev.dispatch(events, self.bank)
+        events = ev.detect(episode, junction)
+        event = ev.dispatch(events)
+        kind, context = ("normal", None) if event is None else (event.kind, event.context)
         if episode.collect_step_log:
             _log_events(episode, junction, events)
             episode.log_record(
-                {"kind": "activation", "skill_kind": active_kind, "time": episode.t, "intersection": junction.id}
+                {"kind": "activation", "skill_kind": kind, "time": episode.t, "intersection": junction.id}
             )
-        event = ev.active_event(events, active_kind)
-        context = None if event is None else event.context
         try:
-            scores = score_phases(self.scorers[active_kind], junction.views, episode.t, context)
+            scores = score_phases(self.scorers[kind], junction.views, episode.t, context)
         except EvalError as exc:
             episode.record_fault(junction, str(exc))
             return None
@@ -383,8 +384,7 @@ class ControllerSpec:
         if self.kind == "handcrafted_preemption":
             return HandcraftedPreemptionController()
         if self.kind == "dispatcher":
-            bank = ev.SkillBank(self.bank_skills) if self.bank_skills else ev.default_bank()
-            return DispatcherController(bank)
+            return DispatcherController(self.bank_skills or DEFAULT_BANK)
         raise ValueError(f"unknown controller kind {self.kind!r}")
 
 

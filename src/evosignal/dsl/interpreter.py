@@ -37,6 +37,7 @@ for that evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Mapping
 
@@ -179,18 +180,10 @@ class CompiledBody:
         return finite_result(result)
 
 
-_COMPILE_CACHE: dict[SkillAst, CompiledBody] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def compile_body(ast: SkillAst) -> CompiledBody:
     """Compile (with caching: parsed ASTs are immutable and hashable)."""
-    body = _COMPILE_CACHE.get(ast)
-    if body is None:
-        body = CompiledBody(ast)
-        if len(_COMPILE_CACHE) > 4096:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[ast] = body
-    return body
+    return CompiledBody(ast)
 
 
 def sandbox_check(skill, names: tuple[str, ...]) -> ValidationReport:

@@ -3,25 +3,25 @@
 Four detectors watch each intersection's approaches: emergency vehicles
 inside a 200 m radius, buses anywhere upstream, non-signal stops longer
 than 120 s (incidents), and queues above the 90th percentile of the
-trailing 300 s (congestion). A hardcoded priority chain - emergency
-before incident before transit before congestion before normal - picks
-which skill in the bank handles the step; the ordering is a safety
-constraint, not a tunable, and so are the detector's figures, the
-module constants below. The active event's context binds the event
-variables a skill body sees; every other one is 0.0.
+trailing 300 s (congestion). ``detect`` reports each as a
+``TrafficEvent``, its kind and its context. ``dispatch`` picks the one
+event that handles the step by the hardcoded ``PRIORITY_CHAIN`` -
+emergency before incident before transit before congestion, and no
+event means normal; the dispatcher scores with the bank's skill of that
+kind. The ordering is a safety constraint, not a tunable, and so are
+the detector's figures, the module constants below. The dispatched
+event's context binds the event variables a skill body sees; every
+other one is 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dsl.whitelist import EVENT_VARIABLES
-from .sim.engine import HISTORY_WINDOW, JAM_SPACING, Episode, position
+from .sim.engine import HISTORY_WINDOW, JAM_SPACING, Episode, Junction, position
 from .sim.network import phase_of
-from .skills import DEFAULT_BANK_SKILLS, LIBRARY, Skill
 from .util import percentile_of_sorted
 
-PRIORITY = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
 PRIORITY_CHAIN = ("emergency", "incident", "transit", "congestion")
 BANK_KINDS = ("normal",) + PRIORITY_CHAIN
 
@@ -35,54 +35,19 @@ CONGESTION_WINDOW = HISTORY_WINDOW
 
 @dataclass(frozen=True)
 class TrafficEvent:
+    """One detected event: its kind, one of ``PRIORITY_CHAIN``, and the
+    values of the event variables it binds."""
+
     kind: str
-    intersection: str
     context: dict[str, float]
 
-    def __post_init__(self):
-        if self.kind not in PRIORITY:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        unknown = set(self.context) - set(EVENT_VARIABLES)
-        if unknown:
-            raise ValueError(f"context keys {sorted(unknown)} are not event variables")
 
-    @property
-    def priority(self) -> int:
-        return PRIORITY[self.kind]
-
-
-@dataclass(frozen=True)
-class SkillBank:
-    """The five-slot skill bank the dispatcher draws from."""
-
-    skills: dict[str, Skill]
-
-    def __post_init__(self):
-        missing = [kind for kind in BANK_KINDS if kind not in self.skills]
-        if missing:
-            raise ValueError(f"skill bank is missing kinds: {missing}")
-
-    def __getitem__(self, kind: str) -> Skill:
-        return self.skills[kind]
-
-    def replaced(self, kind: str, skill: Skill) -> "SkillBank":
-        if kind not in BANK_KINDS:
-            raise ValueError(f"unknown bank kind {kind!r}")
-        updated = dict(self.skills)
-        updated[kind] = skill
-        return SkillBank(updated)
-
-
-def default_bank() -> SkillBank:
-    return SkillBank({kind: LIBRARY[name] for kind, name in DEFAULT_BANK_SKILLS.items()})
-
-
-def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
-    """All currently active events at one intersection, read from its
-    junction record. The congestion check reads the junction's queue
-    history through its rolling sorted window."""
+def detect(episode: Episode, junction: Junction) -> list[TrafficEvent]:
+    """All currently active events at one junction of ``episode``, read
+    from its record, at most one of each kind, in ``PRIORITY_CHAIN``
+    order; empty when none is. The congestion check reads the junction's
+    queue history through its rolling sorted window."""
     events: list[TrafficEvent] = []
-    junction = episode.junctions[intersection_id]
     signal = junction.signal
     t = episode.t
     stop_threshold = INCIDENT_STOP_THRESHOLD
@@ -136,28 +101,12 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
     if emergency_best is not None:
         distance, phase = emergency_best
         events.append(
-            TrafficEvent(
-                kind="emergency",
-                intersection=intersection_id,
-                context={"emergency_distance": float(distance), "emergency_phase": float(phase)},
-            )
+            TrafficEvent("emergency", {"emergency_distance": float(distance), "emergency_phase": float(phase)})
         )
     if blocked_lanes:
-        events.append(
-            TrafficEvent(
-                kind="incident",
-                intersection=intersection_id,
-                context={"incident_blocked": float(len(blocked_lanes))},
-            )
-        )
+        events.append(TrafficEvent("incident", {"incident_blocked": float(len(blocked_lanes))}))
     if bus_count:
-        events.append(
-            TrafficEvent(
-                kind="transit",
-                intersection=intersection_id,
-                context={"bus_count": float(bus_count), "bus_delay": float(bus_delay)},
-            )
-        )
+        events.append(TrafficEvent("transit", {"bus_count": float(bus_count), "bus_delay": float(bus_delay)}))
 
     history = junction.history
     if len(history) >= CONGESTION_WINDOW:
@@ -171,28 +120,16 @@ def detect(episode: Episode, intersection_id: str) -> list[TrafficEvent]:
                 level = min(3, int((current - threshold) / band))
             else:
                 level = 3
-            events.append(
-                TrafficEvent(
-                    kind="congestion",
-                    intersection=intersection_id,
-                    context={"congestion_level": float(level)},
-                )
-            )
+            events.append(TrafficEvent("congestion", {"congestion_level": float(level)}))
     return events
 
 
-def dispatch(events, bank: SkillBank) -> tuple[str, Skill]:
-    """Highest-priority active event wins; no events means normal."""
+def dispatch(events: list[TrafficEvent]) -> TrafficEvent | None:
+    """The event that handles the step: the one whose kind comes first
+    in ``PRIORITY_CHAIN``, the first of them among events of one kind;
+    None, the normal slot, when there are no events."""
     active = None
     for event in events:
-        if active is None or event.priority < active.priority:
+        if active is None or PRIORITY_CHAIN.index(event.kind) < PRIORITY_CHAIN.index(active.kind):
             active = event
-    kind = active.kind if active is not None else "normal"
-    return kind, bank[kind]
-
-
-def active_event(events, kind: str) -> TrafficEvent | None:
-    for event in events:
-        if event.kind == kind:
-            return event
-    return None
+    return active

@@ -27,14 +27,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from . import events as ev
 from . import generator as gen
 from . import metrics as met
 from .control import ControllerSpec, episode_pool, run_episodes
 from .dsl import parse
 from .sim.engine import Arrivals, EpisodeResult
 from .sim.scenario import ScenarioConfig, scheduled_bus_departures, scheduled_emergencies
-from .skills import SEED_SKILL, Skill
+from .skills import DEFAULT_BANK, SEED_SKILL, Skill
 from .store import Checkpoint, RunStore
 from .util import mix_seed, percentile
 
@@ -258,10 +257,12 @@ def _swap_inf_null(fitness: float | None) -> float | None:
     return None if fitness == NEG_INFINITY else fitness
 
 
-def _candidate_spec(cfg: EvolutionConfig, candidate: Skill, bank: ev.SkillBank | None) -> ControllerSpec:
+def _candidate_spec(cfg: EvolutionConfig, candidate: Skill) -> ControllerSpec:
+    """A routine candidate controls alone; an event mode's candidate
+    runs in the dispatcher, in its mode's slot of the default bank."""
     if cfg.mode == "routine":
         return ControllerSpec("skill", skill=candidate)
-    return ControllerSpec("dispatcher", bank_skills=bank.replaced(cfg.mode, candidate).skills)
+    return ControllerSpec("dispatcher", bank_skills={**DEFAULT_BANK, cfg.mode: candidate})
 
 
 def _schedules(scenario: ScenarioConfig, kind: str) -> bool:
@@ -334,18 +335,18 @@ def run_arrivals(cfg: EvolutionConfig) -> tuple[Arrivals, ...]:
 def evaluate_generation(
     cfg: EvolutionConfig,
     candidates: list[Skill],
-    bank: ev.SkillBank | None,
     arrivals: tuple[Arrivals, ...],
     pool=None,
 ) -> list[tuple[float, dict[str, float], list[EpisodeOutcome]]]:
     """Mean fitness, mean headline metrics and per-episode outcomes of
     each candidate across the config's scenarios, whose traffic is
     ``arrivals`` (see ``run_arrivals``). On that traffic an episode is a
-    function of the candidate's parsed bodies alone (``bank`` is fixed
-    within a call), so candidates with equal parsed (inlane, outlane)
-    bodies run once per scenario and share the outcomes. Episodes may
-    run in ``pool``; fitness is computed here, and results come back in
-    candidate order either way, so the audit trail is identical."""
+    function of the candidate's parsed bodies alone (an event mode's
+    other bank slots are the default bank's), so candidates with equal
+    parsed (inlane, outlane) bodies run once per scenario and share the
+    outcomes. Episodes may run in ``pool``; fitness is computed here,
+    and results come back in candidate order either way, so the audit
+    trail is identical."""
     keys = [(parse(c.inlane_code), parse(c.outlane_code)) for c in candidates]
     index: dict[tuple, int] = {}
     distinct: list[Skill] = []
@@ -353,7 +354,7 @@ def evaluate_generation(
         if key not in index:
             index[key] = len(distinct)
             distinct.append(candidate)
-    tasks = [(_candidate_spec(cfg, candidate, bank), each) for candidate in distinct for each in arrivals]
+    tasks = [(_candidate_spec(cfg, candidate), each) for candidate in distinct for each in arrivals]
     results = run_episodes(tasks, pool)
     n = len(arrivals)
     evaluations = []
@@ -394,8 +395,6 @@ def _evolve(
     resume: bool,
     pool,
 ) -> EvolutionResult:
-    # An event mode evolves its slot inside the default bank.
-    bank = ev.default_bank() if cfg.event_kind else None
     if resume:
         checkpoint = store.read_checkpoint()
         if checkpoint is None:
@@ -448,7 +447,7 @@ def _evolve(
             draft.with_lineage(id=f"g{g:03d}c{i}", parent_id=elite.id, generation=g)
             for i, draft in enumerate(drafts)
         ]
-        evaluations = evaluate_generation(cfg, candidates, bank, arrivals, pool)
+        evaluations = evaluate_generation(cfg, candidates, arrivals, pool)
 
         gen_best: Skill | None = None
         gen_best_fitness = NEG_INFINITY

@@ -7,9 +7,10 @@ added by the engine. Serialization is the JSON object exchanged with
 generators: description / guidance / inlane_code / outlane_code, with
 id / parent_id / generation / fitness added on the engine side.
 
-The module also ships a small library of known-good skills used as the
-default event bank, as interpreter test vectors, and as rewrite
-templates for the scripted generator.
+The module also ships a small library of known-good skills, used as
+interpreter test vectors and as rewrite templates for the scripted
+generator, and ``DEFAULT_BANK``, the library skill of each dispatcher
+slot.
 """
 
 from __future__ import annotations
@@ -51,14 +52,28 @@ class Skill:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any], *, default_id: str = "unnamed") -> "Skill":
+        """The skill ``data`` holds; raises ValueError, naming the
+        problem, if it is not an object with both bodies as strings and
+        an integer generation."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a skill must be a JSON object, not {type(data).__name__}")
+        for key in ("inlane_code", "outlane_code"):
+            if key not in data:
+                raise ValueError(f"the skill has no {key}")
+            if not isinstance(data[key], str):
+                raise ValueError(f"the skill's {key} is not a string")
+        try:
+            generation = int(data.get("generation", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"the skill's generation {data['generation']!r} is not an integer") from None
         return cls(
             id=str(data.get("id", default_id)),
             description=str(data.get("description", "")),
             guidance=str(data.get("guidance", "")),
-            inlane_code=str(data["inlane_code"]),
-            outlane_code=str(data["outlane_code"]),
+            inlane_code=data["inlane_code"],
+            outlane_code=data["outlane_code"],
             parent_id=data.get("parent_id"),
-            generation=int(data.get("generation", 0)),
+            generation=generation,
             fitness=data.get("fitness"),
             metrics_snapshot=data.get("metrics"),
         )
@@ -208,13 +223,13 @@ LIBRARY: dict[str, Skill] = {
     ),
 }
 
-# Which bank slot each library skill fills. The robust queue
-# accumulator handles routine traffic; the evolved listings are still
-# selectable by name for any slot.
-DEFAULT_BANK_SKILLS = {
-    "normal": "baseline-queue",
-    "emergency": "preempt-approach",
-    "transit": "bus-priority",
-    "incident": "incident-diversion",
-    "congestion": "saturation-response",
+# The stock dispatcher bank: the library skill that fills each slot.
+# The robust queue accumulator handles routine traffic; the evolved
+# listings are still selectable by name for any slot.
+DEFAULT_BANK: dict[str, Skill] = {
+    "normal": LIBRARY["baseline-queue"],
+    "emergency": LIBRARY["preempt-approach"],
+    "incident": LIBRARY["incident-diversion"],
+    "transit": LIBRARY["bus-priority"],
+    "congestion": LIBRARY["saturation-response"],
 }

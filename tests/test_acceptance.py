@@ -15,13 +15,13 @@ import time
 import pytest
 
 from evosignal import dsl
-from evosignal.control import ControllerSpec, drive
-from evosignal.events import TrafficEvent, default_bank, dispatch
+from evosignal.control import ControllerSpec, DispatcherController, drive
+from evosignal.events import TrafficEvent, dispatch
 from evosignal.evolution import EvolutionConfig, run_evolution
 from evosignal.generator import ScriptedBackend, scripted_mutate
 from evosignal.metrics import cost_ledger, routine_fitness, welch_and_cohen
 from evosignal.sim import make_scenario
-from evosignal.skills import LIBRARY, SEED_SKILL, Skill, skill_complexity
+from evosignal.skills import DEFAULT_BANK, LIBRARY, SEED_SKILL, Skill, skill_complexity
 from evosignal.store import RunStore
 from evosignal.util import mix_seed, percentile
 
@@ -140,17 +140,19 @@ def test_c03_validator_rejects_mutant_corpus():
 
 
 def test_c04_dispatcher_totality():
-    bank = default_bank()
-    kinds = ("emergency", "incident", "transit", "congestion")
     priorities = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
-    for mask in itertools.product((False, True), repeat=4):
-        present = [k for k, on in zip(kinds, mask) if on]
-        events = [TrafficEvent(kind=k, intersection="x", context={}) for k in present]
-        active, skill = dispatch(events, bank)
-        expected = min(present, key=priorities.get) if present else "normal"
-        assert active == expected
-        assert skill is bank[expected]
-    report(4, "all 16 event subsets dispatch to the maximum-priority kind")
+    lists = [kinds for size in range(5) for kinds in itertools.permutations(priorities, size)]
+    assert len(lists) == 65
+    for kinds in lists:
+        events = [TrafficEvent(kind, {}) for kind in kinds]
+        winner = dispatch(events)
+        if kinds:
+            assert winner is events[kinds.index(min(kinds, key=priorities.get))]
+        else:
+            assert winner is None
+    # the dispatcher holds a scorer for every kind dispatch can name
+    assert set(DispatcherController(DEFAULT_BANK).scorers) == {"normal", *priorities}
+    report(4, "all 16 event subsets, in every order, dispatch to the maximum-priority kind")
 
 
 def test_c05_preemption_direction():
@@ -288,7 +290,6 @@ def test_c11_cost_ledger(tmp_path):
 
 def test_c12_dispatcher_context_activation():
     started = time.monotonic()
-    bank = default_bank()
     candidate = Skill(
         id="transit-candidate",
         description="Stronger bus weighting.",
@@ -298,9 +299,7 @@ def test_c12_dispatcher_context_activation():
     )
     assert dsl.sandbox_check(candidate, EVENT).ok
     scenario = make_scenario("B1", rows=2, cols=2, duration=600, demand_scale=0.6)
-    spec = ControllerSpec(
-        "dispatcher", bank_skills=bank.replaced("transit", candidate).skills
-    )
+    spec = ControllerSpec("dispatcher", bank_skills={**DEFAULT_BANK, "transit": candidate})
     result = drive(spec, scenario, seed=3, collect_step_log=True)
     activations = [
         r for r in result.step_log

@@ -215,6 +215,28 @@ class TestEvaluateCommand:
         assert line.startswith(f"error: skill failed validation at stage={stage}: inlane: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(("text", "message"), [
+        ("[1, 2]", "a skill must be a JSON object, not list"),
+        ('"x"', "a skill must be a JSON object, not str"),
+        ('{"inlane_code": "value[0] += 0", "outlane_code": "value[0] += 0", "generation": null}',
+         "the skill's generation None is not an integer"),
+        ("{}", "the skill has no inlane_code"),
+        ('{"inlane_code": null, "outlane_code": "value[0] += 0"}', "the skill's inlane_code is not a string"),
+    ], ids=["list", "string", "null-generation", "empty", "null-code"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_a_malformed_skill_file_is_one_error_line(self, tmp_path, capsys, command, text, message):
+        skill_path = tmp_path / "bad.json"
+        skill_path.write_text(text)
+        method = {
+            "evaluate": ["--skill", str(skill_path), "--scenario", "T1"],
+            "compare": ["--methods", f"max_pressure,skill:{skill_path}", "--scenarios", "T1"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert main([command, *method, "--rows", "1", "--cols", "1", "--duration", "10", "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_capsule_evaluation(self, tmp_path):
         out = tmp_path / "run"
         main(["evolve", "--scenarios", "T1", *DESK, "--pop", "2", "--gens", "2",
@@ -297,16 +319,22 @@ class TestCompareAndBaseline:
         assert any(r["kind"] == "activation" for r in records)
 
     # The sha256 of each whole episode log: a change that moves, adds or
-    # drops one record of either run changes its digest. Record a digest
-    # again only for a change meant to move the log, and say why.
-    @pytest.mark.parametrize("method, scenario, digest", [
-        ("dispatcher", "M1", "2d595f8d149e190918bb053efe077b147afe7051fc7f19f528b8f7d0e517bf38"),
-        ("handcrafted_preemption", "E2", "8dd64e050fc42efd81ae2907ad290d1ea36be8662a6d49ae9652d903a7e4ce6d"),
+    # drops one record of any run changes its digest. Record a digest
+    # again only for a change meant to move the log, and say why. At
+    # 300 s both logs hold emergency events only. At 900 s the M1 log
+    # holds emergency and incident events that each meet a congestion
+    # event at one junction and step, and the B2 log transit events that
+    # meet congestion events.
+    @pytest.mark.parametrize("method, scenario, duration, digest", [
+        ("dispatcher", "M1", 300, "2d595f8d149e190918bb053efe077b147afe7051fc7f19f528b8f7d0e517bf38"),
+        ("handcrafted_preemption", "E2", 300, "8dd64e050fc42efd81ae2907ad290d1ea36be8662a6d49ae9652d903a7e4ce6d"),
+        ("dispatcher", "M1", 900, "495e7e4f42249e26ebcb401c2f1863a091f0ae6503ba286e52a217903c2acc13"),
+        ("dispatcher", "B2", 900, "4f4632966966e02bd3899789a57fc7bf1e27697773db8b1bc9193b505e8491e4"),
     ])
-    def test_episode_logs_keep_their_digests(self, tmp_path, method, scenario, digest):
+    def test_episode_logs_keep_their_digests(self, tmp_path, method, scenario, duration, digest):
         log_path = tmp_path / "episode.jsonl"
         assert main(["baseline", "--method", method, "--scenario", scenario, "--rows", "2", "--cols", "2",
-                     "--duration", "300", "--seeds", "1", "--out", str(tmp_path / "b.csv"),
+                     "--duration", str(duration), "--seeds", "1", "--out", str(tmp_path / "b.csv"),
                      "--episode-log", str(log_path)]) == 0
         assert hashlib.sha256(log_path.read_bytes()).hexdigest() == digest
 

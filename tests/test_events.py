@@ -9,19 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosignal.events import (
-    BANK_KINDS,
-    EMERGENCY_RADIUS,
-    SkillBank,
-    TrafficEvent,
-    default_bank,
-    detect,
-    dispatch,
-)
+from evosignal.events import BANK_KINDS, EMERGENCY_RADIUS, TrafficEvent, detect, dispatch
 from evosignal.control import ControllerSpec, DispatcherController, drive, score_phases, scorer
 from evosignal.sim import make_scenario
 from evosignal.sim.engine import Arrivals, Episode
-from evosignal.skills import LIBRARY, Skill
+from evosignal.skills import DEFAULT_BANK, LIBRARY, Skill
 
 from ._reference import HOLD, ReferenceAccrual, StandInLane, StandInLink, brute_force_percentile, reference_detect
 from .test_sim import straight_vehicle, zero_demand
@@ -46,18 +38,20 @@ def detect_with_history(history):
     """detect() at x0_0 of a fresh episode whose junction has ``history``
     as its queue history."""
     episode = Episode(Arrivals(zero_demand(), 0))
-    episode.junctions["x0_0"].history.extend(history)
-    return detect(episode, "x0_0")
+    junction = episode.junctions["x0_0"]
+    junction.history.extend(history)
+    return detect(episode, junction)
 
 
 class TestDetect:
     def setup_method(self):
         self.episode = Episode(Arrivals(zero_demand(), 0))
         self.node = self.episode.network.intersections["x0_0"]
+        self.junction = self.episode.junctions["x0_0"]
 
     def test_emergency_inside_radius(self):
         place_running(self.episode, self.node.approaches["N"], 150.0, vclass="emergency")
-        events = detect(self.episode, "x0_0")
+        events = detect(self.episode, self.junction)
         kinds = {e.kind for e in events}
         assert "emergency" in kinds
         event = next(e for e in events if e.kind == "emergency")
@@ -66,30 +60,30 @@ class TestDetect:
 
     def test_emergency_beyond_radius(self):
         place_running(self.episode, self.node.approaches["N"], 250.0, vclass="emergency")
-        assert not detect(self.episode, "x0_0")
+        assert not detect(self.episode, self.junction)
 
     def test_nearest_emergency_wins(self):
         place_running(self.episode, self.node.approaches["N"], 180.0, vclass="emergency")
         place_running(self.episode, self.node.approaches["E"], 60.0, vclass="emergency")
-        event = next(e for e in detect(self.episode, "x0_0") if e.kind == "emergency")
+        event = next(e for e in detect(self.episode, self.junction) if e.kind == "emergency")
         assert event.context["emergency_distance"] == 60.0
 
     def test_radius_boundary(self):
         # at exactly the 200 m radius it counts; just beyond it does not
         assert EMERGENCY_RADIUS == 200.0
         place_running(self.episode, self.node.approaches["N"], 200.0, vclass="emergency")
-        event = next(e for e in detect(self.episode, "x0_0") if e.kind == "emergency")
+        event = next(e for e in detect(self.episode, self.junction) if e.kind == "emergency")
         assert event.context["emergency_distance"] == 200.0
         beyond = Episode(Arrivals(zero_demand(), 0))
         place_running(beyond, self.node.approaches["N"], 200.5, vclass="emergency")
-        assert not detect(beyond, "x0_0")
+        assert not detect(beyond, beyond.junctions["x0_0"])
 
     def test_bus_detection_counts_and_delay(self):
         bus1 = place_running(self.episode, self.node.approaches["W"], 90.0, vclass="bus")
         bus2 = place_running(self.episode, self.node.approaches["E"], 40.0, vclass="bus")
         bus1.cumulative_wait = 25.0
         bus2.cumulative_wait = 12.0
-        event = next(e for e in detect(self.episode, "x0_0") if e.kind == "transit")
+        event = next(e for e in detect(self.episode, self.junction) if e.kind == "transit")
         assert event.context["bus_count"] == 2.0
         assert event.context["bus_delay"] == 37.0
 
@@ -103,14 +97,14 @@ class TestDetect:
             queue_vehicle(self.episode, self.node.approaches["E"], movement="s").stopped_since = 70
         # (E, s) is phase 2; active phase is 0, so the line is red
         assert self.episode.junctions["x0_0"].signal.active == 0
-        assert not any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
+        assert not any(e.kind == "incident" for e in detect(self.episode, self.junction))
 
     def test_mid_link_stall_is_an_incident(self):
         self.episode.t = 200
         vehicle = place_running(self.episode, self.node.approaches["N"], 150.0)
         vehicle.frozen = True
         vehicle.stopped_since = 60  # stopped 140 s, far from the stop line
-        events = detect(self.episode, "x0_0")
+        events = detect(self.episode, self.junction)
         event = next(e for e in events if e.kind == "incident")
         assert event.context["incident_blocked"] == 1.0
 
@@ -122,7 +116,7 @@ class TestDetect:
         vehicle.frozen = True
         vehicle.stopped_since = 60
         assert self.episode.junctions["x0_0"].signal.active == 0  # (N, s) green
-        assert any(e.kind == "incident" for e in detect(self.episode, "x0_0"))
+        assert any(e.kind == "incident" for e in detect(self.episode, self.junction))
 
     def test_congestion_cold_start_is_silent(self):
         history = [50] * 100  # shorter than the 300 s window
@@ -172,11 +166,11 @@ class TestDetectOracle:
         scenario = make_scenario(family, rows=2, cols=2, duration=900)
         episode = Episode(Arrivals(scenario, 2))
         accrual = ReferenceAccrual(episode)
-        controller = DispatcherController(default_bank())
+        controller = DispatcherController(DEFAULT_BANK)
         kinds = set()
         for _ in range(scenario.duration):
-            for node_id in episode.junctions:
-                events = detect(episode, node_id)
+            for node_id, junction in episode.junctions.items():
+                events = detect(episode, junction)
                 assert [(e.kind, e.context) for e in events] == reference_detect(
                     episode, node_id, accrual
                 )
@@ -186,42 +180,40 @@ class TestDetectOracle:
         assert expected <= kinds
 
 
+# The dispatch order, written here apart from events.PRIORITY_CHAIN.
+PRIORITY = {"emergency": 0, "incident": 1, "transit": 2, "congestion": 3}
+
+
 class TestDispatch:
-    def test_all_sixteen_subsets(self):
-        bank = default_bank()
-        kinds = ("emergency", "incident", "transit", "congestion")
-        for mask in itertools.product((False, True), repeat=4):
-            present = [k for k, on in zip(kinds, mask) if on]
-            events = [TrafficEvent(kind=k, intersection="x0_0", context={}) for k in present]
-            active, skill = dispatch(events, bank)
-            if not present:
-                assert active == "normal"
+    def test_every_subset_in_every_order(self):
+        lists = [kinds for size in range(5) for kinds in itertools.permutations(PRIORITY, size)]
+        assert len(lists) == 65
+        for kinds in lists:
+            events = [TrafficEvent(kind, {}) for kind in kinds]
+            winner = dispatch(events)
+            if kinds:
+                assert winner is events[kinds.index(min(kinds, key=PRIORITY.get))]
             else:
-                assert active == min(present, key=lambda k: TrafficEvent(k, "x", {}).priority)
-            assert skill is bank[active]
+                assert winner is None
 
     def test_priority_examples(self):
-        bank = default_bank()
-        emergency = TrafficEvent("emergency", "x", {})
-        incident = TrafficEvent("incident", "x", {})
-        transit = TrafficEvent("transit", "x", {})
-        congestion = TrafficEvent("congestion", "x", {})
-        assert dispatch([emergency, incident], bank)[0] == "emergency"
-        assert dispatch([transit, congestion], bank)[0] == "transit"
-        assert dispatch([], bank)[0] == "normal"
+        emergency = TrafficEvent("emergency", {})
+        incident = TrafficEvent("incident", {})
+        transit = TrafficEvent("transit", {})
+        congestion = TrafficEvent("congestion", {})
+        assert dispatch([incident, emergency]) is emergency
+        assert dispatch([congestion, transit]) is transit
+        assert dispatch([]) is None
+
+    def test_the_first_event_of_the_winning_kind_wins(self):
+        first, second = TrafficEvent("transit", {"bus_count": 1.0}), TrafficEvent("transit", {"bus_count": 2.0})
+        assert dispatch([TrafficEvent("congestion", {}), first, second]) is first
 
     def test_bank_requires_all_kinds(self):
-        skills = {kind: LIBRARY["bus-priority"] for kind in BANK_KINDS}
-        SkillBank(skills)  # fine
-        del skills["incident"]
-        with pytest.raises(ValueError):
-            SkillBank(skills)
-
-    def test_bank_replaced_is_a_copy(self):
-        bank = default_bank()
-        other = bank.replaced("transit", LIBRARY["saturation-response"])
-        assert bank["transit"] is not other["transit"]
-        assert bank["normal"] is other["normal"]
+        DispatcherController(dict.fromkeys(BANK_KINDS, LIBRARY["bus-priority"]))  # fine
+        for kind in BANK_KINDS:
+            with pytest.raises(KeyError, match=kind):
+                DispatcherController({k: skill for k, skill in DEFAULT_BANK.items() if k != kind})
 
 
 def context_scores(context):
@@ -243,7 +235,7 @@ class TestInjectContext:
     variable the context lacks."""
 
     def test_emergency_context(self):
-        event = TrafficEvent("emergency", "x0_0", {"emergency_distance": 5.0, "emergency_phase": 2.0})
+        event = TrafficEvent("emergency", {"emergency_distance": 5.0, "emergency_phase": 2.0})
         assert context_scores(event.context) == [25.0] * 4
 
     def test_no_event_gives_all_zeros(self):
@@ -251,13 +243,8 @@ class TestInjectContext:
         assert context_scores({}) == [0.0] * 4
 
     def test_transit_sets_two_others_zero(self):
-        event = TrafficEvent("transit", "x0_0", {"bus_count": 2.0, "bus_delay": 3.0})
+        event = TrafficEvent("transit", {"bus_count": 2.0, "bus_delay": 3.0})
         assert context_scores(event.context) == [3200.0] * 4
-
-    def test_event_context_rejects_lane_variables(self):
-        # event context is its own namespace, disjoint from lane variables
-        with pytest.raises(ValueError):
-            TrafficEvent("transit", "x0_0", {"num_vehicle": 9.0})
 
 
 class TestDetectorInEpisode:
@@ -297,7 +284,7 @@ class TestDetectorInEpisode:
             episode.step(HOLD)
             if episode.t == 100 + 130:  # threshold passed well inside the window
                 node_id = episode.network.links[scenario.incident.link].dst
-                events = detect(episode, node_id)
+                events = detect(episode, episode.junctions[node_id])
                 saw_incident = any(e.kind == "incident" for e in events)
                 break
         assert saw_incident

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosignal.events import default_bank
 from evosignal.evolution import (
     DIRECTIONS,
     EvolutionConfig,
@@ -27,7 +26,7 @@ from evosignal.evolution import (
 from evosignal.generator import ScriptedBackend
 from evosignal.metrics import cost_ledger
 from evosignal.sim import make_scenario
-from evosignal.skills import LIBRARY, SEED_SKILL, Skill
+from evosignal.skills import DEFAULT_BANK, LIBRARY, SEED_SKILL, Skill
 from evosignal.store import RunStore
 from evosignal.util import percentile
 
@@ -346,7 +345,7 @@ class TestDistinctCandidates:
     )
 
     def evaluate(self, candidates):
-        return evaluate_generation(self.CFG, candidates, None, run_arrivals(self.CFG))
+        return evaluate_generation(self.CFG, candidates, run_arrivals(self.CFG))
 
     def test_copies_and_a_whitespace_variant_run_once_per_scenario(self, simulations):
         candidates = [body_skill(0, QUEUE), body_skill(1, QUEUE), body_skill(2, QUEUE),
@@ -474,46 +473,47 @@ class TestSharedWork:
             pools[0].submit(int)
 
 
-def dispatcher_context_evaluate(candidate, kind, bank, scenarios, *, seed):
+def dispatcher_context_evaluate(candidate, kind, scenarios, *, seed):
     """Fitness of a candidate event skill inside the full detect +
-    dispatch pipeline, all other bank slots held fixed: an event-mode
-    run's evaluation of one candidate."""
+    dispatch pipeline, all other bank slots held at the default bank's:
+    an event-mode run's evaluation of one candidate."""
     cfg = EvolutionConfig(scenarios=tuple(scenarios), mode=kind, seed=seed)
-    return evaluate_generation(cfg, [candidate], bank, run_arrivals(cfg))[0][0]
+    return evaluate_generation(cfg, [candidate], run_arrivals(cfg))[0][0]
 
 
 class TestDispatcherContext:
     def test_substitution_identity(self):
         from dataclasses import replace
 
-        bank = default_bank()
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
-        baseline = dispatcher_context_evaluate(
-            bank["transit"], "transit", bank, [scenario], seed=3
-        )
+        baseline = dispatcher_context_evaluate(DEFAULT_BANK["transit"], "transit", [scenario], seed=3)
         # a candidate that is a renamed copy of the incumbent scores
         # exactly the incumbent's fitness
-        copy = replace(bank["transit"], id="renamed-copy")
-        again = dispatcher_context_evaluate(copy, "transit", bank, [scenario], seed=3)
+        copy = replace(DEFAULT_BANK["transit"], id="renamed-copy")
+        again = dispatcher_context_evaluate(copy, "transit", [scenario], seed=3)
         assert baseline == again
 
     def test_candidate_changes_fitness(self):
-        bank = default_bank()
         scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
-        baseline = dispatcher_context_evaluate(bank["transit"], "transit", bank, [scenario], seed=3)
+        baseline = dispatcher_context_evaluate(DEFAULT_BANK["transit"], "transit", [scenario], seed=3)
         rigid = LIBRARY["saturation-response"]
-        other = dispatcher_context_evaluate(rigid, "transit", bank, [scenario], seed=3)
+        other = dispatcher_context_evaluate(rigid, "transit", [scenario], seed=3)
         assert other != baseline
+
+    def test_an_event_mode_evaluation_leaves_the_default_bank_as_it_is(self):
+        before = dict(DEFAULT_BANK)
+        scenario = make_scenario("B1", rows=2, cols=2, duration=300, demand_scale=0.5)
+        cfg = EvolutionConfig(scenarios=(scenario,), mode="transit", seed=3)
+        evaluate_generation(cfg, [LIBRARY["saturation-response"]], run_arrivals(cfg))
+        assert DEFAULT_BANK.keys() == before.keys()
+        assert all(DEFAULT_BANK[kind] is skill for kind, skill in before.items())
 
     def test_activation_only_during_transit_events(self):
         from evosignal.control import ControllerSpec, drive
 
-        bank = default_bank()
         scenario = make_scenario("B1", rows=2, cols=2, duration=400, demand_scale=0.5)
-        result = drive(
-            ControllerSpec("dispatcher", bank_skills=bank.skills), scenario, seed=3,
-            collect_step_log=True,
-        )
+        result = drive(ControllerSpec("dispatcher", bank_skills=DEFAULT_BANK), scenario, seed=3,
+                       collect_step_log=True)
         activations = [
             r for r in result.step_log if r["kind"] == "activation" and r["skill_kind"] == "transit"
         ]
@@ -529,10 +529,9 @@ class TestDispatcherContext:
     def test_missing_event_metric_propagates(self):
         from evosignal.metrics import MissingMetric
 
-        bank = default_bank()
         no_buses = make_scenario("T1", rows=1, cols=1, duration=60, demand_scale=0.5)
         with pytest.raises(MissingMetric):
-            dispatcher_context_evaluate(bank["transit"], "transit", bank, [no_buses], seed=1)
+            dispatcher_context_evaluate(DEFAULT_BANK["transit"], "transit", [no_buses], seed=1)
 
     def test_inert_emergency_candidate_is_worse(self):
         # an emergency skill that always scores phase 0 cannot beat the
@@ -540,16 +539,12 @@ class TestDispatcherContext:
         from evosignal.control import ControllerSpec, drive
         from evosignal.skills import Skill
 
-        bank = default_bank()
         inert = Skill(id="inert", description="", guidance="",
                       inlane_code="value[0] += 0", outlane_code="value[0] += 0")
         scenario = make_scenario("E2", rows=2, cols=2, duration=600, demand_scale=0.8)
-        evolved = drive(
-            ControllerSpec("dispatcher", bank_skills=bank.skills), scenario, seed=6
-        ).metrics
+        evolved = drive(ControllerSpec("dispatcher", bank_skills=DEFAULT_BANK), scenario, seed=6).metrics
         crippled = drive(
-            ControllerSpec("dispatcher", bank_skills=bank.replaced("emergency", inert).skills),
-            scenario, seed=6,
+            ControllerSpec("dispatcher", bank_skills={**DEFAULT_BANK, "emergency": inert}), scenario, seed=6,
         ).metrics
         assert crippled.emergency_delay >= evolved.emergency_delay
 

@@ -63,7 +63,7 @@ from evosignal.sim.scenario import (
     load_scenario,
     scheduled_emergencies,
 )
-from evosignal.skills import LIBRARY, SEED_SKILL
+from evosignal.skills import DEFAULT_BANK, LIBRARY, SEED_SKILL
 
 from ._reference import (
     FIGURES,
@@ -867,8 +867,8 @@ class TestLiveViews:
         # kind and in the middle of a blockage, and none waits for a
         # full collection.
         blocked = make_scenario("I1", rows=3, cols=3, duration=950)
-        interpreter._COMPILE_CACHE.clear()
-        control_module._SCORER_CACHE.clear()
+        interpreter.compile_body.cache_clear()
+        control_module.scorer.cache_clear()
         gc.collect()
         gc.disable()
         try:
@@ -893,14 +893,14 @@ class TestLiveViews:
         # Bodies and the scorers around them are compiled from rendered
         # text; neither lowering builds a tree of its own that needs the
         # collector to free it.
-        interpreter._COMPILE_CACHE.clear()
-        control_module._SCORER_CACHE.clear()
+        interpreter.compile_body.cache_clear()
+        control_module.scorer.cache_clear()
         gc.collect()
         gc.disable()
         try:
-            controller = ControllerSpec("dispatcher").build()
-            assert len(control_module._SCORER_CACHE) == len({
-                (skill.inlane_code, skill.outlane_code) for skill in controller.bank.skills.values()
+            ControllerSpec("dispatcher").build()
+            assert control_module.scorer.cache_info().currsize == len({
+                (skill.inlane_code, skill.outlane_code) for skill in DEFAULT_BANK.values()
             }) > 1
             assert gc.collect() == 0
         finally:
